@@ -89,15 +89,7 @@ class BinaryMatrix:
         return BinaryMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "BinaryMatrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.row_ints):
-            bit = 1 << i
-            r = row
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= bit
-                r ^= low
-        return BinaryMatrix(self.cols, self.rows, out)
+        return BinaryMatrix(self.cols, self.rows, transpose_ints(self.row_ints, self.cols))
 
     def rank(self) -> int:
         # incremental reduction against a basis keyed by leading bit
@@ -153,6 +145,17 @@ class BinaryMatrix:
         return BinaryMatrix(
             self.rows, self.cols, [perm.apply(row, inverse=True) for row in self.row_ints]
         )
+
+
+def transpose_ints(rows: list[int], cols: int) -> list[int]:
+    """The columns of a bit matrix given by its rows, as ints whose bit
+    i is row i.  Formatting, zip and int() do the per-bit work in C."""
+    if not rows or not cols:
+        return [0] * cols
+    fmt = f"0{cols}b"
+    # character j of each reversed string is bit j of the row
+    strs = [format(r, fmt)[::-1] for r in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*strs)]
 
 
 def vec_times_matrix(v: int, m: BinaryMatrix) -> int:

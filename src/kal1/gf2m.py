@@ -200,14 +200,18 @@ def poly_sqr(field: Field, f: list[int]) -> list[int]:
     # char 2: squaring just spreads the coefficients
     if not f:
         return []
+    exp = field.exp_table
+    log = field.log_table
     out = [0] * (2 * len(f) - 1)
     for i, a in enumerate(f):
         if a:
-            out[2 * i] = field.mul(a, a)
+            out[2 * i] = exp[2 * log[a]]
     return poly_trim(out)
 
 
 def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Long division in the log domain: the divisor's coefficient logs
+    are taken once, so each step is table lookups and XORs."""
     g = poly_trim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -215,18 +219,22 @@ def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], li
     dg = len(g) - 1
     if len(r) - 1 < dg:
         return [], poly_trim(r)
+    exp = field.exp_table
+    log = field.log_table
+    q1 = field.order - 1
+    # the leading term is left out: it only cancels r[i], which is never read again
+    g_logs = [(j, log[b]) for j, b in enumerate(g[:-1]) if b]
+    lc_log = log[g[-1]]
     q = [0] * (len(r) - dg)
-    lc_inv = field.inv(g[-1])
-    mul = field.mul
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i]
         if not c:
             continue
-        coef = mul(c, lc_inv)
-        q[i - dg] = coef
-        for j, b in enumerate(g):
-            if b:
-                r[i - dg + j] ^= mul(coef, b)
+        lcoef = (log[c] - lc_log) % q1
+        q[i - dg] = exp[lcoef]
+        base = i - dg
+        for j, lb in g_logs:
+            r[base + j] ^= exp[lcoef + lb]
     return poly_trim(q), poly_trim(r[:dg])
 
 
@@ -323,11 +331,24 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
 
 
 def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
-    """x^(2^(m*t-1)) mod g, the square root of x when g is irreducible."""
-    h = [0, 1]
-    for _ in range(field.m * poly_deg(g) - 1):
-        h = poly_mod(field, poly_sqr(field, h), g)
-    return h
+    """The square root of x modulo g.
+
+    Splitting g = g0^2 + x*g1^2 gives x = (g0/g1)^2 mod g, so the root
+    is g0 * g1^-1 mod g; for irreducible g it equals x^(2^(m*t-1)).
+    When g1 has no inverse (g has a repeated factor, which only a
+    hand-built g can have) the result is x^(2^(m*t-1)) mod g by
+    repeated squaring.
+    """
+    g0 = poly_trim([field.sqrt(c) for c in g[0::2]])
+    g1 = poly_trim([field.sqrt(c) for c in g[1::2]])
+    try:
+        g1_inv = poly_inv_mod(field, g1, g)
+    except ZeroDivisionError:
+        h = [0, 1]
+        for _ in range(field.m * poly_deg(g) - 1):
+            h = poly_mod(field, poly_sqr(field, h), g)
+        return h
+    return poly_mod(field, poly_mul(field, g0, g1_inv), g)
 
 
 def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, transpose_ints
 from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, ParameterError
 from .gf2m import (
     Field,
@@ -30,6 +30,9 @@ from .gf2m import (
 from .rng import SeededRng
 
 RESAMPLE_LIMIT = 100
+# A random monic polynomial of degree t is irreducible with probability
+# about 1/t, so 40*t candidates all fail with probability about e^-40.
+POLY_TRIALS_PER_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,8 @@ class ParityCheckMatrix:
             for i in range(n):
                 cols[i] |= row[i] << shift
         self.column_ints = cols
-        rows = []
-        for j in range(t):
-            row = field_rows[j]
-            for b in range(m):
-                acc = 0
-                for i in range(n):
-                    if (row[i] >> b) & 1:
-                        acc |= 1 << i
-                rows.append(acc)
-        self.binary = BinaryMatrix(m * t, n, rows)
+        # row j*m + b holds bit b of field row j, so it is bit j*m + b of every column
+        self.binary = BinaryMatrix(m * t, n, transpose_ints(cols, m * t))
 
     def syndrome(self, e: int) -> int:
         """e times the transposed binary parity check, as an m*t-bit int."""
@@ -226,6 +221,9 @@ class GoppaCode:
 def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
     """Sample a code: uniform distinct support, then g until irreducible.
 
+    At most POLY_TRIALS_PER_DEGREE * t candidates are tried for g before
+    GenerationFailure is raised.
+
     Irreducibility implies g has no roots in GF(2^m), so the support
     never needs filtering.  Codes whose binary parity check is rank
     deficient are resampled so that n - k = m*t holds exactly.
@@ -233,10 +231,12 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
     field = Field(params.m)
     for _ in range(RESAMPLE_LIMIT):
         support = rng.sample(field.order, params.n)
-        while True:
+        for _ in range(POLY_TRIALS_PER_DEGREE * params.t):
             g = [rng.randbits(params.m) for _ in range(params.t)] + [1]
             if is_irreducible(field, g):
                 break
+        else:
+            raise GenerationFailure("no irreducible Goppa polynomial among the candidates")
         code = GoppaCode(field, params, support, g)
         if code.parity_check().binary.rank() == params.m * params.t:
             return code

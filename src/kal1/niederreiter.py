@@ -1,15 +1,24 @@
 """Baseline Niederreiter scheme over binary Goppa codes.
 
-The public key is the transposed systematic parity check: the
-scrambler is derived from (code, permutation) so that the scrambled,
-permuted check matrix ends in an identity block on its last n-k
-columns.  That systematic form is what makes the cyclic construction
-in the scheme module cancel correctly.
+A key is a code plus a column permutation under which the right block
+R, the last n-k columns of the permuted binary check, is invertible.
+The scrambler is s = R^-1, so s times the permuted check ends in an
+identity block: the public key is that systematic check, transposed.
+The systematic form is what makes the cyclic construction in the
+scheme module cancel correctly.
+
+Decryption needs only s_inv = R, so ``keygen_private`` builds the
+private key alone: each permutation draw reorders the check's columns
+and tests R with a rank computation.  ``public_key`` builds the public
+matrix from the private key when it is wanted, and s is computed on
+first use of ``scrambler``.  ``keygen`` and ``keygen_private`` make the
+same random draws, so both yield the same key for a seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .binmat import (
     BinaryMatrix,
@@ -19,7 +28,7 @@ from .binmat import (
     random_permutation,
     vec_times_matrix,
 )
-from .errors import DimensionMismatch, GenerationFailure, SingularMatrixError, WeightError
+from .errors import DimensionMismatch, GenerationFailure, WeightError
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code
 from .rng import SeededRng
 
@@ -37,53 +46,63 @@ class NiederreiterPublicKey:
 @dataclass
 class NiederreiterPrivateKey:
     code: GoppaCode
-    scrambler: Scrambler  # (n-k) x (n-k)
+    s_inv: BinaryMatrix  # (n-k) x (n-k): the right block of the permuted check
     perm: Permutation  # length n
 
     @property
     def params(self) -> CodeParams:
         return self.code.params
 
-
-def _systematize(binary_check: BinaryMatrix, perm: Permutation, k: int):
-    """Scramble the column-permuted check into [A | I] form.
-
-    The scrambler is the inverse of the last (n-k) columns of the
-    permuted check; raises SingularMatrixError when that block is not
-    invertible.
-    """
-    permuted = binary_check.permute_columns(perm)
-    nk = binary_check.rows
-    right = BinaryMatrix(nk, nk, [row >> k for row in permuted.row_ints])
-    s = right.invert()
-    scrambled = s.mul(permuted)
-    return Scrambler(s, right), scrambled
+    @cached_property
+    def scrambler(self) -> Scrambler:
+        """s_inv together with s, which is computed on first use."""
+        return Scrambler(self.s_inv.invert(), self.s_inv)
 
 
-def keygen(params: CodeParams, rng: SeededRng) -> tuple[NiederreiterPublicKey, NiederreiterPrivateKey]:
-    """Sample a code and a permutation giving a systematic public key.
+def _permuted_columns(code: GoppaCode, perm: Permutation) -> list[int]:
+    """Columns of the permuted binary check: column i moves to perm.map[i]."""
+    out = [0] * len(perm.map)
+    for col, dest in zip(code.parity_check().column_ints, perm.map):
+        out[dest] = col
+    return out
+
+
+def keygen_private(params: CodeParams, rng: SeededRng) -> NiederreiterPrivateKey:
+    """Sample a code and a permutation whose right block is invertible.
 
     Permutations whose right block is singular are redrawn, up to the
     shared resample limit.
     """
     code = generate_code(params, rng)
-    binary = code.parity_check().binary
+    nk = params.redundancy
     for _ in range(RESAMPLE_LIMIT):
         perm = random_permutation(params.n, rng)
-        try:
-            scrambler, scrambled = _systematize(binary, perm, params.k)
-        except SingularMatrixError:
-            continue
-        pub = NiederreiterPublicKey(params, scrambled.transpose())
-        priv = NiederreiterPrivateKey(code, scrambler, perm)
-        return pub, priv
+        # the rows of R^T are the permuted columns k..n-1
+        right_t = BinaryMatrix(nk, nk, _permuted_columns(code, perm)[params.k :])
+        if right_t.rank() == nk:
+            return NiederreiterPrivateKey(code, right_t.transpose(), perm)
     raise GenerationFailure("no permutation yielded an invertible right block")
 
 
+def keygen(params: CodeParams, rng: SeededRng) -> tuple[NiederreiterPublicKey, NiederreiterPrivateKey]:
+    """A private key and its systematic public key."""
+    priv = keygen_private(params, rng)
+    return public_key(priv), priv
+
+
 def public_key(priv: NiederreiterPrivateKey) -> NiederreiterPublicKey:
-    """Rebuild the public key from private material."""
-    permuted = priv.code.parity_check().binary.permute_columns(priv.perm)
-    return NiederreiterPublicKey(priv.params, priv.scrambler.s.mul(permuted).transpose())
+    """The transposed systematic check, from private material.
+
+    Row i of check_t is column i of the permuted check, read as a row,
+    times s^T = (R^T)^-1.  For the last n-k columns, whose rows form
+    R^T, that product is the identity, so those rows are written as is.
+    """
+    params = priv.params
+    k, nk = params.k, params.redundancy
+    cols = _permuted_columns(priv.code, priv.perm)
+    s_t = BinaryMatrix(nk, nk, cols[k:]).invert()
+    top = BinaryMatrix(k, nk, cols[:k]).mul(s_t).row_ints
+    return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, top + [1 << i for i in range(nk)]))
 
 
 def encrypt(pub: NiederreiterPublicKey, e: int) -> int:
@@ -101,6 +120,6 @@ def decrypt(priv: NiederreiterPrivateKey, c: int) -> int:
     params = priv.params
     if c.bit_length() > params.redundancy:
         raise DimensionMismatch("ciphertext longer than n-k bits")
-    inner_syndrome = matrix_times_vec(priv.scrambler.s_inv, c)
+    inner_syndrome = matrix_times_vec(priv.s_inv, c)
     permuted_error = priv.code.decode(inner_syndrome)
     return priv.perm.apply(permuted_error, inverse=True)

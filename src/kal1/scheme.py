@@ -8,6 +8,13 @@ the plain Niederreiter chain.  A consequence worth knowing: the
 ciphertext equals the constant-weight word itself.  That property is
 inherent to the construction and is asserted by the test suite rather
 than hidden.
+
+Key generation is private-only: it builds the inner Niederreiter private
+key (code, permutation and s_inv, the right block of the permuted
+check) but neither the inner public matrix nor the scrambler s, which
+only Niederreiter public keys (``niederreiter.public_key``) and the
+analysis in ``isd`` need.  The draws are those of a full Niederreiter
+keygen.
 """
 
 from __future__ import annotations
@@ -223,13 +230,13 @@ def cw_params(params: CodeParams) -> CwParams:
 def keygen(
     params: CodeParams, policy: SeedPolicy, rng: SeededRng
 ) -> tuple[Kal1PublicKey, Kal1PrivateKey]:
-    """Inner Niederreiter keygen, then a seed row drawn per policy.
+    """Inner Niederreiter private key, then a seed row drawn per policy.
 
     The draw order (support, Goppa polynomial, permutations, seed row)
     is pinned: private key files regenerate from the 16-byte seed alone.
     """
     validate_policy(policy, params.redundancy)
-    _, inner_priv = niederreiter.keygen(params, rng)
+    inner_priv = niederreiter.keygen_private(params, rng)
     seed_row = draw_seed_row(policy, params.redundancy, rng)
     return Kal1PublicKey(params, seed_row), Kal1PrivateKey(inner_priv, seed_row)
 

@@ -1,0 +1,152 @@
+"""Slow reference implementations that faster library code replaced.
+
+Each function here is the straightforward version the library used
+before its kernel was rewritten.  The tests compare the library against
+them, so they must stay simple and must not call the kernels they check.
+"""
+
+from kal1.binmat import BinaryMatrix, Scrambler, random_permutation
+from kal1.errors import GenerationFailure, SingularMatrixError
+from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
+from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
+
+
+def poly_sqr(field: Field, f: list[int]) -> list[int]:
+    if not f:
+        return []
+    out = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[2 * i] = field.mul(a, a)
+    return poly_trim(out)
+
+
+def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    g = poly_trim(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(f)
+    dg = len(g) - 1
+    if len(r) - 1 < dg:
+        return [], poly_trim(r)
+    q = [0] * (len(r) - dg)
+    lc_inv = field.inv(g[-1])
+    mul = field.mul
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        coef = mul(c, lc_inv)
+        q[i - dg] = coef
+        for j, b in enumerate(g):
+            if b:
+                r[i - dg + j] ^= mul(coef, b)
+    return poly_trim(q), poly_trim(r[:dg])
+
+
+def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
+    return poly_divmod(field, f, g)[1]
+
+
+def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
+    a, b = poly_trim(f), poly_trim(g)
+    while b:
+        a, b = b, poly_mod(field, a, b)
+    if a and a[-1] != 1:
+        a = poly_scale(field, a, field.inv(a[-1]))
+    return a
+
+
+def is_irreducible(field: Field, f: list[int]) -> bool:
+    """gcd(x^(q^i) - x, f) = 1 for every i up to deg(f)/2."""
+    f = poly_trim(f)
+    t = poly_deg(f)
+    if t < 1:
+        return False
+    if f[-1] != 1:
+        f = poly_scale(field, f, field.inv(f[-1]))
+    if t == 1:
+        return True
+    x = [0, 1]
+    h = x
+    for _ in range(t // 2):
+        for _ in range(field.m):
+            h = poly_mod(field, poly_sqr(field, h), f)
+        if poly_deg(poly_gcd(field, poly_add(h, x), f)) >= 1:
+            return False
+    return True
+
+
+def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
+    """x^(2^(m*t-1)) mod g by repeated squaring."""
+    h = [0, 1]
+    for _ in range(field.m * poly_deg(g) - 1):
+        h = poly_mod(field, poly_sqr(field, h), g)
+    return h
+
+
+def transpose(m: BinaryMatrix) -> BinaryMatrix:
+    out = [0] * m.cols
+    for i, row in enumerate(m.row_ints):
+        bit = 1 << i
+        r = row
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return BinaryMatrix(m.cols, m.rows, out)
+
+
+def binary_check(code: GoppaCode) -> BinaryMatrix:
+    """Bit-by-bit expansion of the field parity check, coefficient 0 topmost."""
+    params = code.params
+    rows = []
+    for row in code.parity_check().field_rows:
+        for b in range(params.m):
+            acc = 0
+            for i in range(params.n):
+                if (row[i] >> b) & 1:
+                    acc |= 1 << i
+            rows.append(acc)
+    return BinaryMatrix(params.m * params.t, params.n, rows)
+
+
+def systematize(binary_check: BinaryMatrix, perm, k: int):
+    """Scramble the column-permuted check into [A | I] form; raises
+    SingularMatrixError when the right block is not invertible."""
+    permuted = binary_check.permute_columns(perm)
+    nk = binary_check.rows
+    right = BinaryMatrix(nk, nk, [row >> k for row in permuted.row_ints])
+    s = right.invert()
+    return Scrambler(s, right), s.mul(permuted)
+
+
+def generate_code(params: CodeParams, rng) -> GoppaCode:
+    """Uniform distinct support, then g until irreducible; resampled
+    while the binary parity check is rank deficient."""
+    field = Field(params.m)
+    for _ in range(RESAMPLE_LIMIT):
+        support = rng.sample(field.order, params.n)
+        while True:
+            g = [rng.randbits(params.m) for _ in range(params.t)] + [1]
+            if is_irreducible(field, g):
+                break
+        code = GoppaCode(field, params, support, g)
+        if binary_check(code).rank() == params.m * params.t:
+            return code
+    raise GenerationFailure("could not sample a full-rank code")
+
+
+def niederreiter_keygen(params: CodeParams, rng):
+    """The code, then permutation draws until the right block is
+    invertible; returns (code, check_t, scrambler, permutation)."""
+    code = generate_code(params, rng)
+    binary = binary_check(code)
+    for _ in range(RESAMPLE_LIMIT):
+        perm = random_permutation(params.n, rng)
+        try:
+            scrambler, scrambled = systematize(binary, perm, params.k)
+        except SingularMatrixError:
+            continue
+        return code, transpose(scrambled), scrambler, perm
+    raise GenerationFailure("no permutation yielded an invertible right block")

@@ -8,7 +8,7 @@ import pytest
 
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
-from kal1.gf2m import Field, is_irreducible, poly_eval
+from kal1.gf2m import Field, is_irreducible, poly_eval, poly_mul
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
@@ -212,3 +212,20 @@ def test_generated_codes_have_full_rank_various_params():
         code = generate_code(params, SeededRng(seed_bytes(0x30 + tag)))
         assert code.parity_check().binary.rank() == params.m * params.t
         assert len(set(code.support)) == params.n
+
+
+def test_square_goppa_poly_decodes_weight_one_errors():
+    # A caller-built code whose g = q^2 is a square: its odd part is zero,
+    # so sqrt(x) mod g has no closed form and must come from the
+    # repeated-squaring fallback.  Weight-1 errors still decode.
+    field = Field(8)
+    q = next(
+        [a, b, 1]
+        for a in range(1, 256)
+        for b in range(256)
+        if is_irreducible(field, [a, b, 1])
+    )
+    code = GoppaCode(field, CodeParams(64, 32, 4, 8), list(range(1, 65)), poly_mul(field, q, q))
+    pc = code.parity_check()
+    for i in range(64):
+        assert code.decode(pc.syndrome(1 << i)) == 1 << i
