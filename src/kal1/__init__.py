@@ -24,7 +24,6 @@ from .goppa import CodeParams, GoppaCode, generate_code
 from .rng import SeededRng, fresh_seed
 from .scheme import (
     DenseSeed,
-    ExpandedCyclicKey,
     Kal1PrivateKey,
     Kal1PublicKey,
     Kal1S1Key,
@@ -45,7 +44,6 @@ __all__ = [
     "DecodingFailure",
     "DenseSeed",
     "DimensionMismatch",
-    "ExpandedCyclicKey",
     "FormatError",
     "GenerationFailure",
     "GoppaCode",

@@ -12,10 +12,8 @@ import argparse
 import sys
 import time
 
-from . import isd, keyio, niederreiter, scheme
-from .binmat import BinaryMatrix, vec_times_matrix
+from . import isd, keyio, scheme
 from .bits import bit_string
-from .cw import CwParams, cw_encode
 from .errors import (
     DecodingFailure,
     FormatError,
@@ -146,22 +144,13 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def _encryption_core(pub) -> tuple[CodeParams, BinaryMatrix]:
-    """Dense matrix view used for encryption, for any public key kind."""
-    if isinstance(pub, niederreiter.NiederreiterPublicKey):
-        return pub.params, pub.check_t
-    dense = pub.as_dense()
-    return dense.params, dense.expanded.cyclic_t
-
-
 def cmd_encrypt(args) -> int:
     with open(args.key, "rb") as fh:
         pub = keyio.parse_public_key(fh.read())
-    params, matrix = _encryption_core(pub)
+    params = pub.params
     with open(args.infile, "rb") as fh:
         msg = keyio.decode_message(fh.read(), params)
-    word = cw_encode(msg, CwParams(params.redundancy, params.t))
-    c = vec_times_matrix(word << params.k, matrix)
+    c = scheme.encrypt(pub, msg)
     with open(args.out, "wb") as fh:
         fh.write(keyio.encode_ciphertext(c, params))
     print(f"ciphertext: {params.redundancy} bits")
@@ -178,7 +167,7 @@ def cmd_decrypt(args) -> int:
     msg = scheme.decrypt_with(inner, c)
     with open(args.out, "wb") as fh:
         fh.write(keyio.encode_message(msg, params))
-    print(f"message: {CwParams(params.redundancy, params.t).msg_bits} bits")
+    print(f"message: {scheme.cw_params(params).msg_bits} bits")
     return 0
 
 
@@ -247,8 +236,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed))
     t_keygen = time.perf_counter() - t0
-    cwp = CwParams(params.redundancy, params.t)
-    msg = SeededRng(seed).randbits(cwp.msg_bits)
+    msg = SeededRng(seed).randbits(scheme.cw_params(params).msg_bits)
     t0 = time.perf_counter()
     c = scheme.encrypt(pub, msg)
     t_enc = time.perf_counter() - t0

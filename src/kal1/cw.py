@@ -9,6 +9,7 @@ largest power of two not exceeding C(length, weight).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,7 @@ class CwParams:
     @property
     def capacity(self) -> int:
         """Number of words, C(length, weight)."""
-        return self._binom[self.length][self.weight]
+        return math.comb(self.length, self.weight)
 
     @property
     def msg_bits(self) -> int:
@@ -38,7 +39,8 @@ class CwParams:
 
     @cached_property
     def _binom(self) -> list[list[int]]:
-        # Pascal triangle clipped to the weight, computed once per params
+        # Pascal triangle clipped to the weight, computed once per params;
+        # only cw_encode and cw_decode need it
         table = [[0] * (self.weight + 1) for _ in range(self.length + 1)]
         for c in range(self.length + 1):
             table[c][0] = 1

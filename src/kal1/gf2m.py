@@ -123,9 +123,6 @@ class Field:
         self.exp_table = exp
         self.log_table = log
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -146,9 +143,6 @@ class Field:
         if a == 0:
             return 0
         return self.exp_table[(self.log_table[a] << (self.m - 1)) % (self.order - 1)]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction_poly={self.reduction_poly:#x})"
@@ -249,22 +243,6 @@ def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
     if a and a[-1] != 1:
         a = poly_scale(field, a, field.inv(a[-1]))
     return a
-
-
-def poly_eea(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Full extended Euclid: (d, u, v) with u*f + v*g = d, d monic gcd."""
-    r0, r1 = poly_trim(f), poly_trim(g)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_add(u0, poly_mul(field, q, u1))
-        v0, v1 = v1, poly_add(v0, poly_mul(field, q, v1))
-    if r0 and r0[-1] != 1:
-        c = field.inv(r0[-1])
-        r0, u0, v0 = poly_scale(field, r0, c), poly_scale(field, u0, c), poly_scale(field, v0, c)
-    return r0, u0, v0
 
 
 def poly_eea_bounded(

@@ -17,7 +17,7 @@ from .binmat import BinaryMatrix, matrix_times_vec
 from .errors import DimensionMismatch, ParameterError
 from .niederreiter import NiederreiterPublicKey, public_key
 from .rng import SeededRng
-from .scheme import ExpandedCyclicKey, Kal1PrivateKey, secondary_check_t
+from .scheme import Kal1PrivateKey, secondary_check_t
 
 # Windows whose solution space is larger than 2^NULLSPACE_CAP are
 # abandoned; at probe scales the deficiency never gets near this.
@@ -162,17 +162,17 @@ class RankReport:
 
 
 def rank_report(
-    expanded: ExpandedCyclicKey,
+    cyclic_t: BinaryMatrix,
     sk: Kal1PrivateKey,
     rng: SeededRng | None = None,
     samples: int = 32,
 ) -> RankReport:
     """Rank triple of the published decomposition, plus how often a
     random attacker window of the cyclic matrix is invertible."""
-    params = expanded.params
+    params = sk.params
     inner_pub = public_key(sk.inner)
-    secondary = secondary_check_t(expanded, inner_pub)
-    cyclic = expanded.cyclic_t.transpose()
+    secondary = secondary_check_t(cyclic_t, inner_pub)
+    cyclic = cyclic_t.transpose()
     check = inner_pub.check_t.transpose()
     cyc_rank = cyclic.rank()
     chk_rank = check.rank()

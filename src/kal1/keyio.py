@@ -35,7 +35,6 @@ import zlib
 from . import niederreiter, scheme
 from .binmat import BinaryMatrix
 from .bits import pack_bits, reverse_bits, unpack_bits
-from .cw import CwParams
 from .errors import FormatError, KatMismatch, ParameterError, PolicyError, RangeError
 from .goppa import CodeParams
 from .rng import SEED_BYTES, SeededRng
@@ -59,9 +58,7 @@ SCHEME_NAMES = {
 _HEADER = struct.Struct(">4sBBHHHHB")
 _PRIVATE = struct.Struct(">4sBBHHHHBHH16sI")
 
-PublicKey = (
-    niederreiter.NiederreiterPublicKey | scheme.Kal1PublicKey | scheme.Kal1S1Key | scheme.Kal1S2Key
-)
+PublicKey = scheme.PublicKey
 
 
 def position_width(redundancy: int) -> int:
@@ -319,7 +316,7 @@ def load_private_key(data: bytes):
 
 
 def message_bytes(params: CodeParams) -> int:
-    return (CwParams(params.redundancy, params.t).msg_bits + 7) // 8
+    return (scheme.cw_params(params).msg_bits + 7) // 8
 
 
 def ciphertext_bytes(params: CodeParams) -> int:
@@ -331,7 +328,7 @@ def encode_message(msg: int, params: CodeParams) -> bytes:
 
 
 def decode_message(data: bytes, params: CodeParams) -> int:
-    cwp = CwParams(params.redundancy, params.t)
+    cwp = scheme.cw_params(params)
     if len(data) != message_bytes(params):
         raise FormatError(f"message must be {message_bytes(params)} bytes, got {len(data)}")
     msg = int.from_bytes(data, "big")
@@ -355,8 +352,10 @@ def decode_ciphertext(data: bytes, params: CodeParams) -> int:
 
 # --- KAT records ---
 
+# hex fields are whole bytes, so bytes.fromhex accepts every matched field
+_HEX = r"((?:[0-9a-f]{2})+)"
 _KAT_LINE = re.compile(
-    r"^params=(\d+),(\d+),(\d+),(\d+) seed=([0-9a-f]+) msg=([0-9a-f]+) ct=([0-9a-f]+)$"
+    rf"^params=(\d+),(\d+),(\d+),(\d+) seed={_HEX} msg={_HEX} ct={_HEX}$"
 )
 
 
@@ -364,7 +363,7 @@ def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
     """Deterministic records: per-record seed and message drawn from
     one master stream, ciphertext from the regenerated dense keypair."""
     rng = SeededRng(master_seed)
-    cwp = CwParams(params.redundancy, params.t)
+    cwp = scheme.cw_params(params)
     lines = []
     for _ in range(count):
         seed = rng.read(SEED_BYTES)

@@ -7,7 +7,8 @@ positions, so the masking term vanishes and ciphertexts decrypt through
 the plain Niederreiter chain.  A consequence worth knowing: the
 ciphertext equals the constant-weight word itself.  That property is
 inherent to the construction and is asserted by the test suite rather
-than hidden.
+than hidden; ``encrypt`` relies on it for every public key kind and
+never builds or reads a published matrix.
 
 Key generation is private-only: it builds the inner Niederreiter private
 key (code, permutation and s_inv, the right block of the permuted
@@ -20,10 +21,9 @@ keygen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import niederreiter
-from .binmat import BinaryMatrix, vec_times_matrix
+from .binmat import BinaryMatrix
 from .cw import CwParams, cw_decode, cw_encode
 from .errors import DimensionMismatch, FormatError, PolicyError, RangeError
 from .goppa import CodeParams
@@ -110,10 +110,6 @@ class Kal1PublicKey:
     def as_dense(self) -> "Kal1PublicKey":
         return self
 
-    @cached_property
-    def expanded(self) -> "ExpandedCyclicKey":
-        return expand_cyclic(self)
-
 
 @dataclass(frozen=True)
 class Kal1S1Key:
@@ -178,10 +174,7 @@ class Kal1PrivateKey:
         return self.inner.params
 
 
-@dataclass
-class ExpandedCyclicKey:
-    params: CodeParams
-    cyclic_t: BinaryMatrix  # n x (n-k): k rotated rows above an identity
+PublicKey = niederreiter.NiederreiterPublicKey | Kal1PublicKey | Kal1S1Key | Kal1S2Key
 
 
 def sparse_form(pk: Kal1PublicKey) -> Kal1S1Key:
@@ -209,21 +202,23 @@ def run_form(pk: Kal1PublicKey) -> Kal1S2Key:
     return Kal1S2Key(pk.params, start, length)
 
 
-def expand_cyclic(pk: Kal1PublicKey) -> ExpandedCyclicKey:
-    """Materialize the published n x (n-k) matrix from the seed row."""
+def expand_cyclic(pk: Kal1PublicKey) -> BinaryMatrix:
+    """The published n x (n-k) matrix cyclic_t: k rotations of the seed
+    row above an identity.  Only the analysis needs it."""
     params = pk.params
     nk = params.redundancy
     rows = [rotate_right(pk.seed_row, i, nk) for i in range(params.k)]
     rows.extend(1 << r for r in range(nk))
-    return ExpandedCyclicKey(params, BinaryMatrix(params.n, nk, rows))
+    return BinaryMatrix(params.n, nk, rows)
 
 
-def secondary_check_t(expanded: ExpandedCyclicKey, inner_pub: niederreiter.NiederreiterPublicKey) -> BinaryMatrix:
+def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: niederreiter.NiederreiterPublicKey) -> BinaryMatrix:
     """Masking matrix: cyclic_t plus check_t; its bottom block is zero."""
-    return expanded.cyclic_t.add(inner_pub.check_t)
+    return cyclic_t.add(inner_pub.check_t)
 
 
 def cw_params(params: CodeParams) -> CwParams:
+    """The codec for a code: weight-t words of length n-k."""
     return CwParams(params.redundancy, params.t)
 
 
@@ -241,12 +236,18 @@ def keygen(
     return Kal1PublicKey(params, seed_row), Kal1PrivateKey(inner_priv, seed_row)
 
 
-def encrypt(pk: Kal1PublicKey, msg: int) -> int:
-    """Map the message to a weight-t word, zero-pad, multiply."""
-    params = pk.params
-    word = cw_encode(msg, cw_params(params))
-    e = word << params.k
-    return vec_times_matrix(e, pk.expanded.cyclic_t)
+def encrypt(pub: PublicKey, msg: int) -> int:
+    """The ciphertext of a message under any public key kind.
+
+    The error is the message's weight-t word behind k zeros, and every
+    published matrix ends in an identity block, so the ciphertext is
+    the word itself.  Messages must be below 2^msg_bits, the range
+    decryption accepts; anything else raises RangeError.
+    """
+    cwp = cw_params(pub.params)
+    if not 0 <= msg < 1 << cwp.msg_bits:
+        raise RangeError(f"message must be below 2^{cwp.msg_bits}")
+    return cw_encode(msg, cwp)
 
 
 def decrypt_with(inner: niederreiter.NiederreiterPrivateKey, c: int) -> int:

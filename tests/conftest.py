@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from kal1 import niederreiter, scheme
@@ -6,10 +8,22 @@ from kal1.rng import SeededRng
 
 TOY = CodeParams(16, 8, 2, 4)
 MID = CodeParams(256, 192, 8, 8)
+TOY_KAT = Path(__file__).parent / "data" / "toy.kat"
 
 
 def seed_bytes(tag: int) -> bytes:
     return tag.to_bytes(16, "big")
+
+
+def odd_hex_kat(field: str, pad: bool = False) -> str:
+    """The shipped toy KAT with one hex digit dropped from (or, with
+    pad, added to) the given field of record 2."""
+    lines = TOY_KAT.read_text().splitlines()
+    head, rest = lines[1].split(f" {field}=", 1)
+    value, *tail = rest.split(" ", 1)
+    value = "0" + value if pad else value[1:]
+    lines[1] = " ".join([head, f"{field}={value}", *tail])
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

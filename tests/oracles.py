@@ -5,10 +5,13 @@ before its kernel was rewritten.  The tests compare the library against
 them, so they must stay simple and must not call the kernels they check.
 """
 
-from kal1.binmat import BinaryMatrix, Scrambler, random_permutation
+from kal1 import scheme
+from kal1.binmat import BinaryMatrix, Scrambler, random_permutation, vec_times_matrix
+from kal1.cw import cw_encode
 from kal1.errors import GenerationFailure, SingularMatrixError
-from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
+from kal1.gf2m import Field, poly_add, poly_deg, poly_mul, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
+from kal1.niederreiter import NiederreiterPublicKey
 
 
 def poly_sqr(field: Field, f: list[int]) -> list[int]:
@@ -55,6 +58,22 @@ def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
     if a and a[-1] != 1:
         a = poly_scale(field, a, field.inv(a[-1]))
     return a
+
+
+def poly_eea(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Full extended Euclid: (d, u, v) with u*f + v*g = d, d monic gcd."""
+    r0, r1 = poly_trim(f), poly_trim(g)
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
+    while r1:
+        q, r = poly_divmod(field, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly_add(u0, poly_mul(field, q, u1))
+        v0, v1 = v1, poly_add(v0, poly_mul(field, q, v1))
+    if r0 and r0[-1] != 1:
+        c = field.inv(r0[-1])
+        r0, u0, v0 = poly_scale(field, r0, c), poly_scale(field, u0, c), poly_scale(field, v0, c)
+    return r0, u0, v0
 
 
 def is_irreducible(field: Field, f: list[int]) -> bool:
@@ -150,3 +169,16 @@ def niederreiter_keygen(params: CodeParams, rng):
             continue
         return code, transpose(scrambled), scrambler, perm
     raise GenerationFailure("no permutation yielded an invertible right block")
+
+
+def matrix_encrypt(pub, msg: int) -> int:
+    """The message's weight-t word behind k zeros, times the published
+    matrix: check_t for a Niederreiter key, the expanded cyclic matrix
+    for every Kal1 form."""
+    params = pub.params
+    word = cw_encode(msg, scheme.cw_params(params))
+    if isinstance(pub, NiederreiterPublicKey):
+        matrix = pub.check_t
+    else:
+        matrix = scheme.expand_cyclic(pub.as_dense())
+    return vec_times_matrix(word << params.k, matrix)

@@ -109,8 +109,9 @@ def test_criterion_4_decomposition_structure():
                 params, scheme.DenseSeed(), SeededRng(seed_bytes(0x4000 + checked))
             )
             inner_pub = niederreiter.public_key(priv.inner)
-            secondary = scheme.secondary_check_t(pub.expanded, inner_pub)
-            if pub.expanded.cyclic_t != inner_pub.check_t.add(secondary):
+            cyclic_t = scheme.expand_cyclic(pub)
+            secondary = scheme.secondary_check_t(cyclic_t, inner_pub)
+            if cyclic_t != inner_pub.check_t.add(secondary):
                 bad += 1
             if any(secondary.row_ints[params.k + i] for i in range(params.redundancy)):
                 bad += 1
@@ -126,7 +127,9 @@ def test_criterion_5_masking_term_vanishes():
     per_key = 1000
     for idx, params in enumerate(param_sets):
         pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed_bytes(0x5000 + idx)))
-        secondary = scheme.secondary_check_t(pub.expanded, niederreiter.public_key(priv.inner))
+        secondary = scheme.secondary_check_t(
+            scheme.expand_cyclic(pub), niederreiter.public_key(priv.inner)
+        )
         cwp = scheme.cw_params(params)
         rnd = random.Random(0x50 + idx)
         for _ in range(per_key):

@@ -1,7 +1,11 @@
 """Command-line behavior: files, determinism, exit codes."""
 
+import pytest
+
 from kal1 import cli
 from kal1.goppa import CodeParams
+
+from conftest import odd_hex_kat
 
 TOY_ARGS = ["--n", "16", "--k", "8", "--t", "2", "--m", "4"]
 SEED = "00000000000000000000000000000007"
@@ -201,6 +205,15 @@ def test_kat_verify_mismatch_exits_5(capsys, tmp_path):
     assert code == 5
     assert err.startswith("error: 5 KatMismatch")
     assert "record 2" in err
+
+
+@pytest.mark.parametrize("field", ["seed", "msg", "ct"])
+def test_kat_verify_odd_length_hex_exits_2(capsys, tmp_path, field):
+    kat = tmp_path / "odd.kat"
+    kat.write_text(odd_hex_kat(field))
+    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
+    assert code == 2
+    assert err.startswith("error: 2 FormatError")
 
 
 def test_kat_generate_requires_params(capsys, tmp_path):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kal1 import isd, niederreiter
+from kal1 import isd, niederreiter, scheme
 from kal1.binmat import matrix_times_vec
 from kal1.errors import ParameterError
 from kal1.rng import SeededRng
@@ -107,7 +107,7 @@ def test_single_iteration_rate_matches_analytic(toy_instance_parts):
 
 def test_rank_report_fields(toy_kal1):
     pk, sk = toy_kal1
-    report = isd.rank_report(pk.expanded, sk, SeededRng(seed_bytes(9)), samples=16)
+    report = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
     nk = TOY.redundancy
     assert report.cyclic_rank == nk  # identity block forces full rank
     assert report.check_rank == nk
@@ -120,6 +120,6 @@ def test_rank_report_fields(toy_kal1):
 
 def test_rank_report_deterministic(toy_kal1):
     pk, sk = toy_kal1
-    a = isd.rank_report(pk.expanded, sk, SeededRng(seed_bytes(9)), samples=16)
-    b = isd.rank_report(pk.expanded, sk, SeededRng(seed_bytes(9)), samples=16)
+    a = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
+    b = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
     assert a.lines() == b.lines()

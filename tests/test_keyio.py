@@ -7,7 +7,7 @@ import pytest
 from kal1 import keyio, niederreiter, scheme
 from kal1.errors import FormatError, KatMismatch, RangeError
 from kal1.goppa import CodeParams
-from conftest import TOY, seed_bytes
+from conftest import TOY, odd_hex_kat, seed_bytes
 
 FULL = CodeParams(1024, 524, 50, 10)
 
@@ -268,6 +268,13 @@ def test_kat_verify_rejects_malformed_lines():
         keyio.kat_verify("params=16,9,2,4 seed=" + "00" * 16 + " msg=01 ct=a0\n")
     with pytest.raises(FormatError):
         keyio.kat_verify("params=16,8,2,4 seed=0011 msg=01 ct=a0\n")
+
+
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("field", ["seed", "msg", "ct"])
+def test_kat_verify_rejects_odd_length_hex(field, pad):
+    with pytest.raises(FormatError, match="line 2"):
+        keyio.kat_verify(odd_hex_kat(field, pad))
 
 
 def test_shipped_kat_constants_stable():

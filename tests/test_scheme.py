@@ -39,29 +39,29 @@ def test_rotate_right_layout():
 
 def test_expand_cyclic_zero_seed():
     pk = scheme.Kal1PublicKey(TOY, 0)
-    expanded = scheme.expand_cyclic(pk)
+    cyclic_t = scheme.expand_cyclic(pk)
     nk = TOY.redundancy
     for i in range(TOY.k):
-        assert expanded.cyclic_t.row_ints[i] == 0
+        assert cyclic_t.row_ints[i] == 0
     for i in range(nk):
-        assert expanded.cyclic_t.row_ints[TOY.k + i] == 1 << i
+        assert cyclic_t.row_ints[TOY.k + i] == 1 << i
 
 
 def test_expand_cyclic_rows_are_rotations(toy_kal1):
     pk, _ = toy_kal1
-    expanded = pk.expanded
+    cyclic_t = scheme.expand_cyclic(pk)
     nk = TOY.redundancy
     for i in range(TOY.k):
-        assert expanded.cyclic_t.row_ints[i] == scheme.rotate_right(pk.seed_row, i, nk)
+        assert cyclic_t.row_ints[i] == scheme.rotate_right(pk.seed_row, i, nk)
 
 
 def test_rotation_period_when_k_exceeds_redundancy():
     # k > n-k here, so row n-k repeats row 0
     params = CodeParams(32, 17, 3, 5)
     pk = scheme.Kal1PublicKey(params, 0b1011)
-    expanded = scheme.expand_cyclic(pk)
+    cyclic_t = scheme.expand_cyclic(pk)
     nk = params.redundancy
-    assert expanded.cyclic_t.row_ints[nk] == expanded.cyclic_t.row_ints[0]
+    assert cyclic_t.row_ints[nk] == cyclic_t.row_ints[0]
 
 
 def test_policy_validation():
@@ -103,16 +103,17 @@ def test_keygen_pinned_fixture(toy_kal1):
 def test_masking_matrix_structure(toy_kal1):
     pk, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
-    secondary = scheme.secondary_check_t(pk.expanded, inner_pub)
+    cyclic_t = scheme.expand_cyclic(pk)
+    secondary = scheme.secondary_check_t(cyclic_t, inner_pub)
     # cyclic = check + secondary, entry-exact
-    assert pk.expanded.cyclic_t == inner_pub.check_t.add(secondary)
+    assert cyclic_t == inner_pub.check_t.add(secondary)
     # bottom block of the masking matrix is all zeros
     for i in range(TOY.redundancy):
         assert secondary.row_ints[TOY.k + i] == 0
     # top block = cyclic rotations block + top block of check_t
     for i in range(TOY.k):
         assert secondary.row_ints[i] == (
-            pk.expanded.cyclic_t.row_ints[i] ^ inner_pub.check_t.row_ints[i]
+            cyclic_t.row_ints[i] ^ inner_pub.check_t.row_ints[i]
         )
 
 
@@ -126,7 +127,7 @@ def test_ciphertext_identity_all_messages(toy_kal1):
 def test_ciphertext_decomposition_masking_term_vanishes(toy_kal1):
     pk, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
-    secondary = scheme.secondary_check_t(pk.expanded, inner_pub)
+    secondary = scheme.secondary_check_t(scheme.expand_cyclic(pk), inner_pub)
     cwp = scheme.cw_params(TOY)
     for msg in range(1 << cwp.msg_bits):
         e = cw_encode(msg, cwp) << TOY.k
