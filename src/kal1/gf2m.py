@@ -289,6 +289,12 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     Checks gcd(x^(q^i) - x, f) = 1 for i up to deg(f)/2, which rules
     out every factor of degree at most deg(f)/2 and therefore all of
     them.  Composites with small factors exit on the first levels.
+
+    Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f is held as
+    one packed int, coefficient i at bits [m*i, m*i + m), and squared
+    by XORs: h_i^2 lands on coefficient 2i while 2i < deg(f), and above
+    that picks rows alpha^s * (x^(2i) mod f), built once per call, by
+    its bits s.  h is unpacked only for each level's gcd.
     """
     f = poly_trim(f)
     t = poly_deg(f)
@@ -298,12 +304,62 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         f = poly_scale(field, f, field.inv(f[-1]))
     if t == 1:
         return True
-    x = [0, 1]
+    m = field.m
+    mask = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    full = (1 << (m * t)) - 1
+    # tops is the top bit of every coefficient: times alpha shifts each
+    # coefficient up one bit and folds the bit that leaves it back in
+    # through the low bits of the field's reduction polynomial
+    tops = full // mask << (m - 1)
+    red = field.reduction_poly & mask
+
+    def alpha_multiples(v: int) -> list[int]:
+        out = [v]
+        for _ in range(m - 1):
+            top = v & tops
+            v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
+            out.append(v)
+        return out
+
+    def scaled(mults: list[int], c: int) -> int:
+        # c * v for a field element c: the alpha multiples of v picked by the bits of c
+        acc = 0
+        while c:
+            low = c & -c
+            acc ^= mults[low.bit_length() - 1]
+            c ^= low
+        return acc
+
+    # x^t mod f is f without its leading 1 (char 2)
+    xt = alpha_multiples(sum(c << (m * i) for i, c in enumerate(f[:-1])))
+    half = (t + 1) // 2
+    rows = []  # rows[i - half] = alpha multiples of x^(2i) mod f
+    v = xt[0]
+    for j in range(t, 2 * t - 1):
+        if not j & 1:
+            rows.append(alpha_multiples(v))
+        # times x: up one coefficient, then coefficient t folds back as c * x^t
+        v <<= m
+        v = (v & full) ^ scaled(xt, v >> (m * t))
+
+    x = 1 << m
     h = x
     for _ in range(t // 2):
-        for _ in range(field.m):
-            h = poly_mod(field, poly_sqr(field, h), f)
-        if poly_deg(poly_gcd(field, poly_add(h, x), f)) >= 1:
+        for _ in range(m):
+            acc = 0
+            for i in range(half):
+                c = (h >> (m * i)) & mask
+                if c:
+                    acc |= exp[log[c] << 1] << (2 * m * i)
+            for i, row in enumerate(rows, half):
+                c = (h >> (m * i)) & mask
+                if c:
+                    acc ^= scaled(row, exp[log[c] << 1])
+            h = acc
+        hx = h ^ x
+        if poly_deg(poly_gcd(field, [(hx >> (m * i)) & mask for i in range(t)], f)) >= 1:
             return False
     return True
 

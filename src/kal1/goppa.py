@@ -122,14 +122,36 @@ class GoppaCode:
     def parity_check(self) -> ParityCheckMatrix:
         # cached; recomputation would be identical, so races are benign
         if self._pc is None:
-            fld = self.field
-            inv_g = [fld.inv(poly_eval(fld, self.goppa_poly, a)) for a in self.support]
-            rows = [inv_g]
-            for _ in range(1, self.params.t):
-                prev = rows[-1]
-                rows.append([fld.mul(c, a) for c, a in zip(prev, self.support)])
-            self._pc = ParityCheckMatrix(self.params, rows)
+            self._pc = ParityCheckMatrix(self.params, self._field_rows())
         return self._pc
+
+    def _field_rows(self) -> list[list[int]]:
+        """Rows r < t of alpha_i^r / g(alpha_i), in the log domain: the
+        entries are never zero off an alpha = 0 column, so each product
+        is one exp lookup at a sum of logs."""
+        fld = self.field
+        exp = fld.exp_table
+        log = fld.log_table
+        g = self.goppa_poly
+        alpha_logs = [log[a] for a in self.support]
+        # Horner: v * alpha_i + c; g is monic
+        g_vals = [1] * len(alpha_logs)
+        for c in reversed(g[:-1]):
+            g_vals = [exp[log[v] + la] ^ c if v else c for v, la in zip(g_vals, alpha_logs)]
+        # alpha = 0 has no log (its table entry is 0): g(0) is g_0, and its
+        # column is 1/g_0 above zeros
+        zero = self.support.index(0) if 0 in self.support else None
+        if zero is not None:
+            g_vals[zero] = g[0]
+        row = [exp[fld.order - 1 - log[v]] for v in g_vals]
+        rows = [row]
+        for _ in range(1, self.params.t):
+            row = [exp[log[v] + la] for v, la in zip(row, alpha_logs)]
+            rows.append(row)
+        if zero is not None:
+            for row in rows[1:]:
+                row[zero] = 0
+        return rows
 
     def _sqrt_of_x(self) -> list[int]:
         if self._sqrt_x is None:

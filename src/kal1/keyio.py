@@ -352,10 +352,12 @@ def decode_ciphertext(data: bytes, params: CodeParams) -> int:
 
 # --- KAT records ---
 
-# hex fields are whole bytes, so bytes.fromhex accepts every matched field
+# hex fields are whole bytes, so bytes.fromhex accepts every matched field;
+# the parameters are u16 values, so int() never sees an oversized field
 _HEX = r"((?:[0-9a-f]{2})+)"
+_U16 = r"(\d{1,5})"
 _KAT_LINE = re.compile(
-    rf"^params=(\d+),(\d+),(\d+),(\d+) seed={_HEX} msg={_HEX} ct={_HEX}$"
+    rf"^params={_U16},{_U16},{_U16},{_U16} seed={_HEX} msg={_HEX} ct={_HEX}$"
 )
 
 

@@ -26,6 +26,17 @@ def odd_hex_kat(field: str, pad: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def oversized_param_kat(index: int, digits: int) -> str:
+    """The shipped toy KAT with parameter `index` (n, k, t, m) of record 2
+    replaced by a run of `digits` nines."""
+    lines = TOY_KAT.read_text().splitlines()
+    params, rest = lines[1].split(" ", 1)
+    values = params.removeprefix("params=").split(",")
+    values[index] = "9" * digits
+    lines[1] = f"params={','.join(values)} {rest}"
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def toy_code():
     return generate_code(TOY, SeededRng(seed_bytes(1)))

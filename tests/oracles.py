@@ -9,7 +9,7 @@ from kal1 import scheme
 from kal1.binmat import BinaryMatrix, Scrambler, random_permutation, vec_times_matrix
 from kal1.cw import cw_encode
 from kal1.errors import GenerationFailure, SingularMatrixError
-from kal1.gf2m import Field, poly_add, poly_deg, poly_mul, poly_scale, poly_trim
+from kal1.gf2m import Field, poly_add, poly_deg, poly_eval, poly_mul, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.niederreiter import NiederreiterPublicKey
 
@@ -116,11 +116,21 @@ def transpose(m: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(m.cols, m.rows, out)
 
 
+def parity_check_rows(code: GoppaCode) -> list[list[int]]:
+    """Rows alpha_i^j / g(alpha_i): a Horner evaluation of g per support
+    element, then one multiplication per entry."""
+    fld = code.field
+    rows = [[fld.inv(poly_eval(fld, code.goppa_poly, a)) for a in code.support]]
+    for _ in range(1, code.params.t):
+        rows.append([fld.mul(c, a) for c, a in zip(rows[-1], code.support)])
+    return rows
+
+
 def binary_check(code: GoppaCode) -> BinaryMatrix:
     """Bit-by-bit expansion of the field parity check, coefficient 0 topmost."""
     params = code.params
     rows = []
-    for row in code.parity_check().field_rows:
+    for row in parity_check_rows(code):
         for b in range(params.m):
             acc = 0
             for i in range(params.n):

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` patches library functions and methods by name; a
 change that deletes or renames one breaks the benchmark.  This imports
 the tracer read-only (no bytecode is written under bench/) and resolves
-each of its targets in the imported library.
+each of its targets in the imported library.  The benchmark also pins
+how often keygen calls ``is_irreducible``, so the count per code is
+checked here with the name wrapped the way the tracer wraps it.
 """
 
 import functools
@@ -12,6 +14,12 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kal1 import gf2m, goppa
+from kal1.goppa import generate_code
+from kal1.rng import SeededRng
+
+from conftest import MID, seed_bytes
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -46,3 +54,31 @@ def test_traced_binom_is_cached_property():
     _, mod, cls_name, attr = tracer.BINOM
     cls = getattr(importlib.import_module(mod), cls_name)
     assert isinstance(cls.__dict__.get(attr), functools.cached_property)
+
+
+def test_goppa_calls_the_traced_is_irreducible():
+    assert goppa.is_irreducible is gf2m.is_irreducible
+
+
+# is_irreducible calls per generate_code(MID, SeededRng(seed_bytes(tag))),
+# one per Goppa candidate, as counted with the division-based test that
+# oracles.is_irreducible keeps
+MID_IRREDUCIBLE_CALLS = {6: 17, 11: 16}
+
+
+@pytest.mark.parametrize("tag, expected", sorted(MID_IRREDUCIBLE_CALLS.items()))
+def test_is_irreducible_calls_per_code(monkeypatch, tag, expected):
+    inner = gf2m.is_irreducible
+    calls = []
+
+    def counted(field, f):
+        calls.append(f)
+        return inner(field, f)
+
+    # like the tracer: every kal1 namespace that binds the function
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "kal1" and getattr(mod, "is_irreducible", None) is inner:
+            monkeypatch.setattr(mod, "is_irreducible", counted)
+    code = generate_code(MID, SeededRng(seed_bytes(tag)))
+    assert len(calls) == expected
+    assert calls[-1] == code.goppa_poly

@@ -5,7 +5,7 @@ import pytest
 from kal1 import cli
 from kal1.goppa import CodeParams
 
-from conftest import odd_hex_kat
+from conftest import odd_hex_kat, oversized_param_kat
 
 TOY_ARGS = ["--n", "16", "--k", "8", "--t", "2", "--m", "4"]
 SEED = "00000000000000000000000000000007"
@@ -211,6 +211,15 @@ def test_kat_verify_mismatch_exits_5(capsys, tmp_path):
 def test_kat_verify_odd_length_hex_exits_2(capsys, tmp_path, field):
     kat = tmp_path / "odd.kat"
     kat.write_text(odd_hex_kat(field))
+    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
+    assert code == 2
+    assert err.startswith("error: 2 FormatError")
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_kat_verify_oversized_params_exits_2(capsys, tmp_path, index):
+    kat = tmp_path / "big.kat"
+    kat.write_text(oversized_param_kat(index, 5000))
     code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
     assert code == 2
     assert err.startswith("error: 2 FormatError")

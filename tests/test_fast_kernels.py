@@ -2,15 +2,20 @@
 
 Every kernel must return exactly what its oracle in ``oracles`` returns,
 on inputs that include zero coefficients, non-monic divisors and
-untrimmed lists, at m = 4, 8 and 10.  Keygen itself must reproduce the
-oracle chain's code, permutation, scrambler and public matrix.
+untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
+test, whose deep levels get products of known irreducible factors).
+Keygen itself must reproduce the oracle chain's code, permutation,
+scrambler and public matrix.
 """
 
+import functools
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kal1 import niederreiter
+from kal1 import goppa, niederreiter
 from kal1.binmat import BinaryMatrix
 from kal1.errors import GenerationFailure
 from kal1.gf2m import (
@@ -19,17 +24,20 @@ from kal1.gf2m import (
     poly_divmod,
     poly_inv_mod,
     poly_mod,
+    poly_mul,
     poly_sqr,
     poly_trim,
     sqrt_x_mod,
 )
-from kal1.goppa import POLY_TRIALS_PER_DEGREE, generate_code
+from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, TOY
+from conftest import MID, TOY, seed_bytes
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
+DEEP_FIELDS = {**FIELDS, 16: Field(16)}
+HEADLINE = CodeParams(1024, 524, 50, 10)
 
 
 @st.composite
@@ -78,6 +86,81 @@ def test_is_irreducible_matches_oracle_on_monic(case):
     assert is_irreducible(field, g) == oracles.is_irreducible(field, g)
 
 
+def monic_irreducible(field, d, rnd):
+    """A random monic irreducible polynomial of degree d, found with the oracle."""
+    while True:
+        g = [rnd.randrange(field.order) for _ in range(d)] + [1]
+        if oracles.is_irreducible(field, g):
+            return g
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(DEEP_FIELDS)),
+    st.lists(st.integers(2, 12), min_size=2, max_size=3).filter(lambda ds: sum(ds) <= 24),
+    st.integers(0, 2**32),
+)
+@example(16, [12, 12], 0)
+@example(10, [11, 12], 1)
+@example(4, [3, 2, 2], 2)
+def test_is_irreducible_matches_oracle_on_products(m, degrees, seed):
+    # the smallest factor degree d is at most deg(f)/2, so Ben-Or's test
+    # runs d levels before it rejects f; each factor must be accepted
+    field = DEEP_FIELDS[m]
+    rnd = random.Random(seed)
+    factors = [monic_irreducible(field, d, rnd) for d in degrees]
+    for g in factors:
+        assert is_irreducible(field, g) is True
+    f = functools.reduce(lambda a, b: poly_mul(field, a, b), factors)
+    assert oracles.is_irreducible(field, f) is False
+    assert is_irreducible(field, f) is False
+
+
+@st.composite
+def deep_field_and_raw_poly(draw):
+    """A field with m in {4, 8, 10, 16} and a coefficient list of degree
+    at most 24 with any leading coefficient and trailing zeros."""
+    field = DEEP_FIELDS[draw(st.sampled_from(sorted(DEEP_FIELDS)))]
+    coeff = st.integers(0, field.order - 1) | st.just(0)
+    f = draw(st.lists(coeff, max_size=24))
+    f.append(draw(st.integers(1, field.order - 1)))
+    return field, f + [0] * draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(deep_field_and_raw_poly())
+def test_is_irreducible_matches_oracle_on_raw_lists(case):
+    field, f = case
+    assert is_irreducible(field, f) == oracles.is_irreducible(field, f)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("m", sorted(DEEP_FIELDS))
+def test_is_irreducible_matches_oracle_at_degree_2_and_3(m, t):
+    field = DEEP_FIELDS[m]
+    rnd = random.Random(f"low-degree/{m}/{t}")
+    for _ in range(150):
+        f = [rnd.randrange(field.order) for _ in range(t)] + [rnd.randrange(1, field.order)]
+        assert is_irreducible(field, f) == oracles.is_irreducible(field, f)
+
+
+@pytest.mark.parametrize("tag", range(4))
+def test_is_irreducible_decides_mid_candidates_like_oracle(monkeypatch, tag):
+    # every candidate generate_code tries, rejected ones included
+    decided = []
+
+    def recording(field, f):
+        accept = is_irreducible(field, f)
+        decided.append((field, f, accept))
+        return accept
+
+    monkeypatch.setattr(goppa, "is_irreducible", recording)
+    code = generate_code(MID, SeededRng(seed_bytes(tag)))
+    assert decided[-1] == (code.field, code.goppa_poly, True)
+    for field, f, accept in decided:
+        assert accept == oracles.is_irreducible(field, f)
+
+
 @given(field_and_monic())
 def test_sqrt_x_mod_squares_to_x(case):
     field, g = case
@@ -105,6 +188,36 @@ def test_sqrt_x_mod_of_a_square_falls_back(case):
 def test_transpose_matches_oracle(rows, cols, rnd):
     m = BinaryMatrix(rows, cols, [rnd.getrandbits(cols) for _ in range(rows)])
     assert m.transpose() == oracles.transpose(m)
+
+
+@pytest.mark.parametrize(
+    "params, tag", [(TOY, 1), (TOY, 2), (MID, 3), (MID, 4), (HEADLINE, 5)]
+)
+def test_field_rows_match_oracle(params, tag):
+    # these supports cover the whole field, so 0 is always among them
+    code = generate_code(params, SeededRng(seed_bytes(tag)))
+    assert 0 in code.support
+    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 8]), st.integers(2, 6), st.integers(0, 2**32))
+def test_field_rows_match_oracle_on_partial_supports(m, t, seed):
+    # supports shorter than the field, with and without 0
+    field = FIELDS[m]
+    rnd = random.Random(seed)
+    t = min(t, (field.order - 1) // m)
+    n = rnd.randrange(m * t + 1, field.order + 1)
+    support = rnd.sample(range(field.order), n)
+    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
+    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
+
+
+def test_field_rows_on_support_without_zero():
+    field = FIELDS[4]
+    g = monic_irreducible(field, 2, random.Random(0))
+    code = GoppaCode(field, CodeParams(12, 4, 2, 4), list(range(1, 13)), g)
+    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
 
 
 @settings(max_examples=25, deadline=None)

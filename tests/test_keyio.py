@@ -7,7 +7,7 @@ import pytest
 from kal1 import keyio, niederreiter, scheme
 from kal1.errors import FormatError, KatMismatch, RangeError
 from kal1.goppa import CodeParams
-from conftest import TOY, odd_hex_kat, seed_bytes
+from conftest import TOY, odd_hex_kat, oversized_param_kat, seed_bytes
 
 FULL = CodeParams(1024, 524, 50, 10)
 
@@ -275,6 +275,14 @@ def test_kat_verify_rejects_malformed_lines():
 def test_kat_verify_rejects_odd_length_hex(field, pad):
     with pytest.raises(FormatError, match="line 2"):
         keyio.kat_verify(odd_hex_kat(field, pad))
+
+
+@pytest.mark.parametrize("digits", [6, 4301, 5000])
+@pytest.mark.parametrize("index", range(4))
+def test_kat_verify_rejects_oversized_params(index, digits):
+    # more than 4300 digits used to leak int()'s ValueError
+    with pytest.raises(FormatError, match="line 2: not a KAT record"):
+        keyio.kat_verify(oversized_param_kat(index, digits))
 
 
 def test_shipped_kat_constants_stable():
