@@ -22,7 +22,17 @@ class GenerationFailure(Kal1Error):
 
 
 class DecodingFailure(Kal1Error):
-    """No error vector of acceptable weight matches the syndrome."""
+    """No error vector of acceptable weight matches the syndrome.
+
+    ``reason`` is a stable code: ``"locator-not-split"`` when the error
+    locator does not have as many distinct roots on the support as its
+    degree, ``"syndrome-mismatch"`` when the located error's syndrome
+    differs from the one decoded.
+    """
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class WeightError(Kal1Error):

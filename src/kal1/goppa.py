@@ -20,7 +20,6 @@ from .gf2m import (
     poly_add,
     poly_deg,
     poly_eea_bounded,
-    poly_eval,
     poly_inv_mod,
     poly_sqr,
     poly_sqrt_mod,
@@ -110,12 +109,13 @@ class GoppaCode:
             raise ParameterError("support element outside the field")
         if poly_deg(goppa_poly) != params.t or goppa_poly[-1] != 1:
             raise ParameterError("Goppa polynomial must be monic of degree t")
-        if any(poly_eval(field, goppa_poly, a) == 0 for a in support):
-            raise ParameterError("Goppa polynomial vanishes on the support")
         self.field = field
         self.params = params
         self.support = list(support)
         self.goppa_poly = goppa_poly
+        self._g_values = self._eval_goppa_poly()
+        if 0 in self._g_values:
+            raise ParameterError("Goppa polynomial vanishes on the support")
         self._pc: ParityCheckMatrix | None = None
         self._sqrt_x: list[int] | None = None
 
@@ -125,10 +125,8 @@ class GoppaCode:
             self._pc = ParityCheckMatrix(self.params, self._field_rows())
         return self._pc
 
-    def _field_rows(self) -> list[list[int]]:
-        """Rows r < t of alpha_i^r / g(alpha_i), in the log domain: the
-        entries are never zero off an alpha = 0 column, so each product
-        is one exp lookup at a sum of logs."""
+    def _eval_goppa_poly(self) -> list[int]:
+        """g(alpha_i) for every support element, by Horner in the log domain."""
         fld = self.field
         exp = fld.exp_table
         log = fld.log_table
@@ -138,16 +136,26 @@ class GoppaCode:
         g_vals = [1] * len(alpha_logs)
         for c in reversed(g[:-1]):
             g_vals = [exp[log[v] + la] ^ c if v else c for v, la in zip(g_vals, alpha_logs)]
-        # alpha = 0 has no log (its table entry is 0): g(0) is g_0, and its
-        # column is 1/g_0 above zeros
-        zero = self.support.index(0) if 0 in self.support else None
-        if zero is not None:
-            g_vals[zero] = g[0]
-        row = [exp[fld.order - 1 - log[v]] for v in g_vals]
+        # alpha = 0 has no log (its table entry is 0): g(0) is g_0
+        if 0 in self.support:
+            g_vals[self.support.index(0)] = g[0]
+        return g_vals
+
+    def _field_rows(self) -> list[list[int]]:
+        """Rows r < t of alpha_i^r / g(alpha_i), in the log domain: the
+        entries are never zero off an alpha = 0 column, so each product
+        is one exp lookup at a sum of logs."""
+        fld = self.field
+        exp = fld.exp_table
+        log = fld.log_table
+        alpha_logs = [log[a] for a in self.support]
+        row = [exp[fld.order - 1 - log[v]] for v in self._g_values]
         rows = [row]
         for _ in range(1, self.params.t):
             row = [exp[log[v] + la] for v, la in zip(row, alpha_logs)]
             rows.append(row)
+        # the alpha = 0 column is 1/g_0 above zeros
+        zero = self.support.index(0) if 0 in self.support else None
         if zero is not None:
             for row in rows[1:]:
                 row[zero] = 0
@@ -194,50 +202,76 @@ class GoppaCode:
             return 0
         if synd.bit_length() > params.m * params.t:
             raise DimensionMismatch("syndrome longer than m*t bits")
+        t = params.t
+        sigma = self._locator(synd)
+        # the evaluation takes deg sigma <= t; a longer locator fails the
+        # root count with no roots
+        e = self._locator_roots(sigma) if poly_deg(sigma) <= t else 0
+        nroots = e.bit_count()
+        if nroots != poly_deg(sigma) or nroots > t:
+            raise DecodingFailure(
+                "error locator does not split over the support", "locator-not-split"
+            )
+        if self.parity_check().syndrome(e) != synd:
+            raise DecodingFailure("recomputed syndrome mismatch", "syndrome-mismatch")
+        return e
+
+    def _locator(self, synd: int) -> list[int]:
+        """Patterson's error locator sigma for a nonzero syndrome."""
         fld = self.field
         g = self.goppa_poly
-        t = params.t
-
         s_poly = self.syndrome_poly(synd)
         t_poly = poly_inv_mod(fld, s_poly, g)
         u = poly_add(t_poly, [0, 1])
         if not u:
             # T(x) = x: the locator is x itself, a single error at alpha = 0
-            sigma = [0, 1]
-        else:
-            r = poly_sqrt_mod(fld, u, g, self._sqrt_of_x())
-            if not r:
-                sigma = [0, 1]
-            else:
-                a, _, b = poly_eea_bounded(fld, g, r, t // 2)
-                sigma = poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
+            return [0, 1]
+        r = poly_sqrt_mod(fld, u, g, self._sqrt_of_x())
+        if not r:
+            return [0, 1]
+        a, _, b = poly_eea_bounded(fld, g, r, self.params.t // 2)
+        return poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
 
-        # root scan over the support; inlined table lookups keep it fast
-        exp = fld.exp_table
-        log = fld.log_table
-        coeffs = sigma[:-1]
-        lead = sigma[-1]
-        e = 0
-        nroots = 0
-        for i, alpha in enumerate(self.support):
-            if alpha:
-                la = log[alpha]
-                acc = lead
-                for c in reversed(coeffs):
-                    if acc:
-                        acc = exp[log[acc] + la]
-                    acc ^= c
-            else:
-                acc = sigma[0]
-            if acc == 0:
-                e |= 1 << i
-                nroots += 1
+    def _locator_roots(self, sigma: list[int]) -> int:
+        """The support positions where sigma (of degree <= t) vanishes,
+        as a bit vector, evaluated at all n positions at once.
 
-        if nroots != poly_deg(sigma) or nroots > t:
-            raise DecodingFailure("error locator does not split over the support")
-        if self.parity_check().syndrome(e) != synd:
-            raise DecodingFailure("recomputed syndrome mismatch")
-        return e
+        With rho = sigma mod g and sigma_t the coefficient of x^t,
+        sigma(a)/g(a) = rho(a)/g(a) + sigma_t, and rho(a_i)/g(a_i) is
+        the sum of rho_j times the parity-check entry a_i^j/g(a_i).  Bit
+        b of that entry is binary row j*m + b, and times rho_j it adds
+        rho_j * x^b, so bit plane s of the quotient is the XOR of the
+        rows whose rho_j * x^b has bit s, plus all ones where sigma_t
+        has bit s.  g never vanishes on the support, so sigma does
+        exactly where every plane is zero.
+        """
+        fld = self.field
+        n, t, m = self.params.n, self.params.t, self.params.m
+        rows = self.parity_check().binary.row_ints
+        full = (1 << n) - 1
+        sigma = sigma + [0] * (t + 1 - len(sigma))
+        top = sigma[t]
+        mul = fld.mul
+        red = fld.reduction_poly
+        planes = [0] * m
+        for j, (c, gj) in enumerate(zip(sigma, self.goppa_poly[:-1])):
+            c ^= mul(top, gj)
+            if not c:
+                continue
+            for row in rows[j * m : j * m + m]:
+                # c is rho_j * x^b for this row's bit b
+                bits = c
+                while bits:
+                    low = bits & -bits
+                    planes[low.bit_length() - 1] ^= row
+                    bits ^= low
+                c <<= 1
+                if c >> m:
+                    c ^= red
+        nonzero = 0
+        for s, plane in enumerate(planes):
+            nonzero |= plane ^ full if top >> s & 1 else plane
+        return full ^ nonzero
 
 
 def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:

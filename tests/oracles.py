@@ -7,8 +7,8 @@ them, so they must stay simple and must not call the kernels they check.
 
 from kal1 import scheme
 from kal1.binmat import BinaryMatrix, Scrambler, random_permutation, vec_times_matrix
-from kal1.cw import cw_encode
-from kal1.errors import GenerationFailure, SingularMatrixError
+from kal1.cw import CwParams, cw_encode
+from kal1.errors import GenerationFailure, RangeError, SingularMatrixError
 from kal1.gf2m import Field, poly_add, poly_deg, poly_eval, poly_mul, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.niederreiter import NiederreiterPublicKey
@@ -192,3 +192,62 @@ def matrix_encrypt(pub, msg: int) -> int:
     else:
         matrix = scheme.expand_cyclic(pub.as_dense())
     return vec_times_matrix(word << params.k, matrix)
+
+
+def table_cw_encode(msg: int, p: CwParams) -> int:
+    """Colex unranking with the Pascal table: for each index j from the
+    top, scan c upward from j - 1 for the largest C(c, j) <= rank."""
+    if not 0 <= msg < p.capacity:
+        raise RangeError(f"rank must be below C({p.length}, {p.weight}) = {p.capacity}")
+    binom = p._binom
+    rank = msg
+    v = 0
+    for j in range(p.weight, 0, -1):
+        c = j - 1
+        while c + 1 <= p.length - 1 and binom[c + 1][j] <= rank:
+            c += 1
+        v |= 1 << c
+        rank -= binom[c][j]
+    return v
+
+
+def table_cw_decode(word: int, p: CwParams) -> int:
+    """Colex rank of the word's support, summed from the Pascal table;
+    RangeError at or above 2^msg_bits.  Length and weight are the
+    caller's to check."""
+    binom = p._binom
+    rank = 0
+    j = 1
+    v = word
+    while v:
+        low = v & -v
+        rank += binom[low.bit_length() - 1][j]
+        j += 1
+        v ^= low
+    if rank >= (1 << p.msg_bits):
+        raise RangeError("word lies outside the usable message space")
+    return rank
+
+
+def scan_roots(code: GoppaCode, sigma: list[int]) -> int:
+    """The support positions where sigma vanishes, as a bit vector: a
+    Horner evaluation of sigma at each support element."""
+    fld = code.field
+    exp = fld.exp_table
+    log = fld.log_table
+    coeffs = sigma[:-1]
+    lead = sigma[-1]
+    e = 0
+    for i, alpha in enumerate(code.support):
+        if alpha:
+            la = log[alpha]
+            acc = lead
+            for c in reversed(coeffs):
+                if acc:
+                    acc = exp[log[acc] + la]
+                acc ^= c
+        else:
+            acc = sigma[0]
+        if acc == 0:
+            e |= 1 << i
+    return e

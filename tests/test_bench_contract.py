@@ -5,20 +5,26 @@ change that deletes or renames one breaks the benchmark.  This imports
 the tracer read-only (no bytecode is written under bench/) and resolves
 each of its targets in the imported library.  The benchmark also pins
 how often keygen calls ``is_irreducible``, so the count per code is
-checked here with the name wrapped the way the tracer wraps it.
+checked here with the name wrapped the way the tracer wraps it, and the
+warm encrypt/decrypt path must build no Pascal table, which is counted
+the same way.
 """
 
 import functools
 import importlib
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from kal1 import gf2m, goppa
-from kal1.goppa import generate_code
+from kal1 import gf2m, goppa, scheme
+from kal1.cw import CwParams
+from kal1.errors import Kal1Error
+from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
+import oracles
 from conftest import MID, seed_bytes
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -82,3 +88,31 @@ def test_is_irreducible_calls_per_code(monkeypatch, tag, expected):
     code = generate_code(MID, SeededRng(seed_bytes(tag)))
     assert len(calls) == expected
     assert calls[-1] == code.goppa_poly
+
+
+def test_headline_round_trip_builds_no_pascal_table(monkeypatch):
+    # wrapped like the tracer wraps it: a cached_property around a counting function
+    _, mod, cls_name, attr = tracer.BINOM
+    cls = getattr(importlib.import_module(mod), cls_name)
+    inner = cls.__dict__[attr].func
+    builds = []
+
+    def counted(self):
+        builds.append(self)
+        return inner(self)
+
+    traced = functools.cached_property(counted)
+    traced.__set_name__(cls, attr)
+    monkeypatch.setattr(cls, attr, traced)
+
+    params = CodeParams(1024, 524, 50, 10)
+    pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed_bytes(0x71)))
+    rnd = random.Random(7)
+    msg = rnd.getrandbits(scheme.cw_params(params).msg_bits)
+    assert scheme.decrypt(priv, scheme.encrypt(pub, msg)) == msg
+    with pytest.raises(Kal1Error):
+        scheme.decrypt(priv, rnd.getrandbits(params.redundancy))
+    assert builds == []
+    # the wrapper counts: the table oracle builds the table once
+    oracles.table_cw_encode(0, CwParams(8, 2))
+    assert len(builds) == 1

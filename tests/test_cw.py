@@ -1,12 +1,17 @@
-"""Constant-weight codec against a full-enumeration colex oracle."""
+"""Constant-weight codec against a full-enumeration colex oracle and
+against the Pascal-table codec it replaced (``oracles``)."""
 
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kal1.cw import CwParams, cw_decode, cw_encode
 from kal1.errors import DimensionMismatch, ParameterError, RangeError, WeightError
+
+import oracles
 
 
 def colex_order(length: int, weight: int):
@@ -102,3 +107,42 @@ def test_output_weight_always_exact():
         p = CwParams(length, weight)
         for msg in range(0, 1 << p.msg_bits, 7):
             assert cw_encode(msg, p).bit_count() == weight
+
+
+def check_against_table(rank: int, p: CwParams) -> None:
+    word = cw_encode(rank, p)
+    assert word == oracles.table_cw_encode(rank, p)
+    if rank < 1 << p.msg_bits:
+        assert cw_decode(word, p) == oracles.table_cw_decode(word, p) == rank
+    else:
+        with pytest.raises(RangeError):
+            cw_decode(word, p)
+        with pytest.raises(RangeError):
+            oracles.table_cw_decode(word, p)
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_codec_matches_table_oracle_exhaustively(length):
+    # every weight from 0 to length (so length 1 and weight = length too)
+    # and every rank below the capacity, the unusable top ranks included
+    for weight in range(length + 1):
+        p = CwParams(length, weight)
+        for rank in range(p.capacity):
+            check_against_table(rank, p)
+
+
+# the headline codec and the stress set's (n - k, t)
+LARGE = [CwParams(500, 50), CwParams(768, 64)]
+
+
+@pytest.mark.parametrize("p", LARGE, ids=lambda p: f"{p.length}-{p.weight}")
+def test_codec_matches_table_oracle_at_boundary_ranks(p):
+    for rank in (0, 1, (1 << p.msg_bits) - 1, 1 << p.msg_bits, p.capacity - 1):
+        check_against_table(rank, p)
+
+
+@pytest.mark.parametrize("p", LARGE, ids=lambda p: f"{p.length}-{p.weight}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_codec_matches_table_oracle_at_scale(p, data):
+    check_against_table(data.draw(st.integers(0, p.capacity - 1)), p)

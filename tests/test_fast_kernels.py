@@ -1,11 +1,12 @@
-"""The fast keygen kernels against the slow code they replaced.
+"""The fast keygen and decode kernels against the slow code they replaced.
 
 Every kernel must return exactly what its oracle in ``oracles`` returns,
 on inputs that include zero coefficients, non-monic divisors and
 untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
 test, whose deep levels get products of known irreducible factors).
 Keygen itself must reproduce the oracle chain's code, permutation,
-scrambler and public matrix.
+scrambler and public matrix.  Decoding's bitsliced root finder must
+mark exactly the support positions the per-element scan marks.
 """
 
 import functools
@@ -21,6 +22,7 @@ from kal1.errors import GenerationFailure
 from kal1.gf2m import (
     Field,
     is_irreducible,
+    poly_deg,
     poly_divmod,
     poly_inv_mod,
     poly_mod,
@@ -264,3 +266,75 @@ def test_goppa_polynomial_search_is_bounded():
     with pytest.raises(GenerationFailure):
         generate_code(TOY, rng)
     assert rng.randbits_calls == POLY_TRIALS_PER_DEGREE * TOY.t * TOY.t
+
+
+# one generated code per scale; its support is the whole field, so it
+# holds 0, and the same g on the support without 0 is the zero-free code
+ROOT_CODES = {"toy": (TOY, 0x40), "mid": (MID, 0x41), "headline": (HEADLINE, 0x42)}
+
+
+@functools.cache
+def root_code(scale: str, with_zero: bool) -> GoppaCode:
+    params, tag = ROOT_CODES[scale]
+    code = generate_code(params, SeededRng(seed_bytes(tag)))
+    assert 0 in code.support
+    if with_zero:
+        return code
+    support = [a for a in code.support if a]
+    n, t, m = len(support), params.t, params.m
+    return GoppaCode(code.field, CodeParams(n, n - m * t, t, m), support, code.goppa_poly)
+
+
+@pytest.mark.parametrize("with_zero", [True, False], ids=["with-0", "without-0"])
+@pytest.mark.parametrize("scale", sorted(ROOT_CODES))
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.sampled_from(["error", "forged", "random"]),
+    degree=st.integers(0, 64),
+    seed=st.integers(0, 2**64),
+)
+@example(source="error", degree=64, seed=0)
+@example(source="error", degree=1, seed=0)
+@example(source="random", degree=64, seed=1)
+@example(source="random", degree=0, seed=2)
+def test_locator_roots_match_scan(scale, with_zero, source, degree, seed):
+    # sigma of degree min(degree, t): Patterson's locator of a random
+    # error of that weight (at least 1) or of a random forged syndrome
+    # (whatever degree it has), or random coefficients
+    code = root_code(scale, with_zero)
+    n, t, m = code.params.n, code.params.t, code.params.m
+    order = code.field.order
+    rnd = random.Random(seed)
+    degree = min(degree, t)
+    e = None
+    if source == "error":
+        e = sum(1 << i for i in rnd.sample(range(n), max(degree, 1)))
+        sigma = code._locator(code.parity_check().syndrome(e))
+    elif source == "forged":
+        sigma = code._locator(rnd.getrandbits(m * t) or 1)
+    else:
+        sigma = [rnd.randrange(order) for _ in range(degree)] + [rnd.randrange(1, order)]
+    assert poly_deg(sigma) <= t
+    roots = code._locator_roots(sigma)
+    assert roots == oracles.scan_roots(code, sigma)
+    if e is not None:
+        assert roots == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 8]), st.integers(2, 6), st.integers(0, 2**32))
+def test_locator_roots_match_scan_on_partial_supports(m, t, seed):
+    # supports shorter than the field, with and without 0; each sigma is
+    # a product of linear factors at random field elements (on or off
+    # the support, repeats allowed) of every degree up to t
+    field = FIELDS[m]
+    rnd = random.Random(seed)
+    t = min(t, (field.order - 1) // m)
+    n = rnd.randrange(m * t + 1, field.order + 1)
+    support = rnd.sample(range(field.order), n)
+    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
+    for degree in range(t + 1):
+        sigma = [rnd.randrange(1, field.order)]
+        for _ in range(degree):
+            sigma = poly_mul(field, sigma, [rnd.randrange(field.order), 1])
+        assert code._locator_roots(sigma) == oracles.scan_roots(code, sigma)

@@ -68,6 +68,26 @@ def test_code_constructor_validations(toy_code):
         GoppaCode(field, params, TOY_SUPPORT, [0, 0, 1])  # x^2 vanishes at 0
 
 
+def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
+    # (x + root)(x + 14) on the support 1..12: the one root on the support
+    # is nonzero, so only the evaluation at nonzero elements can catch it
+    field = Field(4)
+    params = CodeParams(12, 4, 2, 4)
+    support = list(range(1, 13))
+    for root in support:
+        with pytest.raises(ParameterError, match="vanishes"):
+            GoppaCode(field, params, support, poly_mul(field, [root, 1], [14, 1]))
+    GoppaCode(field, params, support, poly_mul(field, [13, 1], [14, 1]))
+    # mid scale, whole field: x + root times x^7 + x + 1, which stays
+    # irreducible over GF(2^8) since gcd(7, 8) = 1, so root is g's only root
+    field = Field(8)
+    h = [1, 1, 0, 0, 0, 0, 0, 1]
+    assert is_irreducible(field, h)
+    for root in (1, 2, 97, 255):
+        with pytest.raises(ParameterError, match="vanishes"):
+            GoppaCode(field, MID, list(range(256)), poly_mul(field, [root, 1], h))
+
+
 def test_parity_check_first_row_and_shape(toy_code):
     pc = toy_code.parity_check()
     field = toy_code.field
@@ -229,3 +249,58 @@ def test_square_goppa_poly_decodes_weight_one_errors():
     pc = code.parity_check()
     for i in range(64):
         assert code.decode(pc.syndrome(1 << i)) == 1 << i
+
+
+def test_forged_mid_syndromes_fail_as_locator_not_split():
+    # with an irreducible g a locator that splits on the support always
+    # has the decoded syndrome (Patterson's key equation), so every
+    # forged syndrome that fails, fails at the root count
+    code = generate_code(MID, SeededRng(seed_bytes(0x20)))
+    pc = code.parity_check()
+    rnd = random.Random(6)
+    failures = 0
+    for _ in range(200):
+        synd = rnd.getrandbits(MID.m * MID.t) or 1
+        try:
+            e = code.decode(synd)
+        except DecodingFailure as exc:
+            assert exc.reason == "locator-not-split"
+            assert str(exc) == "error locator does not split over the support"
+            failures += 1
+        else:
+            assert e.bit_count() <= MID.t and pc.syndrome(e) == synd
+    assert failures > 190
+
+
+def test_locator_above_degree_t_fails_as_locator_not_split(monkeypatch):
+    # Patterson's locator has degree <= t; one of degree t + 1 with
+    # t + 1 roots on the support is still refused at the root count
+    code = generate_code(MID, SeededRng(seed_bytes(0x20)))
+    field = code.field
+    sigma = [1]
+    for alpha in code.support[: MID.t + 1]:
+        sigma = poly_mul(field, sigma, [alpha, 1])
+    monkeypatch.setattr(code, "_locator", lambda synd: sigma)
+    with pytest.raises(DecodingFailure) as info:
+        code.decode(1)
+    assert info.value.reason == "locator-not-split"
+    assert str(info.value) == "error locator does not split over the support"
+
+
+# A caller-built mid code with the square g = q^2, whose square root of
+# x is not one, and a forged syndrome (found by search) whose locator
+# splits into 8 roots on the support that do not give that syndrome
+SQUARE_Q = [166, 88, 69, 184, 1]
+MISMATCH_SYNDROME = 0xF4E3918214B5C6BA
+
+
+def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
+    field = Field(8)
+    code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
+    assert is_irreducible(field, SQUARE_Q)
+    sigma = code._locator(MISMATCH_SYNDROME)
+    assert code._locator_roots(sigma).bit_count() == len(sigma) - 1 == MID.t
+    with pytest.raises(DecodingFailure) as info:
+        code.decode(MISMATCH_SYNDROME)
+    assert info.value.reason == "syndrome-mismatch"
+    assert str(info.value) == "recomputed syndrome mismatch"
