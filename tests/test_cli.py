@@ -182,6 +182,49 @@ def test_inspect_public_and_private(capsys, tmp_path):
     assert "rank(cyclic_t) = 8 of 8" in stdout
 
 
+SCHEME_FLAGS = {
+    "niederreiter": (),
+    "kal1": (),
+    "kal1-s1": ("--sparse-weight", "3"),
+    "kal1-s2": ("--run-start", "4", "--run-len", "3"),
+}
+TOY_PARAMS_LINE = "params: n=16 k=8 t=2 m=4\n"
+# frozen `kal1 inspect` stdout for the toy key files of every scheme
+INSPECT_PK = {
+    "niederreiter": "payload: 128 bits\n",
+    "kal1": "payload: 8 bits\nseed row weight: 4\nseed row: 10001101\n",
+    "kal1-s1": "payload: 9 bits\npositions: [1, 5, 6]\n",
+    "kal1-s2": "payload: 6 bits\nrun: start=4 length=3\n",
+}
+RANK_REPORT_S1 = (
+    "rank report: n=16 k=8 t=2 m=4\n"
+    "rank(cyclic_t) = 8 of 8\n"
+    "rank(check_t) = 8\n"
+    "rank(secondary_t) = 7\n"
+    "subadditivity rank(cyclic) <= rank(check) + rank(secondary): ok\n"
+    "full-rank (n-k)-column windows: 10/32\n"
+    "identity block forces full row rank of cyclic_t\n"
+)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_FLAGS))
+def test_inspect_output_is_pinned(capsys, tmp_path, scheme):
+    out = keygen(capsys, tmp_path, scheme=scheme, extra=SCHEME_FLAGS[scheme])
+    code, stdout, _ = run(capsys, "inspect", "--key", out + ".pk")
+    assert code == 0
+    assert stdout == f"public key, scheme {scheme}\n" + TOY_PARAMS_LINE + INSPECT_PK[scheme]
+    code, stdout, _ = run(capsys, "inspect", "--key", out + ".sk")
+    assert code == 0
+    assert stdout == f"private key, scheme {scheme}\n" + TOY_PARAMS_LINE + "checksum: ok\n"
+
+
+def test_rank_report_of_sparse_private_key_is_pinned(capsys, tmp_path):
+    out = keygen(capsys, tmp_path, scheme="kal1-s1", extra=SCHEME_FLAGS["kal1-s1"])
+    code, stdout, _ = run(capsys, "inspect", "--key", out + ".sk", "--rank-report")
+    assert code == 0
+    assert stdout == "private key, scheme kal1-s1\n" + TOY_PARAMS_LINE + "checksum: ok\n" + RANK_REPORT_S1
+
+
 def test_kat_generate_then_verify(capsys, tmp_path):
     kat = tmp_path / "records.kat"
     code, _, _ = run(

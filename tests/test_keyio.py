@@ -1,5 +1,6 @@
 """Wire formats: exact sizes, round trips, strict rejection, KATs."""
 
+import hashlib
 import random
 
 import pytest
@@ -130,7 +131,9 @@ def test_parse_rejects_non_systematic_check(toy_nied):
         keyio.parse_public_key(blob)
 
 
-def test_round_trip_randomized_all_three_forms():
+def random_wire_keys():
+    """300 keys over four parameter sets, dense, sparse and run forms
+    mixed: (kind, key) with kind 0, 1 or 2 for those forms."""
     rnd = random.Random(77)
     params_pool = [TOY, CodeParams(32, 17, 3, 5), CodeParams(64, 40, 4, 6), FULL]
     for _ in range(300):
@@ -148,11 +151,37 @@ def test_round_trip_randomized_all_three_forms():
             run = rnd.randint(2, min(nk, (1 << keyio.position_width(nk)) - 1))
             start = rnd.randint(0, nk - run)
             key = scheme.Kal1S2Key(params, start, run)
+        yield kind, key
+
+
+def test_round_trip_randomized_all_three_forms():
+    for kind, key in random_wire_keys():
         back = keyio.parse_public_key(keyio.serialize_public_key(key))
         if kind == 0:
             assert back.params == key.params and back.seed_row == key.seed_row
         else:
             assert back == key
+
+
+# frozen: SHA-256 over the serialized random_wire_keys(), in order
+RANDOM_WIRE_KEYS_SHA256 = "89450322c9893b199385404008b7d517aba122ab6d4cdb9c751f1fdb303ba926"
+# frozen: a Kal1-S1 key with no positions is a bare header with w = 0
+EMPTY_S1_BLOB = "4b31504b01020400020c0032000a00"
+
+
+def test_randomized_wire_bytes_are_pinned():
+    h = hashlib.sha256()
+    for _, key in random_wire_keys():
+        h.update(keyio.serialize_public_key(key))
+    assert h.hexdigest() == RANDOM_WIRE_KEYS_SHA256
+
+
+def test_sparse_key_with_no_positions_round_trips():
+    key = scheme.Kal1S1Key(FULL, ())
+    blob = keyio.serialize_public_key(key)
+    assert blob.hex() == EMPTY_S1_BLOB
+    assert keyio.parse_public_key(blob) == key
+    assert keyio.payload_bits(key) == 0
 
 
 def test_parse_fuzz_random_bytes_never_crash():
