@@ -2,8 +2,9 @@
 
 Library layout: gf2m (field arithmetic), binmat (GF(2) linear algebra),
 goppa (codes and Patterson decoding), cw (constant-weight codec),
-niederreiter (baseline scheme), scheme (Kal1 itself), keyio (wire
-formats and KATs), isd (Prange probe and rank checks), cli.
+niederreiter (baseline scheme), scheme (Kal1 itself; one public key
+class whose seed policy picks the wire form), keyio (wire formats and
+KATs), isd (Prange probe, masking matrix and rank checks), cli.
 """
 
 from .cw import CwParams, cw_decode, cw_encode
@@ -26,8 +27,6 @@ from .scheme import (
     DenseSeed,
     Kal1PrivateKey,
     Kal1PublicKey,
-    Kal1S1Key,
-    Kal1S2Key,
     RunSeed,
     SparseSeed,
     decrypt,
@@ -50,8 +49,6 @@ __all__ = [
     "Kal1Error",
     "Kal1PrivateKey",
     "Kal1PublicKey",
-    "Kal1S1Key",
-    "Kal1S2Key",
     "KatMismatch",
     "ParameterError",
     "PolicyError",

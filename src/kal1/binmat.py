@@ -7,8 +7,6 @@ immutable values; every operation returns a fresh matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, SingularMatrixError
 from .rng import SeededRng
 
@@ -30,23 +28,6 @@ class BinaryMatrix:
         self.rows = rows
         self.cols = cols
         self.row_ints = list(row_ints)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_dense(cls, entries: list[list[int]]) -> "BinaryMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        ints = [sum((row[j] & 1) << j for j in range(cols)) for row in entries]
-        return cls(rows, cols, ints)
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_ints]
-
-    def get(self, i: int, j: int) -> int:
-        return (self.row_ints[i] >> j) & 1
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -224,38 +205,9 @@ class Permutation:
                     out |= 1 << i
         return out
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for i, mi in enumerate(self.map):
-            inv[mi] = i
-        return Permutation(inv)
-
-    def to_matrix(self) -> BinaryMatrix:
-        n = len(self.map)
-        return BinaryMatrix(n, n, [1 << mi for mi in self.map])
-
-
-@dataclass(frozen=True)
-class Scrambler:
-    """An invertible matrix bundled with its inverse."""
-
-    s: BinaryMatrix
-    s_inv: BinaryMatrix
-
 
 def random_permutation(n: int, rng: SeededRng) -> Permutation:
     if n < 1:
         raise DimensionMismatch("permutation length must be at least 1")
     return Permutation(rng.permutation(n))
 
-
-def random_invertible(dim: int, rng: SeededRng) -> Scrambler:
-    """Uniform invertible matrix, by rejection of singular draws."""
-    if dim < 1:
-        raise DimensionMismatch("dimension must be at least 1")
-    while True:
-        m = BinaryMatrix(dim, dim, [rng.randbits(dim) for _ in range(dim)])
-        try:
-            return Scrambler(m, m.invert())
-        except SingularMatrixError:
-            continue

@@ -181,7 +181,7 @@ def cmd_inspect(args) -> int:
         print(f"params: n={params.n} k={params.k} t={params.t} m={params.m}")
         print("checksum: ok")
         if args.rank_report and isinstance(priv, scheme.Kal1PrivateKey):
-            print(isd.rank_report(scheme.expand_cyclic(pub.as_dense()), priv))
+            print(isd.rank_report(scheme.expand_cyclic(pub), priv))
         return 0
     pub = keyio.parse_public_key(data)
     params = pub.params
@@ -189,14 +189,15 @@ def cmd_inspect(args) -> int:
     print(f"public key, scheme {keyio.SCHEME_NAMES[sid]}")
     print(f"params: n={params.n} k={params.k} t={params.t} m={params.m}")
     print(f"payload: {keyio.payload_bits(pub)} bits")
-    if isinstance(pub, scheme.Kal1PublicKey):
+    if sid == keyio.SCHEME_KAL1:
         print(f"seed row weight: {pub.seed_row.bit_count()}")
         if params.redundancy <= 128:
             print(f"seed row: {bit_string(pub.seed_row, params.redundancy)}")
-    elif isinstance(pub, scheme.Kal1S1Key):
-        print(f"positions: {list(pub.positions)}")
-    elif isinstance(pub, scheme.Kal1S2Key):
-        print(f"run: start={pub.start} length={pub.run}")
+    elif sid == keyio.SCHEME_KAL1_S1:
+        print(f"positions: {keyio.seed_fields(sid, pub.seed_row)}")
+    elif sid == keyio.SCHEME_KAL1_S2:
+        start, length = keyio.seed_fields(sid, pub.seed_row)
+        print(f"run: start={start} length={length}")
     return 0
 
 

@@ -133,11 +133,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
         return self.exp_table[self.order - 1 - self.log_table[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self.exp_table[(self.log_table[a] * e) % (self.order - 1)]
-
     def sqrt(self, a: int) -> int:
         """Square root, i.e. a^(2^(m-1)); every element has one."""
         if a == 0:
@@ -267,20 +262,6 @@ def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     if not r:
         raise ZeroDivisionError("polynomial not invertible modulo g")
     return poly_mod(field, poly_scale(field, v, field.inv(r[0])), g)
-
-
-def poly_deriv(f: list[int]) -> list[int]:
-    # formal derivative in char 2: even-degree terms vanish
-    return poly_trim([f[i] if i & 1 else 0 for i in range(1, len(f))])
-
-
-def poly_eval(field: Field, f: list[int], x: int) -> int:
-    """Horner evaluation; the constant polynomial [] evaluates to 0."""
-    acc = 0
-    mul = field.mul
-    for c in reversed(f):
-        acc = mul(acc, x) ^ c
-    return acc
 
 
 def is_irreducible(field: Field, f: list[int]) -> bool:

@@ -7,6 +7,9 @@ enumerating the small solution space instead of being skipped, so an
 iteration succeeds exactly when the planted support falls inside the
 window; the per-iteration success probability is then the textbook
 C(n-k, t) / C(n, t).
+
+The rank report compares the published cyclic_t with the Niederreiter
+check_t and the masking matrix secondary_t = cyclic_t + check_t.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .binmat import BinaryMatrix, matrix_times_vec
 from .errors import DimensionMismatch, ParameterError
 from .niederreiter import NiederreiterPublicKey, public_key
 from .rng import SeededRng
-from .scheme import Kal1PrivateKey, secondary_check_t
+from .scheme import Kal1PrivateKey
 
 # Windows whose solution space is larger than 2^NULLSPACE_CAP are
 # abandoned; at probe scales the deficiency never gets near this.
@@ -159,6 +162,11 @@ class RankReport:
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
+
+
+def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: NiederreiterPublicKey) -> BinaryMatrix:
+    """Masking matrix: cyclic_t plus check_t; its bottom block is zero."""
+    return cyclic_t.add(inner_pub.check_t)
 
 
 def rank_report(

@@ -14,6 +14,13 @@ Public key file (bit exact):
               0x02  w sorted positions, ceil(log2(n-k)) bits each
               0x03  run start then run length, ceil(log2(n-k)) bits each
 
+All three Kal1 schemes publish one ``scheme.Kal1PublicKey``: its seed
+policy (dense, sparse or run) picks the scheme id, and the positions or
+the run are derived from its seed row when it is written.  A row with no
+such form (more than 255 ones, or anything but one run of at least two
+ones that fits the length field) raises FormatError.  Parsing returns
+the same class, with the policy the scheme id names.
+
 Private key file (fixed 39 bytes): magic b"K1SK", then the same
 version/scheme/params/w prefix, u16be run start and run length (zero
 unless scheme 0x03), the 16-byte generator seed that regenerates the
@@ -55,10 +62,11 @@ SCHEME_NAMES = {
     SCHEME_KAL1_S1: "kal1-s1",
 }
 
+# both key files start with this header; a private key file goes on
+# with run start, run length, the seed and a CRC-32 of the .pk bytes
 _HEADER = struct.Struct(">4sBBHHHHB")
-_PRIVATE = struct.Struct(">4sBBHHHHBHH16sI")
-
-PublicKey = scheme.PublicKey
+_PRIVATE_TAIL = struct.Struct(">HH16sI")
+_PRIVATE_SIZE = _HEADER.size + _PRIVATE_TAIL.size
 
 
 def position_width(redundancy: int) -> int:
@@ -112,57 +120,87 @@ class _BitReader:
             raise FormatError("nonzero or oversized payload padding")
 
 
-def scheme_id(key: PublicKey) -> int:
+# the wire form each Kal1 seed policy is published in
+_KAL1_SCHEMES = {
+    scheme.DenseSeed: SCHEME_KAL1,
+    scheme.SparseSeed: SCHEME_KAL1_S1,
+    scheme.RunSeed: SCHEME_KAL1_S2,
+}
+
+
+def scheme_id(key: scheme.PublicKey) -> int:
     if isinstance(key, niederreiter.NiederreiterPublicKey):
         return SCHEME_NIEDERREITER
-    if isinstance(key, scheme.Kal1PublicKey):
-        return SCHEME_KAL1
-    if isinstance(key, scheme.Kal1S1Key):
-        return SCHEME_KAL1_S1
-    if isinstance(key, scheme.Kal1S2Key):
-        return SCHEME_KAL1_S2
-    raise FormatError(f"not a serializable public key: {type(key).__name__}")
+    sid = _KAL1_SCHEMES.get(type(getattr(key, "policy", None)))
+    if sid is None:
+        raise FormatError(f"not a serializable public key: {type(key).__name__}")
+    return sid
 
 
-def payload_bits(key: PublicKey) -> int:
-    """Exact payload size in bits, before byte padding."""
-    params = key.params
+def _payload_bits(sid: int, params: CodeParams, w: int) -> int:
     nk = params.redundancy
-    sid = scheme_id(key)
     if sid == SCHEME_NIEDERREITER:
         return params.n * nk
     if sid == SCHEME_KAL1:
         return nk
+    return (w if sid == SCHEME_KAL1_S1 else 2) * position_width(nk)
+
+
+def payload_bits(key: scheme.PublicKey) -> int:
+    """Exact payload size in bits, before byte padding."""
+    sid = scheme_id(key)
+    w = key.seed_row.bit_count() if sid == SCHEME_KAL1_S1 else 0
+    return _payload_bits(sid, key.params, w)
+
+
+def seed_fields(sid: int, seed_row: int) -> list[int]:
+    """The Kal1-S1 positions or the Kal1-S2 (start, length) of a seed
+    row, as the payload holds them; FormatError when the row has no
+    such form."""
     if sid == SCHEME_KAL1_S1:
-        return key.weight * position_width(nk)
-    return 2 * position_width(nk)
+        positions = [i for i in range(seed_row.bit_length()) if seed_row >> i & 1]
+        if len(positions) > 255:
+            raise FormatError("more than 255 positions cannot be serialized")
+        return positions
+    start = (seed_row & -seed_row).bit_length() - 1
+    run = seed_row.bit_length() - start
+    if run < 2 or seed_row != ((1 << run) - 1) << start:
+        raise FormatError("seed row is not a single run of at least two ones")
+    return [start, run]
 
 
-def serialize_public_key(key: PublicKey) -> bytes:
+def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
+    return _HEADER.pack(magic, VERSION, sid, params.n, params.k, params.t, params.m, w)
+
+
+def serialize_public_key(key: scheme.PublicKey) -> bytes:
+    """The .pk bytes; a Kal1 key is written in the form its seed policy
+    names, with the fields derived from its seed row."""
     params = key.params
     nk = params.redundancy
     sid = scheme_id(key)
-    w = key.weight if sid == SCHEME_KAL1_S1 else 0
-    header = _HEADER.pack(MAGIC_PUBLIC, VERSION, sid, params.n, params.k, params.t, params.m, w)
     out = _BitWriter()
+    fields = []
     if sid == SCHEME_NIEDERREITER:
         for row in key.check_t.row_ints:
             out.put_vector(row, nk)
+    elif key.seed_row >> nk:
+        raise FormatError("seed row longer than n-k bits")
     elif sid == SCHEME_KAL1:
         out.put_vector(key.seed_row, nk)
-    elif sid == SCHEME_KAL1_S1:
-        width = position_width(nk)
-        for pos in key.positions:
-            out.put_uint(pos, width)
     else:
-        width = position_width(nk)
-        out.put_uint(key.start, width)
-        out.put_uint(key.run, width)
-    assert out.bit_count == payload_bits(key)
-    return header + out.to_bytes()
+        fields = seed_fields(sid, key.seed_row)
+        for value in fields:
+            # a run length at or above 2^width raises here
+            out.put_uint(value, position_width(nk))
+    w = len(fields) if sid == SCHEME_KAL1_S1 else 0
+    assert out.bit_count == _payload_bits(sid, params, w)
+    return _pack_header(MAGIC_PUBLIC, sid, params, w) + out.to_bytes()
 
 
 def _parse_header(data: bytes, magic: bytes):
+    """The magic, version, scheme id, parameters and weight byte that
+    start both key files."""
     if len(data) < _HEADER.size:
         raise FormatError("file shorter than the header")
     got_magic, version, sid, n, k, t, m, w = _HEADER.unpack_from(data)
@@ -181,51 +219,45 @@ def _parse_header(data: bytes, magic: bytes):
     return sid, params, w
 
 
-def parse_public_key(data: bytes) -> PublicKey:
+def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
     nk = params.redundancy
     width = position_width(nk)
-    if sid == SCHEME_NIEDERREITER:
-        nbits = params.n * nk
-    elif sid == SCHEME_KAL1:
-        nbits = nk
-    elif sid == SCHEME_KAL1_S1:
-        nbits = w * width
-    else:
-        nbits = 2 * width
+    nbytes = (_payload_bits(sid, params, w) + 7) // 8
     body = data[_HEADER.size :]
-    if len(body) != (nbits + 7) // 8:
-        raise FormatError(f"payload must be {(nbits + 7) // 8} bytes, got {len(body)}")
+    if len(body) != nbytes:
+        raise FormatError(f"payload must be {nbytes} bytes, got {len(body)}")
     rd = _BitReader(body)
     if sid == SCHEME_NIEDERREITER:
         rows = [rd.take_vector(nk) for _ in range(params.n)]
         rd.expect_zero_padding()
-        check_t = BinaryMatrix(params.n, nk, rows)
         for i in range(nk):
             if rows[params.k + i] != 1 << i:
                 raise FormatError("check matrix is not in systematic form")
-        return niederreiter.NiederreiterPublicKey(params, check_t)
+        return niederreiter.NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, rows))
     if sid == SCHEME_KAL1:
         seed_row = rd.take_vector(nk)
-        rd.expect_zero_padding()
-        return scheme.Kal1PublicKey(params, seed_row)
-    if sid == SCHEME_KAL1_S1:
+        policy = scheme.DenseSeed()
+    elif sid == SCHEME_KAL1_S1:
         positions = [rd.take_uint(width) for _ in range(w)]
-        rd.expect_zero_padding()
         if any(p >= nk for p in positions):
             raise FormatError("position outside the seed row")
         if positions != sorted(set(positions)):
             raise FormatError("positions must be strictly increasing")
-        return scheme.Kal1S1Key(params, tuple(positions))
-    start = rd.take_uint(width)
-    run = rd.take_uint(width)
+        seed_row = sum(1 << p for p in positions)
+        policy = scheme.SparseSeed(w)
+    else:
+        start = rd.take_uint(width)
+        run = rd.take_uint(width)
+        if run < 2:
+            raise FormatError("run length must be at least 2")
+        if start + run > nk:
+            raise FormatError("run overflows the seed row")
+        seed_row = ((1 << run) - 1) << start
+        policy = scheme.RunSeed(start, run)
     rd.expect_zero_padding()
-    if run < 2:
-        raise FormatError("run length must be at least 2")
-    if start + run > nk:
-        raise FormatError("run overflows the seed row")
-    return scheme.Kal1S2Key(params, start, run)
+    return scheme.Kal1PublicKey(params, seed_row, policy)
 
 
 # --- private key files ---
@@ -242,19 +274,12 @@ def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPo
 
 
 def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: int, seed: bytes):
-    """Rebuild the keypair a private file describes.
-
-    Returns (public key in the file's wire form, private key object).
-    """
+    """Rebuild the keypair a private file describes: (public key,
+    private key object)."""
     rng = SeededRng(seed)
     if sid == SCHEME_NIEDERREITER:
         return niederreiter.keygen(params, rng)
-    pub, priv = scheme.keygen(params, _policy_for(sid, w, run_start, run_len), rng)
-    if sid == SCHEME_KAL1_S1:
-        return scheme.sparse_form(pub), priv
-    if sid == SCHEME_KAL1_S2:
-        return scheme.run_form(pub), priv
-    return pub, priv
+    return scheme.keygen(params, _policy_for(sid, w, run_start, run_len), rng)
 
 
 def serialize_private_key(
@@ -262,20 +287,8 @@ def serialize_private_key(
 ) -> bytes:
     if len(seed) != SEED_BYTES:
         raise FormatError(f"seed must be {SEED_BYTES} bytes")
-    return _PRIVATE.pack(
-        MAGIC_PRIVATE,
-        VERSION,
-        sid,
-        params.n,
-        params.k,
-        params.t,
-        params.m,
-        w,
-        run_start,
-        run_len,
-        seed,
-        zlib.crc32(pk_bytes),
-    )
+    tail = _PRIVATE_TAIL.pack(run_start, run_len, seed, zlib.crc32(pk_bytes))
+    return _pack_header(MAGIC_PRIVATE, sid, params, w) + tail
 
 
 def load_private_key(data: bytes):
@@ -285,26 +298,18 @@ def load_private_key(data: bytes):
     key file bytes).  The CRC check catches seeds paired with the wrong
     public key.
     """
-    if len(data) != _PRIVATE.size:
-        raise FormatError(f"private key file must be {_PRIVATE.size} bytes, got {len(data)}")
-    magic, version, sid, n, k, t, m, w, run_start, run_len, seed, crc = _PRIVATE.unpack(data)
-    if magic != MAGIC_PRIVATE:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if sid not in SCHEME_NAMES:
-        raise FormatError(f"unknown scheme id {sid:#04x}")
-    if sid != SCHEME_KAL1_S1 and w != 0:
-        raise FormatError("weight field must be zero outside Kal1-S1")
+    if len(data) != _PRIVATE_SIZE:
+        raise FormatError(f"private key file must be {_PRIVATE_SIZE} bytes, got {len(data)}")
+    sid, params, w = _parse_header(data, MAGIC_PRIVATE)
+    run_start, run_len, seed, crc = _PRIVATE_TAIL.unpack_from(data, _HEADER.size)
     if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):
         raise FormatError("run fields must be zero outside Kal1-S2")
-    try:
-        params = CodeParams(n, k, t, m)
-        policy = _policy_for(sid, w, run_start, run_len)
-        if policy is not None:
+    policy = _policy_for(sid, w, run_start, run_len)
+    if policy is not None:
+        try:
             scheme.validate_policy(policy, params.redundancy)
-    except (ParameterError, PolicyError) as exc:
-        raise FormatError(f"invalid private key header: {exc}") from exc
+        except PolicyError as exc:
+            raise FormatError(f"invalid private key header: {exc}") from exc
     pub, priv = regenerate(sid, params, w, run_start, run_len, seed)
     pk_bytes = serialize_public_key(pub)
     if zlib.crc32(pk_bytes) != crc:

@@ -10,25 +10,17 @@ scheme module cancel correctly.
 Decryption needs only s_inv = R, so ``keygen_private`` builds the
 private key alone: each permutation draw reorders the check's columns
 and tests R with a rank computation.  ``public_key`` builds the public
-matrix from the private key when it is wanted, and s is computed on
-first use of ``scrambler``.  ``keygen`` and ``keygen_private`` make the
-same random draws, so both yield the same key for a seed.
+matrix from the private key when it is wanted.  ``keygen`` and
+``keygen_private`` make the same random draws, so both yield the same
+key for a seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .binmat import (
-    BinaryMatrix,
-    Permutation,
-    Scrambler,
-    matrix_times_vec,
-    random_permutation,
-    vec_times_matrix,
-)
-from .errors import DimensionMismatch, GenerationFailure, WeightError
+from .binmat import BinaryMatrix, Permutation, matrix_times_vec, random_permutation
+from .errors import DimensionMismatch, GenerationFailure
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code
 from .rng import SeededRng
 
@@ -37,10 +29,6 @@ from .rng import SeededRng
 class NiederreiterPublicKey:
     params: CodeParams
     check_t: BinaryMatrix  # n x (n-k); bottom (n-k) rows are the identity
-
-    @property
-    def t(self) -> int:
-        return self.params.t
 
 
 @dataclass
@@ -52,11 +40,6 @@ class NiederreiterPrivateKey:
     @property
     def params(self) -> CodeParams:
         return self.code.params
-
-    @cached_property
-    def scrambler(self) -> Scrambler:
-        """s_inv together with s, which is computed on first use."""
-        return Scrambler(self.s_inv.invert(), self.s_inv)
 
 
 def _permuted_columns(code: GoppaCode, perm: Permutation) -> list[int]:
@@ -103,16 +86,6 @@ def public_key(priv: NiederreiterPrivateKey) -> NiederreiterPublicKey:
     s_t = BinaryMatrix(nk, nk, cols[k:]).invert()
     top = BinaryMatrix(k, nk, cols[:k]).mul(s_t).row_ints
     return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, top + [1 << i for i in range(nk)]))
-
-
-def encrypt(pub: NiederreiterPublicKey, e: int) -> int:
-    """Syndrome of a weight-t error vector under the public check."""
-    params = pub.params
-    if e.bit_length() > params.n:
-        raise DimensionMismatch("error vector longer than the code length")
-    if e.bit_count() != params.t:
-        raise WeightError(f"error vector must have weight {params.t}")
-    return vec_times_matrix(e, pub.check_t)
 
 
 def decrypt(priv: NiederreiterPrivateKey, c: int) -> int:

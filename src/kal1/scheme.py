@@ -10,12 +10,16 @@ inherent to the construction and is asserted by the test suite rather
 than hidden; ``encrypt`` relies on it for every public key kind and
 never builds or reads a published matrix.
 
+There is one Kal1 public key class: the seed row plus the seed policy
+it was drawn under.  Kal1-S1 (sorted positions of the ones) and Kal1-S2
+(one run of ones) are ways to publish that row; the policy picks one
+and ``keyio`` writes it.
+
 Key generation is private-only: it builds the inner Niederreiter private
 key (code, permutation and s_inv, the right block of the permuted
-check) but neither the inner public matrix nor the scrambler s, which
-only Niederreiter public keys (``niederreiter.public_key``) and the
-analysis in ``isd`` need.  The draws are those of a full Niederreiter
-keygen.
+check) but not the inner public matrix, which only Niederreiter public
+keys (``niederreiter.public_key``) and the analysis in ``isd`` need.
+The draws are those of a full Niederreiter keygen.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from . import niederreiter
 from .binmat import BinaryMatrix
 from .cw import CwParams, cw_decode, cw_encode
-from .errors import DimensionMismatch, FormatError, PolicyError, RangeError
+from .errors import FormatError, PolicyError, RangeError
 from .goppa import CodeParams
 from .rng import SeededRng
 
@@ -98,70 +102,12 @@ def draw_seed_row(policy: SeedPolicy, redundancy: int, rng: SeededRng) -> int:
 
 @dataclass
 class Kal1PublicKey:
-    """Dense form: the seed row itself."""
+    """The seed row and the policy it was drawn under, which also picks
+    its wire form."""
 
     params: CodeParams
     seed_row: int
-
-    @property
-    def t(self) -> int:
-        return self.params.t
-
-    def as_dense(self) -> "Kal1PublicKey":
-        return self
-
-
-@dataclass(frozen=True)
-class Kal1S1Key:
-    """Sparse form: sorted positions of the seed row's ones."""
-
-    params: CodeParams
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        nk = self.params.redundancy
-        if list(self.positions) != sorted(set(self.positions)):
-            raise FormatError("positions must be strictly increasing")
-        if self.positions and not (self.positions[0] >= 0 and self.positions[-1] < nk):
-            raise FormatError("position outside the seed row")
-        if len(self.positions) > 255:
-            raise FormatError("more than 255 positions cannot be serialized")
-
-    @property
-    def t(self) -> int:
-        return self.params.t
-
-    @property
-    def weight(self) -> int:
-        return len(self.positions)
-
-    def as_dense(self) -> Kal1PublicKey:
-        return Kal1PublicKey(self.params, sum(1 << i for i in self.positions))
-
-
-@dataclass(frozen=True)
-class Kal1S2Key:
-    """Run-length form: start and length of a single run of ones."""
-
-    params: CodeParams
-    start: int
-    run: int
-
-    def __post_init__(self):
-        nk = self.params.redundancy
-        if self.run < 2:
-            raise FormatError("run length must be at least 2")
-        if self.start < 0 or self.start + self.run > nk:
-            raise FormatError("run overflows the seed row")
-        if self.run >= 1 << (nk - 1).bit_length():
-            raise FormatError("run length does not fit the serialized length field")
-
-    @property
-    def t(self) -> int:
-        return self.params.t
-
-    def as_dense(self) -> Kal1PublicKey:
-        return Kal1PublicKey(self.params, ((1 << self.run) - 1) << self.start)
+    policy: SeedPolicy = DenseSeed()
 
 
 @dataclass
@@ -174,32 +120,7 @@ class Kal1PrivateKey:
         return self.inner.params
 
 
-PublicKey = niederreiter.NiederreiterPublicKey | Kal1PublicKey | Kal1S1Key | Kal1S2Key
-
-
-def sparse_form(pk: Kal1PublicKey) -> Kal1S1Key:
-    positions = []
-    v = pk.seed_row
-    while v:
-        low = v & -v
-        positions.append(low.bit_length() - 1)
-        v ^= low
-    if len(positions) > 255:
-        raise PolicyError("seed row too heavy for the sparse form")
-    return Kal1S1Key(pk.params, tuple(positions))
-
-
-def run_form(pk: Kal1PublicKey) -> Kal1S2Key:
-    v = pk.seed_row
-    if v == 0:
-        raise PolicyError("seed row is all zeros, not a run")
-    start = (v & -v).bit_length() - 1
-    length = v.bit_length() - start
-    if v != ((1 << length) - 1) << start:
-        raise PolicyError("seed row is not a single contiguous run")
-    if length < 2:
-        raise PolicyError("run length must be at least 2")
-    return Kal1S2Key(pk.params, start, length)
+PublicKey = niederreiter.NiederreiterPublicKey | Kal1PublicKey
 
 
 def expand_cyclic(pk: Kal1PublicKey) -> BinaryMatrix:
@@ -210,11 +131,6 @@ def expand_cyclic(pk: Kal1PublicKey) -> BinaryMatrix:
     rows = [rotate_right(pk.seed_row, i, nk) for i in range(params.k)]
     rows.extend(1 << r for r in range(nk))
     return BinaryMatrix(params.n, nk, rows)
-
-
-def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: niederreiter.NiederreiterPublicKey) -> BinaryMatrix:
-    """Masking matrix: cyclic_t plus check_t; its bottom block is zero."""
-    return cyclic_t.add(inner_pub.check_t)
 
 
 def cw_params(params: CodeParams) -> CwParams:
@@ -233,7 +149,7 @@ def keygen(
     validate_policy(policy, params.redundancy)
     inner_priv = niederreiter.keygen_private(params, rng)
     seed_row = draw_seed_row(policy, params.redundancy, rng)
-    return Kal1PublicKey(params, seed_row), Kal1PrivateKey(inner_priv, seed_row)
+    return Kal1PublicKey(params, seed_row, policy), Kal1PrivateKey(inner_priv, seed_row)
 
 
 def encrypt(pub: PublicKey, msg: int) -> int:
@@ -258,8 +174,6 @@ def decrypt_with(inner: niederreiter.NiederreiterPrivateKey, c: int) -> int:
     ciphertext and raises FormatError.
     """
     params = inner.params
-    if c.bit_length() > params.redundancy:
-        raise DimensionMismatch("ciphertext longer than n-k bits")
     e = niederreiter.decrypt(inner, c)
     if e & ((1 << params.k) - 1):
         raise FormatError("decoded error touches the zero prefix")

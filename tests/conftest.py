@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from kal1 import niederreiter, scheme
+from kal1.binmat import BinaryMatrix, Permutation
 from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
@@ -35,6 +36,39 @@ def oversized_param_kat(index: int, digits: int) -> str:
     values[index] = "9" * digits
     lines[1] = f"params={','.join(values)} {rest}"
     return "\n".join(lines) + "\n"
+
+
+# dense views of bit matrices and permutations, for hand cases and oracles
+
+
+def identity(n: int) -> BinaryMatrix:
+    return BinaryMatrix(n, n, [1 << i for i in range(n)])
+
+
+def from_dense(entries: list[list[int]]) -> BinaryMatrix:
+    cols = len(entries[0]) if entries else 0
+    return BinaryMatrix(len(entries), cols, [sum(b << j for j, b in enumerate(row)) for row in entries])
+
+
+def to_dense(m: BinaryMatrix) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.row_ints]
+
+
+def entry(m: BinaryMatrix, i: int, j: int) -> int:
+    return (m.row_ints[i] >> j) & 1
+
+
+def perm_matrix(p: Permutation) -> BinaryMatrix:
+    """The matrix with its (i, map[i]) entries set."""
+    n = len(p.map)
+    return BinaryMatrix(n, n, [1 << mi for mi in p.map])
+
+
+def perm_inverse(p: Permutation) -> Permutation:
+    inv = [0] * len(p.map)
+    for i, mi in enumerate(p.map):
+        inv[mi] = i
+    return Permutation(inv)
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,35 @@ before its kernel was rewritten.  The tests compare the library against
 them, so they must stay simple and must not call the kernels they check.
 """
 
+from typing import NamedTuple
+
 from kal1 import scheme
-from kal1.binmat import BinaryMatrix, Scrambler, random_permutation, vec_times_matrix
+from kal1.binmat import BinaryMatrix, random_permutation, vec_times_matrix
 from kal1.cw import CwParams, cw_encode
 from kal1.errors import GenerationFailure, RangeError, SingularMatrixError
-from kal1.gf2m import Field, poly_add, poly_deg, poly_eval, poly_mul, poly_scale, poly_trim
+from kal1.gf2m import Field, poly_add, poly_deg, poly_mul, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.niederreiter import NiederreiterPublicKey
+
+
+def field_pow(field: Field, a: int, e: int) -> int:
+    """a^e by square-and-multiply over Field.mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = field.mul(r, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return r
+
+
+def poly_eval(field: Field, f: list[int], x: int) -> int:
+    """Horner evaluation; the constant polynomial [] evaluates to 0."""
+    acc = 0
+    mul = field.mul
+    for c in reversed(f):
+        acc = mul(acc, x) ^ c
+    return acc
 
 
 def poly_sqr(field: Field, f: list[int]) -> list[int]:
@@ -140,6 +162,13 @@ def binary_check(code: GoppaCode) -> BinaryMatrix:
     return BinaryMatrix(params.m * params.t, params.n, rows)
 
 
+class Scrambler(NamedTuple):
+    """An invertible matrix and its inverse."""
+
+    s: BinaryMatrix
+    s_inv: BinaryMatrix
+
+
 def systematize(binary_check: BinaryMatrix, perm, k: int):
     """Scramble the column-permuted check into [A | I] form; raises
     SingularMatrixError when the right block is not invertible."""
@@ -190,7 +219,7 @@ def matrix_encrypt(pub, msg: int) -> int:
     if isinstance(pub, NiederreiterPublicKey):
         matrix = pub.check_t
     else:
-        matrix = scheme.expand_cyclic(pub.as_dense())
+        matrix = scheme.expand_cyclic(pub)
     return vec_times_matrix(word << params.k, matrix)
 
 

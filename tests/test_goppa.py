@@ -8,11 +8,12 @@ import pytest
 
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
-from kal1.gf2m import Field, is_irreducible, poly_eval, poly_mul
+from kal1.gf2m import Field, is_irreducible, poly_mul
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
-from conftest import MID, TOY, seed_bytes
+from conftest import MID, TOY, seed_bytes, to_dense
+from oracles import poly_eval
 
 # frozen draw for generate_code(TOY, seed 1)
 TOY_SUPPORT = [5, 6, 12, 8, 1, 14, 2, 10, 9, 4, 3, 15, 7, 0, 13, 11]
@@ -111,7 +112,7 @@ def test_binary_expansion_bit_order(toy_code):
 def test_codewords_have_zero_syndrome(toy_code):
     pc = toy_code.parity_check()
     # nullspace basis of the binary check via dense elimination
-    rows = [list(r) for r in pc.binary.to_dense()]
+    rows = to_dense(pc.binary)
     n = toy_code.params.n
     pivots = {}
     row_i = 0

@@ -13,22 +13,33 @@ from conftest import TOY, odd_hex_kat, oversized_param_kat, seed_bytes
 FULL = CodeParams(1024, 524, 50, 10)
 
 
+def sparse_key(params, positions):
+    """The Kal1-S1 key with ones at the given positions."""
+    row = sum(1 << p for p in positions)
+    return scheme.Kal1PublicKey(params, row, scheme.SparseSeed(len(positions)))
+
+
+def run_key(params, start, run):
+    """The Kal1-S2 key whose seed row is one run of ones."""
+    return scheme.Kal1PublicKey(params, ((1 << run) - 1) << start, scheme.RunSeed(start, run))
+
+
 def test_payload_sizes_at_paper_parameters():
     # exact bit counts the rest of the tooling reports
     dense = scheme.Kal1PublicKey(FULL, (1 << 500) - 1 & 0x5A5A5A5A)
     assert keyio.payload_bits(dense) == 500
-    sparse = scheme.Kal1S1Key(FULL, tuple(range(10)))
+    sparse = sparse_key(FULL, tuple(range(10)))
     assert keyio.payload_bits(sparse) == 90
-    run = scheme.Kal1S2Key(FULL, 4, 3)
+    run = run_key(FULL, 4, 3)
     assert keyio.payload_bits(run) == 18
     assert keyio.position_width(FULL.redundancy) == 9
 
 
 def test_s2_payload_bytes_are_pinned():
-    run = scheme.Kal1S2Key(FULL, 4, 3)
+    run = run_key(FULL, 4, 3)
     blob = keyio.serialize_public_key(run)
     assert blob[keyio._HEADER.size :] == bytes.fromhex("0200c0")
-    toy_run = scheme.Kal1S2Key(TOY, 4, 3)
+    toy_run = run_key(TOY, 4, 3)
     assert keyio.serialize_public_key(toy_run)[keyio._HEADER.size :] == bytes.fromhex("8c")
 
 
@@ -43,13 +54,13 @@ def test_dense_public_key_round_trip(toy_kal1):
 
 
 def test_sparse_public_key_round_trip():
-    key = scheme.Kal1S1Key(TOY, (0, 4, 5, 7))
+    key = sparse_key(TOY, (0, 4, 5, 7))
     back = keyio.parse_public_key(keyio.serialize_public_key(key))
     assert back == key
 
 
 def test_run_public_key_round_trip():
-    key = scheme.Kal1S2Key(TOY, 2, 5)
+    key = run_key(TOY, 2, 5)
     back = keyio.parse_public_key(keyio.serialize_public_key(key))
     assert back == key
 
@@ -93,7 +104,7 @@ def test_parse_rejects_structured_garbage(toy_kal1):
 
 
 def test_parse_rejects_nonzero_padding():
-    key = scheme.Kal1S2Key(TOY, 4, 3)
+    key = run_key(TOY, 4, 3)
     blob = bytearray(keyio.serialize_public_key(key))
     blob[-1] |= 0x01  # set a padding bit
     with pytest.raises(FormatError):
@@ -101,7 +112,7 @@ def test_parse_rejects_nonzero_padding():
 
 
 def test_parse_rejects_unsorted_positions():
-    key = scheme.Kal1S1Key(TOY, (1, 6))
+    key = sparse_key(TOY, (1, 6))
     blob = bytearray(keyio.serialize_public_key(key))
     # swap the two 3-bit position fields: 001 110 00 -> 110 001 00
     blob[-1] = 0b11000100
@@ -110,7 +121,7 @@ def test_parse_rejects_unsorted_positions():
 
 
 def test_parse_rejects_run_overflow():
-    key = scheme.Kal1S2Key(TOY, 4, 3)
+    key = run_key(TOY, 4, 3)
     blob = bytearray(keyio.serialize_public_key(key))
     blob[-1] = 0b111111_00  # start 7, run 7: overflows nk = 8
     with pytest.raises(FormatError):
@@ -132,8 +143,7 @@ def test_parse_rejects_non_systematic_check(toy_nied):
 
 
 def random_wire_keys():
-    """300 keys over four parameter sets, dense, sparse and run forms
-    mixed: (kind, key) with kind 0, 1 or 2 for those forms."""
+    """300 keys over four parameter sets, dense, sparse and run forms mixed."""
     rnd = random.Random(77)
     params_pool = [TOY, CodeParams(32, 17, 3, 5), CodeParams(64, 40, 4, 6), FULL]
     for _ in range(300):
@@ -144,23 +154,19 @@ def random_wire_keys():
             key = scheme.Kal1PublicKey(params, rnd.getrandbits(nk))
         elif kind == 1:
             w = rnd.randint(0, min(nk, 20))
-            key = scheme.Kal1S1Key(params, tuple(sorted(rnd.sample(range(nk), w))))
+            key = sparse_key(params, tuple(sorted(rnd.sample(range(nk), w))))
         else:
             # the length field holds ceil(log2(nk)) bits, so a run
             # covering a power-of-two row is not representable
             run = rnd.randint(2, min(nk, (1 << keyio.position_width(nk)) - 1))
             start = rnd.randint(0, nk - run)
-            key = scheme.Kal1S2Key(params, start, run)
-        yield kind, key
+            key = run_key(params, start, run)
+        yield key
 
 
 def test_round_trip_randomized_all_three_forms():
-    for kind, key in random_wire_keys():
-        back = keyio.parse_public_key(keyio.serialize_public_key(key))
-        if kind == 0:
-            assert back.params == key.params and back.seed_row == key.seed_row
-        else:
-            assert back == key
+    for key in random_wire_keys():
+        assert keyio.parse_public_key(keyio.serialize_public_key(key)) == key
 
 
 # frozen: SHA-256 over the serialized random_wire_keys(), in order
@@ -171,13 +177,13 @@ EMPTY_S1_BLOB = "4b31504b01020400020c0032000a00"
 
 def test_randomized_wire_bytes_are_pinned():
     h = hashlib.sha256()
-    for _, key in random_wire_keys():
+    for key in random_wire_keys():
         h.update(keyio.serialize_public_key(key))
     assert h.hexdigest() == RANDOM_WIRE_KEYS_SHA256
 
 
 def test_sparse_key_with_no_positions_round_trips():
-    key = scheme.Kal1S1Key(FULL, ())
+    key = sparse_key(FULL, ())
     blob = keyio.serialize_public_key(key)
     assert blob.hex() == EMPTY_S1_BLOB
     assert keyio.parse_public_key(blob) == key

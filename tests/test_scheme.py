@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from kal1 import keyio, niederreiter, scheme
+from kal1 import isd, keyio, niederreiter, scheme
 from kal1.binmat import vec_times_matrix
 from kal1.cw import cw_decode, cw_encode
-from kal1.errors import DimensionMismatch, FormatError, PolicyError
+from kal1.errors import DecodingFailure, DimensionMismatch, FormatError, PolicyError, RangeError
 from kal1.goppa import CodeParams
 from kal1.rng import SeededRng
 
@@ -104,7 +104,7 @@ def test_masking_matrix_structure(toy_kal1):
     pk, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
     cyclic_t = scheme.expand_cyclic(pk)
-    secondary = scheme.secondary_check_t(cyclic_t, inner_pub)
+    secondary = isd.secondary_check_t(cyclic_t, inner_pub)
     # cyclic = check + secondary, entry-exact
     assert cyclic_t == inner_pub.check_t.add(secondary)
     # bottom block of the masking matrix is all zeros
@@ -124,10 +124,41 @@ def test_ciphertext_identity_all_messages(toy_kal1):
         assert scheme.encrypt(pk, msg) == cw_encode(msg, cwp)
 
 
+def test_decryption_is_key_independent(mid_kal1):
+    # a weight-t c is the syndrome of (0^k | c) under every published
+    # [A; I], so by unique decoding every key decrypts it to cw_decode(c)
+    keys = [mid_kal1[1], scheme.keygen(MID, scheme.DenseSeed(), SeededRng(seed_bytes(0x12)))[1]]
+    assert keys[0].seed_row != keys[1].seed_row
+    cwp = scheme.cw_params(MID)
+    nk, t = MID.redundancy, MID.t
+    rnd = random.Random(0x6B1)
+    decoded = 0
+    for _ in range(200):
+        c = sum(1 << i for i in rnd.sample(range(nk), t))
+        try:
+            expected = cw_decode(c, cwp)
+        except RangeError:
+            # rank at or above 2^msg_bits: refused the same way by every key
+            for sk in keys:
+                with pytest.raises(FormatError):
+                    scheme.decrypt(sk, c)
+            continue
+        decoded += 1
+        assert [scheme.decrypt(sk, c) for sk in keys] == [expected, expected]
+    assert decoded > 150
+    # one error short decodes to a light word; one or two too many decode to nothing
+    for weight, error in ((t - 1, FormatError), (t + 1, DecodingFailure), (t + 2, DecodingFailure)):
+        for _ in range(20):
+            c = sum(1 << i for i in rnd.sample(range(nk), weight))
+            for sk in keys:
+                with pytest.raises(error):
+                    scheme.decrypt(sk, c)
+
+
 def test_ciphertext_decomposition_masking_term_vanishes(toy_kal1):
     pk, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
-    secondary = scheme.secondary_check_t(scheme.expand_cyclic(pk), inner_pub)
+    secondary = isd.secondary_check_t(scheme.expand_cyclic(pk), inner_pub)
     cwp = scheme.cw_params(TOY)
     for msg in range(1 << cwp.msg_bits):
         e = cw_encode(msg, cwp) << TOY.k
@@ -164,7 +195,7 @@ def test_decrypt_rejects_errors_touching_the_prefix(toy_kal1):
     _, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
     e = 0b11  # weight 2, inside the zero prefix
-    c = niederreiter.encrypt(inner_pub, e)
+    c = vec_times_matrix(e, inner_pub.check_t)
     with pytest.raises(FormatError):
         scheme.decrypt(sk, c)
 
@@ -174,7 +205,7 @@ def test_decrypt_rejects_out_of_range_words(toy_kal1):
     _, sk = toy_kal1
     inner_pub = niederreiter.public_key(sk.inner)
     word = (1 << 3) | (1 << 7)  # rank C(3,1)+C(7,2) = 24 >= 16
-    c = niederreiter.encrypt(inner_pub, word << TOY.k)
+    c = vec_times_matrix(word << TOY.k, inner_pub.check_t)
     with pytest.raises(FormatError):
         scheme.decrypt(sk, c)
 
@@ -198,33 +229,41 @@ def test_decrypt_ciphertext_length_check(toy_kal1):
 
 
 def test_sparse_and_run_forms():
-    pk = scheme.Kal1PublicKey(TOY, 0b10110001)
-    s1 = scheme.sparse_form(pk)
-    assert s1.positions == (0, 4, 5, 7)
-    assert s1.as_dense().seed_row == pk.seed_row
-    with pytest.raises(PolicyError):
-        scheme.run_form(pk)
-    run_pk = scheme.Kal1PublicKey(TOY, 0b0111000)
-    s2 = scheme.run_form(run_pk)
-    assert (s2.start, s2.run) == (3, 3)
-    assert s2.as_dense().seed_row == run_pk.seed_row
-    with pytest.raises(PolicyError):
-        scheme.run_form(scheme.Kal1PublicKey(TOY, 0))
-    with pytest.raises(PolicyError):
-        scheme.run_form(scheme.Kal1PublicKey(TOY, 0b1000))  # run of length 1
+    # the policy picks the wire form; the fields come from the seed row
+    header = keyio._HEADER.size
+    s1 = scheme.Kal1PublicKey(TOY, 0b10110001, scheme.SparseSeed(4))
+    blob = keyio.serialize_public_key(s1)
+    assert blob[header - 1] == 4
+    assert blob[header:] == bytes.fromhex("12f0")  # positions 0, 4, 5, 7 in 3 bits each
+    assert keyio.parse_public_key(blob) == s1
+    with pytest.raises(FormatError):
+        keyio.serialize_public_key(scheme.Kal1PublicKey(TOY, 0b10110001, scheme.RunSeed(0, 2)))
+    s2 = scheme.Kal1PublicKey(TOY, 0b0111000, scheme.RunSeed(3, 3))
+    blob = keyio.serialize_public_key(s2)
+    assert blob[header:] == bytes.fromhex("6c")  # start 3, length 3
+    assert keyio.parse_public_key(blob) == s2
+    for row in (0, 0b1000):  # no run; a run of length 1
+        with pytest.raises(FormatError):
+            keyio.serialize_public_key(scheme.Kal1PublicKey(TOY, row, scheme.RunSeed(0, 2)))
 
 
 def test_key_type_invariants():
+    # a seed row that has no form under its policy is refused when written
+    nk = TOY.redundancy
+    for policy in (scheme.DenseSeed(), scheme.SparseSeed(1), scheme.RunSeed(0, 2)):
+        for row in (1 << nk, 0b11 << (nk - 1), -1):
+            with pytest.raises(FormatError):
+                keyio.serialize_public_key(scheme.Kal1PublicKey(TOY, row, policy))
+    # the weight byte holds at most 255 positions
+    full = CodeParams(1024, 524, 50, 10)
+    heavy = scheme.Kal1PublicKey(full, (1 << 256) - 1, scheme.SparseSeed(256))
     with pytest.raises(FormatError):
-        scheme.Kal1S1Key(TOY, (3, 1))
+        keyio.serialize_public_key(heavy)
+    most = scheme.Kal1PublicKey(full, (1 << 255) - 1, scheme.SparseSeed(255))
+    assert keyio.parse_public_key(keyio.serialize_public_key(most)) == most
+    # a run of the whole row does not fit the 3-bit length field at n-k = 8
     with pytest.raises(FormatError):
-        scheme.Kal1S1Key(TOY, (1, 300))
-    with pytest.raises(FormatError):
-        scheme.Kal1S1Key(TOY, (-1, 2))
-    with pytest.raises(FormatError):
-        scheme.Kal1S2Key(TOY, 0, 1)
-    with pytest.raises(FormatError):
-        scheme.Kal1S2Key(TOY, 7, 2)
+        keyio.serialize_public_key(scheme.Kal1PublicKey(TOY, (1 << nk) - 1, scheme.RunSeed(0, nk)))
 
 
 def test_keygen_policies_round_trip():
