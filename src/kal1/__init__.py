@@ -1,10 +1,11 @@
 """Kal1: a short-public-key variant of the Niederreiter cryptosystem.
 
-Library layout: gf2m (field arithmetic), binmat (GF(2) linear algebra),
-goppa (codes and Patterson decoding), cw (constant-weight codec),
-niederreiter (baseline scheme), scheme (Kal1 itself; one public key
-class whose seed policy picks the wire form), keyio (wire formats and
-KATs), isd (Prange probe, masking matrix and rank checks), cli.
+Library layout: gf2m (field arithmetic; one field per degree m), binmat
+(GF(2) linear algebra), goppa (codes and Patterson decoding), cw
+(constant-weight codec), niederreiter (baseline scheme; its private key
+is the private key of every scheme), scheme (Kal1 itself; one public
+key class whose seed policy picks the wire form), keyio (wire formats
+and KATs), isd (Prange probe, masking matrix and rank checks), cli.
 """
 
 from .cw import CwParams, cw_decode, cw_encode
@@ -25,7 +26,6 @@ from .goppa import CodeParams, GoppaCode, generate_code
 from .rng import SeededRng, fresh_seed
 from .scheme import (
     DenseSeed,
-    Kal1PrivateKey,
     Kal1PublicKey,
     RunSeed,
     SparseSeed,
@@ -47,7 +47,6 @@ __all__ = [
     "GenerationFailure",
     "GoppaCode",
     "Kal1Error",
-    "Kal1PrivateKey",
     "Kal1PublicKey",
     "KatMismatch",
     "ParameterError",

@@ -14,11 +14,9 @@ from .rng import SeededRng
 class BinaryMatrix:
     __slots__ = ("rows", "cols", "row_ints")
 
-    def __init__(self, rows: int, cols: int, row_ints: list[int] | None = None):
+    def __init__(self, rows: int, cols: int, row_ints: list[int]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative dimension")
-        if row_ints is None:
-            row_ints = [0] * rows
         if len(row_ints) != rows:
             raise DimensionMismatch(f"expected {rows} rows, got {len(row_ints)}")
         mask = (1 << cols) - 1
@@ -123,9 +121,7 @@ class BinaryMatrix:
         """Product with the permutation matrix: column i moves to perm.map[i]."""
         if len(perm.map) != self.cols:
             raise DimensionMismatch("permutation length must match column count")
-        return BinaryMatrix(
-            self.rows, self.cols, [perm.apply(row, inverse=True) for row in self.row_ints]
-        )
+        return BinaryMatrix(self.rows, self.cols, [perm.apply(row) for row in self.row_ints])
 
 
 def transpose_ints(rows: list[int], cols: int) -> list[int]:
@@ -166,9 +162,8 @@ def matrix_times_vec(m: BinaryMatrix, v: int) -> int:
 class Permutation:
     """A bijection on [0, n), stored as an index array.
 
-    ``apply`` with the forward flag computes v times the transposed
-    permutation matrix P, where P has its (i, map[i]) entries set:
-    out[i] = v[map[i]].  The inverse flag undoes it: out[map[i]] = v[i].
+    ``apply`` moves position i to map[i]: out[map[i]] = v[i], which is
+    v times the permutation matrix with its (i, map[i]) entries set.
     """
 
     __slots__ = ("map",)
@@ -191,18 +186,13 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.map)})"
 
-    def apply(self, v: int, inverse: bool = False) -> int:
+    def apply(self, v: int) -> int:
         if v.bit_length() > len(self.map):
             raise DimensionMismatch("vector longer than the permutation")
         out = 0
-        if inverse:
-            for i, mi in enumerate(self.map):
-                if (v >> i) & 1:
-                    out |= 1 << mi
-        else:
-            for i, mi in enumerate(self.map):
-                if (v >> mi) & 1:
-                    out |= 1 << i
+        for i, mi in enumerate(self.map):
+            if (v >> i) & 1:
+                out |= 1 << mi
         return out
 
 

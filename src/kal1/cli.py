@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Commands: keygen, encrypt, decrypt, inspect, kat, bench.  Every
-command is deterministic under --seed.  Error exits print a
-machine-parsable first line ``error: <code> <name>``; codes are
-1 generic/parameter, 2 format, 3 range, 4 decoding, 5 KAT mismatch.
+Commands: keygen, encrypt, decrypt, inspect, kat, bench.  keygen and
+kat generate draw from --seed, or from system entropy without it; every
+other command is a function of its inputs.  bench prints the public-key
+size table; timings come from the benchmark harness in bench/.  Error
+exits print a machine-parsable first line ``error: <code> <name>``;
+codes are 1 generic/parameter, 2 format, 3 range, 4 decoding, 5 KAT
+mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import isd, keyio, scheme
 from .bits import bit_string
@@ -22,7 +24,7 @@ from .errors import (
     RangeError,
 )
 from .goppa import CodeParams
-from .rng import SEED_BYTES, SeededRng, fresh_seed
+from .rng import SEED_BYTES, fresh_seed
 
 EXIT_FORMAT = 2
 EXIT_RANGE = 3
@@ -98,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     ka.add_argument("--m", type=int)
     _add_seed_flag(ka)
 
-    be = sub.add_parser("bench", help="key-size table and wall-clock timings")
+    be = sub.add_parser("bench", help="public-key size table")
     _add_param_flags(be)
-    _add_seed_flag(be)
     be.add_argument("--sparse-weight", type=int, default=10)
     be.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -160,11 +161,10 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     with open(args.key, "rb") as fh:
         _, _, priv, _ = keyio.load_private_key(fh.read())
-    inner = priv.inner if isinstance(priv, scheme.Kal1PrivateKey) else priv
-    params = inner.params
+    params = priv.params
     with open(args.infile, "rb") as fh:
         c = keyio.decode_ciphertext(fh.read(), params)
-    msg = scheme.decrypt_with(inner, c)
+    msg = scheme.decrypt(priv, c)
     with open(args.out, "wb") as fh:
         fh.write(keyio.encode_message(msg, params))
     print(f"message: {scheme.cw_params(params).msg_bits} bits")
@@ -180,7 +180,7 @@ def cmd_inspect(args) -> int:
         print(f"private key, scheme {keyio.SCHEME_NAMES[sid]}")
         print(f"params: n={params.n} k={params.k} t={params.t} m={params.m}")
         print("checksum: ok")
-        if args.rank_report and isinstance(priv, scheme.Kal1PrivateKey):
+        if args.rank_report and sid != keyio.SCHEME_NIEDERREITER:
             print(isd.rank_report(scheme.expand_cyclic(pub), priv))
         return 0
     pub = keyio.parse_public_key(data)
@@ -231,37 +231,17 @@ def _bench_sizes(params: CodeParams, sparse_weight: int) -> list[tuple[str, str,
 
 def cmd_bench(args) -> int:
     params = _params(args)
-    seed = _seed(args)
     rows = _bench_sizes(params, args.sparse_weight)
-
-    t0 = time.perf_counter()
-    pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed))
-    t_keygen = time.perf_counter() - t0
-    msg = SeededRng(seed).randbits(scheme.cw_params(params).msg_bits)
-    t0 = time.perf_counter()
-    c = scheme.encrypt(pub, msg)
-    t_enc = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if scheme.decrypt(priv, c) != msg:
-        raise Kal1Error("bench round trip failed")
-    t_dec = time.perf_counter() - t0
-    timings = [("keygen", t_keygen), ("encrypt", t_enc), ("decrypt", t_dec)]
-
     if args.format == "csv":
         print("name,id,public_key_bits,kind")
         for name, ident, bits, kind in rows:
             print(f"{name},{ident},{bits},{kind}")
-        for label, seconds in timings:
-            print(f"timing:{label},-,{seconds:.6f},measured")
     else:
         print(f"public-key sizes at n={params.n} k={params.k} t={params.t} m={params.m}")
         namew = max(len(r[0]) for r in rows)
         idw = max(len(r[1]) for r in rows)
         for name, ident, bits, kind in rows:
             print(f"  {name:<{namew}}  {ident:<{idw}}  {bits:>8} bits  ({kind})")
-        print("timings (seconds, one run)")
-        for label, seconds in timings:
-            print(f"  {label:<8} {seconds:.6f}")
     return 0
 
 

@@ -1,17 +1,18 @@
 """Arithmetic in GF(2^m) and in GF(2^m)[x].
 
 Field elements are ints: bit i is the coefficient of x^i, reduced
-modulo a fixed irreducible polynomial of degree m.  Polynomials over
-the field are lists of elements with index = degree, normalized so the
-last entry is nonzero; the zero polynomial is the empty list.
+modulo the one primitive polynomial of degree m in REDUCTION_POLYS.
+Polynomials over the field are lists of elements with index = degree,
+normalized so the last entry is nonzero; the zero polynomial is the
+empty list.
 """
 
 from __future__ import annotations
 
-# One pinned reduction polynomial per extension degree.  Deterministic
-# fixtures depend on these defaults; callers may override with any
-# irreducible polynomial of the right degree.
-DEFAULT_REDUCTION_POLYS = {
+# One reduction polynomial per extension degree, each primitive: x
+# generates the multiplicative group.  Deterministic fixtures depend on
+# these; as in Classic McEliece, the field is fixed by m alone.
+REDUCTION_POLYS = {
     4: 0x13,      # x^4 + x + 1
     5: 0x25,      # x^5 + x^2 + 1
     6: 0x43,      # x^6 + x + 1
@@ -28,98 +29,31 @@ DEFAULT_REDUCTION_POLYS = {
 }
 
 
-def _gf2_poly_mod(a: int, b: int) -> int:
-    """Remainder of a mod b, both polynomials over GF(2) as ints."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def gf2_poly_is_irreducible(f: int) -> bool:
-    """Trial division over GF(2); fine for the degrees used here."""
-    deg = f.bit_length() - 1
-    if deg < 1:
-        return False
-    for g in range(2, 1 << (deg // 2 + 1)):
-        if _gf2_poly_mod(f, g) == 0:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class Field:
     """GF(2^m) in polynomial basis; immutable and freely shareable.
 
     Multiplication uses discrete log/antilog tables built once at
-    construction from a found multiplicative generator, so any
-    irreducible reduction polynomial works, primitive or not.
+    construction: the powers of x, by shift and reduce, run through
+    every nonzero element because the reduction polynomial is primitive.
     """
 
-    def __init__(self, m: int, reduction_poly: int | None = None):
-        if not 4 <= m <= 16:
+    def __init__(self, m: int):
+        if m not in REDUCTION_POLYS:
             raise ValueError(f"extension degree must be in [4, 16], got {m}")
-        if reduction_poly is None:
-            reduction_poly = DEFAULT_REDUCTION_POLYS[m]
-        if reduction_poly.bit_length() != m + 1 or not reduction_poly & 1:
-            raise ValueError("reduction polynomial must have degree m and a set constant term")
-        if not gf2_poly_is_irreducible(reduction_poly):
-            raise ValueError(f"reduction polynomial {reduction_poly:#x} is reducible")
         self.m = m
-        self.reduction_poly = reduction_poly
+        self.reduction_poly = REDUCTION_POLYS[m]
         self.order = 1 << m
-        self._build_tables()
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        # shift-and-reduce; only used to bootstrap the tables
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> self.m) & 1:
-                a ^= self.reduction_poly
-        return r
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
-    def _build_tables(self) -> None:
         q1 = self.order - 1
-        primes = _prime_factors(q1)
-        gen = 2
-        while not all(self._pow_slow(gen, q1 // p) != 1 for p in primes):
-            gen += 1
         # exp table doubled so mul can index log[a]+log[b] without a mod
         exp = [0] * (2 * q1)
         log = [0] * self.order
         v = 1
         for i in range(q1):
-            exp[i] = v
+            exp[i] = exp[i + q1] = v
             log[v] = i
-            v = self._mul_slow(v, gen)
-        for i in range(q1, 2 * q1):
-            exp[i] = exp[i - q1]
+            v <<= 1
+            if v >> m:
+                v ^= self.reduction_poly
         self.exp_table = exp
         self.log_table = log
 
@@ -140,7 +74,7 @@ class Field:
         return self.exp_table[(self.log_table[a] << (self.m - 1)) % (self.order - 1)]
 
     def __repr__(self) -> str:
-        return f"Field(m={self.m}, reduction_poly={self.reduction_poly:#x})"
+        return f"Field(m={self.m})"
 
 
 # --- polynomials over GF(2^m), lowest degree first ---

@@ -62,13 +62,13 @@ class CodeParams:
 
 
 class ParityCheckMatrix:
-    """Field-level and binary forms of the same parity check."""
+    """The binary parity check, by columns and by rows, built from the
+    field-level rows."""
 
-    __slots__ = ("params", "field_rows", "binary", "column_ints")
+    __slots__ = ("params", "binary", "column_ints")
 
     def __init__(self, params: CodeParams, field_rows: list[list[int]]):
         self.params = params
-        self.field_rows = field_rows
         n, t, m = params.n, params.t, params.m
         # column i packs the m bits of each of the t field entries
         cols = [0] * n

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 from .binmat import BinaryMatrix, matrix_times_vec
 from .errors import DimensionMismatch, ParameterError
-from .niederreiter import NiederreiterPublicKey, public_key
+from .niederreiter import NiederreiterPrivateKey, NiederreiterPublicKey, public_key
 from .rng import SeededRng
-from .scheme import Kal1PrivateKey
 
 # Windows whose solution space is larger than 2^NULLSPACE_CAP are
 # abandoned; at probe scales the deficiency never gets near this.
@@ -171,14 +170,14 @@ def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: NiederreiterPublicKey) 
 
 def rank_report(
     cyclic_t: BinaryMatrix,
-    sk: Kal1PrivateKey,
+    priv: NiederreiterPrivateKey,
     rng: SeededRng | None = None,
     samples: int = 32,
 ) -> RankReport:
     """Rank triple of the published decomposition, plus how often a
     random attacker window of the cyclic matrix is invertible."""
-    params = sk.params
-    inner_pub = public_key(sk.inner)
+    params = priv.params
+    inner_pub = public_key(priv)
     secondary = secondary_check_t(cyclic_t, inner_pub)
     cyclic = cyclic_t.transpose()
     check = inner_pub.check_t.transpose()

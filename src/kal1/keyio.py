@@ -219,6 +219,17 @@ def _parse_header(data: bytes, magic: bytes):
     return sid, params, w
 
 
+def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPolicy | None:
+    """The seed policy a header names; None for a Niederreiter key."""
+    if sid == SCHEME_NIEDERREITER:
+        return None
+    if sid == SCHEME_KAL1:
+        return scheme.DenseSeed()
+    if sid == SCHEME_KAL1_S1:
+        return scheme.SparseSeed(w)
+    return scheme.RunSeed(run_start, run_len)
+
+
 def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
@@ -236,9 +247,9 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
             if rows[params.k + i] != 1 << i:
                 raise FormatError("check matrix is not in systematic form")
         return niederreiter.NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, rows))
+    start = run = 0
     if sid == SCHEME_KAL1:
         seed_row = rd.take_vector(nk)
-        policy = scheme.DenseSeed()
     elif sid == SCHEME_KAL1_S1:
         positions = [rd.take_uint(width) for _ in range(w)]
         if any(p >= nk for p in positions):
@@ -246,7 +257,6 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
         if positions != sorted(set(positions)):
             raise FormatError("positions must be strictly increasing")
         seed_row = sum(1 << p for p in positions)
-        policy = scheme.SparseSeed(w)
     else:
         start = rd.take_uint(width)
         run = rd.take_uint(width)
@@ -255,27 +265,17 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
         if start + run > nk:
             raise FormatError("run overflows the seed row")
         seed_row = ((1 << run) - 1) << start
-        policy = scheme.RunSeed(start, run)
     rd.expect_zero_padding()
-    return scheme.Kal1PublicKey(params, seed_row, policy)
+    return scheme.Kal1PublicKey(params, seed_row, _policy_for(sid, w, start, run))
 
 
 # --- private key files ---
 
 
-def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPolicy | None:
-    if sid == SCHEME_NIEDERREITER:
-        return None
-    if sid == SCHEME_KAL1:
-        return scheme.DenseSeed()
-    if sid == SCHEME_KAL1_S1:
-        return scheme.SparseSeed(w)
-    return scheme.RunSeed(run_start, run_len)
-
-
 def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: int, seed: bytes):
     """Rebuild the keypair a private file describes: (public key,
-    private key object)."""
+    Niederreiter private key); the private key type is the same for
+    every scheme."""
     rng = SeededRng(seed)
     if sid == SCHEME_NIEDERREITER:
         return niederreiter.keygen(params, rng)
@@ -294,9 +294,9 @@ def serialize_private_key(
 def load_private_key(data: bytes):
     """Parse, regenerate and verify a private key file.
 
-    Returns (scheme id, public key object, private key object, public
-    key file bytes).  The CRC check catches seeds paired with the wrong
-    public key.
+    Returns (scheme id, public key object, Niederreiter private key,
+    public key file bytes).  The CRC check catches seeds paired with the
+    wrong public key.
     """
     if len(data) != _PRIVATE_SIZE:
         raise FormatError(f"private key file must be {_PRIVATE_SIZE} bytes, got {len(data)}")

@@ -7,20 +7,21 @@ identity block: the public key is that systematic check, transposed.
 The systematic form is what makes the cyclic construction in the
 scheme module cancel correctly.
 
-Decryption needs only s_inv = R, so ``keygen_private`` builds the
-private key alone: each permutation draw reorders the check's columns
-and tests R with a rank computation.  ``public_key`` builds the public
-matrix from the private key when it is wanted.  ``keygen`` and
-``keygen_private`` make the same random draws, so both yield the same
-key for a seed.
+The private key holds R by its columns, as the rows of right_t = R^T.
+Decryption needs only R: the inner syndrome R*c is the XOR of the
+columns c selects.  So ``keygen_private`` builds the private key alone:
+each permutation draw reorders the check's columns and tests R with a
+rank computation.  ``public_key`` builds the public matrix from the
+private key when it is wanted.  ``keygen`` and ``keygen_private`` make
+the same random draws, so both yield the same key for a seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binmat import BinaryMatrix, Permutation, matrix_times_vec, random_permutation
-from .errors import DimensionMismatch, GenerationFailure
+from .binmat import BinaryMatrix, Permutation, random_permutation, vec_times_matrix
+from .errors import GenerationFailure
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code
 from .rng import SeededRng
 
@@ -34,7 +35,7 @@ class NiederreiterPublicKey:
 @dataclass
 class NiederreiterPrivateKey:
     code: GoppaCode
-    s_inv: BinaryMatrix  # (n-k) x (n-k): the right block of the permuted check
+    right_t: BinaryMatrix  # (n-k) x (n-k): row i is column k+i of the permuted check
     perm: Permutation  # length n
 
     @property
@@ -63,7 +64,7 @@ def keygen_private(params: CodeParams, rng: SeededRng) -> NiederreiterPrivateKey
         # the rows of R^T are the permuted columns k..n-1
         right_t = BinaryMatrix(nk, nk, _permuted_columns(code, perm)[params.k :])
         if right_t.rank() == nk:
-            return NiederreiterPrivateKey(code, right_t.transpose(), perm)
+            return NiederreiterPrivateKey(code, right_t, perm)
     raise GenerationFailure("no permutation yielded an invertible right block")
 
 
@@ -83,16 +84,16 @@ def public_key(priv: NiederreiterPrivateKey) -> NiederreiterPublicKey:
     params = priv.params
     k, nk = params.k, params.redundancy
     cols = _permuted_columns(priv.code, priv.perm)
-    s_t = BinaryMatrix(nk, nk, cols[k:]).invert()
-    top = BinaryMatrix(k, nk, cols[:k]).mul(s_t).row_ints
+    top = BinaryMatrix(k, nk, cols[:k]).mul(priv.right_t.invert()).row_ints
     return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, top + [1 << i for i in range(nk)]))
 
 
 def decrypt(priv: NiederreiterPrivateKey, c: int) -> int:
-    """Recover the error vector: unscramble, decode, unpermute."""
-    params = priv.params
-    if c.bit_length() > params.redundancy:
-        raise DimensionMismatch("ciphertext longer than n-k bits")
-    inner_syndrome = matrix_times_vec(priv.s_inv, c)
+    """Recover the error vector: unscramble, decode, unpermute.
+
+    The inner syndrome R*c is c times R^T; a ciphertext longer than n-k
+    bits raises DimensionMismatch there.
+    """
+    inner_syndrome = vec_times_matrix(c, priv.right_t)
     permuted_error = priv.code.decode(inner_syndrome)
-    return priv.perm.apply(permuted_error, inverse=True)
+    return priv.perm.apply(permuted_error)

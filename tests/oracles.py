@@ -8,12 +8,99 @@ them, so they must stay simple and must not call the kernels they check.
 from typing import NamedTuple
 
 from kal1 import scheme
-from kal1.binmat import BinaryMatrix, random_permutation, vec_times_matrix
+from kal1.binmat import BinaryMatrix, matrix_times_vec, random_permutation, vec_times_matrix
 from kal1.cw import CwParams, cw_encode
-from kal1.errors import GenerationFailure, RangeError, SingularMatrixError
+from kal1.errors import DimensionMismatch, GenerationFailure, RangeError, SingularMatrixError
 from kal1.gf2m import Field, poly_add, poly_deg, poly_mul, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
-from kal1.niederreiter import NiederreiterPublicKey
+from kal1.niederreiter import NiederreiterPrivateKey, NiederreiterPublicKey
+
+
+# --- the field bootstrap for an arbitrary irreducible reduction polynomial ---
+
+
+def gf2_poly_mod(a: int, b: int) -> int:
+    """Remainder of a mod b, both polynomials over GF(2) as ints."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def gf2_poly_is_irreducible(f: int) -> bool:
+    """Trial division over GF(2); fine for the degrees used here."""
+    deg = f.bit_length() - 1
+    if deg < 1:
+        return False
+    for g in range(2, 1 << (deg // 2 + 1)):
+        if gf2_poly_mod(f, g) == 0:
+            return False
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def gf2m_mul(a: int, b: int, m: int, poly: int) -> int:
+    """Shift-and-reduce product in GF(2)[x] / poly."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> m) & 1:
+            a ^= poly
+    return r
+
+
+def gf2m_pow(a: int, e: int, m: int, poly: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = gf2m_mul(r, a, m, poly)
+        a = gf2m_mul(a, a, m, poly)
+        e >>= 1
+    return r
+
+
+def find_generator(m: int, poly: int) -> int:
+    """The smallest element of multiplicative order 2^m - 1; it is 2,
+    the element x, exactly when poly is primitive."""
+    q1 = (1 << m) - 1
+    primes = prime_factors(q1)
+    gen = 2
+    while not all(gf2m_pow(gen, q1 // p, m, poly) != 1 for p in primes):
+        gen += 1
+    return gen
+
+
+def field_tables(m: int, poly: int) -> tuple[list[int], list[int]]:
+    """(exp, log) tables built from a found generator, exp doubled, as
+    Field built them when it accepted any irreducible polynomial."""
+    q1 = (1 << m) - 1
+    gen = find_generator(m, poly)
+    exp = [0] * (2 * q1)
+    log = [0] * (q1 + 1)
+    v = 1
+    for i in range(q1):
+        exp[i] = v
+        log[v] = i
+        v = gf2m_mul(v, gen, m, poly)
+    for i in range(q1, 2 * q1):
+        exp[i] = exp[i - q1]
+    return exp, log
 
 
 def field_pow(field: Field, a: int, e: int) -> int:
@@ -208,6 +295,20 @@ def niederreiter_keygen(params: CodeParams, rng):
             continue
         return code, transpose(scrambled), scrambler, perm
     raise GenerationFailure("no permutation yielded an invertible right block")
+
+
+def niederreiter_decrypt(priv: NiederreiterPrivateKey, c: int) -> int:
+    """Unscramble with the matrix s_inv = R by row parities, decode,
+    then scatter position i of the decoded error to perm.map[i]."""
+    if c.bit_length() > priv.params.redundancy:
+        raise DimensionMismatch("ciphertext longer than n-k bits")
+    s_inv = priv.right_t.transpose()
+    permuted_error = priv.code.decode(matrix_times_vec(s_inv, c))
+    e = 0
+    for i, mi in enumerate(priv.perm.map):
+        if (permuted_error >> i) & 1:
+            e |= 1 << mi
+    return e
 
 
 def matrix_encrypt(pub, msg: int) -> int:

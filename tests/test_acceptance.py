@@ -107,7 +107,7 @@ def test_criterion_4_decomposition_structure():
             pub, priv = scheme.keygen(
                 params, scheme.DenseSeed(), SeededRng(seed_bytes(0x4000 + checked))
             )
-            inner_pub = niederreiter.public_key(priv.inner)
+            inner_pub = niederreiter.public_key(priv)
             cyclic_t = scheme.expand_cyclic(pub)
             secondary = isd.secondary_check_t(cyclic_t, inner_pub)
             if cyclic_t != inner_pub.check_t.add(secondary):
@@ -127,7 +127,7 @@ def test_criterion_5_masking_term_vanishes():
     for idx, params in enumerate(param_sets):
         pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed_bytes(0x5000 + idx)))
         secondary = isd.secondary_check_t(
-            scheme.expand_cyclic(pub), niederreiter.public_key(priv.inner)
+            scheme.expand_cyclic(pub), niederreiter.public_key(priv)
         )
         cwp = scheme.cw_params(params)
         rnd = random.Random(0x50 + idx)
@@ -148,7 +148,7 @@ def test_criterion_6_cross_scheme_equivalence(toy_kal1):
     for msg in range(1 << cwp.msg_bits):
         c = scheme.encrypt(pk, msg)
         via_scheme = scheme.decrypt(sk, c)
-        e = niederreiter.decrypt(sk.inner, c)
+        e = niederreiter.decrypt(sk, c)
         assert e & ((1 << TOY.k) - 1) == 0 and (e >> TOY.k).bit_count() == TOY.t
         via_baseline = cw_decode(e >> TOY.k, cwp)
         if via_scheme != via_baseline or via_scheme != msg:

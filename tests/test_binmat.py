@@ -32,7 +32,7 @@ def naive_mul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
             for k in range(a.cols):
                 s ^= entry(a, i, k) & entry(b, k, j)
             out[i][j] = s
-    return from_dense(out) if out else BinaryMatrix(0, b.cols)
+    return from_dense(out) if out else BinaryMatrix(0, b.cols, [])
 
 
 def random_matrix(rnd, rows, cols):
@@ -69,11 +69,11 @@ def test_mul_dimension_mismatch():
 def test_add():
     rnd = random.Random(4)
     a = random_matrix(rnd, 6, 9)
-    zero = BinaryMatrix(6, 9)
+    zero = BinaryMatrix(6, 9, [0] * 6)
     assert a.add(a) == zero
     assert a.add(zero) == a
     with pytest.raises(DimensionMismatch):
-        a.add(BinaryMatrix(6, 8))
+        a.add(BinaryMatrix(6, 8, [0] * 6))
 
 
 def test_invert_trivial_cases():
@@ -101,7 +101,7 @@ def test_invert_singular_raises():
     with pytest.raises(SingularMatrixError):
         from_dense([[1, 1], [1, 1]]).invert()
     with pytest.raises(DimensionMismatch):
-        BinaryMatrix(2, 3).invert()
+        BinaryMatrix(2, 3, [0] * 2).invert()
 
 
 def naive_rank(m: BinaryMatrix) -> int:
@@ -122,7 +122,7 @@ def naive_rank(m: BinaryMatrix) -> int:
 
 
 def test_rank_trivial_and_oracle():
-    assert BinaryMatrix(4, 7).rank() == 0
+    assert BinaryMatrix(4, 7, [0] * 4).rank() == 0
     assert identity(9).rank() == 9
     rnd = random.Random(6)
     for _ in range(300):
@@ -164,11 +164,13 @@ def test_permutation_validation():
 
 
 def test_apply_perm_convention():
-    # forward apply: out[i] = v[map[i]]
+    # apply moves position i to map[i]: out[map[i]] = v[i]
     p = Permutation([2, 0, 1])
     v = 0b001  # vector (1, 0, 0)
-    assert p.apply(v) == 0b010  # (0, 1, 0)
-    assert p.apply(p.apply(v), inverse=True) == v
+    assert p.apply(v) == 0b100  # (0, 0, 1)
+    # the forward direction, out[i] = v[map[i]], is the inverse's apply
+    assert perm_inverse(p).apply(v) == 0b010  # (0, 1, 0)
+    assert perm_inverse(p).apply(p.apply(v)) == v
     identity = Permutation(range(6))
     for v in (0, 0b101010, 0b111111):
         assert identity.apply(v) == v
@@ -180,9 +182,9 @@ def test_apply_perm_round_trip_random():
         n = rnd.randint(1, 24)
         p = Permutation(rnd.sample(range(n), n))
         v = rnd.getrandbits(n)
-        assert p.apply(p.apply(v), inverse=True) == v
-        assert p.apply(p.apply(v, inverse=True)) == v
-        assert p.apply(v, inverse=True) == perm_inverse(p).apply(v)
+        assert perm_inverse(p).apply(p.apply(v)) == v
+        assert p.apply(perm_inverse(p).apply(v)) == v
+        assert p.apply(v) == sum(((v >> i) & 1) << mi for i, mi in enumerate(p.map))
 
 
 def test_permutation_matrix_is_orthogonal():
@@ -201,8 +203,9 @@ def test_apply_perm_agrees_with_matrix_product():
         p = Permutation(rnd.sample(range(n), n))
         v = rnd.getrandbits(n)
         vm = BinaryMatrix(1, n, [v])
-        expected = vm.mul(perm_matrix(p).transpose()).row_ints[0]
-        assert p.apply(v) == expected
+        assert p.apply(v) == vm.mul(perm_matrix(p)).row_ints[0]
+        forward = vm.mul(perm_matrix(p).transpose()).row_ints[0]
+        assert perm_inverse(p).apply(v) == forward
 
 
 def test_permute_columns_is_right_multiplication():

@@ -5,8 +5,11 @@ on inputs that include zero coefficients, non-monic divisors and
 untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
 test, whose deep levels get products of known irreducible factors).
 Keygen itself must reproduce the oracle chain's code, permutation,
-scrambler and public matrix.  Decoding's bitsliced root finder must
-mark exactly the support positions the per-element scan marks.
+scrambler and public matrix, and decryption through the key's right
+block columns must match the unscramble-by-matrix chain.  Decoding's
+bitsliced root finder must mark exactly the support positions the
+per-element scan marks.  The field tables must equal those built from
+a searched generator.
 """
 
 import functools
@@ -16,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kal1 import goppa, niederreiter
+from kal1 import goppa, keyio, niederreiter, scheme
 from kal1.binmat import BinaryMatrix
-from kal1.errors import GenerationFailure
+from kal1.errors import GenerationFailure, Kal1Error
 from kal1.gf2m import (
+    REDUCTION_POLYS,
     Field,
     is_irreducible,
     poly_deg,
@@ -199,7 +203,7 @@ def test_field_rows_match_oracle(params, tag):
     # these supports cover the whole field, so 0 is always among them
     code = generate_code(params, SeededRng(seed_bytes(tag)))
     assert 0 in code.support
-    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
+    assert code._field_rows() == oracles.parity_check_rows(code)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,14 +216,14 @@ def test_field_rows_match_oracle_on_partial_supports(m, t, seed):
     n = rnd.randrange(m * t + 1, field.order + 1)
     support = rnd.sample(range(field.order), n)
     code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
-    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
+    assert code._field_rows() == oracles.parity_check_rows(code)
 
 
 def test_field_rows_on_support_without_zero():
     field = FIELDS[4]
     g = monic_irreducible(field, 2, random.Random(0))
     code = GoppaCode(field, CodeParams(12, 4, 2, 4), list(range(1, 13)), g)
-    assert code.parity_check().field_rows == oracles.parity_check_rows(code)
+    assert code._field_rows() == oracles.parity_check_rows(code)
 
 
 @settings(max_examples=25, deadline=None)
@@ -241,8 +245,9 @@ def check_keygen(params, seed):
     assert priv.code.goppa_poly == code.goppa_poly
     assert priv.code.parity_check().binary == oracles.binary_check(code)
     assert priv.perm == perm
-    assert priv.s_inv == scrambler.s_inv
-    assert priv.s_inv.invert() == scrambler.s
+    # scrambler.s_inv is R, the right block; the key holds its columns
+    assert priv.right_t == oracles.transpose(scrambler.s_inv)
+    assert priv.right_t.invert() == oracles.transpose(scrambler.s)
     assert pub.check_t == check_t
 
 
@@ -338,3 +343,50 @@ def test_locator_roots_match_scan_on_partial_supports(m, t, seed):
         for _ in range(degree):
             sigma = poly_mul(field, sigma, [rnd.randrange(field.order), 1])
         assert code._locator_roots(sigma) == oracles.scan_roots(code, sigma)
+
+
+@pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))
+def test_field_tables_match_generator_search(m):
+    exp, log = oracles.field_tables(m, REDUCTION_POLYS[m])
+    field = Field(m)
+    assert field.exp_table == exp
+    assert field.log_table == log
+
+
+# (scheme id, w, run start, run length) per scheme, as `kal1 keygen` fills them
+DECRYPT_SCHEMES = {
+    "niederreiter": (keyio.SCHEME_NIEDERREITER, 0, 0, 0),
+    "kal1": (keyio.SCHEME_KAL1, 0, 0, 0),
+    "kal1-s1": (keyio.SCHEME_KAL1_S1, 3, 0, 0),
+    "kal1-s2": (keyio.SCHEME_KAL1_S2, 0, 1, 2),
+}
+DECRYPT_SCALES = {"toy": (TOY, 0x60), "mid": (MID, 0x61), "headline": (HEADLINE, 0x62)}
+
+
+def outcome(fn, *args):
+    """The value, or the exception class and its DecodingFailure reason."""
+    try:
+        return fn(*args)
+    except Kal1Error as exc:
+        return type(exc), getattr(exc, "reason", None)
+
+
+@pytest.mark.parametrize("scheme_name", sorted(DECRYPT_SCHEMES))
+@pytest.mark.parametrize("scale", sorted(DECRYPT_SCALES))
+def test_decrypt_matches_oracle_chain(monkeypatch, scale, scheme_name):
+    params, tag = DECRYPT_SCALES[scale]
+    sid, w, run_start, run_len = DECRYPT_SCHEMES[scheme_name]
+    _, priv = keyio.regenerate(sid, params, w, run_start, run_len, seed_bytes(tag))
+    nk, t = params.redundancy, params.t
+    rnd = random.Random(tag)
+    words = [0, 1 << nk]
+    words += [sum(1 << i for i in rnd.sample(range(nk), t)) for _ in range(8)]
+    words += [rnd.getrandbits(nk) for _ in range(8)]
+    inner = [outcome(niederreiter.decrypt, priv, c) for c in words]
+    outer = [outcome(scheme.decrypt, priv, c) for c in words]
+    assert [outcome(oracles.niederreiter_decrypt, priv, c) for c in words] == inner
+    # scheme.decrypt over the oracle chain
+    monkeypatch.setattr(niederreiter, "decrypt", oracles.niederreiter_decrypt)
+    assert [outcome(scheme.decrypt, priv, c) for c in words] == outer
+    # 0 and every weight-t word decode to an error vector
+    assert sum(isinstance(r, int) for r in inner) >= 9

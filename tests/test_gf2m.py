@@ -5,9 +5,8 @@ import random
 import pytest
 
 from kal1.gf2m import (
-    DEFAULT_REDUCTION_POLYS,
+    REDUCTION_POLYS,
     Field,
-    gf2_poly_is_irreducible,
     is_irreducible,
     poly_add,
     poly_deg,
@@ -23,7 +22,7 @@ from kal1.gf2m import (
     sqrt_x_mod,
 )
 
-from oracles import field_pow, poly_eea, poly_eval
+from oracles import field_pow, find_generator, gf2_poly_is_irreducible, poly_eea, poly_eval
 
 
 def schoolbook_mul(a: int, b: int, m: int, red: int) -> int:
@@ -38,10 +37,13 @@ def schoolbook_mul(a: int, b: int, m: int, red: int) -> int:
     return prod
 
 
-def test_default_polys_are_irreducible():
-    for m, poly in DEFAULT_REDUCTION_POLYS.items():
+def test_reduction_polys_are_primitive():
+    # Field builds its tables from the powers of x, so x must generate
+    assert sorted(REDUCTION_POLYS) == list(range(4, 17))
+    for m, poly in REDUCTION_POLYS.items():
         assert poly.bit_length() == m + 1 and poly & 1
         assert gf2_poly_is_irreducible(poly)
+        assert find_generator(m, poly) == 0b10
 
 
 def test_field_construction_rejects_bad_inputs():
@@ -49,12 +51,6 @@ def test_field_construction_rejects_bad_inputs():
         Field(3)
     with pytest.raises(ValueError):
         Field(17)
-    with pytest.raises(ValueError):
-        Field(4, 0x13 << 1)  # no constant term
-    with pytest.raises(ValueError):
-        Field(4, 0x15)  # x^4+x^2+1 = (x^2+x+1)^2
-    with pytest.raises(ValueError):
-        Field(4, 0x11)  # x^4 + 1 = (x+1)^4
 
 
 def test_add_is_xor():
@@ -80,7 +76,7 @@ def test_mul_matches_schoolbook_oracle():
     rnd = random.Random(101)
     for m in (4, 8, 10, 13):
         f = Field(m)
-        red = DEFAULT_REDUCTION_POLYS[m]
+        red = REDUCTION_POLYS[m]
         for _ in range(2000):
             a = rnd.randrange(f.order)
             b = rnd.randrange(f.order)
@@ -89,7 +85,7 @@ def test_mul_matches_schoolbook_oracle():
 
 def test_mul_exhaustive_m4():
     f = Field(4)
-    red = DEFAULT_REDUCTION_POLYS[4]
+    red = REDUCTION_POLYS[4]
     for a in range(16):
         for b in range(16):
             assert f.mul(a, b) == schoolbook_mul(a, b, 4, red)

@@ -94,7 +94,7 @@ def test_parity_check_first_row_and_shape(toy_code):
     field = toy_code.field
     for i, alpha in enumerate(toy_code.support):
         expected = field.inv(poly_eval(field, toy_code.goppa_poly, alpha))
-        assert pc.field_rows[0][i] == expected
+        assert toy_code._field_rows()[0][i] == expected
     assert pc.binary.rows == 8 and pc.binary.cols == 16
     assert pc.binary.rank() == 8
 
@@ -103,7 +103,7 @@ def test_binary_expansion_bit_order(toy_code):
     # coefficient bit b of field row j lands in binary row j*m + b
     pc = toy_code.parity_check()
     m = toy_code.params.m
-    for j, row in enumerate(pc.field_rows):
+    for j, row in enumerate(toy_code._field_rows()):
         for b in range(m):
             expected = sum(((row[i] >> b) & 1) << i for i in range(toy_code.params.n))
             assert pc.binary.row_ints[j * m + b] == expected

@@ -74,7 +74,7 @@ def check_key(params, pin):
     pub, priv = keyio.regenerate(sid, params, w, run_start, run_len, seed)
     pk = keyio.serialize_public_key(pub)
     sk = keyio.serialize_private_key(sid, params, w, run_start, run_len, seed, pk)
-    inner = priv if sid == keyio.SCHEME_NIEDERREITER else priv.inner
+    inner = priv
     assert inner.code.goppa_poly == goppa_poly
     assert sha256(",".join(map(str, inner.perm.map)).encode()) == perm_sha
     assert sha256(pk) == pk_sha

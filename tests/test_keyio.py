@@ -223,7 +223,7 @@ def test_private_key_round_trip(tmp_path, toy_kal1):
     assert sid == keyio.SCHEME_KAL1
     assert pk_again == pk_bytes
     assert pub.seed_row == pk.seed_row
-    assert isinstance(priv, scheme.Kal1PrivateKey)
+    assert isinstance(priv, niederreiter.NiederreiterPrivateKey)
 
 
 def test_private_key_checksum_mismatch(toy_kal1):

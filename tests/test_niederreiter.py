@@ -39,7 +39,7 @@ def test_public_key_equals_transposed_private_product(toy_nied):
     pub, priv = toy_nied
     h_t = priv.code.parity_check().binary.transpose()
     p_t = perm_matrix(priv.perm).transpose()
-    s_t = priv.s_inv.invert().transpose()
+    s_t = priv.right_t.invert()
     assert pub.check_t == p_t.mul(h_t).mul(s_t)
 
 

@@ -95,14 +95,15 @@ def test_draw_seed_row_policies():
 def test_keygen_pinned_fixture(toy_kal1):
     pk, sk = toy_kal1
     assert pk.seed_row == PINNED_SEED_ROW
-    assert sk.seed_row == PINNED_SEED_ROW
+    # the seed row is public; the private key is the inner Niederreiter key
+    assert sk.perm == niederreiter.keygen_private(TOY, SeededRng(seed_bytes(7))).perm
     blob = keyio.serialize_public_key(pk)
     assert hashlib.sha256(blob).hexdigest() == PINNED_PK_SHA256
 
 
 def test_masking_matrix_structure(toy_kal1):
     pk, sk = toy_kal1
-    inner_pub = niederreiter.public_key(sk.inner)
+    inner_pub = niederreiter.public_key(sk)
     cyclic_t = scheme.expand_cyclic(pk)
     secondary = isd.secondary_check_t(cyclic_t, inner_pub)
     # cyclic = check + secondary, entry-exact
@@ -128,7 +129,7 @@ def test_decryption_is_key_independent(mid_kal1):
     # a weight-t c is the syndrome of (0^k | c) under every published
     # [A; I], so by unique decoding every key decrypts it to cw_decode(c)
     keys = [mid_kal1[1], scheme.keygen(MID, scheme.DenseSeed(), SeededRng(seed_bytes(0x12)))[1]]
-    assert keys[0].seed_row != keys[1].seed_row
+    assert keys[0].perm != keys[1].perm
     cwp = scheme.cw_params(MID)
     nk, t = MID.redundancy, MID.t
     rnd = random.Random(0x6B1)
@@ -157,7 +158,7 @@ def test_decryption_is_key_independent(mid_kal1):
 
 def test_ciphertext_decomposition_masking_term_vanishes(toy_kal1):
     pk, sk = toy_kal1
-    inner_pub = niederreiter.public_key(sk.inner)
+    inner_pub = niederreiter.public_key(sk)
     secondary = isd.secondary_check_t(scheme.expand_cyclic(pk), inner_pub)
     cwp = scheme.cw_params(TOY)
     for msg in range(1 << cwp.msg_bits):
@@ -193,7 +194,7 @@ def test_decrypt_rejects_errors_touching_the_prefix(toy_kal1):
     # a weight-t error with support inside the first k positions is a
     # valid Niederreiter ciphertext but not a valid scheme ciphertext
     _, sk = toy_kal1
-    inner_pub = niederreiter.public_key(sk.inner)
+    inner_pub = niederreiter.public_key(sk)
     e = 0b11  # weight 2, inside the zero prefix
     c = vec_times_matrix(e, inner_pub.check_t)
     with pytest.raises(FormatError):
@@ -203,7 +204,7 @@ def test_decrypt_rejects_errors_touching_the_prefix(toy_kal1):
 def test_decrypt_rejects_out_of_range_words(toy_kal1):
     # weight is right but the colex rank is >= 2^msg_bits
     _, sk = toy_kal1
-    inner_pub = niederreiter.public_key(sk.inner)
+    inner_pub = niederreiter.public_key(sk)
     word = (1 << 3) | (1 << 7)  # rank C(3,1)+C(7,2) = 24 >= 16
     c = vec_times_matrix(word << TOY.k, inner_pub.check_t)
     with pytest.raises(FormatError):
@@ -215,7 +216,7 @@ def test_decrypt_matches_baseline_chain(toy_kal1):
     cwp = scheme.cw_params(TOY)
     for msg in range(1 << cwp.msg_bits):
         c = scheme.encrypt(pk, msg)
-        e = niederreiter.decrypt(sk.inner, c)
+        e = niederreiter.decrypt(sk, c)
         assert e & ((1 << TOY.k) - 1) == 0
         word = e >> TOY.k
         assert word.bit_count() == TOY.t
