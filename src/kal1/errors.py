@@ -27,7 +27,9 @@ class DecodingFailure(Kal1Error):
     ``reason`` is a stable code: ``"locator-not-split"`` when the error
     locator does not have as many distinct roots on the support as its
     degree, ``"syndrome-mismatch"`` when the located error's syndrome
-    differs from the one decoded.
+    differs from the one decoded, ``"syndrome-not-invertible"`` when the
+    syndrome polynomial has no inverse modulo a Goppa polynomial with a
+    repeated factor.
     """
 
     def __init__(self, message: str, reason: str):

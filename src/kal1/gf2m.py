@@ -107,15 +107,19 @@ def poly_scale(field: Field, f: list[int], c: int) -> list[int]:
 
 
 def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
+    """Schoolbook product in the log domain: g's coefficient logs are
+    taken once, so each term is one exp lookup at a sum of logs."""
     if not f or not g:
         return []
+    exp = field.exp_table
+    log = field.log_table
+    g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
     out = [0] * (len(f) + len(g) - 1)
-    mul = field.mul
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] ^= mul(a, b)
+            la = log[a]
+            for j, lb in g_logs:
+                out[i + j] ^= exp[la + lb]
     return poly_trim(out)
 
 
@@ -176,23 +180,52 @@ def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
 
 def poly_eea_bounded(
     field: Field, f: list[int], g: list[int], dbound: int
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int]]:
     """Extended Euclid on (f, g) stopped at the first remainder of
-    degree <= dbound; returns (r, u, v) with u*f + v*g = r."""
+    degree <= dbound; returns (r, v) with r = v*g mod f.
+
+    Only g's cofactor is carried.  Each round divides the previous
+    remainder r0 by the current one r1 in the log domain, as poly_divmod
+    does, with the logs of r1 and of its cofactor v1 taken once.  The
+    next cofactor v0 + q*v1 starts as v0, and each quotient term c*x^d
+    XORs c*x^d*r1 into r0 and c*x^d*v1 into it in the same step, so
+    the quotient is never built.
+    """
+    exp = field.exp_table
+    log = field.log_table
+    q1 = field.order - 1
     r0, r1 = poly_trim(f), poly_trim(g)
-    u0, u1 = [1], []
     v0, v1 = [], [1]
     while poly_deg(r1) > dbound:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_add(u0, poly_mul(field, q, u1))
-        v0, v1 = v1, poly_add(v0, poly_mul(field, q, v1))
-    return r1, u1, v1
+        d1 = len(r1) - 1
+        # the leading term is left out: it only cancels r0[i], which is never read again
+        b_logs = [(j, log[b]) for j, b in enumerate(r1[:-1]) if b]
+        v_logs = [(j, log[c]) for j, c in enumerate(v1) if c]
+        lc_log = log[r1[-1]]
+        # q*v1 has len(r0) - len(r1) + len(v1) coefficients
+        v = v0 + [0] * (len(r0) - len(r1) + len(v1) - len(v0))
+        for i in range(len(r0) - 1, d1 - 1, -1):
+            c = r0[i]
+            if not c:
+                continue
+            lcoef = (log[c] - lc_log) % q1
+            base = i - d1
+            for j, lb in b_logs:
+                r0[base + j] ^= exp[lcoef + lb]
+            for j, lv in v_logs:
+                v[base + j] ^= exp[lcoef + lv]
+        r0, r1 = r1, poly_trim(r0[:d1])
+        v0, v1 = v1, poly_trim(v)
+    return r1, v1
 
 
 def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
-    """Inverse of f modulo g; raises ZeroDivisionError if gcd(f, g) != 1."""
-    r, _, v = poly_eea_bounded(field, g, poly_mod(field, f, g), 0)
+    """Inverse of f modulo g; raises ZeroDivisionError if gcd(f, g) != 1.
+
+    Euclid on (g, f mod g) down to a constant remainder r0 leaves f's
+    cofactor v with v*f = r0 mod g, so the inverse is v / r0.
+    """
+    r, v = poly_eea_bounded(field, g, poly_mod(field, f, g), 0)
     if not r:
         raise ZeroDivisionError("polynomial not invertible modulo g")
     return poly_mod(field, poly_scale(field, v, field.inv(r[0])), g)

@@ -172,23 +172,30 @@ class GoppaCode:
 
         With field components S_r read off the syndrome, coefficient j
         equals sum over l > j of g_l * S_{l-1-j}; the map is triangular
-        with unit diagonal, hence invertible.
+        with unit diagonal, hence invertible.  The logs of the nonzero
+        g_l and S_r are taken once, and each product g_l * S_r is one
+        exp lookup XORed into coefficient l-1-r.
         """
         fld = self.field
+        exp = fld.exp_table
+        log = fld.log_table
         t, m = self.params.t, self.params.m
         mask = fld.order - 1
-        comps = [(synd >> (j * m)) & mask for j in range(t)]
+        s_logs = []
+        for r in range(t):
+            s = (synd >> (r * m)) & mask
+            if s:
+                s_logs.append((r, log[s]))
+        out = [0] * t
         g = self.goppa_poly
-        mul = fld.mul
-        out = []
-        for j in range(t):
-            c = 0
-            for l in range(j + 1, t + 1):
-                gl = g[l]
-                s = comps[l - 1 - j]
-                if gl and s:
-                    c ^= mul(gl, s)
-            out.append(c)
+        for l in range(1, t + 1):
+            if not g[l]:
+                continue
+            lg = log[g[l]]
+            for r, ls in s_logs:
+                if r >= l:
+                    break
+                out[l - 1 - r] ^= exp[lg + ls]
         return poly_trim(out)
 
     def decode(self, synd: int) -> int:
@@ -196,6 +203,11 @@ class GoppaCode:
 
         Returns the unique error vector of weight <= t whose syndrome
         is synd; raises DecodingFailure when no such vector exists.
+        Its reason is "locator-not-split" when the error locator has
+        fewer distinct roots on the support than its degree,
+        "syndrome-mismatch" when the located error has another
+        syndrome, and "syndrome-not-invertible" when S(x) has no inverse
+        modulo g, which only a g with a repeated factor allows.
         """
         params = self.params
         if synd == 0:
@@ -221,7 +233,12 @@ class GoppaCode:
         fld = self.field
         g = self.goppa_poly
         s_poly = self.syndrome_poly(synd)
-        t_poly = poly_inv_mod(fld, s_poly, g)
+        try:
+            t_poly = poly_inv_mod(fld, s_poly, g)
+        except ZeroDivisionError:
+            raise DecodingFailure(
+                "syndrome not invertible modulo g", "syndrome-not-invertible"
+            ) from None
         u = poly_add(t_poly, [0, 1])
         if not u:
             # T(x) = x: the locator is x itself, a single error at alpha = 0
@@ -229,7 +246,7 @@ class GoppaCode:
         r = poly_sqrt_mod(fld, u, g, self._sqrt_of_x())
         if not r:
             return [0, 1]
-        a, _, b = poly_eea_bounded(fld, g, r, self.params.t // 2)
+        a, b = poly_eea_bounded(fld, g, r, self.params.t // 2)
         return poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
 
     def _locator_roots(self, sigma: list[int]) -> int:

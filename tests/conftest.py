@@ -10,6 +10,9 @@ from kal1.rng import SeededRng
 TOY = CodeParams(16, 8, 2, 4)
 MID = CodeParams(256, 192, 8, 8)
 TOY_KAT = Path(__file__).parent / "data" / "toy.kat"
+# an irreducible quartic over GF(2^8); its square is the Goppa
+# polynomial of caller-built mid codes with a repeated factor
+SQUARE_Q = [166, 88, 69, 184, 1]
 
 
 def seed_bytes(tag: int) -> bytes:

@@ -5,13 +5,20 @@ before its kernel was rewritten.  The tests compare the library against
 them, so they must stay simple and must not call the kernels they check.
 """
 
+import functools
 from typing import NamedTuple
 
 from kal1 import scheme
 from kal1.binmat import BinaryMatrix, matrix_times_vec, random_permutation, vec_times_matrix
 from kal1.cw import CwParams, cw_encode
-from kal1.errors import DimensionMismatch, GenerationFailure, RangeError, SingularMatrixError
-from kal1.gf2m import Field, poly_add, poly_deg, poly_mul, poly_scale, poly_trim
+from kal1.errors import (
+    DecodingFailure,
+    DimensionMismatch,
+    GenerationFailure,
+    RangeError,
+    SingularMatrixError,
+)
+from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.niederreiter import NiederreiterPrivateKey, NiederreiterPublicKey
 
@@ -123,6 +130,20 @@ def poly_eval(field: Field, f: list[int], x: int) -> int:
     return acc
 
 
+def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
+    """Schoolbook product, one Field.mul per pair of nonzero terms."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    mul = field.mul
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] ^= mul(a, b)
+    return poly_trim(out)
+
+
 def poly_sqr(field: Field, f: list[int]) -> list[int]:
     if not f:
         return []
@@ -185,6 +206,39 @@ def poly_eea(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[
     return r0, u0, v0
 
 
+def poly_eea_bounded(
+    field: Field, f: list[int], g: list[int], dbound: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Extended Euclid on (f, g) stopped at the first remainder of
+    degree <= dbound; returns (r, u, v) with u*f + v*g = r.  Each round
+    builds the quotient and updates both cofactors by products."""
+    r0, r1 = poly_trim(f), poly_trim(g)
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
+    while poly_deg(r1) > dbound:
+        q, r = poly_divmod(field, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly_add(u0, poly_mul(field, q, u1))
+        v0, v1 = v1, poly_add(v0, poly_mul(field, q, v1))
+    return r1, u1, v1
+
+
+def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
+    """Inverse of f modulo g through the two-cofactor Euclid; raises
+    ZeroDivisionError if gcd(f, g) != 1."""
+    r, _, v = poly_eea_bounded(field, g, poly_mod(field, f, g), 0)
+    if not r:
+        raise ZeroDivisionError("polynomial not invertible modulo g")
+    return poly_mod(field, poly_scale(field, v, field.inv(r[0])), g)
+
+
+def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:
+    """A(x) + sqrt(x) B(x) mod g for s(x) = a(x^2) + x b(x^2)."""
+    even = poly_trim([field.sqrt(c) for c in s[0::2]])
+    odd = poly_trim([field.sqrt(c) for c in s[1::2]])
+    return poly_mod(field, poly_add(even, poly_mul(field, odd, sqrt_x)), g)
+
+
 def is_irreducible(field: Field, f: list[int]) -> bool:
     """gcd(x^(q^i) - x, f) = 1 for every i up to deg(f)/2."""
     f = poly_trim(f)
@@ -211,6 +265,69 @@ def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
     for _ in range(field.m * poly_deg(g) - 1):
         h = poly_mod(field, poly_sqr(field, h), g)
     return h
+
+
+@functools.cache
+def _sqrt_x(m: int, g: tuple[int, ...]) -> list[int]:
+    return sqrt_x_mod(Field(m), list(g))
+
+
+def syndrome_poly(code: GoppaCode, synd: int) -> list[int]:
+    """Coefficient j is the sum over l > j of g_l * S_{l-1-j}, one
+    Field.mul per nonzero pair."""
+    fld = code.field
+    t, m = code.params.t, code.params.m
+    mask = fld.order - 1
+    comps = [(synd >> (j * m)) & mask for j in range(t)]
+    g = code.goppa_poly
+    out = []
+    for j in range(t):
+        c = 0
+        for l in range(j + 1, t + 1):
+            gl = g[l]
+            s = comps[l - 1 - j]
+            if gl and s:
+                c ^= fld.mul(gl, s)
+        out.append(c)
+    return poly_trim(out)
+
+
+def locator(code: GoppaCode, synd: int) -> list[int]:
+    """Patterson's error locator through the oracles above, with sqrt(x)
+    mod g by repeated squaring; raises ZeroDivisionError when S(x) has
+    no inverse modulo g."""
+    fld = code.field
+    g = code.goppa_poly
+    t_poly = poly_inv_mod(fld, syndrome_poly(code, synd), g)
+    u = poly_add(t_poly, [0, 1])
+    if not u:
+        return [0, 1]
+    r = poly_sqrt_mod(fld, u, g, _sqrt_x(fld.m, tuple(g)))
+    if not r:
+        return [0, 1]
+    a, _, b = poly_eea_bounded(fld, g, r, code.params.t // 2)
+    return poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
+
+
+def decode(code: GoppaCode, synd: int) -> int:
+    """Patterson decoding through the oracle locator and a root scan,
+    with the library's failure classes and reasons."""
+    if synd == 0:
+        return 0
+    if synd.bit_length() > code.params.m * code.params.t:
+        raise DimensionMismatch("syndrome longer than m*t bits")
+    try:
+        sigma = locator(code, synd)
+    except ZeroDivisionError:
+        raise DecodingFailure(
+            "syndrome not invertible modulo g", "syndrome-not-invertible"
+        ) from None
+    e = scan_roots(code, sigma)
+    if e.bit_count() != poly_deg(sigma) or e.bit_count() > code.params.t:
+        raise DecodingFailure("error locator does not split over the support", "locator-not-split")
+    if code.parity_check().syndrome(e) != synd:
+        raise DecodingFailure("recomputed syndrome mismatch", "syndrome-mismatch")
+    return e
 
 
 def transpose(m: BinaryMatrix) -> BinaryMatrix:

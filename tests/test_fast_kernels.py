@@ -3,13 +3,17 @@
 Every kernel must return exactly what its oracle in ``oracles`` returns,
 on inputs that include zero coefficients, non-monic divisors and
 untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
-test, whose deep levels get products of known irreducible factors).
+test, whose deep levels get products of known irreducible factors, and
+for the log-domain product, Euclid and inverse, whose inputs share
+random common factors).
 Keygen itself must reproduce the oracle chain's code, permutation,
 scrambler and public matrix, and decryption through the key's right
 block columns must match the unscramble-by-matrix chain.  Decoding's
 bitsliced root finder must mark exactly the support positions the
-per-element scan marks.  The field tables must equal those built from
-a searched generator.
+per-element scan marks; S(x), Patterson's locator and the whole decode
+must match the chain of oracles, failures included, and a headline
+decryption may make only 2t generic field multiplications.  The field
+tables must equal those built from a searched generator.
 """
 
 import functools
@@ -21,13 +25,15 @@ from hypothesis import strategies as st
 
 from kal1 import goppa, keyio, niederreiter, scheme
 from kal1.binmat import BinaryMatrix
-from kal1.errors import GenerationFailure, Kal1Error
+from kal1.errors import DecodingFailure, GenerationFailure, Kal1Error
 from kal1.gf2m import (
     REDUCTION_POLYS,
     Field,
     is_irreducible,
+    poly_add,
     poly_deg,
     poly_divmod,
+    poly_eea_bounded,
     poly_inv_mod,
     poly_mod,
     poly_mul,
@@ -39,7 +45,7 @@ from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_c
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, TOY, seed_bytes
+from conftest import MID, SQUARE_Q, TOY, seed_bytes
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
 DEEP_FIELDS = {**FIELDS, 16: Field(16)}
@@ -47,9 +53,9 @@ HEADLINE = CodeParams(1024, 524, 50, 10)
 
 
 @st.composite
-def field_and_polys(draw, count, max_len=12):
+def field_and_polys(draw, count, max_len=12, fields=FIELDS):
     """A field and `count` raw coefficient lists (trailing zeros allowed)."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    field = fields[draw(st.sampled_from(sorted(fields)))]
     coeff = st.integers(0, field.order - 1) | st.just(0)
     polys = [draw(st.lists(coeff, max_size=max_len)) for _ in range(count)]
     return field, polys
@@ -72,6 +78,54 @@ def test_poly_divmod_matches_oracle(case):
             poly_divmod(field, f, g)
         return
     assert poly_divmod(field, f, g) == oracles.poly_divmod(field, f, g)
+
+
+@given(field_and_polys(2, max_len=24, fields=DEEP_FIELDS))
+def test_poly_mul_matches_oracle(case):
+    field, (f, g) = case
+    assert poly_mul(field, f, g) == oracles.poly_mul(field, f, g)
+
+
+@st.composite
+def field_and_pair(draw):
+    """A field with m in {4, 8, 10, 16} and two raw coefficient lists
+    with any leading coefficients and trailing zeros; about half the
+    time both are multiplied by a common factor of degree 1 to 3."""
+    field = DEEP_FIELDS[draw(st.sampled_from(sorted(DEEP_FIELDS)))]
+    coeff = st.integers(0, field.order - 1) | st.just(0)
+    f, g = (draw(st.lists(coeff, max_size=12)) for _ in range(2))
+    if draw(st.booleans()):
+        h = draw(st.lists(coeff, min_size=1, max_size=3))
+        h.append(draw(st.integers(1, field.order - 1)))
+        f, g = oracles.poly_mul(field, h, f), oracles.poly_mul(field, h, g)
+    return field, f + [0] * draw(st.integers(0, 2)), g + [0] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=200)
+@given(field_and_pair(), st.integers(-1, 12))
+def test_poly_eea_bounded_matches_oracle(case, dbound):
+    field, f, g = case
+    r, u, v = oracles.poly_eea_bounded(field, f, g, dbound)
+    assert poly_eea_bounded(field, f, g, dbound) == (r, v)
+    assert poly_deg(r) <= dbound
+    assert poly_add(oracles.poly_mul(field, u, f), oracles.poly_mul(field, v, g)) == r
+
+
+def inv_outcome(fn, field, f, g):
+    try:
+        return fn(field, f, g)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=200)
+@given(field_and_pair())
+def test_poly_inv_mod_matches_oracle(case):
+    field, f, g = case
+    expected = inv_outcome(oracles.poly_inv_mod, field, f, g)
+    assert inv_outcome(poly_inv_mod, field, f, g) == expected
+    if expected is not ZeroDivisionError:
+        assert poly_mod(field, oracles.poly_mul(field, f, expected), g) == [1]
 
 
 @given(field_and_polys(1, max_len=30))
@@ -343,6 +397,116 @@ def test_locator_roots_match_scan_on_partial_supports(m, t, seed):
         for _ in range(degree):
             sigma = poly_mul(field, sigma, [rnd.randrange(field.order), 1])
         assert code._locator_roots(sigma) == oracles.scan_roots(code, sigma)
+
+
+@functools.cache
+def decode_code(name: str) -> GoppaCode:
+    """A generated code per scale, or the caller-built mid code whose g
+    is SQUARE_Q squared."""
+    if name == "mid-square":
+        field = FIELDS[8]
+        return GoppaCode(field, MID, list(range(256)), oracles.poly_mul(field, SQUARE_Q, SQUARE_Q))
+    return root_code(name, True)
+
+
+def synd_of_poly(code: GoppaCode, s_poly: list[int]) -> int:
+    """The syndrome whose S(x) is s_poly, of degree < t: coefficient
+    t-1-r of S(x) is S_r plus g_l * S_(l-t+r) for t-r <= l < t, so the
+    components follow in order."""
+    fld, g = code.field, code.goppa_poly
+    t, m = code.params.t, code.params.m
+    p = s_poly + [0] * (t - len(s_poly))
+    comps = []
+    for r in range(t):
+        j = t - 1 - r
+        c = p[j]
+        for l in range(j + 1, t):
+            c ^= fld.mul(g[l], comps[l - 1 - j])
+        comps.append(c)
+    return sum(c << (r * m) for r, c in enumerate(comps))
+
+
+def decode_syndrome(name: str, source: str, weight: int, seed: int) -> int:
+    """The syndrome of a random error of weight min(weight, t), a random
+    forged syndrome, or the syndrome of a drawn S(x), which on the
+    square-g code is a multiple of SQUARE_Q and so not invertible."""
+    code = decode_code(name)
+    n, t, m = code.params.n, code.params.t, code.params.m
+    rnd = random.Random(seed)
+    if source == "error":
+        return code.parity_check().syndrome(sum(1 << i for i in rnd.sample(range(n), min(weight, t))))
+    if source == "forged":
+        return rnd.getrandbits(m * t) or 1
+    fld = code.field
+    factor = SQUARE_Q if name == "mid-square" else [1]
+    h = [rnd.randrange(1, fld.order)] + [rnd.randrange(fld.order) for _ in range(t - len(factor))]
+    s_poly = oracles.poly_mul(fld, factor, h)
+    synd = synd_of_poly(code, s_poly)
+    assert oracles.syndrome_poly(code, synd) == s_poly
+    return synd
+
+
+DECODE_CODES = ["headline", "mid", "mid-square", "toy"]
+DECODE_SOURCES = st.sampled_from(["error", "forged", "s-poly"])
+
+
+@pytest.mark.parametrize("name", DECODE_CODES)
+@settings(max_examples=25, deadline=None)
+@given(source=DECODE_SOURCES, weight=st.integers(1, 64), seed=st.integers(0, 2**64))
+@example(source="error", weight=64, seed=0)
+@example(source="s-poly", weight=1, seed=0)
+def test_syndrome_poly_and_locator_match_oracle(name, source, weight, seed):
+    code = decode_code(name)
+    synd = decode_syndrome(name, source, weight, seed)
+    assert code.syndrome_poly(synd) == oracles.syndrome_poly(code, synd)
+    try:
+        expected = oracles.locator(code, synd)
+    except ZeroDivisionError:
+        assert name == "mid-square"
+        with pytest.raises(DecodingFailure) as info:
+            code._locator(synd)
+        assert info.value.reason == "syndrome-not-invertible"
+    else:
+        assert not (name == "mid-square" and source == "s-poly")
+        assert code._locator(synd) == expected
+
+
+@pytest.mark.parametrize("name", DECODE_CODES)
+@settings(max_examples=25, deadline=None)
+@given(source=DECODE_SOURCES, weight=st.integers(1, 64), seed=st.integers(0, 2**64))
+@example(source="error", weight=64, seed=0)
+@example(source="s-poly", weight=1, seed=0)
+def test_decode_matches_oracle_chain(name, source, weight, seed):
+    code = decode_code(name)
+    synd = decode_syndrome(name, source, weight, seed)
+    assert outcome(code.decode, synd) == outcome(oracles.decode, code, synd)
+
+
+def test_headline_decrypt_makes_at_most_2t_field_muls(monkeypatch):
+    # everything else in the decode runs on field logs: the inverse's
+    # final scaling and sigma mod g in the root finder make t each
+    params = HEADLINE
+    pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed_bytes(0x71)))
+    rnd = random.Random(7)
+    msgs = [rnd.getrandbits(scheme.cw_params(params).msg_bits) for _ in range(2)]
+    forged = rnd.getrandbits(params.redundancy)
+    # the first decode caches sqrt(x) mod g on the code
+    assert scheme.decrypt(priv, scheme.encrypt(pub, msgs[0])) == msgs[0]
+    calls = []
+    inner = Field.mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return inner(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    assert scheme.decrypt(priv, scheme.encrypt(pub, msgs[1])) == msgs[1]
+    decrypt_calls = len(calls)
+    with pytest.raises(DecodingFailure):
+        scheme.decrypt(priv, forged)
+    reject_calls = len(calls) - decrypt_calls
+    assert 0 < decrypt_calls <= 2 * params.t
+    assert 0 < reject_calls <= 2 * params.t
 
 
 @pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))

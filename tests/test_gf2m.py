@@ -180,8 +180,7 @@ def test_bounded_eea_identity_and_degrees():
         r = poly_trim([rnd.randrange(256) for _ in range(rnd.randrange(1, t + 1))])
         if not r:
             continue
-        a, u, b = poly_eea_bounded(f, g, r, t // 2)
-        assert poly_add(poly_mul(f, u, g), poly_mul(f, b, r)) == a
+        a, b = poly_eea_bounded(f, g, r, t // 2)
         assert poly_deg(a) <= t // 2
         # a = b*r mod g
         assert poly_mod(f, poly_add(a, poly_mul(f, b, r)), g) == []

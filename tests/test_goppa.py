@@ -12,7 +12,7 @@ from kal1.gf2m import Field, is_irreducible, poly_mul
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
-from conftest import MID, TOY, seed_bytes, to_dense
+from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
 from oracles import poly_eval
 
 # frozen draw for generate_code(TOY, seed 1)
@@ -288,11 +288,14 @@ def test_locator_above_degree_t_fails_as_locator_not_split(monkeypatch):
     assert str(info.value) == "error locator does not split over the support"
 
 
-# A caller-built mid code with the square g = q^2, whose square root of
-# x is not one, and a forged syndrome (found by search) whose locator
-# splits into 8 roots on the support that do not give that syndrome
-SQUARE_Q = [166, 88, 69, 184, 1]
+# A caller-built mid code with the square g = q^2 (q = SQUARE_Q), whose
+# square root of x is not one, and a forged syndrome (found by search)
+# whose locator splits into 8 roots on the support that do not give
+# that syndrome
 MISMATCH_SYNDROME = 0xF4E3918214B5C6BA
+# a syndrome of that code whose S(x) is q itself, which has no inverse
+# modulo q^2
+NON_INVERTIBLE_SYNDROME = 0xA34D7FB801000000
 
 
 def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
@@ -305,3 +308,13 @@ def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
         code.decode(MISMATCH_SYNDROME)
     assert info.value.reason == "syndrome-mismatch"
     assert str(info.value) == "recomputed syndrome mismatch"
+
+
+def test_non_invertible_syndrome_fails_as_syndrome_not_invertible():
+    field = Field(8)
+    code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
+    assert code.syndrome_poly(NON_INVERTIBLE_SYNDROME) == SQUARE_Q
+    with pytest.raises(DecodingFailure) as info:
+        code.decode(NON_INVERTIBLE_SYNDROME)
+    assert info.value.reason == "syndrome-not-invertible"
+    assert str(info.value) == "syndrome not invertible modulo g"
