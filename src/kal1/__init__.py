@@ -2,10 +2,11 @@
 
 Library layout: gf2m (field arithmetic; one field per degree m), binmat
 (GF(2) linear algebra), goppa (codes and Patterson decoding), cw
-(constant-weight codec), niederreiter (baseline scheme; its private key
-is the private key of every scheme), scheme (Kal1 itself; one public
-key class whose seed policy picks the wire form), keyio (wire formats
-and KATs), isd (Prange probe, masking matrix and rank checks), cli.
+(constant-weight codec), niederreiter (baseline scheme; its private key,
+a GoppaCode with its positions in public order, is the private key of
+every scheme), scheme (Kal1 itself; one public key class whose seed
+policy picks the wire form), keyio (wire formats and KATs), isd (Prange
+probe, masking matrix and rank checks), cli.
 """
 
 from .cw import CwParams, cw_decode, cw_encode

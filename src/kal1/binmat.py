@@ -71,10 +71,15 @@ class BinaryMatrix:
         return BinaryMatrix(self.cols, self.rows, transpose_ints(self.row_ints, self.cols))
 
     def rank(self) -> int:
-        # incremental reduction against a basis keyed by leading bit
+        # incremental reduction against a basis keyed by leading bit; no
+        # rank exceeds min(rows, cols), so the remaining rows are skipped
+        # once it is reached
         basis: dict[int, int] = {}
         rank = 0
+        full = min(self.rows, self.cols)
         for row in self.row_ints:
+            if rank == full:
+                break
             cur = row
             while cur:
                 top = cur.bit_length() - 1
@@ -117,11 +122,19 @@ class BinaryMatrix:
             out.append(acc)
         return BinaryMatrix(self.rows, len(idxs), out)
 
-    def permute_columns(self, perm: "Permutation") -> "BinaryMatrix":
-        """Product with the permutation matrix: column i moves to perm.map[i]."""
-        if len(perm.map) != self.cols:
-            raise DimensionMismatch("permutation length must match column count")
-        return BinaryMatrix(self.rows, self.cols, [perm.apply(row) for row in self.row_ints])
+    def permute_columns(self, dest: list[int]) -> "BinaryMatrix":
+        """Product with the permutation matrix whose (i, dest[i]) entries
+        are set: column i moves to dest[i]."""
+        if sorted(dest) != list(range(self.cols)):
+            raise DimensionMismatch("destinations must be a permutation of the columns")
+        out = []
+        for row in self.row_ints:
+            acc = 0
+            for i, d in enumerate(dest):
+                if (row >> i) & 1:
+                    acc |= 1 << d
+            out.append(acc)
+        return BinaryMatrix(self.rows, self.cols, out)
 
 
 def transpose_ints(rows: list[int], cols: int) -> list[int]:
@@ -137,8 +150,8 @@ def transpose_ints(rows: list[int], cols: int) -> list[int]:
 
 def vec_times_matrix(v: int, m: BinaryMatrix) -> int:
     """Row vector (m.rows bits) times matrix; XOR of the selected rows."""
-    if v.bit_length() > m.rows:
-        raise DimensionMismatch("vector longer than the matrix row count")
+    if v < 0 or v.bit_length() > m.rows:
+        raise DimensionMismatch("vector negative or longer than the matrix row count")
     acc = 0
     rows = m.row_ints
     while v:
@@ -150,8 +163,8 @@ def vec_times_matrix(v: int, m: BinaryMatrix) -> int:
 
 def matrix_times_vec(m: BinaryMatrix, v: int) -> int:
     """Matrix times column vector (m.cols bits); parity per row."""
-    if v.bit_length() > m.cols:
-        raise DimensionMismatch("vector longer than the matrix column count")
+    if v < 0 or v.bit_length() > m.cols:
+        raise DimensionMismatch("vector negative or longer than the matrix column count")
     acc = 0
     for i, row in enumerate(m.row_ints):
         if (row & v).bit_count() & 1:
@@ -159,45 +172,8 @@ def matrix_times_vec(m: BinaryMatrix, v: int) -> int:
     return acc
 
 
-class Permutation:
-    """A bijection on [0, n), stored as an index array.
-
-    ``apply`` moves position i to map[i]: out[map[i]] = v[i], which is
-    v times the permutation matrix with its (i, map[i]) entries set.
-    """
-
-    __slots__ = ("map",)
-
-    def __init__(self, mapping):
-        mapping = tuple(mapping)
-        if sorted(mapping) != list(range(len(mapping))):
-            raise DimensionMismatch("permutation must be a bijection on [0, n)")
-        self.map = mapping
-
-    def __len__(self) -> int:
-        return len(self.map)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.map)})"
-
-    def apply(self, v: int) -> int:
-        if v.bit_length() > len(self.map):
-            raise DimensionMismatch("vector longer than the permutation")
-        out = 0
-        for i, mi in enumerate(self.map):
-            if (v >> i) & 1:
-                out |= 1 << mi
-        return out
-
-
-def random_permutation(n: int, rng: SeededRng) -> Permutation:
+def random_permutation(n: int, rng: SeededRng) -> list[int]:
+    """A uniform permutation of [0, n), as the destination of each index."""
     if n < 1:
         raise DimensionMismatch("permutation length must be at least 1")
-    return Permutation(rng.permutation(n))
-
+    return rng.permutation(n)

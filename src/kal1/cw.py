@@ -83,8 +83,8 @@ def cw_encode(msg: int, p: CwParams) -> int:
 
 def cw_decode(word: int, p: CwParams) -> int:
     """Colex rank of the word's support; inverse of cw_encode."""
-    if word.bit_length() > p.length:
-        raise DimensionMismatch(f"word longer than {p.length} bits")
+    if word < 0 or word.bit_length() > p.length:
+        raise DimensionMismatch(f"word negative or longer than {p.length} bits")
     if word.bit_count() != p.weight:
         raise WeightError(f"word weight {word.bit_count()} != {p.weight}")
     rank = 0

@@ -11,6 +11,7 @@ up to t when g is irreducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .binmat import BinaryMatrix, transpose_ints
 from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, ParameterError
@@ -62,29 +63,23 @@ class CodeParams:
 
 
 class ParityCheckMatrix:
-    """The binary parity check, by columns and by rows, built from the
-    field-level rows."""
+    """The binary parity check, by columns; its rows are built from
+    them on first use."""
 
-    __slots__ = ("params", "binary", "column_ints")
-
-    def __init__(self, params: CodeParams, field_rows: list[list[int]]):
+    def __init__(self, params: CodeParams, column_ints: list[int]):
         self.params = params
-        n, t, m = params.n, params.t, params.m
-        # column i packs the m bits of each of the t field entries
-        cols = [0] * n
-        for j in range(t):
-            row = field_rows[j]
-            shift = j * m
-            for i in range(n):
-                cols[i] |= row[i] << shift
-        self.column_ints = cols
+        self.column_ints = column_ints
+
+    @cached_property
+    def binary(self) -> BinaryMatrix:
         # row j*m + b holds bit b of field row j, so it is bit j*m + b of every column
-        self.binary = BinaryMatrix(m * t, n, transpose_ints(cols, m * t))
+        mt = self.params.m * self.params.t
+        return BinaryMatrix(mt, self.params.n, transpose_ints(self.column_ints, mt))
 
     def syndrome(self, e: int) -> int:
         """e times the transposed binary parity check, as an m*t-bit int."""
-        if e.bit_length() > self.params.n:
-            raise DimensionMismatch("error vector longer than the code length")
+        if e < 0 or e.bit_length() > self.params.n:
+            raise DimensionMismatch("error vector negative or longer than the code length")
         acc = 0
         cols = self.column_ints
         while e:
@@ -92,6 +87,14 @@ class ParityCheckMatrix:
             acc ^= cols[low.bit_length() - 1]
             e ^= low
         return acc
+
+
+def scatter(values: list[int], dest: list[int]) -> list[int]:
+    """The list with values[i] moved to position dest[i]."""
+    out = [0] * len(dest)
+    for v, d in zip(values, dest):
+        out[d] = v
+    return out
 
 
 class GoppaCode:
@@ -122,8 +125,31 @@ class GoppaCode:
     def parity_check(self) -> ParityCheckMatrix:
         # cached; recomputation would be identical, so races are benign
         if self._pc is None:
-            self._pc = ParityCheckMatrix(self.params, self._field_rows())
+            n, m = self.params.n, self.params.m
+            # column i packs the m bits of each of the t field entries
+            cols = [0] * n
+            for j, row in enumerate(self._field_rows()):
+                shift = j * m
+                for i in range(n):
+                    cols[i] |= row[i] << shift
+            self._pc = ParityCheckMatrix(self.params, cols)
         return self._pc
+
+    def permuted(self, dest: list[int]) -> GoppaCode:
+        """The same code with position i moved to dest[i]: the support,
+        the values of g on it and the check's columns are scattered, and
+        nothing is validated or evaluated again."""
+        if sorted(dest) != list(range(self.params.n)):
+            raise DimensionMismatch("destinations must be a permutation of the positions")
+        out = object.__new__(GoppaCode)
+        out.field = self.field
+        out.params = self.params
+        out.support = scatter(self.support, dest)
+        out.goppa_poly = self.goppa_poly
+        out._g_values = scatter(self._g_values, dest)
+        out._pc = ParityCheckMatrix(self.params, scatter(self.parity_check().column_ints, dest))
+        out._sqrt_x = self._sqrt_x
+        return out
 
     def _eval_goppa_poly(self) -> list[int]:
         """g(alpha_i) for every support element, by Horner in the log domain."""
@@ -212,8 +238,8 @@ class GoppaCode:
         params = self.params
         if synd == 0:
             return 0
-        if synd.bit_length() > params.m * params.t:
-            raise DimensionMismatch("syndrome longer than m*t bits")
+        if synd < 0 or synd.bit_length() > params.m * params.t:
+            raise DimensionMismatch("syndrome negative or longer than m*t bits")
         t = params.t
         sigma = self._locator(synd)
         # the evaluation takes deg sigma <= t; a longer locator fails the
@@ -311,6 +337,8 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         else:
             raise GenerationFailure("no irreducible Goppa polynomial among the candidates")
         code = GoppaCode(field, params, support, g)
-        if code.parity_check().binary.rank() == params.m * params.t:
+        # the rank of the check is that of its n columns
+        mt = params.m * params.t
+        if BinaryMatrix(params.n, mt, code.parity_check().column_ints).rank() == mt:
             return code
     raise GenerationFailure("could not sample a full-rank code")

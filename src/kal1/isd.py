@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from .binmat import BinaryMatrix, matrix_times_vec
 from .errors import DimensionMismatch, ParameterError
-from .niederreiter import NiederreiterPrivateKey, NiederreiterPublicKey, public_key
+from .goppa import GoppaCode
+from .niederreiter import NiederreiterPublicKey, public_key
 from .rng import SeededRng
 
 # Windows whose solution space is larger than 2^NULLSPACE_CAP are
@@ -170,7 +171,7 @@ def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: NiederreiterPublicKey) 
 
 def rank_report(
     cyclic_t: BinaryMatrix,
-    priv: NiederreiterPrivateKey,
+    priv: GoppaCode,
     rng: SeededRng | None = None,
     samples: int = 32,
 ) -> RankReport:

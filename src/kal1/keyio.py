@@ -274,8 +274,8 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
 
 def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: int, seed: bytes):
     """Rebuild the keypair a private file describes: (public key,
-    Niederreiter private key); the private key type is the same for
-    every scheme."""
+    private key).  The private key of every scheme is a GoppaCode with
+    its positions in public order."""
     rng = SeededRng(seed)
     if sid == SCHEME_NIEDERREITER:
         return niederreiter.keygen(params, rng)
@@ -294,9 +294,9 @@ def serialize_private_key(
 def load_private_key(data: bytes):
     """Parse, regenerate and verify a private key file.
 
-    Returns (scheme id, public key object, Niederreiter private key,
-    public key file bytes).  The CRC check catches seeds paired with the
-    wrong public key.
+    Returns (scheme id, public key object, private key (a GoppaCode in
+    public order), public key file bytes).  The CRC check catches seeds
+    paired with the wrong public key.
     """
     if len(data) != _PRIVATE_SIZE:
         raise FormatError(f"private key file must be {_PRIVATE_SIZE} bytes, got {len(data)}")
@@ -407,7 +407,10 @@ def kat_verify(text: str) -> int:
         seed = bytes.fromhex(mt.group(5))
         if len(seed) != SEED_BYTES:
             raise FormatError(f"line {lineno}: seed must be {SEED_BYTES} bytes")
-        msg = decode_message(bytes.fromhex(mt.group(6)), params)
+        try:
+            msg = decode_message(bytes.fromhex(mt.group(6)), params)
+        except RangeError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed))
         ct_actual = encode_ciphertext(scheme.encrypt(pub, msg), params).hex()
         if ct_actual != mt.group(7):

@@ -16,12 +16,12 @@ it was drawn under.  Kal1-S1 (sorted positions of the ones) and Kal1-S2
 and ``keyio`` writes it.
 
 The seed row is public, so the private key is the inner Niederreiter
-private key itself (code, permutation and the right block of the
-permuted check) and decryption is Niederreiter decryption plus the
-structural checks.  Key generation is private-only: it does not build
-the inner public matrix, which only Niederreiter public keys
-(``niederreiter.public_key``) and the analysis in ``isd`` need.  The
-draws are those of a full Niederreiter keygen.
+private key itself (the Goppa code with its positions in public order)
+and decryption is Niederreiter decryption plus the structural checks.
+Key generation is private-only: it does not build the inner public
+matrix, which only Niederreiter public keys (``niederreiter.public_key``)
+and the analysis in ``isd`` need.  The draws are those of a full
+Niederreiter keygen.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import niederreiter
 from .binmat import BinaryMatrix
 from .cw import CwParams, cw_decode, cw_encode
 from .errors import FormatError, PolicyError, RangeError
-from .goppa import CodeParams
+from .goppa import CodeParams, GoppaCode
 from .rng import SeededRng
 
 
@@ -132,7 +132,7 @@ def cw_params(params: CodeParams) -> CwParams:
 
 def keygen(
     params: CodeParams, policy: SeedPolicy, rng: SeededRng
-) -> tuple[Kal1PublicKey, niederreiter.NiederreiterPrivateKey]:
+) -> tuple[Kal1PublicKey, GoppaCode]:
     """Inner Niederreiter private key, then a seed row drawn per policy.
 
     The draw order (support, Goppa polynomial, permutations, seed row)
@@ -158,7 +158,7 @@ def encrypt(pub: PublicKey, msg: int) -> int:
     return cw_encode(msg, cwp)
 
 
-def decrypt(priv: niederreiter.NiederreiterPrivateKey, c: int) -> int:
+def decrypt(priv: GoppaCode, c: int) -> int:
     """Niederreiter decryption plus the structural checks, for every
     public key kind.
 

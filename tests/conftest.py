@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from kal1 import niederreiter, scheme
-from kal1.binmat import BinaryMatrix, Permutation
+from kal1.binmat import BinaryMatrix
 from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
@@ -27,6 +27,14 @@ def odd_hex_kat(field: str, pad: bool = False) -> str:
     value, *tail = rest.split(" ", 1)
     value = "0" + value if pad else value[1:]
     lines[1] = " ".join([head, f"{field}={value}", *tail])
+    return "\n".join(lines) + "\n"
+
+
+def out_of_range_msg_kat(msg: str) -> str:
+    """The shipped toy KAT with the message of record 1 replaced."""
+    lines = TOY_KAT.read_text().splitlines()
+    head, rest = lines[0].split(" msg=", 1)
+    lines[0] = f"{head} msg={msg} {rest.split(' ', 1)[1]}"
     return "\n".join(lines) + "\n"
 
 
@@ -61,17 +69,23 @@ def entry(m: BinaryMatrix, i: int, j: int) -> int:
     return (m.row_ints[i] >> j) & 1
 
 
-def perm_matrix(p: Permutation) -> BinaryMatrix:
-    """The matrix with its (i, map[i]) entries set."""
-    n = len(p.map)
-    return BinaryMatrix(n, n, [1 << mi for mi in p.map])
+def perm_matrix(dest: list[int]) -> BinaryMatrix:
+    """The matrix with its (i, dest[i]) entries set."""
+    return BinaryMatrix(len(dest), len(dest), [1 << d for d in dest])
 
 
-def perm_inverse(p: Permutation) -> Permutation:
-    inv = [0] * len(p.map)
-    for i, mi in enumerate(p.map):
-        inv[mi] = i
-    return Permutation(inv)
+def perm_inverse(dest: list[int]) -> list[int]:
+    inv = [0] * len(dest)
+    for i, d in enumerate(dest):
+        inv[d] = i
+    return inv
+
+
+def key_perm(params: CodeParams, seed: bytes, priv) -> list[int]:
+    """The permutation keygen drew for a seed, read off the key: position
+    i of the code generate_code draws first is position dest[i] of priv."""
+    where = {alpha: i for i, alpha in enumerate(priv.support)}
+    return [where[alpha] for alpha in generate_code(params, SeededRng(seed)).support]
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from kal1.errors import (
 )
 from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
-from kal1.niederreiter import NiederreiterPrivateKey, NiederreiterPublicKey
+from kal1.niederreiter import NiederreiterPublicKey
 
 
 # --- the field bootstrap for an arbitrary irreducible reduction polynomial ---
@@ -399,9 +399,19 @@ def generate_code(params: CodeParams, rng) -> GoppaCode:
     raise GenerationFailure("could not sample a full-rank code")
 
 
-def niederreiter_keygen(params: CodeParams, rng):
+class NiederreiterChain(NamedTuple):
+    """Key material of the oracle keygen: the code in its drawn order,
+    the systematic public check, the scrambler and the permutation."""
+
+    code: GoppaCode
+    check_t: BinaryMatrix
+    scrambler: Scrambler
+    perm: list[int]
+
+
+def niederreiter_keygen(params: CodeParams, rng) -> NiederreiterChain:
     """The code, then permutation draws until the right block is
-    invertible; returns (code, check_t, scrambler, permutation)."""
+    invertible."""
     code = generate_code(params, rng)
     binary = binary_check(code)
     for _ in range(RESAMPLE_LIMIT):
@@ -410,21 +420,22 @@ def niederreiter_keygen(params: CodeParams, rng):
             scrambler, scrambled = systematize(binary, perm, params.k)
         except SingularMatrixError:
             continue
-        return code, transpose(scrambled), scrambler, perm
+        return NiederreiterChain(code, transpose(scrambled), scrambler, perm)
     raise GenerationFailure("no permutation yielded an invertible right block")
 
 
-def niederreiter_decrypt(priv: NiederreiterPrivateKey, c: int) -> int:
-    """Unscramble with the matrix s_inv = R by row parities, decode,
-    then scatter position i of the decoded error to perm.map[i]."""
-    if c.bit_length() > priv.params.redundancy:
-        raise DimensionMismatch("ciphertext longer than n-k bits")
-    s_inv = priv.right_t.transpose()
-    permuted_error = priv.code.decode(matrix_times_vec(s_inv, c))
+def niederreiter_decrypt(code: GoppaCode, perm: list[int], s_inv: BinaryMatrix, c: int) -> int:
+    """Decryption under the key material niederreiter_keygen returns:
+    unscramble with the matrix s_inv = R by row parities, decode with
+    the code in its drawn order, then scatter position i of the decoded
+    error to perm[i]."""
+    if c < 0 or c.bit_length() > code.params.redundancy:
+        raise DimensionMismatch("ciphertext negative or longer than n-k bits")
+    drawn_error = code.decode(matrix_times_vec(s_inv, c))
     e = 0
-    for i, mi in enumerate(priv.perm.map):
-        if (permuted_error >> i) & 1:
-            e |= 1 << mi
+    for i, d in enumerate(perm):
+        if (drawn_error >> i) & 1:
+            e |= 1 << d
     return e
 
 

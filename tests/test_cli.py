@@ -5,7 +5,7 @@ import pytest
 from kal1 import cli
 from kal1.goppa import CodeParams
 
-from conftest import odd_hex_kat, oversized_param_kat
+from conftest import odd_hex_kat, out_of_range_msg_kat, oversized_param_kat
 
 TOY_ARGS = ["--n", "16", "--k", "8", "--t", "2", "--m", "4"]
 SEED = "00000000000000000000000000000007"
@@ -266,6 +266,15 @@ def test_kat_verify_oversized_params_exits_2(capsys, tmp_path, index):
     code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
     assert code == 2
     assert err.startswith("error: 2 FormatError")
+
+
+def test_kat_verify_out_of_range_message_exits_2(capsys, tmp_path):
+    kat = tmp_path / "range.kat"
+    kat.write_text(out_of_range_msg_kat("ff"))
+    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
+    assert code == 2
+    assert err.startswith("error: 2 FormatError")
+    assert "line 1:" in err
 
 
 def test_kat_generate_requires_params(capsys, tmp_path):

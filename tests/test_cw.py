@@ -54,6 +54,14 @@ def test_decode_examples():
         cw_decode(1 << 8 | 1, p)
 
 
+@pytest.mark.parametrize("word", [-1, -7, -(1 << 10)])
+def test_decode_negative_word_is_dimension_mismatch(word):
+    # bit_count() ignores the sign, so a negative word must be refused
+    # before the rank loop, which would never reach zero
+    with pytest.raises(DimensionMismatch):
+        cw_decode(word, CwParams(10, 3))
+
+
 def test_encode_range_errors():
     p = CwParams(8, 2)
     with pytest.raises(RangeError):

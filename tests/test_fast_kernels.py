@@ -45,7 +45,7 @@ from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_c
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, SQUARE_Q, TOY, seed_bytes
+from conftest import MID, SQUARE_Q, TOY, perm_inverse, seed_bytes
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
 DEEP_FIELDS = {**FIELDS, 16: Field(16)}
@@ -294,15 +294,23 @@ def test_mid_keygen_matches_oracle_chain(seed):
 
 def check_keygen(params, seed):
     pub, priv = niederreiter.keygen(params, SeededRng(seed))
-    code, check_t, scrambler, perm = oracles.niederreiter_keygen(params, SeededRng(seed))
-    assert priv.code.support == code.support
-    assert priv.code.goppa_poly == code.goppa_poly
-    assert priv.code.parity_check().binary == oracles.binary_check(code)
-    assert priv.perm == perm
-    # scrambler.s_inv is R, the right block; the key holds its columns
-    assert priv.right_t == oracles.transpose(scrambler.s_inv)
-    assert priv.right_t.invert() == oracles.transpose(scrambler.s)
-    assert pub.check_t == check_t
+    chain = oracles.niederreiter_keygen(params, SeededRng(seed))
+    check_key_against_chain(priv, chain)
+    assert pub.check_t == chain.check_t
+
+
+def check_key_against_chain(priv, chain):
+    """The key is the chain's code with position i moved to perm[i], and
+    the right block of its check is the chain's R = s_inv."""
+    params = priv.params
+    k, nk = params.k, params.redundancy
+    assert priv.goppa_poly == chain.code.goppa_poly
+    assert priv.support == [chain.code.support[i] for i in perm_inverse(chain.perm)]
+    assert priv.parity_check().binary == oracles.binary_check(chain.code).permute_columns(chain.perm)
+    right_t = BinaryMatrix(nk, nk, priv.parity_check().column_ints[k:])
+    assert right_t == oracles.transpose(chain.scrambler.s_inv)
+    assert right_t.invert() == oracles.transpose(chain.scrambler.s)
+    assert niederreiter.public_key(priv).check_t == chain.check_t
 
 
 class ReducibleRng:
@@ -535,22 +543,36 @@ def outcome(fn, *args):
         return type(exc), getattr(exc, "reason", None)
 
 
+@functools.cache
+def oracle_chain(scale):
+    """The oracle keygen chain for a scale's seed; every scheme draws
+    its inner key first, so the chain is the same for all four."""
+    params, tag = DECRYPT_SCALES[scale]
+    return oracles.niederreiter_keygen(params, SeededRng(seed_bytes(tag)))
+
+
 @pytest.mark.parametrize("scheme_name", sorted(DECRYPT_SCHEMES))
 @pytest.mark.parametrize("scale", sorted(DECRYPT_SCALES))
 def test_decrypt_matches_oracle_chain(monkeypatch, scale, scheme_name):
     params, tag = DECRYPT_SCALES[scale]
     sid, w, run_start, run_len = DECRYPT_SCHEMES[scheme_name]
     _, priv = keyio.regenerate(sid, params, w, run_start, run_len, seed_bytes(tag))
+    chain = oracle_chain(scale)
+    check_key_against_chain(priv, chain)
+
+    def chain_decrypt(_, c):
+        return oracles.niederreiter_decrypt(chain.code, chain.perm, chain.scrambler.s_inv, c)
+
     nk, t = params.redundancy, params.t
     rnd = random.Random(tag)
-    words = [0, 1 << nk]
+    words = [0, 1 << nk, -1]
     words += [sum(1 << i for i in rnd.sample(range(nk), t)) for _ in range(8)]
     words += [rnd.getrandbits(nk) for _ in range(8)]
     inner = [outcome(niederreiter.decrypt, priv, c) for c in words]
     outer = [outcome(scheme.decrypt, priv, c) for c in words]
-    assert [outcome(oracles.niederreiter_decrypt, priv, c) for c in words] == inner
+    assert [outcome(chain_decrypt, priv, c) for c in words] == inner
     # scheme.decrypt over the oracle chain
-    monkeypatch.setattr(niederreiter, "decrypt", oracles.niederreiter_decrypt)
+    monkeypatch.setattr(niederreiter, "decrypt", chain_decrypt)
     assert [outcome(scheme.decrypt, priv, c) for c in words] == outer
     # 0 and every weight-t word decode to an error vector
     assert sum(isinstance(r, int) for r in inner) >= 9

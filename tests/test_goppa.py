@@ -211,6 +211,38 @@ def test_decode_syndrome_length_check(toy_code):
         toy_code.decode(1 << 8)
 
 
+def test_negative_syndrome_inputs_are_dimension_mismatch(toy_code):
+    for e in (-1, -3, -(1 << 16)):
+        with pytest.raises(DimensionMismatch):
+            toy_code.parity_check().syndrome(e)
+    for synd in (-1, -5, -(1 << 8)):
+        with pytest.raises(DimensionMismatch):
+            toy_code.decode(synd)
+
+
+@pytest.mark.parametrize("params, tag", [(TOY, 0x21), (MID, 0x22)])
+def test_permuted_code_is_the_code_on_the_permuted_support(params, tag):
+    code = generate_code(params, SeededRng(seed_bytes(tag)))
+    rnd = random.Random(tag)
+    dest = rnd.sample(range(params.n), params.n)
+    moved = code.permuted(dest)
+    for i, d in enumerate(dest):
+        assert moved.support[d] == code.support[i]
+    # the same code built from scratch on the permuted support
+    fresh = GoppaCode(code.field, params, moved.support, code.goppa_poly)
+    assert moved._g_values == fresh._g_values
+    assert moved._field_rows() == fresh._field_rows()
+    assert moved.parity_check().column_ints == fresh.parity_check().column_ints
+    assert moved.parity_check().binary == code.parity_check().binary.permute_columns(dest)
+    for _ in range(20):
+        e = sum(1 << i for i in rnd.sample(range(params.n), rnd.randint(1, params.t)))
+        assert moved.decode(moved.parity_check().syndrome(e)) == e
+    with pytest.raises(DimensionMismatch):
+        code.permuted(dest[:-1])
+    with pytest.raises(DimensionMismatch):
+        code.permuted([0] * params.n)
+
+
 def test_decode_random_round_trip_mid_scale():
     code = generate_code(MID, SeededRng(seed_bytes(0x20)))
     pc = code.parity_check()

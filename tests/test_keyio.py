@@ -2,13 +2,14 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
-from kal1 import keyio, niederreiter, scheme
+from kal1 import binmat, keyio, niederreiter, scheme
 from kal1.errors import FormatError, KatMismatch, RangeError
-from kal1.goppa import CodeParams
-from conftest import TOY, odd_hex_kat, oversized_param_kat, seed_bytes
+from kal1.goppa import CodeParams, GoppaCode
+from conftest import MID, TOY, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat, seed_bytes
 
 FULL = CodeParams(1024, 524, 50, 10)
 
@@ -223,7 +224,7 @@ def test_private_key_round_trip(tmp_path, toy_kal1):
     assert sid == keyio.SCHEME_KAL1
     assert pk_again == pk_bytes
     assert pub.seed_row == pk.seed_row
-    assert isinstance(priv, niederreiter.NiederreiterPrivateKey)
+    assert isinstance(priv, GoppaCode)
 
 
 def test_private_key_checksum_mismatch(toy_kal1):
@@ -326,3 +327,50 @@ def test_shipped_kat_constants_stable():
     assert text == (
         "params=16,8,2,4 seed=0545aad56da2a97c3663d1432a3d1c84 msg=01 ct=a0\n"
     )
+
+
+@pytest.mark.parametrize("msg", ["10", "ff"])
+def test_kat_verify_out_of_range_message_is_format_error(msg):
+    # the toy message space is 4 bits wide
+    with pytest.raises(FormatError, match="^line 1: "):
+        keyio.kat_verify(out_of_range_msg_kat(msg))
+
+
+def count_transposes(monkeypatch) -> list:
+    """Count transpose_ints calls under every kal1 name that binds it."""
+    inner = binmat.transpose_ints
+    calls = []
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return inner(rows, cols)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "kal1" and getattr(mod, "transpose_ints", None) is inner:
+            monkeypatch.setattr(mod, "transpose_ints", counted)
+    return calls
+
+
+# (scheme id, w, run start, run length) per scheme, as `kal1 keygen` fills them
+SCHEME_FIELDS = [
+    (keyio.SCHEME_NIEDERREITER, 0, 0, 0),
+    (keyio.SCHEME_KAL1, 0, 0, 0),
+    (keyio.SCHEME_KAL1_S1, 10, 0, 0),
+    (keyio.SCHEME_KAL1_S2, 0, 4, 3),
+]
+
+
+@pytest.mark.parametrize("fields", SCHEME_FIELDS)
+def test_regeneration_transposes_nothing_and_decode_once(monkeypatch, fields):
+    # keygen works on the check's columns; its rows are built on the
+    # first decode, which reads them to find the locator's roots
+    calls = count_transposes(monkeypatch)
+    sid, w, run_start, run_len = fields
+    pub, priv = keyio.regenerate(sid, MID, w, run_start, run_len, seed_bytes(0x90 + sid))
+    assert len(calls) == 0
+    msgs = [3, 5]
+    for expected, msg in zip([1, 0], msgs):
+        before = len(calls)
+        assert scheme.decrypt(priv, scheme.encrypt(pub, msg)) == msg
+        assert len(calls) - before == expected
+

@@ -6,12 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from kal1 import keyio, niederreiter
-from kal1.binmat import vec_times_matrix
+from kal1 import keyio, niederreiter, scheme
+from kal1.binmat import BinaryMatrix, vec_times_matrix
 from kal1.errors import DecodingFailure, DimensionMismatch
+from kal1.goppa import generate_code
 from kal1.rng import SeededRng
 
-from conftest import TOY, perm_matrix, seed_bytes
+from conftest import TOY, key_perm, perm_matrix, seed_bytes
 
 # frozen outputs for keygen(TOY, seed 1)
 PINNED_PK_SHA256 = "67b1e283c0b7aae2dc62edc923f68a9559a51d318b9b79c5766c9b26b9b90dd4"
@@ -21,7 +22,7 @@ PINNED_E, PINNED_C = 0x0808, 0xAD
 
 def test_keygen_pinned_fixture(toy_nied):
     pub, priv = toy_nied
-    assert list(priv.perm.map) == PINNED_PERM
+    assert key_perm(TOY, seed_bytes(1), priv) == PINNED_PERM
     blob = keyio.serialize_public_key(pub)
     assert hashlib.sha256(blob).hexdigest() == PINNED_PK_SHA256
 
@@ -35,12 +36,15 @@ def test_public_key_is_systematic(toy_nied):
 
 def test_public_key_equals_transposed_private_product(toy_nied):
     # check_t must equal P^T H^T S^T computed independently with
-    # materialized matrices
+    # materialized matrices, from the code in its drawn order
     pub, priv = toy_nied
-    h_t = priv.code.parity_check().binary.transpose()
-    p_t = perm_matrix(priv.perm).transpose()
-    s_t = priv.right_t.invert()
-    assert pub.check_t == p_t.mul(h_t).mul(s_t)
+    h = generate_code(TOY, SeededRng(seed_bytes(1))).parity_check().binary
+    p = perm_matrix(key_perm(TOY, seed_bytes(1), priv))
+    hp = h.mul(p)
+    # the key is the code in public order: its check is H P
+    assert priv.parity_check().binary == hp
+    s_t = hp.columns(list(range(TOY.k, TOY.n))).transpose().invert()
+    assert pub.check_t == p.transpose().mul(h.transpose()).mul(s_t)
 
 
 def test_public_key_rebuild_matches(toy_nied):
@@ -117,11 +121,29 @@ def test_decrypt_ciphertext_length_check(toy_nied):
         niederreiter.decrypt(priv, 1 << TOY.redundancy)
 
 
+@pytest.mark.parametrize("c", [-1, -3, -(1 << TOY.redundancy)])
+def test_decrypt_negative_ciphertext_is_dimension_mismatch(toy_nied, toy_kal1, c):
+    with pytest.raises(DimensionMismatch):
+        niederreiter.decrypt(toy_nied[1], c)
+    with pytest.raises(DimensionMismatch):
+        scheme.decrypt(toy_kal1[1], c)
+
+
+def test_decrypt_decodes_the_suffix_syndrome(toy_nied):
+    # R*c, the product with the right block of the private check, is
+    # the syndrome of (0^k | c)
+    _, priv = toy_nied
+    cols = priv.parity_check().column_ints
+    right_t = BinaryMatrix(TOY.redundancy, TOY.redundancy, cols[TOY.k :])
+    for c in range(1 << TOY.redundancy):
+        assert priv.parity_check().syndrome(c << TOY.k) == vec_times_matrix(c, right_t)
+
+
 def test_keygen_deterministic():
     a = niederreiter.keygen(TOY, SeededRng(seed_bytes(42)))
     b = niederreiter.keygen(TOY, SeededRng(seed_bytes(42)))
     assert a[0].check_t == b[0].check_t
-    assert a[1].perm.map == b[1].perm.map
-    assert a[1].code.support == b[1].code.support
-    assert a[1].code.goppa_poly == b[1].code.goppa_poly
+    assert a[1].support == b[1].support
+    assert a[1].goppa_poly == b[1].goppa_poly
+    assert a[1].parity_check().column_ints == b[1].parity_check().column_ints
 

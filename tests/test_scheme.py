@@ -96,7 +96,7 @@ def test_keygen_pinned_fixture(toy_kal1):
     pk, sk = toy_kal1
     assert pk.seed_row == PINNED_SEED_ROW
     # the seed row is public; the private key is the inner Niederreiter key
-    assert sk.perm == niederreiter.keygen_private(TOY, SeededRng(seed_bytes(7))).perm
+    assert sk.support == niederreiter.keygen_private(TOY, SeededRng(seed_bytes(7))).support
     blob = keyio.serialize_public_key(pk)
     assert hashlib.sha256(blob).hexdigest() == PINNED_PK_SHA256
 
@@ -129,7 +129,7 @@ def test_decryption_is_key_independent(mid_kal1):
     # a weight-t c is the syndrome of (0^k | c) under every published
     # [A; I], so by unique decoding every key decrypts it to cw_decode(c)
     keys = [mid_kal1[1], scheme.keygen(MID, scheme.DenseSeed(), SeededRng(seed_bytes(0x12)))[1]]
-    assert keys[0].perm != keys[1].perm
+    assert keys[0].support != keys[1].support
     cwp = scheme.cw_params(MID)
     nk, t = MID.redundancy, MID.t
     rnd = random.Random(0x6B1)
