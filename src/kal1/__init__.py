@@ -5,8 +5,9 @@ Library layout: gf2m (field arithmetic; one field per degree m), binmat
 (constant-weight codec), niederreiter (baseline scheme; its private key,
 a GoppaCode with its positions in public order, is the private key of
 every scheme), scheme (Kal1 itself; one public key class whose seed
-policy picks the wire form), keyio (wire formats and KATs), isd (Prange
-probe, masking matrix and rank checks), cli.
+policy picks the wire form), keyio (the one wire codec: keys,
+ciphertexts, messages and KATs), isd (Prange probe, masking matrix and
+rank checks), cli.
 """
 
 from .cw import CwParams, cw_decode, cw_encode

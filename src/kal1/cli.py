@@ -15,7 +15,6 @@ import argparse
 import sys
 
 from . import isd, keyio, scheme
-from .bits import bit_string
 from .errors import (
     DecodingFailure,
     FormatError,
@@ -31,12 +30,7 @@ EXIT_RANGE = 3
 EXIT_DECODE = 4
 EXIT_KAT = 5
 
-SCHEME_IDS = {
-    "niederreiter": keyio.SCHEME_NIEDERREITER,
-    "kal1": keyio.SCHEME_KAL1,
-    "kal1-s1": keyio.SCHEME_KAL1_S1,
-    "kal1-s2": keyio.SCHEME_KAL1_S2,
-}
+SCHEME_IDS = {name: sid for sid, name in keyio.SCHEME_NAMES.items()}
 
 # Published public-key sizes (bits) of the NIST final-round code-based
 # schemes, cited for the size comparison only.
@@ -192,13 +186,18 @@ def cmd_inspect(args) -> int:
     if sid == keyio.SCHEME_KAL1:
         print(f"seed row weight: {pub.seed_row.bit_count()}")
         if params.redundancy <= 128:
-            print(f"seed row: {bit_string(pub.seed_row, params.redundancy)}")
+            print(f"seed row: {_bit_string(pub.seed_row, params.redundancy)}")
     elif sid == keyio.SCHEME_KAL1_S1:
         print(f"positions: {keyio.seed_fields(sid, pub.seed_row)}")
     elif sid == keyio.SCHEME_KAL1_S2:
         start, length = keyio.seed_fields(sid, pub.seed_row)
         print(f"run: start={start} length={length}")
     return 0
+
+
+def _bit_string(value: int, nbits: int) -> str:
+    """A vector with position 0 leftmost."""
+    return "".join("1" if (value >> i) & 1 else "0" for i in range(nbits))
 
 
 def cmd_kat(args) -> int:
@@ -218,14 +217,17 @@ def cmd_kat(args) -> int:
 
 
 def _bench_sizes(params: CodeParams, sparse_weight: int) -> list[tuple[str, str, int, str]]:
-    nk = params.redundancy
-    width = keyio.position_width(nk)
+    def computed(name: str, ident: str, sid: int, w: int):
+        return (name, ident, keyio.scheme_payload_bits(sid, params, w), "computed")
+
     rows = [(name, ident, bits, "cited") for name, ident, bits in CITED_KEY_BITS]
-    rows.insert(1, ("Niederreiter", "systematic", params.k * nk, "computed"))
-    rows.insert(2, ("Niederreiter", "full matrix", params.n * nk, "computed"))
-    rows.append(("Kal1", "-", nk, "computed"))
-    rows.append(("Kal1-S1", f"w={sparse_weight}", sparse_weight * width, "computed"))
-    rows.append(("Kal1-S2", "-", 2 * width, "computed"))
+    # a systematic key publishes only the k x (n-k) block above the
+    # identity, which no wire form here stores
+    rows.insert(1, ("Niederreiter", "systematic", params.k * params.redundancy, "computed"))
+    rows.insert(2, computed("Niederreiter", "full matrix", keyio.SCHEME_NIEDERREITER, 0))
+    rows.append(computed("Kal1", "-", keyio.SCHEME_KAL1, 0))
+    rows.append(computed("Kal1-S1", f"w={sparse_weight}", keyio.SCHEME_KAL1_S1, sparse_weight))
+    rows.append(computed("Kal1-S2", "-", keyio.SCHEME_KAL1_S2, 0))
     return rows
 
 

@@ -1,4 +1,5 @@
-"""Key, ciphertext, message and KAT file formats.
+"""Key, ciphertext, message and KAT file formats: the one module that
+knows the wire layout.
 
 Public key file (bit exact):
 
@@ -16,10 +17,12 @@ Public key file (bit exact):
 
 All three Kal1 schemes publish one ``scheme.Kal1PublicKey``: its seed
 policy (dense, sparse or run) picks the scheme id, and the positions or
-the run are derived from its seed row when it is written.  A row with no
-such form (more than 255 ones, or anything but one run of at least two
-ones that fits the length field) raises FormatError.  Parsing returns
-the same class, with the policy the scheme id names.
+the run are derived from its seed row when it is written (``seed_fields``).
+A row with no such form (more than 255 ones, or anything but one run of
+at least two ones that fits the length field) raises FormatError.
+Parsing returns the same class, with the policy the scheme id names, and
+accepts Kal1-S1/S2 fields only when they name a row of at most n-k bits
+that ``seed_fields`` writes back as exactly those fields.
 
 Private key file (fixed 39 bytes): magic b"K1SK", then the same
 version/scheme/params/w prefix, u16be run start and run length (zero
@@ -27,8 +30,9 @@ unless scheme 0x03), the 16-byte generator seed that regenerates the
 keypair, and a big-endian CRC-32 of the matching public key file.
 
 Messages are raw big-endian integers of ceil(msg_bits/8) bytes;
-ciphertexts are n-k bit vectors packed MSB first.  KAT files are text,
-one record per line:
+ciphertexts are n-k bit vectors in the payload bit layout: position 0
+is the most significant bit of the first byte, zero padded to a byte
+boundary.  KAT files are text, one record per line:
 
     params=<n>,<k>,<t>,<m> seed=<hex16B> msg=<hex> ct=<hex>
 """
@@ -41,7 +45,6 @@ import zlib
 
 from . import niederreiter, scheme
 from .binmat import BinaryMatrix
-from .bits import pack_bits, reverse_bits, unpack_bits
 from .errors import FormatError, KatMismatch, ParameterError, PolicyError, RangeError
 from .goppa import CodeParams
 from .rng import SEED_BYTES, SeededRng
@@ -69,6 +72,17 @@ _PRIVATE_TAIL = struct.Struct(">HH16sI")
 _PRIVATE_SIZE = _HEADER.size + _PRIVATE_TAIL.size
 
 
+# bit reversal of a byte: vector position 0 is the first bit on the wire
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reverse_bits(value: int, nbits: int) -> int:
+    """Reverse an nbits-wide value: bit i moves to bit nbits-1-i."""
+    nbytes = (nbits + 7) // 8
+    rev = int.from_bytes(value.to_bytes(nbytes, "little").translate(_REV8), "big")
+    return rev >> (8 * nbytes - nbits)
+
+
 def position_width(redundancy: int) -> int:
     """ceil(log2(n-k)), the field width for positions and run fields."""
     return (redundancy - 1).bit_length()
@@ -86,8 +100,10 @@ class _BitWriter:
         self._nbits += width
 
     def put_vector(self, v: int, nbits: int):
+        if v >> nbits:
+            raise FormatError(f"vector does not fit in {nbits} bits")
         # vector position 0 is emitted first, hence the bit reversal
-        self.put_uint(reverse_bits(v, nbits), nbits)
+        self.put_uint(_reverse_bits(v, nbits), nbits)
 
     @property
     def bit_count(self) -> int:
@@ -113,7 +129,7 @@ class _BitReader:
         return v
 
     def take_vector(self, nbits: int) -> int:
-        return reverse_bits(self.take_uint(nbits), nbits)
+        return _reverse_bits(self.take_uint(nbits), nbits)
 
     def expect_zero_padding(self):
         if self._left >= 8 or self._acc != 0:
@@ -137,7 +153,9 @@ def scheme_id(key: scheme.PublicKey) -> int:
     return sid
 
 
-def _payload_bits(sid: int, params: CodeParams, w: int) -> int:
+def scheme_payload_bits(sid: int, params: CodeParams, w: int) -> int:
+    """Payload size in bits, before byte padding, of a scheme at params
+    (w positions for Kal1-S1)."""
     nk = params.redundancy
     if sid == SCHEME_NIEDERREITER:
         return params.n * nk
@@ -150,7 +168,7 @@ def payload_bits(key: scheme.PublicKey) -> int:
     """Exact payload size in bits, before byte padding."""
     sid = scheme_id(key)
     w = key.seed_row.bit_count() if sid == SCHEME_KAL1_S1 else 0
-    return _payload_bits(sid, key.params, w)
+    return scheme_payload_bits(sid, key.params, w)
 
 
 def seed_fields(sid: int, seed_row: int) -> list[int]:
@@ -194,7 +212,7 @@ def serialize_public_key(key: scheme.PublicKey) -> bytes:
             # a run length at or above 2^width raises here
             out.put_uint(value, position_width(nk))
     w = len(fields) if sid == SCHEME_KAL1_S1 else 0
-    assert out.bit_count == _payload_bits(sid, params, w)
+    assert out.bit_count == scheme_payload_bits(sid, params, w)
     return _pack_header(MAGIC_PUBLIC, sid, params, w) + out.to_bytes()
 
 
@@ -235,7 +253,7 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
     nk = params.redundancy
     width = position_width(nk)
-    nbytes = (_payload_bits(sid, params, w) + 7) // 8
+    nbytes = (scheme_payload_bits(sid, params, w) + 7) // 8
     body = data[_HEADER.size :]
     if len(body) != nbytes:
         raise FormatError(f"payload must be {nbytes} bytes, got {len(body)}")
@@ -250,21 +268,19 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
     start = run = 0
     if sid == SCHEME_KAL1:
         seed_row = rd.take_vector(nk)
-    elif sid == SCHEME_KAL1_S1:
-        positions = [rd.take_uint(width) for _ in range(w)]
-        if any(p >= nk for p in positions):
-            raise FormatError("position outside the seed row")
-        if positions != sorted(set(positions)):
-            raise FormatError("positions must be strictly increasing")
-        seed_row = sum(1 << p for p in positions)
     else:
-        start = rd.take_uint(width)
-        run = rd.take_uint(width)
-        if run < 2:
-            raise FormatError("run length must be at least 2")
-        if start + run > nk:
-            raise FormatError("run overflows the seed row")
-        seed_row = ((1 << run) - 1) << start
+        if sid == SCHEME_KAL1_S1:
+            fields = [rd.take_uint(width) for _ in range(w)]
+            seed_row = 0
+            for p in fields:
+                seed_row |= 1 << p  # OR: a repeated position must not carry
+        else:
+            fields = [rd.take_uint(width), rd.take_uint(width)]
+            start, run = fields
+            seed_row = ((1 << run) - 1) << start
+        # the fields are the ones serialize_public_key writes for this row
+        if seed_row >> nk or seed_fields(sid, seed_row) != fields:
+            raise FormatError("payload fields are not the canonical form of a seed row")
     rd.expect_zero_padding()
     return scheme.Kal1PublicKey(params, seed_row, _policy_for(sid, w, start, run))
 
@@ -304,13 +320,11 @@ def load_private_key(data: bytes):
     run_start, run_len, seed, crc = _PRIVATE_TAIL.unpack_from(data, _HEADER.size)
     if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):
         raise FormatError("run fields must be zero outside Kal1-S2")
-    policy = _policy_for(sid, w, run_start, run_len)
-    if policy is not None:
-        try:
-            scheme.validate_policy(policy, params.redundancy)
-        except PolicyError as exc:
-            raise FormatError(f"invalid private key header: {exc}") from exc
-    pub, priv = regenerate(sid, params, w, run_start, run_len, seed)
+    try:
+        # scheme.keygen checks the header's seed policy before any draw
+        pub, priv = regenerate(sid, params, w, run_start, run_len, seed)
+    except PolicyError as exc:
+        raise FormatError(f"invalid private key header: {exc}") from exc
     pk_bytes = serialize_public_key(pub)
     if zlib.crc32(pk_bytes) != crc:
         raise FormatError("public key checksum mismatch")
@@ -343,15 +357,17 @@ def decode_message(data: bytes, params: CodeParams) -> int:
 
 
 def encode_ciphertext(c: int, params: CodeParams) -> bytes:
-    return pack_bits(c, params.redundancy)
+    out = _BitWriter()
+    out.put_vector(c, params.redundancy)
+    return out.to_bytes()
 
 
 def decode_ciphertext(data: bytes, params: CodeParams) -> int:
     if len(data) != ciphertext_bytes(params):
         raise FormatError(f"ciphertext must be {ciphertext_bytes(params)} bytes, got {len(data)}")
-    c = unpack_bits(data, params.redundancy)
-    if c >> params.redundancy:
-        raise FormatError("nonzero ciphertext padding bits")
+    rd = _BitReader(data)
+    c = rd.take_vector(params.redundancy)
+    rd.expect_zero_padding()
     return c
 
 
@@ -369,6 +385,8 @@ _KAT_LINE = re.compile(
 def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
     """Deterministic records: per-record seed and message drawn from
     one master stream, ciphertext from the regenerated dense keypair."""
+    if count < 0:
+        raise RangeError(f"record count must be non-negative, got {count}")
     rng = SeededRng(master_seed)
     cwp = scheme.cw_params(params)
     lines = []
@@ -402,14 +420,11 @@ def kat_verify(text: str) -> int:
         n, k, t, m = (int(mt.group(i)) for i in range(1, 5))
         try:
             params = CodeParams(n, k, t, m)
-        except ParameterError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        seed = bytes.fromhex(mt.group(5))
-        if len(seed) != SEED_BYTES:
-            raise FormatError(f"line {lineno}: seed must be {SEED_BYTES} bytes")
-        try:
+            seed = bytes.fromhex(mt.group(5))
+            if len(seed) != SEED_BYTES:
+                raise FormatError(f"seed must be {SEED_BYTES} bytes")
             msg = decode_message(bytes.fromhex(mt.group(6)), params)
-        except RangeError as exc:
+        except (ParameterError, FormatError, RangeError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed))
         ct_actual = encode_ciphertext(scheme.encrypt(pub, msg), params).hex()

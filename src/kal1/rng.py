@@ -25,6 +25,8 @@ import os
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from .errors import ParameterError
+
 SEED_BYTES = 16
 
 
@@ -38,7 +40,7 @@ class SeededRng:
 
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
-            raise ValueError(f"seed must be exactly {SEED_BYTES} bytes, got {len(seed)}")
+            raise ParameterError(f"seed must be exactly {SEED_BYTES} bytes, got {len(seed)}")
         self.seed = bytes(seed)
         self._stream = Cipher(
             algorithms.AES(self.seed), modes.CTR(bytes(SEED_BYTES))
@@ -49,7 +51,7 @@ class SeededRng:
 
     def randbits(self, k: int) -> int:
         if k < 0:
-            raise ValueError("bit count must be non-negative")
+            raise ParameterError("bit count must be non-negative")
         if k == 0:
             return 0
         raw = int.from_bytes(self.read((k + 7) // 8), "big")
@@ -57,7 +59,7 @@ class SeededRng:
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
-            raise ValueError("bound must be positive")
+            raise ParameterError("bound must be positive")
         k = (n - 1).bit_length()
         while True:
             v = self.randbits(k)
@@ -74,7 +76,7 @@ class SeededRng:
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct values from [0, n), order-sensitive and pinned."""
         if not 0 <= k <= n:
-            raise ValueError("sample size out of range")
+            raise ParameterError("sample size out of range")
         arr = list(range(n))
         for i in range(k):
             j = i + self.randbelow(n - i)

@@ -91,7 +91,7 @@ def validate_policy(policy: SeedPolicy, redundancy: int) -> None:
 
 
 def draw_seed_row(policy: SeedPolicy, redundancy: int, rng: SeededRng) -> int:
-    validate_policy(policy, redundancy)
+    """The seed row a policy draws; the caller has validated the policy."""
     if isinstance(policy, DenseSeed):
         return rng.randbits(redundancy)
     if isinstance(policy, SparseSeed):

@@ -509,3 +509,21 @@ def scan_roots(code: GoppaCode, sigma: list[int]) -> int:
         if acc == 0:
             e |= 1 << i
     return e
+
+
+# --- the ciphertext byte form before keyio's bit writer and reader took it over ---
+
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def pack_bits(value: int, nbits: int) -> bytes:
+    """Pack an nbits vector into MSB-first bytes (position 0 first)."""
+    nbytes = (nbits + 7) // 8
+    le = value.to_bytes(nbytes, "little")
+    return bytes(_REV8[b] for b in le)
+
+
+def unpack_bits(data: bytes, nbits: int) -> int:
+    """Inverse of pack_bits; the caller checks length and padding."""
+    value = int.from_bytes(bytes(_REV8[b] for b in data), "little")
+    return value

@@ -277,6 +277,17 @@ def test_kat_verify_out_of_range_message_exits_2(capsys, tmp_path):
     assert "line 1:" in err
 
 
+def test_kat_generate_negative_count_writes_no_file(capsys, tmp_path):
+    kat = tmp_path / "neg.kat"
+    code, stdout, err = run(
+        capsys, "kat", "generate", "--kat", str(kat), "--count", "-1", *TOY_ARGS, "--seed", SEED
+    )
+    assert code == 3
+    assert err.startswith("error: 3 RangeError")
+    assert stdout == ""
+    assert not kat.exists()
+
+
 def test_kat_generate_requires_params(capsys, tmp_path):
     code, _, err = run(capsys, "kat", "generate", "--kat", str(tmp_path / "x.kat"))
     assert code == 2

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from kal1 import binmat, keyio, niederreiter, scheme
+from kal1 import binmat, cli, keyio, niederreiter, scheme
 from kal1.errors import FormatError, KatMismatch, RangeError
 from kal1.goppa import CodeParams, GoppaCode
+import oracles
 from conftest import MID, TOY, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat, seed_bytes
 
 FULL = CodeParams(1024, 524, 50, 10)
@@ -127,6 +128,48 @@ def test_parse_rejects_run_overflow():
     blob[-1] = 0b111111_00  # start 7, run 7: overflows nk = 8
     with pytest.raises(FormatError):
         keyio.parse_public_key(bytes(blob))
+
+
+# n-k = 15 is not a power of two, so a 4-bit field can name a position
+# past the seed row
+ODD = CodeParams(32, 17, 3, 5)
+
+
+def seed_payload_blob(sid, params, fields):
+    """A .pk file whose Kal1-S1/S2 payload holds the given fields."""
+    out = keyio._BitWriter()
+    for value in fields:
+        out.put_uint(value, keyio.position_width(params.redundancy))
+    w = len(fields) if sid == keyio.SCHEME_KAL1_S1 else 0
+    return keyio._pack_header(keyio.MAGIC_PUBLIC, sid, params, w) + out.to_bytes()
+
+
+def test_seed_payload_blob_writes_canonical_fields_as_serialize_does():
+    blob = seed_payload_blob(keyio.SCHEME_KAL1_S1, ODD, [3, 7])
+    assert blob == keyio.serialize_public_key(sparse_key(ODD, (3, 7)))
+    blob = seed_payload_blob(keyio.SCHEME_KAL1_S2, ODD, [4, 3])
+    assert blob == keyio.serialize_public_key(run_key(ODD, 4, 3))
+
+
+@pytest.mark.parametrize(
+    "sid, fields",
+    [
+        pytest.param(keyio.SCHEME_KAL1_S1, [3, 15], id="position-past-row"),
+        pytest.param(keyio.SCHEME_KAL1_S1, [3, 3], id="repeated-position"),
+        pytest.param(keyio.SCHEME_KAL1_S1, [7, 3], id="descending-positions"),
+        pytest.param(keyio.SCHEME_KAL1_S2, [4, 0], id="run-length-0"),
+        pytest.param(keyio.SCHEME_KAL1_S2, [4, 1], id="run-length-1"),
+        pytest.param(keyio.SCHEME_KAL1_S2, [10, 6], id="run-past-row"),
+    ],
+)
+def test_parse_rejects_noncanonical_seed_fields(capsys, tmp_path, sid, fields):
+    blob = seed_payload_blob(sid, ODD, fields)
+    with pytest.raises(FormatError):
+        keyio.parse_public_key(blob)
+    path = tmp_path / "bad.pk"
+    path.write_bytes(blob)
+    assert cli.main(["inspect", "--key", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 2 FormatError")
 
 
 def test_parse_rejects_non_systematic_check(toy_nied):
@@ -256,6 +299,31 @@ def test_private_key_header_validation():
         keyio.load_private_key(bytes(stray_w))
 
 
+def test_private_key_load_checks_the_policy_once_and_a_bad_one_before_keygen(monkeypatch):
+    calls = []
+    real = scheme.validate_policy
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scheme, "validate_policy", counted)
+    pub, _ = keyio.regenerate(keyio.SCHEME_KAL1_S1, TOY, 3, 0, 0, seed_bytes(7))
+    pk_bytes = keyio.serialize_public_key(pub)
+    sk = keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, TOY, 3, 0, 0, seed_bytes(7), pk_bytes)
+    calls.clear()
+    keyio.load_private_key(sk)
+    assert len(calls) == 1
+
+    def no_keygen(*args):
+        raise AssertionError("keygen ran for an invalid header")
+
+    monkeypatch.setattr(niederreiter, "keygen_private", no_keygen)
+    bad = keyio.serialize_private_key(keyio.SCHEME_KAL1_S2, TOY, 0, 7, 2, seed_bytes(7), pk_bytes)
+    with pytest.raises(FormatError, match="^invalid private key header: "):
+        keyio.load_private_key(bad)
+
+
 def test_message_and_ciphertext_codecs():
     assert keyio.message_bytes(TOY) == 1
     assert keyio.ciphertext_bytes(TOY) == 1
@@ -276,6 +344,33 @@ def test_ciphertext_bit_order():
     # position 0 of the vector is the MSB of the first byte
     assert keyio.encode_ciphertext(0b00000001, TOY) == b"\x80"
     assert keyio.decode_ciphertext(b"\x80", TOY) == 1
+
+
+@pytest.mark.parametrize("params", [TOY, MID, FULL], ids=["toy", "mid", "headline"])
+def test_ciphertext_codec_matches_pack_bits_oracle(params):
+    nk = params.redundancy
+    rnd = random.Random(nk)
+    vectors = [0, 1, 1 << (nk - 1), (1 << nk) - 1] + [rnd.getrandbits(nk) for _ in range(200)]
+    for c in vectors:
+        blob = keyio.encode_ciphertext(c, params)
+        assert blob == oracles.pack_bits(c, nk)
+        assert keyio.decode_ciphertext(blob, params) == c == oracles.unpack_bits(blob, nk)
+
+
+def test_ciphertext_padding_bits_rejected_at_headline():
+    # n-k = 500 leaves the 4 low bits of the last byte as padding
+    blob = keyio.encode_ciphertext((1 << FULL.redundancy) - 1, FULL)
+    assert blob[-1] == 0xF0
+    for bit in range(4):
+        with pytest.raises(FormatError):
+            keyio.decode_ciphertext(blob[:-1] + bytes([blob[-1] | 1 << bit]), FULL)
+
+
+@pytest.mark.parametrize("c", [-1, 1 << 500, 1 << 504], ids=["negative", "padding", "past-end"])
+def test_ciphertext_encoding_rejects_vectors_outside_n_minus_k_bits(c):
+    # 1 << 500 would land in the padding, 1 << 504 past the last byte
+    with pytest.raises(FormatError):
+        keyio.encode_ciphertext(c, FULL)
 
 
 def test_kat_generate_verify_round_trip():
@@ -334,6 +429,17 @@ def test_kat_verify_out_of_range_message_is_format_error(msg):
     # the toy message space is 4 bits wide
     with pytest.raises(FormatError, match="^line 1: "):
         keyio.kat_verify(out_of_range_msg_kat(msg))
+
+
+def test_kat_verify_wrong_length_message_has_line_prefix():
+    # the toy message field is one byte
+    with pytest.raises(FormatError, match="^line 1: "):
+        keyio.kat_verify(out_of_range_msg_kat("0001"))
+
+
+def test_kat_generate_rejects_negative_count():
+    with pytest.raises(RangeError):
+        keyio.kat_generate(TOY, -1, seed_bytes(1))
 
 
 def count_transposes(monkeypatch) -> list:

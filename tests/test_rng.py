@@ -1,0 +1,27 @@
+"""SeededRng rejects bad arguments with a Kal1Error, as every library
+entry point does."""
+
+import pytest
+
+from kal1 import Kal1Error, SeededRng
+
+
+@pytest.mark.parametrize("nbytes", [0, 15, 17])
+def test_seed_of_wrong_length_raises_kal1_error(nbytes):
+    with pytest.raises(Kal1Error):
+        SeededRng(bytes(nbytes))
+
+
+@pytest.mark.parametrize(
+    "draw, args",
+    [
+        ("randbits", (-1,)),
+        ("randbelow", (0,)),
+        ("randbelow", (-3,)),
+        ("sample", (3, 4)),
+        ("sample", (3, -1)),
+    ],
+)
+def test_bad_draw_arguments_raise_kal1_error(draw, args):
+    with pytest.raises(Kal1Error):
+        getattr(SeededRng(bytes(16)), draw)(*args)
