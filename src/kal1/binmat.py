@@ -3,6 +3,11 @@
 A matrix stores its rows as ints: bit j of a row is column j, and bits
 at or above the column count stay zero.  Matrices are treated as
 immutable values; every operation returns a fresh matrix.
+
+Rank, inversion and the product are "Four Russians" kernels, as in M4RI
+(Albrecht, Bard and Hart): eight columns or rows at a time, a table of
+the 256 XOR combinations of eight rows replaces up to eight row XORs by
+one lookup.  Rank and inversion share one elimination, ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -51,65 +56,38 @@ class BinaryMatrix:
         )
 
     def mul(self, other: "BinaryMatrix") -> "BinaryMatrix":
+        """Four-Russians product: for each 8 rows of other, a table of
+        their 256 XOR combinations, picked by each row's byte there."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         orows = other.row_ints
-        out = []
-        for row in self.row_ints:
-            acc = 0
-            r = row
-            while r:
-                low = r & -r
-                acc ^= orows[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
+        left = [r.to_bytes((self.cols + 7) // 8, "little") for r in self.row_ints]
+        out = [0] * self.rows
+        for j in range(0, self.cols, CHUNK):
+            table = _combinations(orows[j : j + CHUNK])
+            byte = j // CHUNK
+            out = [acc ^ table[row[byte]] for acc, row in zip(out, left)]
         return BinaryMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.cols, self.rows, transpose_ints(self.row_ints, self.cols))
 
     def rank(self) -> int:
-        # incremental reduction against a basis keyed by leading bit; no
-        # rank exceeds min(rows, cols), so the remaining rows are skipped
-        # once it is reached
-        basis: dict[int, int] = {}
-        rank = 0
-        full = min(self.rows, self.cols)
-        for row in self.row_ints:
-            if rank == full:
-                break
-            cur = row
-            while cur:
-                top = cur.bit_length() - 1
-                other = basis.get(top)
-                if other is None:
-                    basis[top] = cur
-                    rank += 1
-                    break
-                cur ^= other
-        return rank
+        return len(_eliminate(self.row_ints, self.cols, None))
 
     def invert(self) -> "BinaryMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        aug = [self.row_ints[i] | (1 << (n + i)) for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if (aug[r] >> col) & 1:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError(f"matrix is singular at column {col}")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            prow = aug[col]
-            for r in range(n):
-                if r != col and (aug[r] >> col) & 1:
-                    aug[r] ^= prow
-        return BinaryMatrix(n, n, [row >> n for row in aug])
+        # Gauss-Jordan on (self | identity): the pivot rows end as the inverse's rows
+        solved: list[int] = []
+        pivots = _eliminate([r | 1 << (n + i) for i, r in enumerate(self.row_ints)], n, solved)
+        if len(pivots) < n:
+            col = next(c for c, p in enumerate(pivots + [n]) if c != p)
+            raise SingularMatrixError(f"matrix is singular at column {col}")
+        return BinaryMatrix(n, n, solved)
 
     def columns(self, idxs: list[int]) -> "BinaryMatrix":
         """New matrix keeping the given columns, in the given order."""
@@ -135,6 +113,73 @@ class BinaryMatrix:
                     acc |= 1 << d
             out.append(acc)
         return BinaryMatrix(self.rows, self.cols, out)
+
+
+CHUNK = 8  # columns per Four-Russians step; its tables have 2^CHUNK entries
+
+
+def _combinations(rows: list[int]) -> list[int]:
+    """Entry v is the XOR of the rows picked by the bits of v, built by
+    doubling: each row is XORed into a copy of the table so far."""
+    table = [0]
+    for row in rows:
+        table += [acc ^ row for acc in table] if row else table
+    return table
+
+
+def _eliminate(rows: list[int], width: int, solved: list[int] | None) -> list[int]:
+    """Four-Russians elimination of the low width bits of rows; returns
+    the pivot columns in increasing order, as many as the rank.
+
+    Columns go CHUNK at a time from bit 0.  Rows are scanned in order,
+    each one's chunk reduced by the chunk's pivots so far; the first
+    left nonzero becomes the pivot of its lowest bit there, and the
+    earlier pivots are cleared at that bit, so each pivot has a 1 at its
+    own column and 0 at the others'.  A row's chunk bits then index the
+    pivots' XOR combination that clears them, so one lookup reduces
+    each other row.  Every row is shifted down past the chunk, and the
+    other rows left zero are dropped.
+
+    With solved given, the pivot rows are reduced by every later chunk
+    too (Gauss-Jordan) and collected there in column order, shifted
+    down past width.  The list rows itself is left as it is.
+    """
+    found: list[int] = []
+    for start in range(0, width, CHUNK):
+        if not rows:
+            break
+        step = min(CHUNK, width - start)
+        low = (1 << step) - 1
+        pivots = [0] * step  # pivot row by chunk bit
+        have = 0  # the chunk bits with a pivot
+        rest = []
+        for i, row in enumerate(rows):
+            if have == low:
+                rest += rows[i:]
+                break
+            reduced = row
+            bits = row & have
+            while bits:
+                b = bits & -bits
+                reduced ^= pivots[b.bit_length() - 1]
+                bits ^= b
+            v = reduced & low
+            if not v:
+                rest.append(row)
+                continue
+            b = v & -v
+            for c, p in enumerate(pivots):
+                if p & b:
+                    pivots[c] = p ^ reduced
+            pivots[b.bit_length() - 1] = reduced
+            have |= b
+        table = _combinations(pivots)
+        if solved is not None:
+            solved[:] = [(r ^ table[r & low]) >> step for r in solved]
+            solved += [p >> step for p in pivots if p]
+        found += [start + b for b, p in enumerate(pivots) if p]
+        rows = list(filter(None, [(r ^ table[r & low]) >> step for r in rest]))
+    return found
 
 
 def transpose_ints(rows: list[int], cols: int) -> list[int]:

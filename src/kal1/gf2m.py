@@ -169,15 +169,6 @@ def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     return poly_divmod(field, f, g)[1]
 
 
-def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
-    a, b = poly_trim(f), poly_trim(g)
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    if a and a[-1] != 1:
-        a = poly_scale(field, a, field.inv(a[-1]))
-    return a
-
-
 def poly_eea_bounded(
     field: Field, f: list[int], g: list[int], dbound: int
 ) -> tuple[list[int], list[int]]:
@@ -234,15 +225,23 @@ def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
 def is_irreducible(field: Field, f: list[int]) -> bool:
     """Whether f of degree >= 1 is irreducible over GF(2^m).
 
-    Checks gcd(x^(q^i) - x, f) = 1 for i up to deg(f)/2, which rules
-    out every factor of degree at most deg(f)/2 and therefore all of
-    them.  Composites with small factors exit on the first levels.
+    Ben-Or's test: f is irreducible exactly when gcd(x^(q^i) - x, f) = 1
+    for every level i up to deg(f)/2, which rules out every factor of
+    degree at most deg(f)/2 and therefore all of them.  Levels 1 and 2,
+    where most composites fail, get a gcd each.  From level 3 on, the
+    h - x of three levels are multiplied modulo f and one gcd is taken
+    per block, as in the interval partition of von zur Gathen and Shoup:
+    an irreducible factor of f divides the product exactly when it
+    divides one of its terms, so every decision is that of the
+    level-by-level test, at a third of the gcds.
 
     Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f is held as
     one packed int, coefficient i at bits [m*i, m*i + m), and squared
-    by XORs: h_i^2 lands on coefficient 2i while 2i < deg(f), and above
-    that picks rows alpha^s * (x^(2i) mod f), built once per call, by
-    its bits s.  h is unpacked only for each level's gcd.
+    by XORs.  h_i^2 lands on coefficient 2i while 2i < deg(f); each
+    higher h_i reads c -> c^2 * x^(2i) mod f from its own tables, built
+    once per call.  Every table is split in two, one for each half of
+    c's bits.  The products modulo f and the gcds' Euclid work on packed
+    ints too, so h is never unpacked.
     """
     f = poly_trim(f)
     t = poly_deg(f)
@@ -262,53 +261,109 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     # through the low bits of the field's reduction polynomial
     tops = full // mask << (m - 1)
     red = field.reduction_poly & mask
+    lo_bits = m // 2
+    lo_mask = (1 << lo_bits) - 1
 
-    def alpha_multiples(v: int) -> list[int]:
+    def alpha_multiples(v: int, count: int) -> list[int]:
+        # v, alpha * v, alpha^2 * v, ...: count of them
         out = [v]
-        for _ in range(m - 1):
+        for _ in range(count - 1):
             top = v & tops
             v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
             out.append(v)
         return out
 
-    def scaled(mults: list[int], c: int) -> int:
-        # c * v for a field element c: the alpha multiples of v picked by the bits of c
-        acc = 0
-        while c:
-            low = c & -c
-            acc ^= mults[low.bit_length() - 1]
-            c ^= low
-        return acc
+    def split(basis: list[int]) -> tuple[list[int], list[int]]:
+        # c -> the XOR of basis[s] over the bits s of c, as a table for
+        # the low lo_bits bits of c and one for the rest, built by doubling
+        lo, hi = [0], [0]
+        for v in basis[:lo_bits]:
+            lo += [acc ^ v for acc in lo]
+        for v in basis[lo_bits:]:
+            hi += [acc ^ v for acc in hi]
+        return lo, hi
 
-    # x^t mod f is f without its leading 1 (char 2)
-    xt = alpha_multiples(sum(c << (m * i) for i, c in enumerate(f[:-1])))
+    packed_f = sum(c << (m * i) for i, c in enumerate(f))
+    # c -> c * x^t mod f; x^t mod f is f without its leading 1 (char 2)
+    fold_lo, fold_hi = split(alpha_multiples(packed_f & full, m))
     half = (t + 1) // 2
-    rows = []  # rows[i - half] = alpha multiples of x^(2i) mod f
-    v = xt[0]
+    # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
+    # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
+    lanes = []
+    v = fold_lo[1]
     for j in range(t, 2 * t - 1):
         if not j & 1:
-            rows.append(alpha_multiples(v))
+            lanes.append(split(alpha_multiples(v, 2 * m - 1)[::2]))
         # times x: up one coefficient, then coefficient t folds back as c * x^t
         v <<= m
-        v = (v & full) ^ scaled(xt, v >> (m * t))
+        c = v >> (m * t)
+        v = (v & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+
+    def square(h: int) -> int:
+        # h_i^2 on coefficient 2i while 2i < t, the lane tables above
+        acc = 0
+        for i in range(half):
+            c = (h >> (m * i)) & mask
+            if c:
+                acc |= exp[log[c] << 1] << (2 * m * i)
+        for i, (lo, hi) in enumerate(lanes, half):
+            c = (h >> (m * i)) & mask
+            acc ^= lo[c & lo_mask] ^ hi[c >> lo_bits]
+        return acc
+
+    def mul_mod(a: int, b: int) -> int:
+        # Horner over b's coefficients from the top, with a's multiples from tables
+        a_lo, a_hi = split(alpha_multiples(a, m))
+        acc = 0
+        for i in range(t - 1, -1, -1):
+            acc <<= m
+            c = acc >> (m * t)
+            acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+            c = (b >> (m * i)) & mask
+            acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
+        return acc
+
+    def coprime_to_f(a: int) -> bool:
+        # Euclid on (f, a), packed: each quotient term c * x^d subtracts
+        # c times the divisor, the XOR of its alpha multiples picked by
+        # the bits of c, shifted up d coefficients
+        r0, r1 = packed_f, a
+        while r1 >> m:
+            d1 = (r1.bit_length() - 1) // m
+            mults = alpha_multiples(r1, m)
+            lead_inv = mask - log[r1 >> (m * d1)]
+            d0 = (r0.bit_length() - 1) // m
+            while d0 >= d1:
+                c = exp[log[r0 >> (m * d0)] + lead_inv]
+                term = 0
+                while c:
+                    low = c & -c
+                    term ^= mults[low.bit_length() - 1]
+                    c ^= low
+                r0 ^= term << (m * (d0 - d1))
+                d0 = (r0.bit_length() - 1) // m
+            r0, r1 = r1, r0
+        # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
+        return r1 != 0
 
     x = 1 << m
-    h = x
-    for _ in range(t // 2):
-        for _ in range(m):
-            acc = 0
-            for i in range(half):
-                c = (h >> (m * i)) & mask
-                if c:
-                    acc |= exp[log[c] << 1] << (2 * m * i)
-            for i, row in enumerate(rows, half):
-                c = (h >> (m * i)) & mask
-                if c:
-                    acc ^= scaled(row, exp[log[c] << 1])
-            h = acc
-        hx = h ^ x
-        if poly_deg(poly_gcd(field, [(hx >> (m * i)) & mask for i in range(t)], f)) >= 1:
-            return False
+    # level 1 starts at x^(2^s), the last power of x that squaring
+    # reaches below degree t, or at x^q itself
+    s = min((t - 1).bit_length() - 1, m)
+    h = 1 << (m << s)
+    squarings = m - s
+    product = None
+    last = t // 2
+    for level in range(1, last + 1):
+        for _ in range(squarings):
+            h = square(h)
+        squarings = m
+        product = h ^ x if product is None else mul_mod(product, h ^ x)
+        # the gcd blocks are levels {1}, {2}, {3, 4, 5}, {6, 7, 8}, ...
+        if level == 1 or level % 3 == 2 or level == last:
+            if not coprime_to_f(product):
+                return False
+            product = None
     return True
 
 

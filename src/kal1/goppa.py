@@ -10,6 +10,7 @@ up to t when g is irreducible.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,7 +65,7 @@ class CodeParams:
 
 class ParityCheckMatrix:
     """The binary parity check, by columns; its rows are built from
-    them on first use."""
+    them on first use, unless the code set them when it built the check."""
 
     def __init__(self, params: CodeParams, column_ints: list[int]):
         self.params = params
@@ -123,16 +124,38 @@ class GoppaCode:
         self._sqrt_x: list[int] | None = None
 
     def parity_check(self) -> ParityCheckMatrix:
+        """The binary check, whose column i packs the m bits of each of
+        the t field entries of column i, entry j at bit m*j.
+
+        The field rows are packed by struct.  As 16-bit lanes of one int,
+        bit b of every entry of field row j is a strided slice of its
+        binary digits: binary row j*m + b.  For the columns, the rows go
+        64 // m at a time: with each entry in a 64-bit lane and each row
+        shifted m bits above the one before, a group ORs into one int
+        whose lanes are its share of every column.
+        """
         # cached; recomputation would be identical, so races are benign
         if self._pc is None:
-            n, m = self.params.n, self.params.m
-            # column i packs the m bits of each of the t field entries
+            n, m, t = self.params.n, self.params.m, self.params.t
+            narrow = struct.Struct(f"<{n}H")
+            wide = struct.Struct("<" + "H6x" * n)
+            group = 64 // m
+            field_rows = self._field_rows()
+            rows = []
             cols = [0] * n
-            for j, row in enumerate(self._field_rows()):
-                shift = j * m
-                for i in range(n):
-                    cols[i] |= row[i] << shift
+            lanes = 0
+            for j, entries in enumerate(field_rows):
+                field_rows[j] = None  # released once packed
+                digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
+                rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
+                lanes |= int.from_bytes(wide.pack(*entries), "little") << (m * (j % group))
+                if j % group == group - 1 or j == t - 1:
+                    shift = m * (j - j % group)
+                    share = struct.unpack(f"<{n}Q", lanes.to_bytes(8 * n, "little"))
+                    cols = [c | v << shift for c, v in zip(cols, share)]
+                    lanes = 0
             self._pc = ParityCheckMatrix(self.params, cols)
+            self._pc.binary = BinaryMatrix(len(rows), n, rows)
         return self._pc
 
     def permuted(self, dest: list[int]) -> GoppaCode:
@@ -337,8 +360,6 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         else:
             raise GenerationFailure("no irreducible Goppa polynomial among the candidates")
         code = GoppaCode(field, params, support, g)
-        # the rank of the check is that of its n columns
-        mt = params.m * params.t
-        if BinaryMatrix(params.n, mt, code.parity_check().column_ints).rank() == mt:
+        if code.parity_check().binary.rank() == params.m * params.t:
             return code
     raise GenerationFailure("could not sample a full-rank code")

@@ -384,7 +384,9 @@ _KAT_LINE = re.compile(
 
 def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
     """Deterministic records: per-record seed and message drawn from
-    one master stream, ciphertext from the regenerated dense keypair."""
+    one master stream, ciphertext from the regenerated dense keypair.
+    Every record is one line ending in a newline, so no records are the
+    empty text."""
     if count < 0:
         raise RangeError(f"record count must be non-negative, got {count}")
     rng = SeededRng(master_seed)
@@ -399,9 +401,9 @@ def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
             f"params={params.n},{params.k},{params.t},{params.m}"
             f" seed={seed.hex()}"
             f" msg={encode_message(msg, params).hex()}"
-            f" ct={encode_ciphertext(ct, params).hex()}"
+            f" ct={encode_ciphertext(ct, params).hex()}\n"
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def kat_verify(text: str) -> int:

@@ -28,6 +28,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .errors import ParameterError
 
 SEED_BYTES = 16
+BLOCK_BYTES = 4096  # keystream bytes taken from the cipher at a time
 
 
 def fresh_seed() -> bytes:
@@ -36,7 +37,12 @@ def fresh_seed() -> bytes:
 
 
 class SeededRng:
-    """AES-128-CTR keystream generator; single-owner, not thread safe."""
+    """AES-128-CTR keystream generator; single-owner, not thread safe.
+
+    The keystream is taken from the cipher BLOCK_BYTES at a time and
+    every draw is served from that buffer, so the bytes and their order
+    are those of reading the stream draw by draw.
+    """
 
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
@@ -45,31 +51,49 @@ class SeededRng:
         self._stream = Cipher(
             algorithms.AES(self.seed), modes.CTR(bytes(SEED_BYTES))
         ).encryptor()
+        self._buf = b""
+        self._pos = 0
 
     def read(self, nbytes: int) -> bytes:
-        return self._stream.update(bytes(nbytes))
+        if nbytes < 0:
+            raise ParameterError("byte count must be non-negative")
+        pos = self._pos
+        end = pos + nbytes
+        if end > len(self._buf):
+            # keep the unread bytes and append whole blocks until nbytes are there
+            rest = self._buf[pos:]
+            blocks = -(-(nbytes - len(rest)) // BLOCK_BYTES)
+            self._buf = rest + self._stream.update(bytes(blocks * BLOCK_BYTES))
+            pos, end = 0, nbytes
+        self._pos = end
+        return self._buf[pos:end]
 
     def randbits(self, k: int) -> int:
         if k < 0:
             raise ParameterError("bit count must be non-negative")
         if k == 0:
             return 0
-        raw = int.from_bytes(self.read((k + 7) // 8), "big")
-        return raw & ((1 << k) - 1)
+        return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
             raise ParameterError("bound must be positive")
         k = (n - 1).bit_length()
+        if k == 0:
+            return 0
+        nbytes = (k + 7) // 8
+        mask = (1 << k) - 1
+        read = self.read
         while True:
-            v = self.randbits(k)
+            v = int.from_bytes(read(nbytes), "big") & mask
             if v < n:
                 return v
 
     def permutation(self, n: int) -> list[int]:
         arr = list(range(n))
+        below = self.randbelow
         for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            j = below(i + 1)
             arr[i], arr[j] = arr[j], arr[i]
         return arr
 
@@ -78,7 +102,8 @@ class SeededRng:
         if not 0 <= k <= n:
             raise ParameterError("sample size out of range")
         arr = list(range(n))
+        below = self.randbelow
         for i in range(k):
-            j = i + self.randbelow(n - i)
+            j = i + below(n - i)
             arr[i], arr[j] = arr[j], arr[i]
         return arr[:k]

@@ -8,6 +8,8 @@ them, so they must stay simple and must not call the kernels they check.
 import functools
 from typing import NamedTuple
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
 from kal1 import scheme
 from kal1.binmat import BinaryMatrix, matrix_times_vec, random_permutation, vec_times_matrix
 from kal1.cw import CwParams, cw_encode
@@ -330,6 +332,96 @@ def decode(code: GoppaCode, synd: int) -> int:
     return e
 
 
+# --- GF(2) matrices and the keystream before their kernels were rewritten ---
+
+
+def mul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
+    """Schoolbook product: the XOR of b's rows picked by each row of a."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = []
+    for row in a.row_ints:
+        acc = 0
+        r = row
+        while r:
+            low = r & -r
+            acc ^= b.row_ints[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return BinaryMatrix(a.rows, b.cols, out)
+
+
+def rank(m: BinaryMatrix) -> int:
+    """Incremental reduction against a basis keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for row in m.row_ints:
+        cur = row
+        while cur:
+            top = cur.bit_length() - 1
+            other = basis.get(top)
+            if other is None:
+                basis[top] = cur
+                break
+            cur ^= other
+    return len(basis)
+
+
+def invert(m: BinaryMatrix) -> BinaryMatrix:
+    """Gauss-Jordan on (m | identity), one column and one row at a time;
+    SingularMatrixError names the first column without a pivot."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices can be inverted")
+    n = m.rows
+    aug = [m.row_ints[i] | (1 << (n + i)) for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if (aug[r] >> col) & 1), None)
+        if piv is None:
+            raise SingularMatrixError(f"matrix is singular at column {col}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        for r in range(n):
+            if r != col and (aug[r] >> col) & 1:
+                aug[r] ^= prow
+    return BinaryMatrix(n, n, [row >> n for row in aug])
+
+
+class UnbufferedRng:
+    """The pinned draws with one cipher call per read, as SeededRng made
+    them before it buffered the keystream."""
+
+    def __init__(self, seed: bytes):
+        self._stream = Cipher(algorithms.AES(seed), modes.CTR(bytes(16))).encryptor()
+
+    def read(self, nbytes: int) -> bytes:
+        return self._stream.update(bytes(nbytes))
+
+    def randbits(self, k: int) -> int:
+        if k == 0:
+            return 0
+        return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
+
+    def randbelow(self, n: int) -> int:
+        k = (n - 1).bit_length()
+        while True:
+            v = self.randbits(k)
+            if v < n:
+                return v
+
+    def permutation(self, n: int) -> list[int]:
+        arr = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            arr[i], arr[j] = arr[j], arr[i]
+        return arr
+
+    def sample(self, n: int, k: int) -> list[int]:
+        arr = list(range(n))
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            arr[i], arr[j] = arr[j], arr[i]
+        return arr[:k]
+
+
 def transpose(m: BinaryMatrix) -> BinaryMatrix:
     out = [0] * m.cols
     for i, row in enumerate(m.row_ints):
@@ -379,8 +471,8 @@ def systematize(binary_check: BinaryMatrix, perm, k: int):
     permuted = binary_check.permute_columns(perm)
     nk = binary_check.rows
     right = BinaryMatrix(nk, nk, [row >> k for row in permuted.row_ints])
-    s = right.invert()
-    return Scrambler(s, right), s.mul(permuted)
+    s = invert(right)
+    return Scrambler(s, right), mul(s, permuted)
 
 
 def generate_code(params: CodeParams, rng) -> GoppaCode:
@@ -394,7 +486,7 @@ def generate_code(params: CodeParams, rng) -> GoppaCode:
             if is_irreducible(field, g):
                 break
         code = GoppaCode(field, params, support, g)
-        if binary_check(code).rank() == params.m * params.t:
+        if rank(binary_check(code)) == params.m * params.t:
             return code
     raise GenerationFailure("could not sample a full-rank code")
 

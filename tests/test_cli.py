@@ -288,6 +288,19 @@ def test_kat_generate_negative_count_writes_no_file(capsys, tmp_path):
     assert not kat.exists()
 
 
+def test_kat_generate_zero_count_writes_an_empty_file(capsys, tmp_path):
+    kat = tmp_path / "empty.kat"
+    code, stdout, _ = run(
+        capsys, "kat", "generate", *TOY_ARGS, "--seed", SEED, "--count", "0", "--kat", str(kat)
+    )
+    assert code == 0
+    assert stdout == f"wrote 0 records to {kat}\n"
+    assert kat.read_bytes() == b""
+    code, stdout, _ = run(capsys, "kat", "verify", "--kat", str(kat))
+    assert code == 0
+    assert stdout == "verified 0 records\n"
+
+
 def test_kat_generate_requires_params(capsys, tmp_path):
     code, _, err = run(capsys, "kat", "generate", "--kat", str(tmp_path / "x.kat"))
     assert code == 2

@@ -12,7 +12,6 @@ from kal1.gf2m import (
     poly_deg,
     poly_divmod,
     poly_eea_bounded,
-    poly_gcd,
     poly_inv_mod,
     poly_mod,
     poly_mul,
@@ -22,7 +21,14 @@ from kal1.gf2m import (
     sqrt_x_mod,
 )
 
-from oracles import field_pow, find_generator, gf2_poly_is_irreducible, poly_eea, poly_eval
+from oracles import (
+    field_pow,
+    find_generator,
+    gf2_poly_is_irreducible,
+    poly_eea,
+    poly_eval,
+    poly_gcd,
+)
 
 
 def schoolbook_mul(a: int, b: int, m: int, red: int) -> int:

@@ -1,0 +1,236 @@
+"""The keygen kernels against the code they replaced.
+
+The Four-Russians rank, inverse and product must equal the schoolbook
+ones in ``oracles`` (the inverse's singular-column message included) on
+random, sparse, singular, near-singular, non-square and empty matrices,
+at every width up to 70 and at 500 columns.  The batched-gcd Ben-Or test
+must decide like the level-by-level oracle on products whose smallest
+factor falls in each gcd block, and on squares of irreducibles.  The
+packed parity check must equal the bit-by-bit expansion, and the
+buffered keystream must make the draws the unbuffered one makes,
+through as many ``read`` calls.
+"""
+
+import random
+
+import pytest
+
+from kal1 import Kal1Error
+from kal1.binmat import BinaryMatrix
+from kal1.errors import DimensionMismatch, SingularMatrixError
+from kal1.gf2m import Field, is_irreducible, poly_mul
+from kal1.goppa import CodeParams, GoppaCode, generate_code
+from kal1.rng import BLOCK_BYTES, SeededRng
+
+import oracles
+from conftest import MID, TOY, seed_bytes
+
+HEADLINE = CodeParams(1024, 524, 50, 10)
+
+
+def outcome(fn, *args):
+    """The result, or the exception's class and message."""
+    try:
+        return fn(*args)
+    except (SingularMatrixError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def random_matrix(rnd, rows, cols, density=0.5):
+    if density == 0.5:
+        return BinaryMatrix(rows, cols, [rnd.getrandbits(cols) for _ in range(rows)])
+    bits = [[rnd.random() < density for _ in range(cols)] for _ in range(rows)]
+    return BinaryMatrix(rows, cols, [sum(b << j for j, b in enumerate(r)) for r in bits])
+
+
+def with_dependent_row(rnd, m):
+    """m with one row replaced by the XOR of a random subset of the others."""
+    rows = list(m.row_ints)
+    i = rnd.randrange(len(rows))
+    acc = 0
+    for j, r in enumerate(rows):
+        if j != i and rnd.random() < 0.5:
+            acc ^= r
+    rows[i] = acc
+    return BinaryMatrix(m.rows, m.cols, rows)
+
+
+def check_matrix(rnd, m):
+    assert m.rank() == oracles.rank(m)
+    assert outcome(m.invert) == outcome(oracles.invert, m)
+    right = random_matrix(rnd, m.cols, rnd.randint(0, 70))
+    assert m.mul(right) == oracles.mul(m, right)
+
+
+@pytest.mark.parametrize("cols", range(1, 71))
+def test_kernels_match_oracle_at_every_width(cols):
+    rnd = random.Random(f"width/{cols}")
+    for rows in {0, 1, cols // 2, cols - 1, cols, cols + 1, cols + 9}:
+        for density in (0.5, 0.1):
+            check_matrix(rnd, random_matrix(rnd, rows, cols, density))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 33, 64, 70])
+def test_kernels_match_oracle_on_singular_and_structured_squares(n):
+    rnd = random.Random(f"singular/{n}")
+    full = random_matrix(rnd, n, n)
+    cases = [BinaryMatrix(n, n, [0] * n), with_dependent_row(rnd, full)]
+    # a zero column, a repeated row and a reversed identity
+    zero = ~(1 << rnd.randrange(n))
+    cases.append(BinaryMatrix(n, n, [r & zero for r in full.row_ints]))
+    rows = list(full.row_ints)
+    rows[-1] = rows[0]
+    cases.append(BinaryMatrix(n, n, rows))
+    cases.append(BinaryMatrix(n, n, [1 << (n - 1 - i) for i in range(n)]))
+    for m in cases:
+        check_matrix(rnd, m)
+
+
+def test_kernels_match_oracle_on_empty_dimensions():
+    rnd = random.Random(0)
+    for rows, cols in [(0, 0), (0, 5), (5, 0), (0, 9), (9, 0)]:
+        m = BinaryMatrix(rows, cols, [0] * rows)
+        check_matrix(rnd, m)
+        assert m.mul(BinaryMatrix(cols, 3, [0] * cols)) == BinaryMatrix(rows, 3, [0] * rows)
+
+
+def test_kernels_match_oracle_at_500_columns():
+    rnd = random.Random(500)
+    tall = random_matrix(rnd, 1024, 500)
+    assert tall.rank() == oracles.rank(tall) == 500
+    wide = random_matrix(rnd, 500, 1024)
+    assert wide.rank() == oracles.rank(wide)
+    square = random_matrix(rnd, 500, 500)
+    while oracles.rank(square) < 500:
+        square = random_matrix(rnd, 500, 500)
+    inv = square.invert()
+    assert inv == oracles.invert(square)
+    left = random_matrix(rnd, 524, 500)
+    assert left.mul(inv) == oracles.mul(left, inv)
+    near = with_dependent_row(rnd, square)
+    assert near.rank() == oracles.rank(near) == 499
+    assert outcome(near.invert) == outcome(oracles.invert, near)
+
+
+# --- the batched-gcd irreducibility test ---
+
+FIELDS = {m: Field(m) for m in (4, 10, 12)}
+
+
+def monic_irreducible(field, d, rnd):
+    """A random monic irreducible of degree d: the first candidate the
+    library accepts, which the oracle must accept too."""
+    while True:
+        g = [rnd.randrange(field.order) for _ in range(d)] + [1]
+        if is_irreducible(field, g):
+            assert oracles.is_irreducible(field, g)
+            return g
+
+
+@pytest.mark.parametrize("m", sorted(FIELDS))
+@pytest.mark.parametrize("d", range(1, 12))
+def test_is_irreducible_rejects_a_smallest_factor_in_every_block(m, d):
+    # gcd blocks are levels {1}, {2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11};
+    # the larger factor's degree moves the last level, so the smallest
+    # factor sits at each place of a block and in a last, partial one
+    field = FIELDS[m]
+    rnd = random.Random(f"block/{m}/{d}")
+    small = monic_irreducible(field, d, rnd)
+    for e in (d, d + 1, d + 2):
+        f = poly_mul(field, small, monic_irreducible(field, e, rnd))
+        assert oracles.is_irreducible(field, f) is False
+        assert is_irreducible(field, f) is False
+
+
+@pytest.mark.parametrize("m", sorted(FIELDS))
+@pytest.mark.parametrize("d", range(1, 11))
+def test_is_irreducible_rejects_squares_and_accepts_their_roots(m, d):
+    field = FIELDS[m]
+    rnd = random.Random(f"square/{m}/{d}")
+    g = monic_irreducible(field, d, rnd)
+    assert is_irreducible(field, g) is True
+    assert oracles.is_irreducible(field, poly_mul(field, g, g)) is False
+    assert is_irreducible(field, poly_mul(field, g, g)) is False
+
+
+@pytest.mark.parametrize("degrees", [(33,), (17, 20), (40,)])
+def test_is_irreducible_matches_oracle_above_the_field_order(degrees):
+    # at m = 4, x^(2^s) with 2^s < deg f overshoots x^q = x^16, where
+    # level 1 must stop
+    field = FIELDS[4]
+    rnd = random.Random(f"high/{degrees}")
+    factors = [monic_irreducible(field, d, rnd) for d in degrees]
+    f = factors[0] if len(factors) == 1 else poly_mul(field, *factors)
+    assert is_irreducible(field, f) is oracles.is_irreducible(field, f) is (len(factors) == 1)
+
+
+# --- the packed parity check ---
+
+
+@pytest.mark.parametrize("params, tag", [(TOY, 1), (MID, 2), (HEADLINE, 3)])
+def test_parity_check_matches_oracle(params, tag):
+    code = generate_code(params, SeededRng(seed_bytes(tag)))
+    assert 0 in code.support
+    fresh = GoppaCode(code.field, params, code.support, code.goppa_poly)
+    check = oracles.binary_check(fresh)
+    pc = fresh.parity_check()
+    assert pc.binary == check
+    assert pc.column_ints == oracles.transpose(check).row_ints
+
+
+@pytest.mark.parametrize("with_zero", [True, False])
+def test_parity_check_matches_oracle_on_partial_supports(with_zero):
+    field = FIELDS[10]
+    rnd = random.Random(f"partial/{with_zero}")
+    t = 6
+    support = rnd.sample(range(1, field.order), 99) + ([0] if with_zero else [])
+    rnd.shuffle(support)
+    n = len(support)
+    code = GoppaCode(field, CodeParams(n, n - 10 * t, t, 10), support, monic_irreducible(field, t, rnd))
+    check = oracles.binary_check(code)
+    assert code.parity_check().binary == check
+    assert code.parity_check().column_ints == oracles.transpose(check).row_ints
+
+
+# --- the buffered keystream ---
+
+
+def test_buffered_draws_match_unbuffered_oracle():
+    rnd = random.Random(7)
+    for tag in range(6):
+        rng, ref = SeededRng(seed_bytes(tag)), oracles.UnbufferedRng(seed_bytes(tag))
+        for _ in range(300):
+            draw = rnd.choice(["read", "randbits", "randbelow", "permutation", "sample"])
+            if draw == "read":
+                args = (rnd.choice([0, 1, 15, 16, 17, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES + 3]),)
+            elif draw == "randbits":
+                args = (rnd.choice([0, 1, 7, 8, 9, 10, 500, 20000]),)
+            elif draw == "randbelow":
+                args = (rnd.choice([1, 2, 3, 255, 256, 257, 1000, 2**40 + 1]),)
+            elif draw == "permutation":
+                args = (rnd.choice([1, 2, 16, 1024]),)
+            else:
+                n = rnd.choice([1, 16, 300, 4096])
+                args = (n, rnd.randint(0, n))
+            assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (tag, draw, args)
+
+
+def test_read_rejects_a_negative_count():
+    with pytest.raises(Kal1Error):
+        SeededRng(bytes(16)).read(-1)
+
+
+def test_draws_make_the_read_calls_the_unbuffered_oracle_makes(monkeypatch):
+    # the benchmark's tracer counts SeededRng.read calls, so every draw
+    # still takes its bytes through read, one call per randbits
+    counts = {}
+    for cls in (SeededRng, oracles.UnbufferedRng):
+        def counted(self, nbytes, inner=cls.read, cls=cls):
+            counts[cls] = counts.get(cls, 0) + 1
+            return inner(self, nbytes)
+
+        monkeypatch.setattr(cls, "read", counted)
+    for rng in (SeededRng(seed_bytes(1)), oracles.UnbufferedRng(seed_bytes(1))):
+        rng.randbits(0), rng.randbits(9), rng.randbelow(1), rng.randbelow(1000)
+        rng.permutation(64), rng.sample(300, 300)
+    assert counts[SeededRng] == counts[oracles.UnbufferedRng] > 0

@@ -3,14 +3,16 @@
 The toy KAT only exercises GF(2^4), so a change to the draw order or to
 an accept/reject decision at a larger field would pass it unnoticed.
 These digests, Goppa polynomials and permutations were recorded with the
-straightforward keygen that ``oracles`` keeps, and must never change.
+straightforward keygen that ``oracles`` keeps, and must never change.  The
+stress-shape key's digests were recorded before the Four-Russians and
+batched-gcd keygen kernels replaced the schoolbook ones.
 """
 
 import hashlib
 
 import pytest
 
-from kal1 import keyio
+from kal1 import keyio, scheme
 from kal1.goppa import CodeParams
 
 from conftest import MID, key_perm, seed_bytes
@@ -64,6 +66,16 @@ HEADLINE_KEY = (
 )
 
 
+# a dense Kal1 key at the stress shape: m = 12, t = 64 and 3488-bit rows;
+# (seed tag, .pk SHA-256, .sk SHA-256)
+STRESS = CodeParams(3488, 2720, 64, 12)
+STRESS_KEY = (
+    0x87,
+    "05f19566f7b90513b20d1ab61e64d46fa74df4dd24dd8cd354bc87b0a3601acc",
+    "3a3beaf8a2d5beb65af232624c05b605a85be87f4d095592744d5a011249b0c6",
+)
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -89,3 +101,15 @@ def test_mid_keys_pinned(name):
 
 def test_headline_kal1_key_pinned():
     check_key(FULL, HEADLINE_KEY)
+
+
+def test_stress_kal1_key_pinned_and_round_trips():
+    tag, pk_sha, sk_sha = STRESS_KEY
+    seed = seed_bytes(tag)
+    pub, priv = keyio.regenerate(keyio.SCHEME_KAL1, STRESS, 0, 0, 0, seed)
+    pk = keyio.serialize_public_key(pub)
+    sk = keyio.serialize_private_key(keyio.SCHEME_KAL1, STRESS, 0, 0, 0, seed, pk)
+    assert sha256(pk) == pk_sha
+    assert sha256(sk) == sk_sha
+    msg = (1 << scheme.cw_params(STRESS).msg_bits) // 3
+    assert scheme.decrypt(priv, scheme.encrypt(pub, msg)) == msg

@@ -437,6 +437,11 @@ def test_kat_verify_wrong_length_message_has_line_prefix():
         keyio.kat_verify(out_of_range_msg_kat("0001"))
 
 
+def test_kat_generate_of_zero_records_is_empty():
+    assert keyio.kat_generate(TOY, 0, seed_bytes(1)) == ""
+    assert keyio.kat_verify("") == 0
+
+
 def test_kat_generate_rejects_negative_count():
     with pytest.raises(RangeError):
         keyio.kat_generate(TOY, -1, seed_bytes(1))
