@@ -7,7 +7,8 @@ immutable values; every operation returns a fresh matrix.
 Rank, inversion and the product are "Four Russians" kernels, as in M4RI
 (Albrecht, Bard and Hart): eight columns or rows at a time, a table of
 the 256 XOR combinations of eight rows replaces up to eight row XORs by
-one lookup.  Rank and inversion share one elimination, ``_eliminate``.
+one lookup.  Rank, inversion and the ``isd`` window solve share one
+elimination, ``eliminate``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class BinaryMatrix:
         return BinaryMatrix(self.cols, self.rows, transpose_ints(self.row_ints, self.cols))
 
     def rank(self) -> int:
-        return len(_eliminate(self.row_ints, self.cols, None))
+        return len(eliminate(self.row_ints, self.cols, None)[0])
 
     def invert(self) -> "BinaryMatrix":
         if self.rows != self.cols:
@@ -83,22 +84,11 @@ class BinaryMatrix:
         n = self.rows
         # Gauss-Jordan on (self | identity): the pivot rows end as the inverse's rows
         solved: list[int] = []
-        pivots = _eliminate([r | 1 << (n + i) for i, r in enumerate(self.row_ints)], n, solved)
+        pivots, _ = eliminate([r | 1 << (n + i) for i, r in enumerate(self.row_ints)], n, solved)
         if len(pivots) < n:
             col = next(c for c, p in enumerate(pivots + [n]) if c != p)
             raise SingularMatrixError(f"matrix is singular at column {col}")
         return BinaryMatrix(n, n, solved)
-
-    def columns(self, idxs: list[int]) -> "BinaryMatrix":
-        """New matrix keeping the given columns, in the given order."""
-        out = []
-        for row in self.row_ints:
-            acc = 0
-            for j, c in enumerate(idxs):
-                if (row >> c) & 1:
-                    acc |= 1 << j
-            out.append(acc)
-        return BinaryMatrix(self.rows, len(idxs), out)
 
     def permute_columns(self, dest: list[int]) -> "BinaryMatrix":
         """Product with the permutation matrix whose (i, dest[i]) entries
@@ -127,9 +117,16 @@ def _combinations(rows: list[int]) -> list[int]:
     return table
 
 
-def _eliminate(rows: list[int], width: int, solved: list[int] | None) -> list[int]:
+def eliminate(
+    rows: list[int], width: int, solved: list[int] | None
+) -> tuple[list[int], list[int]]:
     """Four-Russians elimination of the low width bits of rows; returns
-    the pivot columns in increasing order, as many as the rank.
+    (pivots, dependencies).  The pivots are the pivot columns in
+    increasing order, as many as the rank.  The dependencies are the
+    rows that reduce to zero over width, shifted down past it: when each
+    row carries a distinct tag bit above width, they are the tags of a
+    basis of the left kernel, rows minus rank of them.  Untagged rows
+    that reduce to zero vanish, so for those the list is empty.
 
     Columns go CHUNK at a time from bit 0.  Rows are scanned in order,
     each one's chunk reduced by the chunk's pivots so far; the first
@@ -179,7 +176,7 @@ def _eliminate(rows: list[int], width: int, solved: list[int] | None) -> list[in
             solved += [p >> step for p in pivots if p]
         found += [start + b for b, p in enumerate(pivots) if p]
         rows = list(filter(None, [(r ^ table[r & low]) >> step for r in rest]))
-    return found
+    return found, list(filter(None, rows))
 
 
 def transpose_ints(rows: list[int], cols: int) -> list[int]:

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("bench", help="public-key size table")
     _add_param_flags(be)
-    be.add_argument("--sparse-weight", type=int, default=10)
+    be.add_argument("--sparse-weight", type=int, help="Kal1-S1 seed-row weight (default: 10)")
     be.add_argument("--format", choices=("text", "csv"), default="text")
 
     return ap
@@ -233,7 +233,12 @@ def _bench_sizes(params: CodeParams, sparse_weight: int) -> list[tuple[str, str,
 
 def cmd_bench(args) -> int:
     params = _params(args)
-    rows = _bench_sizes(params, args.sparse_weight)
+    w = args.sparse_weight
+    if w is None:
+        w = 10  # the paper's weight, unchecked so that toy sizes print it too
+    else:
+        scheme.validate_policy(scheme.SparseSeed(w), params.redundancy)
+    rows = _bench_sizes(params, w)
     if args.format == "csv":
         print("name,id,public_key_bits,kind")
         for name, ident, bits, kind in rows:

@@ -10,13 +10,18 @@ C(n-k, t) / C(n, t).
 
 The rank report compares the published cyclic_t with the Niederreiter
 check_t and the masking matrix secondary_t = cyclic_t + check_t.
+
+Both run on ``binmat.eliminate``, the kernel keygen uses: a window is
+solved by one tagged elimination of its columns, and the ranks are
+taken of the n x (n-k) transposed forms directly, since a matrix and
+its transpose have the same rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binmat import BinaryMatrix, matrix_times_vec
+from .binmat import BinaryMatrix, eliminate, matrix_times_vec, transpose_ints
 from .errors import DimensionMismatch, ParameterError
 from .goppa import GoppaCode
 from .niederreiter import NiederreiterPublicKey, public_key
@@ -36,8 +41,8 @@ class IsdInstance:
     weight: int  # target error weight t
 
     def __post_init__(self):
-        if self.syndrome.bit_length() > self.check.rows:
-            raise DimensionMismatch("syndrome longer than n-k bits")
+        if self.syndrome < 0 or self.syndrome.bit_length() > self.check.rows:
+            raise DimensionMismatch("syndrome negative or longer than n-k bits")
         if self.weight < 0:
             raise DimensionMismatch("negative weight bound")
 
@@ -46,49 +51,29 @@ def instance_from_public(pub: NiederreiterPublicKey, c: int) -> IsdInstance:
     return IsdInstance(pub.check_t.transpose(), c, pub.params.t)
 
 
-def _solve_window(sub: BinaryMatrix, syndrome: int, weight: int) -> int | None:
-    """Minimum-weight solution of sub * x = syndrome, if light enough.
+def _solve_window(cols: list[int], syndrome: int, weight: int) -> int | None:
+    """Minimum-weight x with the XOR of cols[j] over x's bits j equal to
+    syndrome, if of weight at most weight; None otherwise.
 
-    Enumerates the (small) affine solution space exhaustively and
-    returns an x of weight <= weight, or None.  Free columns beyond the
-    nullspace cap abort the window.
+    One elimination of the window columns, column j tagged with bit
+    nk + j and the syndrome with bit 2*nk: the dependency carrying the
+    syndrome's tag is a solution x0, the others span the nullspace.  The
+    affine space x0 + nullspace is enumerated exhaustively; a nullspace
+    of dimension beyond the cap abandons the window.
     """
-    nk = sub.rows
-    rows = [sub.row_ints[i] | (((syndrome >> i) & 1) << nk) for i in range(nk)]
-    pivot_of_col: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        for col, rr in pivot_of_col.items():
-            if (cur >> col) & 1:
-                cur ^= rr
-        body = cur & ((1 << nk) - 1)
-        if body == 0:
-            if cur:
-                return None  # inconsistent: 0 = 1
-            continue
-        col = (body & -body).bit_length() - 1
-        # renormalize earlier pivot rows against the new one
-        for c2, rr in list(pivot_of_col.items()):
-            if (rr >> col) & 1:
-                pivot_of_col[c2] = rr ^ cur
-        pivot_of_col[col] = cur
-    free_cols = [c for c in range(nk) if c not in pivot_of_col]
-    if len(free_cols) > NULLSPACE_CAP:
+    nk = len(cols)
+    rows = [c | 1 << (nk + j) for j, c in enumerate(cols)]
+    rows.append(syndrome | 1 << (2 * nk))
+    _, deps = eliminate(rows, nk, None)
+    base = next((d for d in deps if d >> nk), None)
+    if base is None:
+        return None  # inconsistent: the syndrome is no sum of columns
+    base ^= 1 << nk
+    basis = [d for d in deps if not d >> nk]
+    if len(basis) > NULLSPACE_CAP:
         return None
-    base = 0
-    for col, rr in pivot_of_col.items():
-        if (rr >> nk) & 1:
-            base |= 1 << col
-    # nullspace basis vector per free column
-    basis = []
-    for fc in free_cols:
-        v = 1 << fc
-        for col, rr in pivot_of_col.items():
-            if (rr >> fc) & 1:
-                v |= 1 << col
-        basis.append(v)
     best = None
-    for combo in range(1 << len(free_cols)):
+    for combo in range(1 << len(basis)):
         x = base
         cc = combo
         while cc:
@@ -118,10 +103,10 @@ def prange_search(
         )
     if inst.syndrome == 0:
         return 0
+    columns = transpose_ints(inst.check.row_ints, n)
     for _ in range(max_iters):
         window = rng.sample(n, nk)
-        sub = inst.check.columns(window)
-        x = _solve_window(sub, inst.syndrome, inst.weight)
+        x = _solve_window([columns[w] for w in window], inst.syndrome, inst.weight)
         if x is None:
             continue
         e = 0
@@ -180,17 +165,16 @@ def rank_report(
     params = priv.params
     inner_pub = public_key(priv)
     secondary = secondary_check_t(cyclic_t, inner_pub)
-    cyclic = cyclic_t.transpose()
-    check = inner_pub.check_t.transpose()
-    cyc_rank = cyclic.rank()
-    chk_rank = check.rank()
+    # rank(A) = rank(A^T): the transposed forms rank as they are
+    cyc_rank = cyclic_t.rank()
+    chk_rank = inner_pub.check_t.rank()
     sec_rank = secondary.rank()
     rng = rng if rng is not None else SeededRng(bytes(16))
     nk = params.redundancy
     full = 0
     for _ in range(samples):
         window = rng.sample(params.n, nk)
-        if cyclic.columns(window).rank() == nk:
+        if BinaryMatrix(nk, nk, [cyclic_t.row_ints[w] for w in window]).rank() == nk:
             full += 1
     notes = []
     if cyc_rank == nk:

@@ -22,6 +22,7 @@ from kal1.errors import (
 )
 from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
+from kal1.isd import NULLSPACE_CAP
 from kal1.niederreiter import NiederreiterPublicKey
 
 
@@ -383,6 +384,69 @@ def invert(m: BinaryMatrix) -> BinaryMatrix:
             if r != col and (aug[r] >> col) & 1:
                 aug[r] ^= prow
     return BinaryMatrix(n, n, [row >> n for row in aug])
+
+
+def columns(m: BinaryMatrix, idxs: list[int]) -> BinaryMatrix:
+    """New matrix keeping the given columns, in the given order."""
+    out = []
+    for row in m.row_ints:
+        acc = 0
+        for j, c in enumerate(idxs):
+            if (row >> c) & 1:
+                acc |= 1 << j
+        out.append(acc)
+    return BinaryMatrix(m.rows, len(idxs), out)
+
+
+def solve_window(sub: BinaryMatrix, syndrome: int, weight: int) -> int | None:
+    """Minimum-weight solution of sub * x = syndrome, if light enough:
+    a basis-dict elimination, then the affine solution space enumerated
+    from one nullspace vector per free column."""
+    nk = sub.rows
+    rows = [sub.row_ints[i] | (((syndrome >> i) & 1) << nk) for i in range(nk)]
+    pivot_of_col: dict[int, int] = {}
+    for row in rows:
+        cur = row
+        for col, rr in pivot_of_col.items():
+            if (cur >> col) & 1:
+                cur ^= rr
+        body = cur & ((1 << nk) - 1)
+        if body == 0:
+            if cur:
+                return None  # inconsistent: 0 = 1
+            continue
+        col = (body & -body).bit_length() - 1
+        # renormalize earlier pivot rows against the new one
+        for c2, rr in list(pivot_of_col.items()):
+            if (rr >> col) & 1:
+                pivot_of_col[c2] = rr ^ cur
+        pivot_of_col[col] = cur
+    free_cols = [c for c in range(nk) if c not in pivot_of_col]
+    if len(free_cols) > NULLSPACE_CAP:
+        return None
+    base = 0
+    for col, rr in pivot_of_col.items():
+        if (rr >> nk) & 1:
+            base |= 1 << col
+    basis = []
+    for fc in free_cols:
+        v = 1 << fc
+        for col, rr in pivot_of_col.items():
+            if (rr >> fc) & 1:
+                v |= 1 << col
+        basis.append(v)
+    best = None
+    for combo in range(1 << len(free_cols)):
+        x = base
+        cc = combo
+        while cc:
+            low = cc & -cc
+            x ^= basis[low.bit_length() - 1]
+            cc ^= low
+        wt = x.bit_count()
+        if wt <= weight and (best is None or wt < best.bit_count()):
+            best = x
+    return best
 
 
 class UnbufferedRng:

