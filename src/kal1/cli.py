@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(kg)
     _add_seed_flag(kg)
     kg.add_argument("--scheme", choices=sorted(SCHEME_IDS), default="kal1")
-    kg.add_argument("--sparse-weight", type=int, default=10, help="seed-row weight for kal1-s1")
+    kg.add_argument(
+        "--sparse-weight", type=int, help="seed-row weight for kal1-s1 (default: min(10, n-k))"
+    )
     kg.add_argument("--run-start", type=int, default=0, help="run start for kal1-s2")
     kg.add_argument("--run-len", type=int, default=2, help="run length for kal1-s2")
     kg.add_argument("--out", required=True, help="output path prefix")
@@ -96,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("bench", help="public-key size table")
     _add_param_flags(be)
-    be.add_argument("--sparse-weight", type=int, help="Kal1-S1 seed-row weight (default: 10)")
+    be.add_argument(
+        "--sparse-weight", type=int, help="Kal1-S1 seed-row weight (default: min(10, n-k))"
+    )
     be.add_argument("--format", choices=("text", "csv"), default="text")
 
     return ap
@@ -118,11 +122,18 @@ def _seed(args) -> bytes:
     return seed
 
 
+def _sparse_weight(args, params: CodeParams) -> int:
+    # the paper's weight, or every position of a seed row shorter than 10
+    if args.sparse_weight is None:
+        return min(10, params.redundancy)
+    return args.sparse_weight
+
+
 def cmd_keygen(args) -> int:
     params = _params(args)
     seed = _seed(args)
     sid = SCHEME_IDS[args.scheme]
-    w = args.sparse_weight if sid == keyio.SCHEME_KAL1_S1 else 0
+    w = _sparse_weight(args, params) if sid == keyio.SCHEME_KAL1_S1 else 0
     run_start = args.run_start if sid == keyio.SCHEME_KAL1_S2 else 0
     run_len = args.run_len if sid == keyio.SCHEME_KAL1_S2 else 0
     pub, _ = keyio.regenerate(sid, params, w, run_start, run_len, seed)
@@ -233,11 +244,8 @@ def _bench_sizes(params: CodeParams, sparse_weight: int) -> list[tuple[str, str,
 
 def cmd_bench(args) -> int:
     params = _params(args)
-    w = args.sparse_weight
-    if w is None:
-        w = 10  # the paper's weight, unchecked so that toy sizes print it too
-    else:
-        scheme.validate_policy(scheme.SparseSeed(w), params.redundancy)
+    w = _sparse_weight(args, params)
+    scheme.validate_policy(scheme.SparseSeed(w), params.redundancy)
     rows = _bench_sizes(params, w)
     if args.format == "csv":
         print("name,id,public_key_bits,kind")

@@ -9,6 +9,8 @@ empty list.
 
 from __future__ import annotations
 
+import struct
+
 # One reduction polynomial per extension degree, each primitive: x
 # generates the multiplicative group.  Deterministic fixtures depend on
 # these; as in Classic McEliece, the field is fixed by m alone.
@@ -222,18 +224,102 @@ def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     return poly_mod(field, poly_scale(field, v, field.inv(r[0])), g)
 
 
+# m -> [A_0, A_1, ...]: A_i packs the m bit planes of alpha^(i*e) over
+# e in [0, q-1), plane b at bits [b*(q-1), (b+1)*(q-1)).  The reduction
+# polynomial is fixed by m, so the list is shared by every caller and
+# only grows: power_planes extends it when a larger degree asks.
+_POWER_PLANES: dict[int, list[int]] = {}
+
+
+def _powers_of_alpha(field: Field, t: int) -> list[int]:
+    """The packed planes A_0 .. A_t (at least) of the field's m.
+
+    A_1 is sliced out of the exp table packed in 16-bit lanes: plane b
+    is every 16th binary digit.  Each further power is A_i times A_1
+    lane by lane, bitsliced: the m^2 plane ANDs of the schoolbook
+    product, then planes m .. 2m-2 fold back through the taps of the
+    reduction polynomial.  A new list replaces the cached one, so a
+    reader never sees it half extended.
+    """
+    m = field.m
+    powers = _POWER_PLANES.get(m, [])
+    if len(powers) > t:
+        return powers
+    q1 = field.order - 1
+    lane = (1 << q1) - 1
+    if not powers:
+        digits = format(
+            int.from_bytes(struct.pack(f"<{q1}H", *field.exp_table[:q1]), "little"), f"0{16 * q1}b"
+        )
+        powers = [lane, sum(int(digits[15 - b :: 16], 2) << (b * q1) for b in range(m))]
+    else:
+        powers = list(powers)
+    taps = [s for s in range(m) if field.reduction_poly >> s & 1]
+    base = [powers[1] >> (b * q1) & lane for b in range(m)]
+    cur = [powers[-1] >> (b * q1) & lane for b in range(m)]
+    while len(powers) <= t:
+        prod = [0] * (2 * m - 1)
+        for j, a in enumerate(cur):
+            for k, b in enumerate(base):
+                prod[j + k] ^= a & b
+        # x^d = x^(d-m) * (x^m mod the reduction polynomial), from the top down
+        for d in range(2 * m - 2, m - 1, -1):
+            for s in taps:
+                prod[d - m + s] ^= prod[d]
+        cur = prod[:m]
+        powers.append(sum(p << (b * q1) for b, p in enumerate(cur)))
+    _POWER_PLANES[m] = powers
+    return powers
+
+
+def power_planes(field: Field, f: list[int]) -> list[int]:
+    """The m bit planes of f at every nonzero element: lane e of plane b
+    is bit b of f(alpha^e), for e in [0, q-1).
+
+    f(alpha^e) is the sum of f_i * alpha^(i*e), and f_i is the sum of its
+    bits j times x^j, so the planes are a Horner pass over the bit
+    positions, from the top: times x (every plane moves up one and the
+    top one folds back through the reduction polynomial's taps), then
+    the XOR of the cached planes of alpha^(i*e) for every coefficient
+    f_i with bit j set.  All m planes travel packed in one int.
+    """
+    m = field.m
+    q1 = field.order - 1
+    powers = _powers_of_alpha(field, len(f) - 1)
+    top = (m - 1) * q1
+    below_top = (1 << top) - 1
+    taps = [s * q1 for s in range(m) if field.reduction_poly >> s & 1]
+    acc = 0
+    for j in range(m - 1, -1, -1):
+        hi = acc >> top
+        acc = (acc & below_top) << q1
+        for shift in taps:
+            acc ^= hi << shift
+        for c, planes in zip(f, powers):
+            if c >> j & 1:
+                acc ^= planes
+    lane = (1 << q1) - 1
+    return [acc >> (b * q1) & lane for b in range(m)]
+
+
 def is_irreducible(field: Field, f: list[int]) -> bool:
     """Whether f of degree >= 1 is irreducible over GF(2^m).
 
     Ben-Or's test: f is irreducible exactly when gcd(x^(q^i) - x, f) = 1
     for every level i up to deg(f)/2, which rules out every factor of
-    degree at most deg(f)/2 and therefore all of them.  Levels 1 and 2,
-    where most composites fail, get a gcd each.  From level 3 on, the
-    h - x of three levels are multiplied modulo f and one gcd is taken
-    per block, as in the interval partition of von zur Gathen and Shoup:
-    an irreducible factor of f divides the product exactly when it
-    divides one of its terms, so every decision is that of the
-    level-by-level test, at a third of the gcds.
+    degree at most deg(f)/2 and therefore all of them.  Level 1 holds
+    exactly when f has no root in GF(q), since x^q - x is the product of
+    every x - a, so it is decided by evaluation: f_0 at 0 and the
+    bitsliced power_planes at every other element.  Most candidates that
+    fail, fail there, before any table below is built; below degree 4 a
+    reducible f has a linear factor, so a rootless f is irreducible.
+
+    Level 2 gets a gcd.  From level 3 on, the h - x of three levels are
+    multiplied modulo f and one gcd is taken per block, as in the
+    interval partition of von zur Gathen and Shoup: an irreducible
+    factor of f divides the product exactly when it divides one of its
+    terms, so every decision is that of the level-by-level test, at a
+    third of the gcds.
 
     Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f is held as
     one packed int, coefficient i at bits [m*i, m*i + m), and squared
@@ -250,6 +336,15 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     if f[-1] != 1:
         f = poly_scale(field, f, field.inv(f[-1]))
     if t == 1:
+        return True
+    if f[0] == 0:
+        return False
+    nonzero = 0
+    for plane in power_planes(field, f):
+        nonzero |= plane
+    if nonzero != (1 << (field.order - 1)) - 1:
+        return False
+    if t < 4:
         return True
     m = field.m
     mask = field.order - 1
@@ -347,20 +442,20 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         return r1 != 0
 
     x = 1 << m
-    # level 1 starts at x^(2^s), the last power of x that squaring
-    # reaches below degree t, or at x^q itself
+    # h starts at x^(2^s), the last power of x that squaring reaches
+    # below degree t, or at x^q itself, and is squared up to x^q
     s = min((t - 1).bit_length() - 1, m)
     h = 1 << (m << s)
-    squarings = m - s
+    for _ in range(m - s):
+        h = square(h)
     product = None
     last = t // 2
-    for level in range(1, last + 1):
-        for _ in range(squarings):
+    for level in range(2, last + 1):
+        for _ in range(m):
             h = square(h)
-        squarings = m
         product = h ^ x if product is None else mul_mod(product, h ^ x)
-        # the gcd blocks are levels {1}, {2}, {3, 4, 5}, {6, 7, 8}, ...
-        if level == 1 or level % 3 == 2 or level == last:
+        # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
+        if level % 3 == 2 or level == last:
             if not coprime_to_f(product):
                 return False
             product = None

@@ -26,6 +26,7 @@ from .gf2m import (
     poly_sqr,
     poly_sqrt_mod,
     poly_trim,
+    power_planes,
     sqrt_x_mod,
 )
 from .rng import SeededRng
@@ -175,19 +176,30 @@ class GoppaCode:
         return out
 
     def _eval_goppa_poly(self) -> list[int]:
-        """g(alpha_i) for every support element, by Horner in the log domain."""
+        """g(alpha_i) for every support element, read off g's power
+        planes: g(alpha^e) is lane e, and g(0) is g_0.
+
+        Each plane's binary digits, as ASCII bytes less b"0", hold bit e
+        at byte e, so planes 0-7 OR into one int of byte lanes and
+        planes 8-15 into another.
+        """
         fld = self.field
-        exp = fld.exp_table
+        q1 = fld.order - 1
+        zeros = int.from_bytes(b"0" * q1, "big")
+        low = high = 0
+        for b, plane in enumerate(power_planes(fld, self.goppa_poly)):
+            lanes = int.from_bytes(format(plane, f"0{q1}b").encode(), "big") ^ zeros
+            if b < 8:
+                low |= lanes << b
+            else:
+                high |= lanes << (b - 8)
+        lows, highs = low.to_bytes(q1, "little"), high.to_bytes(q1, "little")
+        values = [lo | hi << 8 for lo, hi in zip(lows, highs)]
         log = fld.log_table
-        g = self.goppa_poly
-        alpha_logs = [log[a] for a in self.support]
-        # Horner: v * alpha_i + c; g is monic
-        g_vals = [1] * len(alpha_logs)
-        for c in reversed(g[:-1]):
-            g_vals = [exp[log[v] + la] ^ c if v else c for v, la in zip(g_vals, alpha_logs)]
-        # alpha = 0 has no log (its table entry is 0): g(0) is g_0
+        g_vals = [values[log[a]] for a in self.support]
+        # alpha = 0 has no log (its table entry is 0)
         if 0 in self.support:
-            g_vals[self.support.index(0)] = g[0]
+            g_vals[self.support.index(0)] = self.goppa_poly[0]
         return g_vals
 
     def _field_rows(self) -> list[list[int]]:

@@ -89,14 +89,26 @@ def position_width(redundancy: int) -> int:
 
 
 class _BitWriter:
+    """MSB-first fields into a byte buffer.  Every whole byte goes out
+    as soon as a field completes it, so the pending bits stay under one
+    byte and each field costs time in its own width only."""
+
     def __init__(self):
+        self._out = bytearray()
         self._acc = 0
         self._nbits = 0
 
     def put_uint(self, value: int, width: int):
         if value >> width:
             raise FormatError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
+        pending = self._nbits % 8 + width
+        acc = self._acc << width | value
+        whole = pending // 8
+        if whole:
+            rest = pending - 8 * whole
+            self._out += (acc >> rest).to_bytes(whole, "big")
+            acc &= (1 << rest) - 1
+        self._acc = acc
         self._nbits += width
 
     def put_vector(self, v: int, nbits: int):
@@ -111,28 +123,31 @@ class _BitWriter:
 
     def to_bytes(self) -> bytes:
         pad = -self._nbits % 8
-        total = (self._nbits + pad) // 8
-        return (self._acc << pad).to_bytes(total, "big")
+        return bytes(self._out) + ((self._acc << pad).to_bytes(1, "big") if pad else b"")
 
 
 class _BitReader:
+    """MSB-first fields out of a byte string: each one converts only the
+    bytes its bits lie in."""
+
     def __init__(self, data: bytes):
-        self._acc = int.from_bytes(data, "big")
-        self._left = 8 * len(data)
+        self._data = data
+        self._pos = 0
 
     def take_uint(self, width: int) -> int:
-        if width > self._left:
+        end = self._pos + width
+        if end > 8 * len(self._data):
             raise FormatError("payload truncated")
-        self._left -= width
-        v = self._acc >> self._left
-        self._acc &= (1 << self._left) - 1
-        return v
+        chunk = int.from_bytes(self._data[self._pos // 8 : (end + 7) // 8], "big")
+        self._pos = end
+        return chunk >> (-end % 8) & ((1 << width) - 1)
 
     def take_vector(self, nbits: int) -> int:
         return _reverse_bits(self.take_uint(nbits), nbits)
 
     def expect_zero_padding(self):
-        if self._left >= 8 or self._acc != 0:
+        left = 8 * len(self._data) - self._pos
+        if left >= 8 or self._data and self._data[-1] & ((1 << left) - 1):
             raise FormatError("nonzero or oversized payload padding")
 
 

@@ -16,6 +16,7 @@ from kal1.cw import CwParams, cw_encode
 from kal1.errors import (
     DecodingFailure,
     DimensionMismatch,
+    FormatError,
     GenerationFailure,
     RangeError,
     SingularMatrixError,
@@ -262,6 +263,134 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     return True
 
 
+def batched_is_irreducible(field: Field, f: list[int]) -> bool:
+    """Ben-Or with a gcd at levels 1 and 2, then one per block of three
+    levels, on packed ints, with the fold and lane tables built on every
+    call; the library decides level 1 by a root test before building them."""
+    f = poly_trim(f)
+    t = poly_deg(f)
+    if t < 1:
+        return False
+    if f[-1] != 1:
+        f = poly_scale(field, f, field.inv(f[-1]))
+    if t == 1:
+        return True
+    m = field.m
+    mask = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    full = (1 << (m * t)) - 1
+    # tops is the top bit of every coefficient: times alpha shifts each
+    # coefficient up one bit and folds the bit that leaves it back in
+    # through the low bits of the field's reduction polynomial
+    tops = full // mask << (m - 1)
+    red = field.reduction_poly & mask
+    lo_bits = m // 2
+    lo_mask = (1 << lo_bits) - 1
+
+    def alpha_multiples(v: int, count: int) -> list[int]:
+        # v, alpha * v, alpha^2 * v, ...: count of them
+        out = [v]
+        for _ in range(count - 1):
+            top = v & tops
+            v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
+            out.append(v)
+        return out
+
+    def split(basis: list[int]) -> tuple[list[int], list[int]]:
+        # c -> the XOR of basis[s] over the bits s of c, as a table for
+        # the low lo_bits bits of c and one for the rest, built by doubling
+        lo, hi = [0], [0]
+        for v in basis[:lo_bits]:
+            lo += [acc ^ v for acc in lo]
+        for v in basis[lo_bits:]:
+            hi += [acc ^ v for acc in hi]
+        return lo, hi
+
+    packed_f = sum(c << (m * i) for i, c in enumerate(f))
+    # c -> c * x^t mod f; x^t mod f is f without its leading 1 (char 2)
+    fold_lo, fold_hi = split(alpha_multiples(packed_f & full, m))
+    half = (t + 1) // 2
+    # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
+    # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
+    lanes = []
+    v = fold_lo[1]
+    for j in range(t, 2 * t - 1):
+        if not j & 1:
+            lanes.append(split(alpha_multiples(v, 2 * m - 1)[::2]))
+        # times x: up one coefficient, then coefficient t folds back as c * x^t
+        v <<= m
+        c = v >> (m * t)
+        v = (v & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+
+    def square(h: int) -> int:
+        # h_i^2 on coefficient 2i while 2i < t, the lane tables above
+        acc = 0
+        for i in range(half):
+            c = (h >> (m * i)) & mask
+            if c:
+                acc |= exp[log[c] << 1] << (2 * m * i)
+        for i, (lo, hi) in enumerate(lanes, half):
+            c = (h >> (m * i)) & mask
+            acc ^= lo[c & lo_mask] ^ hi[c >> lo_bits]
+        return acc
+
+    def mul_mod(a: int, b: int) -> int:
+        # Horner over b's coefficients from the top, with a's multiples from tables
+        a_lo, a_hi = split(alpha_multiples(a, m))
+        acc = 0
+        for i in range(t - 1, -1, -1):
+            acc <<= m
+            c = acc >> (m * t)
+            acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+            c = (b >> (m * i)) & mask
+            acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
+        return acc
+
+    def coprime_to_f(a: int) -> bool:
+        # Euclid on (f, a), packed: each quotient term c * x^d subtracts
+        # c times the divisor, the XOR of its alpha multiples picked by
+        # the bits of c, shifted up d coefficients
+        r0, r1 = packed_f, a
+        while r1 >> m:
+            d1 = (r1.bit_length() - 1) // m
+            mults = alpha_multiples(r1, m)
+            lead_inv = mask - log[r1 >> (m * d1)]
+            d0 = (r0.bit_length() - 1) // m
+            while d0 >= d1:
+                c = exp[log[r0 >> (m * d0)] + lead_inv]
+                term = 0
+                while c:
+                    low = c & -c
+                    term ^= mults[low.bit_length() - 1]
+                    c ^= low
+                r0 ^= term << (m * (d0 - d1))
+                d0 = (r0.bit_length() - 1) // m
+            r0, r1 = r1, r0
+        # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
+        return r1 != 0
+
+    x = 1 << m
+    # level 1 starts at x^(2^s), the last power of x that squaring
+    # reaches below degree t, or at x^q itself
+    s = min((t - 1).bit_length() - 1, m)
+    h = 1 << (m << s)
+    squarings = m - s
+    product = None
+    last = t // 2
+    for level in range(1, last + 1):
+        for _ in range(squarings):
+            h = square(h)
+        squarings = m
+        product = h ^ x if product is None else mul_mod(product, h ^ x)
+        # the gcd blocks are levels {1}, {2}, {3, 4, 5}, {6, 7, 8}, ...
+        if level == 1 or level % 3 == 2 or level == last:
+            if not coprime_to_f(product):
+                return False
+            product = None
+    return True
+
+
 def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
     """x^(2^(m*t-1)) mod g by repeated squaring."""
     h = [0, 1]
@@ -498,6 +627,23 @@ def transpose(m: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(m.cols, m.rows, out)
 
 
+def eval_goppa_poly(code: GoppaCode) -> list[int]:
+    """g(alpha_i) for every support element, by Horner in the log domain."""
+    fld = code.field
+    exp = fld.exp_table
+    log = fld.log_table
+    g = code.goppa_poly
+    alpha_logs = [log[a] for a in code.support]
+    # Horner: v * alpha_i + c; g is monic
+    g_vals = [1] * len(alpha_logs)
+    for c in reversed(g[:-1]):
+        g_vals = [exp[log[v] + la] ^ c if v else c for v, la in zip(g_vals, alpha_logs)]
+    # alpha = 0 has no log (its table entry is 0): g(0) is g_0
+    if 0 in code.support:
+        g_vals[code.support.index(0)] = g[0]
+    return g_vals
+
+
 def parity_check_rows(code: GoppaCode) -> list[list[int]]:
     """Rows alpha_i^j / g(alpha_i): a Horner evaluation of g per support
     element, then one multiplication per entry."""
@@ -683,3 +829,66 @@ def unpack_bits(data: bytes, nbits: int) -> int:
     """Inverse of pack_bits; the caller checks length and padding."""
     value = int.from_bytes(bytes(_REV8[b] for b in data), "little")
     return value
+
+
+# --- keyio's bit writer and reader before they moved whole bytes at a time ---
+
+
+def _reverse_bits(value: int, nbits: int) -> int:
+    """Reverse an nbits-wide value: bit i moves to bit nbits-1-i."""
+    nbytes = (nbits + 7) // 8
+    rev = int.from_bytes(value.to_bytes(nbytes, "little").translate(_REV8), "big")
+    return rev >> (8 * nbytes - nbits)
+
+
+class BitWriter:
+    """One accumulator of the whole payload, shifted up by every field."""
+
+    def __init__(self):
+        self._acc = 0
+        self._nbits = 0
+
+    def put_uint(self, value: int, width: int):
+        if value >> width:
+            raise FormatError(f"value {value} does not fit in {width} bits")
+        self._acc = (self._acc << width) | value
+        self._nbits += width
+
+    def put_vector(self, v: int, nbits: int):
+        if v >> nbits:
+            raise FormatError(f"vector does not fit in {nbits} bits")
+        # vector position 0 is emitted first, hence the bit reversal
+        self.put_uint(_reverse_bits(v, nbits), nbits)
+
+    @property
+    def bit_count(self) -> int:
+        return self._nbits
+
+    def to_bytes(self) -> bytes:
+        pad = -self._nbits % 8
+        total = (self._nbits + pad) // 8
+        return (self._acc << pad).to_bytes(total, "big")
+
+
+class BitReader:
+    """One accumulator of the whole payload, masked down to the rest
+    after every field."""
+
+    def __init__(self, data: bytes):
+        self._acc = int.from_bytes(data, "big")
+        self._left = 8 * len(data)
+
+    def take_uint(self, width: int) -> int:
+        if width > self._left:
+            raise FormatError("payload truncated")
+        self._left -= width
+        v = self._acc >> self._left
+        self._acc &= (1 << self._left) - 1
+        return v
+
+    def take_vector(self, nbits: int) -> int:
+        return _reverse_bits(self.take_uint(nbits), nbits)
+
+    def expect_zero_padding(self):
+        if self._left >= 8 or self._acc != 0:
+            raise FormatError("nonzero or oversized payload padding")

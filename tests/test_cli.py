@@ -320,7 +320,7 @@ public-key sizes at n=16 k=8 t=2 m=4
   HQC               192              4522 bits  (cited)
   HQC               256              7245 bits  (cited)
   Kal1              -                   8 bits  (computed)
-  Kal1-S1           w=10               30 bits  (computed)
+  Kal1-S1           w=8                24 bits  (computed)
   Kal1-S2           -                   6 bits  (computed)
 """
 BENCH_CSV = """\
@@ -334,7 +334,7 @@ HQC,128,2289,cited
 HQC,192,4522,cited
 HQC,256,7245,cited
 Kal1,-,8,computed
-Kal1-S1,w=10,30,computed
+Kal1-S1,w=8,24,computed
 Kal1-S2,-,6,computed
 """
 
@@ -369,6 +369,18 @@ def test_bench_checks_a_given_sparse_weight_as_keygen_does(capsys, tmp_path, siz
         assert code == 0 and f"Kal1-S1           w={weight}  " in stdout
     else:
         assert code == 1 and stdout == "" and err.startswith("error: 1 PolicyError")
+
+
+def test_default_sparse_weight_is_10_or_every_position(capsys, tmp_path):
+    # toy keys have n-k = 8, so both commands default to w=8 there
+    out = keygen(capsys, tmp_path, scheme="kal1-s1")
+    code, stdout, err = run(capsys, "inspect", "--key", out + ".pk")
+    assert code == 0, err
+    assert "positions: [0, 1, 2, 3, 4, 5, 6, 7]" in stdout
+    code, stdout, _ = run(capsys, "bench", *SIZE_ARGS["toy"])
+    assert code == 0 and "Kal1-S1           w=8  " in stdout
+    code, stdout, _ = run(capsys, "bench", *SIZE_ARGS["headline"])
+    assert code == 0 and "Kal1-S1           w=10  " in stdout
 
 
 def test_bench_size_table_reproduces_published_rows():

@@ -1,0 +1,246 @@
+"""The bitsliced root test, the values of g read off the same planes,
+and keyio's byte-at-a-time bit codec, against the code they replaced.
+
+``power_planes`` must put f(alpha^e) in lane e at every m from 4 to 16,
+and the root test it makes (f_0 = 0, or a lane that is zero in every
+plane) must agree with a scan of ``oracles.poly_eval`` over the whole
+field.  ``is_irreducible`` must decide like the batched Ben-Or it
+replaced, which took a gcd at level 1, and like the level-by-level
+oracle, on both sides of the degree-4 cut below which a rootless
+polynomial is irreducible.  A code's values of g must equal
+``poly_eval`` on supports with and without 0.  The bit writer and
+reader must round-trip and give the old codec's bytes and errors on
+truncated and padded payloads.
+"""
+
+import random
+
+import pytest
+
+from kal1 import gf2m, keyio
+from kal1.errors import FormatError, ParameterError
+from kal1.gf2m import Field, is_irreducible, poly_mul, power_planes
+from kal1.goppa import CodeParams, GoppaCode
+
+import oracles
+
+FIELDS = {m: Field(m) for m in range(4, 17)}
+
+
+def irreducible(field, d, rnd):
+    """A random monic irreducible of degree d, found with the oracle."""
+    while True:
+        g = [rnd.randrange(field.order) for _ in range(d)] + [1]
+        if oracles.is_irreducible(field, g):
+            return g
+
+
+def cases(m):
+    """(label, f) pairs: random monics of degree 2-5 (more of them at
+    m <= 12) and polynomials built to have or to lack a root."""
+    field = FIELDS[m]
+    rnd = random.Random(f"roots/{m}")
+    q = field.order
+    last = field.exp_table[q - 2]  # alpha^(q-2), the top lane
+    out = []
+    for d in range(2, 6):
+        for i in range(6 if m <= 12 else 1):
+            out.append((f"random-{d}-{i}", [rnd.randrange(q) for _ in range(d)] + [1]))
+    h = irreducible(field, 3, rnd)
+    linear = [rnd.randrange(1, q), 1]
+    out += [
+        ("root-at-0", poly_mul(field, [0, 1], h)),
+        ("root-at-1", poly_mul(field, [1, 1], h)),
+        ("root-at-top-lane", poly_mul(field, [last, 1], h)),
+        ("linear-times-irreducible", poly_mul(field, linear, irreducible(field, 4, rnd))),
+        ("quadratic-squared", poly_mul(field, *[irreducible(field, 2, rnd)] * 2)),
+        ("two-quadratics", poly_mul(field, irreducible(field, 2, rnd), irreducible(field, 2, rnd))),
+        ("quadratic-times-cubic", poly_mul(field, irreducible(field, 2, rnd), h)),
+        ("irreducible-4", irreducible(field, 4, rnd)),
+        ("irreducible-5", irreducible(field, 5, rnd)),
+    ]
+    if m <= 12:
+        h2 = poly_mul(field, h, h)
+        out.append(("irreducible-9", irreducible(field, 9, rnd)))
+        out.append(("cubics-and-quadratic", poly_mul(field, h2, irreducible(field, 2, rnd))))
+    return out
+
+
+def lane(planes, e):
+    return sum((p >> e & 1) << b for b, p in enumerate(planes))
+
+
+@pytest.mark.parametrize("m", sorted(FIELDS))
+def test_power_planes_hold_f_at_every_element(m):
+    field = FIELDS[m]
+    q1 = field.order - 1
+    rnd = random.Random(m)
+    # every lane up to m = 12, a sample and both ends above
+    lanes = range(q1) if m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
+    for label, f in cases(m):
+        planes = power_planes(field, f)
+        assert len(planes) == m and all(p >> q1 == 0 for p in planes), label
+        for e in lanes:
+            assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), (label, e)
+
+
+@pytest.mark.parametrize("m", [4, 10, 13])
+def test_extended_power_cache_equals_a_fresh_build(monkeypatch, m):
+    field = FIELDS[m]
+    rnd = random.Random(f"extend/{m}")
+    polys = [[rnd.randrange(field.order) for _ in range(d)] + [1] for d in (1, 3, 2, 9, 7)]
+    monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
+    grown = [power_planes(field, f) for f in polys]
+    assert len(gf2m._POWER_PLANES[m]) == 10
+    for f, planes in zip(polys, grown):
+        monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
+        assert power_planes(field, f) == planes
+        assert len(gf2m._POWER_PLANES[m]) == max(2, len(f))
+
+
+@pytest.mark.parametrize("m", sorted(FIELDS))
+def test_root_test_matches_a_scan_of_the_field(m):
+    field = FIELDS[m]
+    full = (1 << (field.order - 1)) - 1
+    for label, f in cases(m):
+        nonzero = 0
+        for plane in power_planes(field, f):
+            nonzero |= plane
+        has_root = f[0] == 0 or nonzero != full
+        scan = any(oracles.poly_eval(field, f, a) == 0 for a in range(field.order))
+        assert has_root == scan, label
+        if label.startswith("root-") or label.startswith("linear-"):
+            assert has_root, label
+
+
+@pytest.mark.parametrize("m", sorted(FIELDS))
+def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
+    field = FIELDS[m]
+    for label, f in cases(m):
+        expected = oracles.is_irreducible(field, f)
+        batched = oracles.batched_is_irreducible(field, f)
+        assert is_irreducible(field, f) is batched is expected, label
+        if label.startswith("irreducible-"):
+            assert expected, label
+        elif not label.startswith("random-"):
+            assert not expected, label
+
+
+@pytest.mark.parametrize("m", [4, 8, 10])
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_is_irreducible_matches_the_batched_oracle_around_the_degree_4_cut(m, t):
+    # below degree 4 a rootless f is accepted without a gcd; at 4 and 5
+    # the rootless products of two factors must still be rejected
+    field = FIELDS[m]
+    rnd = random.Random(f"cut/{m}/{t}")
+    for _ in range(200):
+        f = [rnd.randrange(field.order) for _ in range(t)] + [1]
+        assert is_irreducible(field, f) is oracles.batched_is_irreducible(field, f)
+
+
+# --- the values of g on the support ---
+
+
+@pytest.mark.parametrize("m, t", [(4, 2), (10, 6), (13, 3), (16, 2)])
+@pytest.mark.parametrize("with_zero", [True, False])
+def test_goppa_values_match_poly_eval(m, t, with_zero):
+    field = FIELDS[m]
+    rnd = random.Random(f"values/{m}/{t}/{with_zero}")
+    n = min(field.order - 1, m * t + 40)
+    support = rnd.sample(range(1, field.order), n - with_zero) + ([0] if with_zero else [])
+    rnd.shuffle(support)
+    params = CodeParams(n, n - m * t, t, m)
+    code = GoppaCode(field, params, support, irreducible(field, t, rnd))
+    expected = [oracles.poly_eval(field, code.goppa_poly, a) for a in support]
+    assert code._g_values == expected == oracles.eval_goppa_poly(code)
+
+
+@pytest.mark.parametrize("with_zero", [True, False])
+def test_goppa_values_of_a_g_with_roots_off_the_support(with_zero):
+    # a caller may pass a reducible g whose roots miss the support; its
+    # values are read off the same planes, zero lanes and all
+    field = FIELDS[8]
+    rnd = random.Random(f"off-support/{with_zero}")
+    roots = [0, 1, field.exp_table[254]] if not with_zero else [1, field.exp_table[254]]
+    g = [1]
+    for r in roots:
+        g = poly_mul(field, g, [r, 1])
+    t = len(g) - 1
+    others = [a for a in range(1, field.order) if a not in roots]
+    support = rnd.sample(others, 8 * t + 20)
+    if with_zero:
+        support[rnd.randrange(len(support))] = 0
+    code = GoppaCode(field, CodeParams(len(support), 20, t, 8), support, g)
+    assert code._g_values == [oracles.poly_eval(field, g, a) for a in support]
+    # and a root on the support is refused
+    with pytest.raises(ParameterError, match="vanishes"):
+        GoppaCode(field, CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], g)
+
+
+# --- the bit writer and reader ---
+
+
+def random_fields(rnd, count):
+    """(kind, width, value) with kind u (MSB first) or v (position 0 first)."""
+    out = []
+    for _ in range(count):
+        width = rnd.choice([0, 1, 3, 7, 8, 9, 16, 31, 64, 65, rnd.randrange(300)])
+        out.append((rnd.choice("uv"), width, rnd.getrandbits(width) if width else 0))
+    return out
+
+
+def write(writer, fields):
+    for kind, width, value in fields:
+        (writer.put_uint if kind == "u" else writer.put_vector)(value, width)
+    return writer.bit_count, writer.to_bytes()
+
+
+def read(reader, fields):
+    """What the reader gives for the fields, then its padding verdict;
+    a FormatError's message ends the list."""
+    out = []
+    try:
+        for kind, width, _ in fields:
+            out.append((reader.take_uint if kind == "u" else reader.take_vector)(width))
+        reader.expect_zero_padding()
+        out.append("ok")
+    except FormatError as exc:
+        out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_codec_round_trips_with_the_old_bytes(seed):
+    rnd = random.Random(f"codec/{seed}")
+    fields = random_fields(rnd, rnd.randrange(0, 12))
+    nbits, data = write(keyio._BitWriter(), fields)
+    assert (nbits, data) == write(oracles.BitWriter(), fields)
+    assert read(keyio._BitReader(data), fields) == [v for _, _, v in fields] + ["ok"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_codec_errors_match_the_old_codec_on_damaged_payloads(seed):
+    rnd = random.Random(f"damaged/{seed}")
+    fields = random_fields(rnd, rnd.randrange(1, 8))
+    _, data = write(keyio._BitWriter(), fields)
+    damaged = [data[:cut] for cut in range(len(data))]  # every truncation
+    damaged += [data + b"\x00", data + b"\x80", data + bytes(rnd.randrange(1, 4))]
+    # every padding bit set, one at a time
+    pad = -sum(w for _, w, _ in fields) % 8
+    damaged += [data[:-1] + bytes([data[-1] | 1 << b]) for b in range(pad)]
+    for blob in damaged:
+        assert read(keyio._BitReader(blob), fields) == read(oracles.BitReader(blob), fields)
+    # each cut drops a byte that holds a field bit, if any field has one
+    truncated = [read(keyio._BitReader(blob), fields)[-1] for blob in damaged[: len(data)]]
+    assert truncated == ["payload truncated"] * len(data)
+
+
+@pytest.mark.parametrize("kind", "uv")
+@pytest.mark.parametrize("value, width", [(8, 3), (-1, 5), (1, 0), (1 << 70, 70)])
+def test_codec_refuses_a_value_wider_than_its_field_like_the_old_writer(kind, value, width):
+    messages = []
+    for writer in (keyio._BitWriter(), oracles.BitWriter()):
+        with pytest.raises(FormatError) as info:
+            (writer.put_uint if kind == "u" else writer.put_vector)(value, width)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
