@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 
+from .errors import ParameterError
+
 # One reduction polynomial per extension degree, each primitive: x
 # generates the multiplicative group.  Deterministic fixtures depend on
 # these; as in Classic McEliece, the field is fixed by m alone.
@@ -41,7 +43,7 @@ class Field:
 
     def __init__(self, m: int):
         if m not in REDUCTION_POLYS:
-            raise ValueError(f"extension degree must be in [4, 16], got {m}")
+            raise ParameterError(f"extension degree must be in [4, 16], got {m}")
         self.m = m
         self.reduction_poly = REDUCTION_POLYS[m]
         self.order = 1 << m

@@ -5,16 +5,17 @@ monic irreducible degree-t polynomial g(x).  The parity-check matrix
 over the field has entries alpha_i^j / g(alpha_i); its binary expansion
 stacks the m coefficient bits of each entry, coefficient 0 topmost.
 Decoding is Patterson's algorithm, which corrects any error of weight
-up to t when g is irreducible.
+up to t when g is irreducible.  Its error locator is evaluated at every
+nonzero field element by power_planes, the evaluator that gives the
+values of g, so root finding costs O(2^m), not O(n).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
-from .binmat import BinaryMatrix, transpose_ints
+from .binmat import BinaryMatrix
 from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, ParameterError
 from .gf2m import (
     Field,
@@ -65,18 +66,14 @@ class CodeParams:
 
 
 class ParityCheckMatrix:
-    """The binary parity check, by columns; its rows are built from
-    them on first use, unless the code set them when it built the check."""
+    """The binary parity check, by columns.  A check built from the
+    field rows also holds its m*t binary rows as binary, for
+    generate_code's rank test; a permuted check holds none (None)."""
 
-    def __init__(self, params: CodeParams, column_ints: list[int]):
+    def __init__(self, params: CodeParams, column_ints: list[int], binary: BinaryMatrix | None):
         self.params = params
         self.column_ints = column_ints
-
-    @cached_property
-    def binary(self) -> BinaryMatrix:
-        # row j*m + b holds bit b of field row j, so it is bit j*m + b of every column
-        mt = self.params.m * self.params.t
-        return BinaryMatrix(mt, self.params.n, transpose_ints(self.column_ints, mt))
+        self.binary = binary
 
     def syndrome(self, e: int) -> int:
         """e times the transposed binary parity check, as an m*t-bit int."""
@@ -112,6 +109,8 @@ class GoppaCode:
             raise ParameterError("support elements must be pairwise distinct")
         if any(not 0 <= a < field.order for a in support):
             raise ParameterError("support element outside the field")
+        if any(not 0 <= c < field.order for c in goppa_poly):
+            raise ParameterError("Goppa polynomial coefficient outside the field")
         if poly_deg(goppa_poly) != params.t or goppa_poly[-1] != 1:
             raise ParameterError("Goppa polynomial must be monic of degree t")
         self.field = field
@@ -123,6 +122,7 @@ class GoppaCode:
             raise ParameterError("Goppa polynomial vanishes on the support")
         self._pc: ParityCheckMatrix | None = None
         self._sqrt_x: list[int] | None = None
+        self._where: list[int | None] | None = None
 
     def parity_check(self) -> ParityCheckMatrix:
         """The binary check, whose column i packs the m bits of each of
@@ -130,7 +130,8 @@ class GoppaCode:
 
         The field rows are packed by struct.  As 16-bit lanes of one int,
         bit b of every entry of field row j is a strided slice of its
-        binary digits: binary row j*m + b.  For the columns, the rows go
+        binary digits: binary row j*m + b, which only generate_code's
+        rank test reads.  For the columns, the rows go
         64 // m at a time: with each entry in a 64-bit lane and each row
         shifted m bits above the one before, a group ORs into one int
         whose lanes are its share of every column.
@@ -155,14 +156,14 @@ class GoppaCode:
                     share = struct.unpack(f"<{n}Q", lanes.to_bytes(8 * n, "little"))
                     cols = [c | v << shift for c, v in zip(cols, share)]
                     lanes = 0
-            self._pc = ParityCheckMatrix(self.params, cols)
-            self._pc.binary = BinaryMatrix(len(rows), n, rows)
+            self._pc = ParityCheckMatrix(self.params, cols, BinaryMatrix(len(rows), n, rows))
         return self._pc
 
     def permuted(self, dest: list[int]) -> GoppaCode:
         """The same code with position i moved to dest[i]: the support,
         the values of g on it and the check's columns are scattered, and
-        nothing is validated or evaluated again."""
+        nothing is validated or evaluated again.  The check's rows are
+        not carried over."""
         if sorted(dest) != list(range(self.params.n)):
             raise DimensionMismatch("destinations must be a permutation of the positions")
         out = object.__new__(GoppaCode)
@@ -171,8 +172,9 @@ class GoppaCode:
         out.support = scatter(self.support, dest)
         out.goppa_poly = self.goppa_poly
         out._g_values = scatter(self._g_values, dest)
-        out._pc = ParityCheckMatrix(self.params, scatter(self.parity_check().column_ints, dest))
+        out._pc = ParityCheckMatrix(self.params, scatter(self.parity_check().column_ints, dest), None)
         out._sqrt_x = self._sqrt_x
+        out._where = None
         return out
 
     def _eval_goppa_poly(self) -> list[int]:
@@ -275,13 +277,10 @@ class GoppaCode:
             return 0
         if synd < 0 or synd.bit_length() > params.m * params.t:
             raise DimensionMismatch("syndrome negative or longer than m*t bits")
-        t = params.t
         sigma = self._locator(synd)
-        # the evaluation takes deg sigma <= t; a longer locator fails the
-        # root count with no roots
-        e = self._locator_roots(sigma) if poly_deg(sigma) <= t else 0
+        e = self._locator_roots(sigma)
         nroots = e.bit_count()
-        if nroots != poly_deg(sigma) or nroots > t:
+        if nroots != poly_deg(sigma) or nroots > params.t:
             raise DecodingFailure(
                 "error locator does not split over the support", "locator-not-split"
             )
@@ -311,45 +310,42 @@ class GoppaCode:
         return poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
 
     def _locator_roots(self, sigma: list[int]) -> int:
-        """The support positions where sigma (of degree <= t) vanishes,
-        as a bit vector, evaluated at all n positions at once.
+        """The support positions where a nonzero sigma vanishes, as a bit
+        vector.
 
-        With rho = sigma mod g and sigma_t the coefficient of x^t,
-        sigma(a)/g(a) = rho(a)/g(a) + sigma_t, and rho(a_i)/g(a_i) is
-        the sum of rho_j times the parity-check entry a_i^j/g(a_i).  Bit
-        b of that entry is binary row j*m + b, and times rho_j it adds
-        rho_j * x^b, so bit plane s of the quotient is the XOR of the
-        rows whose rho_j * x^b has bit s, plus all ones where sigma_t
-        has bit s.  g never vanishes on the support, so sigma does
-        exactly where every plane is zero.
+        Lane e of sigma's power planes holds sigma(alpha^e), so the
+        nonzero roots are the lanes that are zero on every plane, and
+        alpha = 0 is a root exactly when sigma_0 = 0.  Each root maps to
+        its support position; roots off the support are dropped.
         """
-        fld = self.field
-        n, t, m = self.params.n, self.params.t, self.params.m
-        rows = self.parity_check().binary.row_ints
-        full = (1 << n) - 1
-        sigma = sigma + [0] * (t + 1 - len(sigma))
-        top = sigma[t]
-        mul = fld.mul
-        red = fld.reduction_poly
-        planes = [0] * m
-        for j, (c, gj) in enumerate(zip(sigma, self.goppa_poly[:-1])):
-            c ^= mul(top, gj)
-            if not c:
-                continue
-            for row in rows[j * m : j * m + m]:
-                # c is rho_j * x^b for this row's bit b
-                bits = c
-                while bits:
-                    low = bits & -bits
-                    planes[low.bit_length() - 1] ^= row
-                    bits ^= low
-                c <<= 1
-                if c >> m:
-                    c ^= red
+        q1 = self.field.order - 1
         nonzero = 0
-        for s, plane in enumerate(planes):
-            nonzero |= plane ^ full if top >> s & 1 else plane
-        return full ^ nonzero
+        for plane in power_planes(self.field, sigma):
+            nonzero |= plane
+        roots = nonzero ^ ((1 << q1) - 1)
+        if not sigma[0]:
+            roots |= 1 << q1  # the lane past the last stands for alpha = 0
+        where = self._positions()
+        e = 0
+        while roots:
+            low = roots & -roots
+            i = where[low.bit_length() - 1]
+            if i is not None:
+                e |= 1 << i
+            roots ^= low
+        return e
+
+    def _positions(self) -> list[int | None]:
+        """The support position of alpha^e at index e and of 0 at index
+        2^m - 1, None for an element off the support."""
+        if self._where is None:
+            q1 = self.field.order - 1
+            log = self.field.log_table
+            where = [None] * (q1 + 1)
+            for i, a in enumerate(self.support):
+                where[log[a] if a else q1] = i
+            self._where = where
+        return self._where
 
 
 def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:

@@ -306,7 +306,8 @@ def check_key_against_chain(priv, chain):
     k, nk = params.k, params.redundancy
     assert priv.goppa_poly == chain.code.goppa_poly
     assert priv.support == [chain.code.support[i] for i in perm_inverse(chain.perm)]
-    assert priv.parity_check().binary == oracles.binary_check(chain.code).permute_columns(chain.perm)
+    permuted = oracles.binary_check(chain.code).permute_columns(chain.perm)
+    assert priv.parity_check().column_ints == oracles.transpose(permuted).row_ints
     right_t = BinaryMatrix(nk, nk, priv.parity_check().column_ints[k:])
     assert right_t == oracles.transpose(chain.scrambler.s_inv)
     assert right_t.invert() == oracles.transpose(chain.scrambler.s)
@@ -338,6 +339,8 @@ def test_goppa_polynomial_search_is_bounded():
 # one generated code per scale; its support is the whole field, so it
 # holds 0, and the same g on the support without 0 is the zero-free code
 ROOT_CODES = {"toy": (TOY, 0x40), "mid": (MID, 0x41), "headline": (HEADLINE, 0x42)}
+# the partial-support root test also runs at stress's m, where n < 2^m
+ROOT_FIELDS = {4: FIELDS[4], 8: FIELDS[8], 12: Field(12)}
 
 
 @functools.cache
@@ -350,6 +353,14 @@ def root_code(scale: str, with_zero: bool) -> GoppaCode:
     support = [a for a in code.support if a]
     n, t, m = len(support), params.t, params.m
     return GoppaCode(code.field, CodeParams(n, n - m * t, t, m), support, code.goppa_poly)
+
+
+@functools.cache
+def permuted_root_code(scale: str, with_zero: bool) -> tuple[GoppaCode, list[int]]:
+    """root_code with its positions scattered, and the destinations."""
+    code = root_code(scale, with_zero)
+    dest = random.Random(f"{scale}/{with_zero}").sample(range(code.params.n), code.params.n)
+    return code.permuted(dest), dest
 
 
 @pytest.mark.parametrize("with_zero", [True, False], ids=["with-0", "without-0"])
@@ -367,8 +378,10 @@ def root_code(scale: str, with_zero: bool) -> GoppaCode:
 def test_locator_roots_match_scan(scale, with_zero, source, degree, seed):
     # sigma of degree min(degree, t): Patterson's locator of a random
     # error of that weight (at least 1) or of a random forged syndrome
-    # (whatever degree it has), or random coefficients
+    # (whatever degree it has), or random coefficients; the permuted
+    # code has the same roots at the scattered positions
     code = root_code(scale, with_zero)
+    moved, dest = permuted_root_code(scale, with_zero)
     n, t, m = code.params.n, code.params.t, code.params.m
     order = code.field.order
     rnd = random.Random(seed)
@@ -386,15 +399,18 @@ def test_locator_roots_match_scan(scale, with_zero, source, degree, seed):
     assert roots == oracles.scan_roots(code, sigma)
     if e is not None:
         assert roots == e
+    moved_roots = moved._locator_roots(sigma)
+    assert moved_roots == oracles.scan_roots(moved, sigma)
+    assert moved_roots == sum(1 << dest[i] for i in range(code.params.n) if roots >> i & 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([4, 8]), st.integers(2, 6), st.integers(0, 2**32))
+@given(st.sampled_from(sorted(ROOT_FIELDS)), st.integers(2, 6), st.integers(0, 2**32))
 def test_locator_roots_match_scan_on_partial_supports(m, t, seed):
     # supports shorter than the field, with and without 0; each sigma is
     # a product of linear factors at random field elements (on or off
     # the support, repeats allowed) of every degree up to t
-    field = FIELDS[m]
+    field = ROOT_FIELDS[m]
     rnd = random.Random(seed)
     t = min(t, (field.order - 1) // m)
     n = rnd.randrange(m * t + 1, field.order + 1)

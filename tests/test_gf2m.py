@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kal1.errors import ParameterError
 from kal1.gf2m import (
     REDUCTION_POLYS,
     Field,
@@ -53,10 +54,9 @@ def test_reduction_polys_are_primitive():
 
 
 def test_field_construction_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        Field(3)
-    with pytest.raises(ValueError):
-        Field(17)
+    for m in (3, 17, 0, -4):
+        with pytest.raises(ParameterError, match="extension degree"):
+            Field(m)
 
 
 def test_add_is_xor():

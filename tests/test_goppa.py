@@ -12,6 +12,7 @@ from kal1.gf2m import Field, is_irreducible, poly_mul
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
+import oracles
 from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
 from oracles import poly_eval
 
@@ -67,6 +68,11 @@ def test_code_constructor_validations(toy_code):
         GoppaCode(field, params, TOY_SUPPORT, [1, 0, 2])  # not monic
     with pytest.raises(ParameterError):
         GoppaCode(field, params, TOY_SUPPORT, [0, 0, 1])  # x^2 vanishes at 0
+    # a g with a coefficient outside the field once built a code whose
+    # every decode raised IndexError
+    for g in ([17, 2, 1], [16, 2, 1], [3, -1, 1], [3, 2, 17]):
+        with pytest.raises(ParameterError, match="coefficient outside the field"):
+            GoppaCode(field, params, list(range(16)), g)
 
 
 def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
@@ -233,7 +239,9 @@ def test_permuted_code_is_the_code_on_the_permuted_support(params, tag):
     assert moved._g_values == fresh._g_values
     assert moved._field_rows() == fresh._field_rows()
     assert moved.parity_check().column_ints == fresh.parity_check().column_ints
-    assert moved.parity_check().binary == code.parity_check().binary.permute_columns(dest)
+    permuted = oracles.binary_check(code).permute_columns(dest)
+    assert moved.parity_check().column_ints == oracles.transpose(permuted).row_ints
+    assert moved.parity_check().binary is None
     for _ in range(20):
         e = sum(1 << i for i in rnd.sample(range(params.n), rnd.randint(1, params.t)))
         assert moved.decode(moved.parity_check().syndrome(e)) == e

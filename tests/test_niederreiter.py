@@ -39,11 +39,11 @@ def test_public_key_equals_transposed_private_product(toy_nied):
     # check_t must equal P^T H^T S^T computed independently with
     # materialized matrices, from the code in its drawn order
     pub, priv = toy_nied
-    h = generate_code(TOY, SeededRng(seed_bytes(1))).parity_check().binary
+    h = oracles.binary_check(generate_code(TOY, SeededRng(seed_bytes(1))))
     p = perm_matrix(key_perm(TOY, seed_bytes(1), priv))
     hp = h.mul(p)
     # the key is the code in public order: its check is H P
-    assert priv.parity_check().binary == hp
+    assert priv.parity_check().column_ints == oracles.transpose(hp).row_ints
     s_t = oracles.columns(hp, list(range(TOY.k, TOY.n))).transpose().invert()
     assert pub.check_t == p.transpose().mul(h.transpose()).mul(s_t)
 
