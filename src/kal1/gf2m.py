@@ -4,7 +4,9 @@ Field elements are ints: bit i is the coefficient of x^i, reduced
 modulo the one primitive polynomial of degree m in REDUCTION_POLYS.
 Polynomials over the field are lists of elements with index = degree,
 normalized so the last entry is nonzero; the zero polynomial is the
-empty list.
+empty list.  Products, remainders and Euclid run on one packed kernel
+(coefficient i at bits [m*i, m*i + m) of one int) shared by Ben-Or's
+test and Patterson's steps, which take and return lists.
 """
 
 from __future__ import annotations
@@ -110,23 +112,6 @@ def poly_scale(field: Field, f: list[int], c: int) -> list[int]:
     return poly_trim([field.mul(a, c) for a in f])
 
 
-def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
-    """Schoolbook product in the log domain: g's coefficient logs are
-    taken once, so each term is one exp lookup at a sum of logs."""
-    if not f or not g:
-        return []
-    exp = field.exp_table
-    log = field.log_table
-    g_logs = [(j, log[b]) for j, b in enumerate(g) if b]
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            la = log[a]
-            for j, lb in g_logs:
-                out[i + j] ^= exp[la + lb]
-    return poly_trim(out)
-
-
 def poly_sqr(field: Field, f: list[int]) -> list[int]:
     # char 2: squaring just spreads the coefficients
     if not f:
@@ -140,90 +125,180 @@ def poly_sqr(field: Field, f: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Long division in the log domain: the divisor's coefficient logs
-    are taken once, so each step is table lookups and XORs."""
-    g = poly_trim(g)
-    if not g:
+# --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---
+
+
+def pack(field: Field, f: list[int]) -> int:
+    return sum(c << (field.m * i) for i, c in enumerate(f))
+
+
+def unpack(field: Field, v: int) -> list[int]:
+    m = field.m
+    return [v >> (m * i) & (field.order - 1) for i in range((v.bit_length() + m - 1) // m)]
+
+
+# m -> the top bit of each coefficient of the widest packed poly so far
+_TOPS: dict[int, int] = {}
+
+
+def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
+    """Packed v, alpha*v, alpha^2*v, ...: count of them.  Times alpha
+    shifts every coefficient up one bit and folds the bit that leaves
+    it back in through the low bits of the reduction polynomial."""
+    m = field.m
+    mask = field.order - 1
+    tops = _TOPS.get(m, 0)
+    if v >> tops.bit_length():
+        tops = _TOPS[m] = ((1 << m * (v.bit_length() // m + 1)) - 1) // mask << (m - 1)
+    red = field.reduction_poly & mask
+    out = [v]
+    for _ in range(count - 1):
+        top = v & tops
+        v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
+        out.append(v)
+    return out
+
+
+def split(field: Field, basis: list[int]) -> tuple[list[int], list[int]]:
+    """c -> the XOR of basis[s] over the bits s of c, as a table for the
+    low m // 2 bits of c and one for the rest, built by doubling."""
+    lo_bits = field.m // 2
+    lo, hi = [0], [0]
+    for v in basis[:lo_bits]:
+        lo += [acc ^ v for acc in lo]
+    for v in basis[lo_bits:]:
+        hi += [acc ^ v for acc in hi]
+    return lo, hi
+
+
+def modulus(field: Field, f: list[int]) -> tuple[int, list[int], list[int]]:
+    """What mul_mod needs of a nonzero f: its degree t and the split
+    tables of c -> c * x^t mod f.  f is made monic, which changes no
+    product modulo f; then x^t mod f is f less its leading 1."""
+    f = poly_trim(f)
+    if not f:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    dg = len(g) - 1
-    if len(r) - 1 < dg:
-        return [], poly_trim(r)
+    if f[-1] != 1:
+        f = poly_scale(field, f, field.inv(f[-1]))
+    return (len(f) - 1, *split(field, alpha_multiples(field, pack(field, f[:-1]), field.m)))
+
+
+def mul_mod(field: Field, a: int, b: int, mod: tuple[int, list[int], list[int]]) -> int:
+    """Packed a * b modulo the f of mod, for a reduced modulo f and b of
+    any degree: Horner over b's coefficients from the top, with a's
+    multiples from split tables; each times x folds coefficient t back
+    in as c * x^t mod f."""
+    t, fold_lo, fold_hi = mod
+    m = field.m
+    mask = field.order - 1
+    lo_bits = m // 2
+    lo_mask = (1 << lo_bits) - 1
+    full = (1 << (m * t)) - 1
+    a_lo, a_hi = split(field, alpha_multiples(field, a, m))
+    acc = 0
+    for i in range((b.bit_length() - 1) // m, -1, -1):
+        acc <<= m
+        c = acc >> (m * t)
+        acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+        c = (b >> (m * i)) & mask
+        acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
+    return acc
+
+
+def remainder(field: Field, a: int, b: int) -> int:
+    """Packed a mod b, for b != 0: each step cancels a's top coefficient
+    with c * x^d times b, the XOR of b's alpha multiples picked by the
+    bits of c.  Only the tops of a and b are read, so bits below both
+    ride along with the quotient: euclid carries a cofactor there."""
+    m = field.m
     exp = field.exp_table
     log = field.log_table
-    q1 = field.order - 1
-    # the leading term is left out: it only cancels r[i], which is never read again
-    g_logs = [(j, log[b]) for j, b in enumerate(g[:-1]) if b]
-    lc_log = log[g[-1]]
-    q = [0] * (len(r) - dg)
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        lcoef = (log[c] - lc_log) % q1
-        q[i - dg] = exp[lcoef]
-        base = i - dg
-        for j, lb in g_logs:
-            r[base + j] ^= exp[lcoef + lb]
-    return poly_trim(q), poly_trim(r[:dg])
+    db = (b.bit_length() - 1) // m
+    mults = alpha_multiples(field, b, m)
+    lead_inv = field.order - 1 - log[b >> (m * db)]
+    d = (a.bit_length() - 1) // m
+    while d >= db:
+        c = exp[log[a >> (m * d)] + lead_inv]
+        term = 0
+        while c:
+            low = c & -c
+            term ^= mults[low.bit_length() - 1]
+            c ^= low
+        a ^= term << (m * (d - db))
+        d = (a.bit_length() - 1) // m
+    return a
 
 
-def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
-    return poly_divmod(field, f, g)[1]
+def euclid(field: Field, r0: int, r1: int, dbound: int) -> tuple[int, int]:
+    """Extended Euclid on packed (r0, r1), stopped at the first remainder
+    of degree <= dbound (at least -1): (r, v) with r = v*r1 mod r0.
+    Each remainder sits s bits up, past every cofactor, over its cofactor
+    v (0 for r0, 1 for r1), so one remainder call also makes v0 + q*v1."""
+    m = field.m
+    s = m * (max(r0.bit_length(), r1.bit_length()) // m + 1)
+    a, b = r0 << s, r1 << s | 1
+    while b >> (s + m * (dbound + 1)):
+        a, b = b, remainder(field, a, b)
+    return b >> s, b & ((1 << s) - 1)
+
+
+# --- Patterson's steps, on lists in and out ---
 
 
 def poly_eea_bounded(
     field: Field, f: list[int], g: list[int], dbound: int
 ) -> tuple[list[int], list[int]]:
     """Extended Euclid on (f, g) stopped at the first remainder of
-    degree <= dbound; returns (r, v) with r = v*g mod f.
-
-    Only g's cofactor is carried.  Each round divides the previous
-    remainder r0 by the current one r1 in the log domain, as poly_divmod
-    does, with the logs of r1 and of its cofactor v1 taken once.  The
-    next cofactor v0 + q*v1 starts as v0, and each quotient term c*x^d
-    XORs c*x^d*r1 into r0 and c*x^d*v1 into it in the same step, so
-    the quotient is never built.
-    """
-    exp = field.exp_table
-    log = field.log_table
-    q1 = field.order - 1
-    r0, r1 = poly_trim(f), poly_trim(g)
-    v0, v1 = [], [1]
-    while poly_deg(r1) > dbound:
-        d1 = len(r1) - 1
-        # the leading term is left out: it only cancels r0[i], which is never read again
-        b_logs = [(j, log[b]) for j, b in enumerate(r1[:-1]) if b]
-        v_logs = [(j, log[c]) for j, c in enumerate(v1) if c]
-        lc_log = log[r1[-1]]
-        # q*v1 has len(r0) - len(r1) + len(v1) coefficients
-        v = v0 + [0] * (len(r0) - len(r1) + len(v1) - len(v0))
-        for i in range(len(r0) - 1, d1 - 1, -1):
-            c = r0[i]
-            if not c:
-                continue
-            lcoef = (log[c] - lc_log) % q1
-            base = i - d1
-            for j, lb in b_logs:
-                r0[base + j] ^= exp[lcoef + lb]
-            for j, lv in v_logs:
-                v[base + j] ^= exp[lcoef + lv]
-        r0, r1 = r1, poly_trim(r0[:d1])
-        v0, v1 = v1, poly_trim(v)
-    return r1, v1
+    degree <= dbound; returns (r, v) with r = v*g mod f."""
+    r, v = euclid(field, pack(field, f), pack(field, g), dbound)
+    return unpack(field, r), unpack(field, v)
 
 
 def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     """Inverse of f modulo g; raises ZeroDivisionError if gcd(f, g) != 1.
-
     Euclid on (g, f mod g) down to a constant remainder r0 leaves f's
-    cofactor v with v*f = r0 mod g, so the inverse is v / r0.
-    """
-    r, v = poly_eea_bounded(field, g, poly_mod(field, f, g), 0)
+    cofactor v, of degree below g's, with v*f = r0 mod g: so v / r0."""
+    g = pack(field, g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r, v = euclid(field, g, remainder(field, pack(field, f), g), 0)
     if not r:
         raise ZeroDivisionError("polynomial not invertible modulo g")
-    return poly_mod(field, poly_scale(field, v, field.inv(r[0])), g)
+    return poly_scale(field, unpack(field, v), field.inv(r))
+
+
+def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
+    """The square root of x modulo g.  Splitting g = g0^2 + x*g1^2 gives
+    x = (g0/g1)^2 mod g, so the root is g0 * g1^-1 mod g; for irreducible
+    g it equals x^(2^(m*t-1)).  When g1 has no inverse (a repeated
+    factor, which only a hand-built g can have), that power of x is
+    found by repeated squaring.
+    """
+    mod = modulus(field, g)
+    try:
+        g1_inv = poly_inv_mod(field, [field.sqrt(c) for c in g[1::2]], g)
+    except ZeroDivisionError:
+        h = 1 << field.m  # x, reduced: a repeated factor makes t >= 2
+        for _ in range(field.m * poly_deg(g) - 1):
+            h = mul_mod(field, h, h, mod)
+    else:
+        g0 = pack(field, [field.sqrt(c) for c in g[0::2]])
+        h = mul_mod(field, pack(field, g1_inv), g0, mod)
+    return unpack(field, h)
+
+
+def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:
+    """Square root of s modulo irreducible g, via the even/odd split.
+
+    With s(x) = a(x^2) + x b(x^2), the root is A(x) + sqrt(x) B(x)
+    where A, B take coefficient-wise field square roots of a and b.
+    """
+    mod = modulus(field, g)
+    packed_g = pack(field, g)
+    even = pack(field, [field.sqrt(c) for c in s[0::2]])
+    odd = pack(field, [field.sqrt(c) for c in s[1::2]])
+    root_x = remainder(field, pack(field, sqrt_x), packed_g)
+    return unpack(field, remainder(field, even ^ mul_mod(field, root_x, odd, mod), packed_g))
 
 
 # m -> [A_0, A_1, ...]: A_i packs the m bit planes of alpha^(i*e) over
@@ -317,26 +392,20 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     reducible f has a linear factor, so a rootless f is irreducible.
 
     Level 2 gets a gcd.  From level 3 on, the h - x of three levels are
-    multiplied modulo f and one gcd is taken per block, as in the
-    interval partition of von zur Gathen and Shoup: an irreducible
-    factor of f divides the product exactly when it divides one of its
-    terms, so every decision is that of the level-by-level test, at a
-    third of the gcds.
+    multiplied modulo f before one gcd, as in the interval partition of
+    von zur Gathen and Shoup: an irreducible factor divides the product
+    exactly when it divides a term, so every decision is the
+    level-by-level one, at a third of the gcds.
 
-    Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f is held as
-    one packed int, coefficient i at bits [m*i, m*i + m), and squared
-    by XORs.  h_i^2 lands on coefficient 2i while 2i < deg(f); each
-    higher h_i reads c -> c^2 * x^(2i) mod f from its own tables, built
-    once per call.  Every table is split in two, one for each half of
-    c's bits.  The products modulo f and the gcds' Euclid work on packed
-    ints too, so h is never unpacked.
+    Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f stays packed:
+    h_i^2 lands on coefficient 2i while 2i < deg(f), and each higher h_i
+    reads c -> c^2 * x^(2i) mod f from split tables built once per call.
+    Products are mul_mod, and each gcd is a Euclid of remainder calls.
     """
     f = poly_trim(f)
     t = poly_deg(f)
     if t < 1:
         return False
-    if f[-1] != 1:
-        f = poly_scale(field, f, field.inv(f[-1]))
     if t == 1:
         return True
     if f[0] == 0:
@@ -352,49 +421,21 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     mask = field.order - 1
     exp = field.exp_table
     log = field.log_table
-    full = (1 << (m * t)) - 1
-    # tops is the top bit of every coefficient: times alpha shifts each
-    # coefficient up one bit and folds the bit that leaves it back in
-    # through the low bits of the field's reduction polynomial
-    tops = full // mask << (m - 1)
-    red = field.reduction_poly & mask
     lo_bits = m // 2
     lo_mask = (1 << lo_bits) - 1
-
-    def alpha_multiples(v: int, count: int) -> list[int]:
-        # v, alpha * v, alpha^2 * v, ...: count of them
-        out = [v]
-        for _ in range(count - 1):
-            top = v & tops
-            v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
-            out.append(v)
-        return out
-
-    def split(basis: list[int]) -> tuple[list[int], list[int]]:
-        # c -> the XOR of basis[s] over the bits s of c, as a table for
-        # the low lo_bits bits of c and one for the rest, built by doubling
-        lo, hi = [0], [0]
-        for v in basis[:lo_bits]:
-            lo += [acc ^ v for acc in lo]
-        for v in basis[lo_bits:]:
-            hi += [acc ^ v for acc in hi]
-        return lo, hi
-
-    packed_f = sum(c << (m * i) for i, c in enumerate(f))
-    # c -> c * x^t mod f; x^t mod f is f without its leading 1 (char 2)
-    fold_lo, fold_hi = split(alpha_multiples(packed_f & full, m))
+    mod = modulus(field, f)
     half = (t + 1) // 2
     # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
     # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
     lanes = []
-    v = fold_lo[1]
+    _, fold_lo, fold_hi = mod
+    v = fold_lo[1]  # x^t mod f
     for j in range(t, 2 * t - 1):
         if not j & 1:
-            lanes.append(split(alpha_multiples(v, 2 * m - 1)[::2]))
-        # times x: up one coefficient, then coefficient t folds back as c * x^t
-        v <<= m
-        c = v >> (m * t)
-        v = (v & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
+            lanes.append(split(field, alpha_multiples(field, v, 2 * m - 1)[::2]))
+        # times x, as a step of mul_mod: coefficient t folds back as c * x^t
+        c = v >> (m * (t - 1))
+        v = ((v << m) ^ (c << (m * t))) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
 
     def square(h: int) -> int:
         # h_i^2 on coefficient 2i while 2i < t, the lane tables above
@@ -408,41 +449,7 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
             acc ^= lo[c & lo_mask] ^ hi[c >> lo_bits]
         return acc
 
-    def mul_mod(a: int, b: int) -> int:
-        # Horner over b's coefficients from the top, with a's multiples from tables
-        a_lo, a_hi = split(alpha_multiples(a, m))
-        acc = 0
-        for i in range(t - 1, -1, -1):
-            acc <<= m
-            c = acc >> (m * t)
-            acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
-            c = (b >> (m * i)) & mask
-            acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
-        return acc
-
-    def coprime_to_f(a: int) -> bool:
-        # Euclid on (f, a), packed: each quotient term c * x^d subtracts
-        # c times the divisor, the XOR of its alpha multiples picked by
-        # the bits of c, shifted up d coefficients
-        r0, r1 = packed_f, a
-        while r1 >> m:
-            d1 = (r1.bit_length() - 1) // m
-            mults = alpha_multiples(r1, m)
-            lead_inv = mask - log[r1 >> (m * d1)]
-            d0 = (r0.bit_length() - 1) // m
-            while d0 >= d1:
-                c = exp[log[r0 >> (m * d0)] + lead_inv]
-                term = 0
-                while c:
-                    low = c & -c
-                    term ^= mults[low.bit_length() - 1]
-                    c ^= low
-                r0 ^= term << (m * (d0 - d1))
-                d0 = (r0.bit_length() - 1) // m
-            r0, r1 = r1, r0
-        # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
-        return r1 != 0
-
+    packed_f = pack(field, f)
     x = 1 << m
     # h starts at x^(2^s), the last power of x that squaring reaches
     # below degree t, or at x^q itself, and is squared up to x^q
@@ -455,42 +462,14 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     for level in range(2, last + 1):
         for _ in range(m):
             h = square(h)
-        product = h ^ x if product is None else mul_mod(product, h ^ x)
+        product = h ^ x if product is None else mul_mod(field, product, h ^ x, mod)
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
-            if not coprime_to_f(product):
+            r0, r1 = packed_f, product
+            while r1 >> m:
+                r0, r1 = r1, remainder(field, r0, r1)
+            # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
+            if not r1:
                 return False
             product = None
     return True
-
-
-def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
-    """The square root of x modulo g.
-
-    Splitting g = g0^2 + x*g1^2 gives x = (g0/g1)^2 mod g, so the root
-    is g0 * g1^-1 mod g; for irreducible g it equals x^(2^(m*t-1)).
-    When g1 has no inverse (g has a repeated factor, which only a
-    hand-built g can have) the result is x^(2^(m*t-1)) mod g by
-    repeated squaring.
-    """
-    g0 = poly_trim([field.sqrt(c) for c in g[0::2]])
-    g1 = poly_trim([field.sqrt(c) for c in g[1::2]])
-    try:
-        g1_inv = poly_inv_mod(field, g1, g)
-    except ZeroDivisionError:
-        h = [0, 1]
-        for _ in range(field.m * poly_deg(g) - 1):
-            h = poly_mod(field, poly_sqr(field, h), g)
-        return h
-    return poly_mod(field, poly_mul(field, g0, g1_inv), g)
-
-
-def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:
-    """Square root of s modulo irreducible g, via the even/odd split.
-
-    With s(x) = a(x^2) + x b(x^2), the root is A(x) + sqrt(x) B(x)
-    where A, B take coefficient-wise field square roots of a and b.
-    """
-    even = poly_trim([field.sqrt(c) for c in s[0::2]])
-    odd = poly_trim([field.sqrt(c) for c in s[1::2]])
-    return poly_mod(field, poly_add(even, poly_mul(field, odd, sqrt_x)), g)

@@ -161,7 +161,10 @@ def rank_report(
     samples: int = 32,
 ) -> RankReport:
     """Rank triple of the published decomposition, plus how often a
-    random attacker window of the cyclic matrix is invertible."""
+    random attacker window of the cyclic matrix is invertible.  That
+    count reads 0/32 at mid and headline: cyclic_t's top k rows rotate by
+    i mod n-k, so for k > n-k only n-k of them are distinct, and almost
+    every window of n-k rows repeats one."""
     params = priv.params
     inner_pub = public_key(priv)
     secondary = secondary_check_t(cyclic_t, inner_pub)

@@ -22,7 +22,8 @@ A row with no such form (more than 255 ones, or anything but one run of
 at least two ones that fits the length field) raises FormatError.
 Parsing returns the same class, with the policy the scheme id names, and
 accepts Kal1-S1/S2 fields only when they name a row of at most n-k bits
-that ``seed_fields`` writes back as exactly those fields.
+that ``seed_fields`` writes back as exactly those fields, and with a
+policy ``validate_policy`` accepts, as for a .sk (so never Kal1-S1 w=0).
 
 Private key file (fixed 39 bytes): magic b"K1SK", then the same
 version/scheme/params/w prefix, u16be run start and run length (zero
@@ -203,7 +204,10 @@ def seed_fields(sid: int, seed_row: int) -> list[int]:
 
 
 def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
-    return _HEADER.pack(magic, VERSION, sid, params.n, params.k, params.t, params.m, w)
+    try:  # CodeParams admits n = 2^16, one more than a u16 field holds
+        return _HEADER.pack(magic, VERSION, sid, params.n, params.k, params.t, params.m, w)
+    except struct.error as exc:
+        raise FormatError(f"a header field is out of range: {exc}") from None
 
 
 def serialize_public_key(key: scheme.PublicKey) -> bytes:
@@ -297,7 +301,12 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
         if seed_row >> nk or seed_fields(sid, seed_row) != fields:
             raise FormatError("payload fields are not the canonical form of a seed row")
     rd.expect_zero_padding()
-    return scheme.Kal1PublicKey(params, seed_row, _policy_for(sid, w, start, run))
+    policy = _policy_for(sid, w, start, run)
+    try:
+        scheme.validate_policy(policy, nk)
+    except PolicyError as exc:
+        raise FormatError(f"invalid public key header: {exc}") from exc
+    return scheme.Kal1PublicKey(params, seed_row, policy)
 
 
 # --- private key files ---

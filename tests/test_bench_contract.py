@@ -5,15 +5,17 @@ change that deletes or renames one breaks the benchmark.  This imports
 the tracer read-only (no bytecode is written under bench/) and resolves
 each of its targets in the imported library.  The benchmark also pins
 how often keygen calls ``is_irreducible``, so the count per code is
-checked here with the name wrapped the way the tracer wraps it, and the
-warm encrypt/decrypt path must build no Pascal table, which is counted
-the same way.
+checked here with the name wrapped the way the tracer wraps it.  The
+Patterson layers the tracer times must stay the functions ``goppa``
+calls, and a headline decode must call each of them, counted the same
+way.  The warm encrypt/decrypt path must build no Pascal table.
 """
 
 import functools
 import importlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,7 @@ def _import_tracer():
 
 
 tracer = _import_tracer()
+HEADLINE = CodeParams(1024, 524, 50, 10)
 
 
 @pytest.mark.parametrize("span", sorted(tracer.FUNCTIONS))
@@ -62,8 +65,35 @@ def test_traced_binom_is_cached_property():
     assert isinstance(cls.__dict__.get(attr), functools.cached_property)
 
 
+PATTERSON_LAYERS = ("poly_inv_mod", "poly_sqrt_mod", "poly_eea_bounded", "sqrt_x_mod")
+
+
 def test_goppa_calls_the_traced_is_irreducible():
     assert goppa.is_irreducible is gf2m.is_irreducible
+
+
+@pytest.mark.parametrize("name", PATTERSON_LAYERS)
+def test_goppa_calls_the_traced_patterson_layers(name):
+    assert getattr(goppa, name) is getattr(gf2m, name)
+    assert tracer.FUNCTIONS[f"gf2m.{name}"] == ("kal1.gf2m", name)
+
+
+def count_calls(monkeypatch, names) -> list[tuple]:
+    """Wrap each gf2m function like the tracer does, in every kal1
+    namespace that binds it; each call appends (name, args) to the
+    returned list."""
+    calls = []
+    for attr in names:
+        inner = getattr(gf2m, attr)
+
+        def counted(*args, _inner=inner, _attr=attr):
+            calls.append((_attr, args))
+            return _inner(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "kal1" and getattr(mod, attr, None) is inner:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 # is_irreducible calls per generate_code(MID, SeededRng(seed_bytes(tag))),
@@ -74,20 +104,25 @@ MID_IRREDUCIBLE_CALLS = {6: 17, 11: 16}
 
 @pytest.mark.parametrize("tag, expected", sorted(MID_IRREDUCIBLE_CALLS.items()))
 def test_is_irreducible_calls_per_code(monkeypatch, tag, expected):
-    inner = gf2m.is_irreducible
-    calls = []
-
-    def counted(field, f):
-        calls.append(f)
-        return inner(field, f)
-
-    # like the tracer: every kal1 namespace that binds the function
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "kal1" and getattr(mod, "is_irreducible", None) is inner:
-            monkeypatch.setattr(mod, "is_irreducible", counted)
+    calls = count_calls(monkeypatch, ["is_irreducible"])
     code = generate_code(MID, SeededRng(seed_bytes(tag)))
     assert len(calls) == expected
-    assert calls[-1] == code.goppa_poly
+    assert calls[-1] == ("is_irreducible", (code.field, code.goppa_poly))
+
+
+def test_headline_decode_calls_every_patterson_layer(monkeypatch):
+    code = generate_code(HEADLINE, SeededRng(seed_bytes(0x15)))
+    rnd = random.Random(15)
+    errors = [sum(1 << i for i in rnd.sample(range(HEADLINE.n), HEADLINE.t)) for _ in range(2)]
+    calls = count_calls(monkeypatch, PATTERSON_LAYERS)
+    # the first decode finds sqrt(x) mod g, whose g1^-1 is a poly_inv_mod
+    assert code.decode(code.parity_check().syndrome(errors[0])) == errors[0]
+    first = Counter(name for name, _ in calls)
+    assert first == {"poly_inv_mod": 2, "sqrt_x_mod": 1, "poly_sqrt_mod": 1, "poly_eea_bounded": 1}
+    calls.clear()
+    assert code.decode(code.parity_check().syndrome(errors[1])) == errors[1]
+    warm = Counter(name for name, _ in calls)
+    assert warm == {"poly_inv_mod": 1, "poly_sqrt_mod": 1, "poly_eea_bounded": 1}
 
 
 def test_headline_round_trip_builds_no_pascal_table(monkeypatch):

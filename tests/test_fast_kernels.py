@@ -4,8 +4,8 @@ Every kernel must return exactly what its oracle in ``oracles`` returns,
 on inputs that include zero coefficients, non-monic divisors and
 untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
 test, whose deep levels get products of known irreducible factors, and
-for the log-domain product, Euclid and inverse, whose inputs share
-random common factors).
+for the packed division, reduction, product modulo f, Euclid and
+inverse, whose inputs share random common factors).
 Keygen itself must reproduce the oracle chain's code, permutation,
 scrambler and public matrix, and decryption through the key's right
 block columns must match the unscramble-by-matrix chain.  Decoding's
@@ -29,23 +29,27 @@ from kal1.errors import DecodingFailure, GenerationFailure, Kal1Error
 from kal1.gf2m import (
     REDUCTION_POLYS,
     Field,
+    euclid,
     is_irreducible,
+    modulus,
+    mul_mod,
+    pack,
     poly_add,
     poly_deg,
-    poly_divmod,
     poly_eea_bounded,
     poly_inv_mod,
-    poly_mod,
-    poly_mul,
     poly_sqr,
     poly_trim,
+    remainder,
     sqrt_x_mod,
+    unpack,
 )
 from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
 from conftest import MID, SQUARE_Q, TOY, perm_inverse, seed_bytes
+from oracles import poly_mod, poly_mul
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
 DEEP_FIELDS = {**FIELDS, 16: Field(16)}
@@ -70,20 +74,69 @@ def field_and_monic(draw, max_deg=6):
     return field, low + [1]
 
 
-@given(field_and_polys(2, max_len=24))
+@given(field_and_polys(2, max_len=24, fields=DEEP_FIELDS))
 def test_poly_divmod_matches_oracle(case):
+    # the kernel's remainder, and the quotient that a tag below both
+    # operands collects: f*X mod (g*X + 1) = r*X + q
     field, (f, g) = case
     if not poly_trim(g):
         with pytest.raises(ZeroDivisionError):
-            poly_divmod(field, f, g)
+            modulus(field, g)
         return
-    assert poly_divmod(field, f, g) == oracles.poly_divmod(field, f, g)
+    q, r = oracles.poly_divmod(field, f, g)
+    f_, g_ = pack(field, f), pack(field, g)
+    assert remainder(field, f_, g_) == pack(field, r)
+    s = field.m * (len(f) + 1)
+    assert remainder(field, f_ << s, g_ << s | 1) == pack(field, r) << s | pack(field, q)
 
 
 @given(field_and_polys(2, max_len=24, fields=DEEP_FIELDS))
 def test_poly_mul_matches_oracle(case):
+    # the kernel's product modulo x^N, for N above the product's degree
     field, (f, g) = case
-    assert poly_mul(field, f, g) == oracles.poly_mul(field, f, g)
+    x_n = [0] * (len(f) + len(g)) + [1]
+    product = mul_mod(field, pack(field, f), pack(field, g), modulus(field, x_n))
+    assert unpack(field, product) == oracles.poly_mul(field, f, g)
+
+
+@st.composite
+def field_and_modulus(draw, monic):
+    """A field with m in {4, 8, 10, 16}, a polynomial f of degree 1 to
+    12 (monic, or with any leading coefficient and trailing zeros), and
+    two raw coefficient lists of up to 30 entries, zero ones included."""
+    field = DEEP_FIELDS[draw(st.sampled_from(sorted(DEEP_FIELDS)))]
+    coeff = st.integers(0, field.order - 1) | st.just(0)
+    t = draw(st.integers(1, 12))
+    f = draw(st.lists(coeff, min_size=t, max_size=t))
+    f.append(1 if monic else draw(st.integers(1, field.order - 1)))
+    if not monic:
+        f += [0] * draw(st.integers(0, 2))
+    a, b = (draw(st.lists(coeff, max_size=30)) for _ in range(2))
+    return field, f, a, b
+
+
+@settings(max_examples=200)
+@given(field_and_modulus(monic=True))
+@example((DEEP_FIELDS[16], [7, 1], [], [0, 0]))
+@example((DEEP_FIELDS[4], [0, 0, 1], [0, 3, 5, 0], [9, 0, 2]))
+def test_packed_mul_mod_matches_oracle(case):
+    # a reduced modulo f first, as mul_mod asks; b of any degree
+    field, f, a, b = case
+    expected = oracles.poly_mod(field, oracles.poly_mul(field, a, b), f)
+    a_red = remainder(field, pack(field, a), pack(field, f))
+    product = mul_mod(field, a_red, pack(field, b), modulus(field, f))
+    assert unpack(field, product) == expected
+
+
+@settings(max_examples=200)
+@given(field_and_modulus(monic=False))
+@example((DEEP_FIELDS[10], [0, 3, 0], [], []))
+@example((DEEP_FIELDS[16], [5, 0, 9, 0], [1] * 20, [0, 0]))
+def test_packed_remainder_of_any_degree_matches_oracle(case):
+    field, f, a, b = case
+    v = a + b  # up to degree 59, trailing zeros included
+    expected = oracles.poly_mod(field, v, f)
+    assert unpack(field, remainder(field, pack(field, v), pack(field, f))) == expected
 
 
 @st.composite
@@ -109,6 +162,17 @@ def test_poly_eea_bounded_matches_oracle(case, dbound):
     assert poly_eea_bounded(field, f, g, dbound) == (r, v)
     assert poly_deg(r) <= dbound
     assert poly_add(oracles.poly_mul(field, u, f), oracles.poly_mul(field, v, g)) == r
+
+
+@settings(max_examples=200)
+@given(field_and_pair(), st.integers(-1, 12))
+@example((DEEP_FIELDS[4], [], []), -1)
+@example((DEEP_FIELDS[16], [0, 5, 0], [3, 0, 0]), -1)
+@example((DEEP_FIELDS[8], [2, 7, 1], [0, 4, 0, 0]), 0)
+def test_packed_euclid_matches_oracle(case, dbound):
+    field, f, g = case
+    r, _, v = oracles.poly_eea_bounded(field, f, g, dbound)
+    assert euclid(field, pack(field, f), pack(field, g), dbound) == (pack(field, r), pack(field, v))
 
 
 def inv_outcome(fn, field, f, g):

@@ -9,17 +9,19 @@ from kal1.gf2m import (
     REDUCTION_POLYS,
     Field,
     is_irreducible,
+    modulus,
+    mul_mod,
+    pack,
     poly_add,
     poly_deg,
-    poly_divmod,
     poly_eea_bounded,
     poly_inv_mod,
-    poly_mod,
-    poly_mul,
     poly_sqr,
     poly_sqrt_mod,
     poly_trim,
+    remainder,
     sqrt_x_mod,
+    unpack,
 )
 
 from oracles import (
@@ -29,6 +31,8 @@ from oracles import (
     poly_eea,
     poly_eval,
     poly_gcd,
+    poly_mod,
+    poly_mul,
 )
 
 
@@ -157,9 +161,14 @@ def test_poly_mul_and_divmod_roundtrip():
         b = poly_trim([rnd.randrange(64) for _ in range(rnd.randrange(1, 8))])
         if not b:
             continue
-        q, r = poly_divmod(f, a, b)
-        assert poly_deg(r) < poly_deg(b) or not r
-        assert poly_add(poly_mul(f, q, b), r) == a
+        # the kernel's remainder, with the quotient collected by a tag
+        # below both operands, and its product modulo x^N as a plain product
+        s = 6 * (len(a) + 1)
+        tagged = remainder(f, pack(f, a) << s, pack(f, b) << s | 1)
+        q, r = tagged & ((1 << s) - 1), tagged >> s
+        assert poly_deg(unpack(f, r)) < poly_deg(b)
+        x_n = modulus(f, [0] * (len(a) + len(b)) + [1])
+        assert unpack(f, mul_mod(f, q, pack(f, b), x_n) ^ r) == a
 
 
 def test_eea_postcondition():

@@ -8,13 +8,13 @@ import pytest
 
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
-from kal1.gf2m import Field, is_irreducible, poly_mul
+from kal1.gf2m import Field, is_irreducible
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
 from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
-from oracles import poly_eval
+from oracles import poly_eval, poly_mul
 
 # frozen draw for generate_code(TOY, seed 1)
 TOY_SUPPORT = [5, 6, 12, 8, 1, 14, 2, 10, 9, 4, 3, 15, 7, 0, 13, 11]

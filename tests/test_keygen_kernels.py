@@ -18,12 +18,13 @@ import pytest
 from kal1 import Kal1Error
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DimensionMismatch, SingularMatrixError
-from kal1.gf2m import Field, is_irreducible, poly_mul
+from kal1.gf2m import Field, is_irreducible
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import BLOCK_BYTES, SeededRng
 
 import oracles
 from conftest import MID, TOY, seed_bytes
+from oracles import poly_mul
 
 HEADLINE = CodeParams(1024, 524, 50, 10)
 

@@ -209,8 +209,17 @@ def random_wire_keys():
 
 
 def test_round_trip_randomized_all_three_forms():
+    refused = 0
     for key in random_wire_keys():
-        assert keyio.parse_public_key(keyio.serialize_public_key(key)) == key
+        blob = keyio.serialize_public_key(key)
+        if key.policy == scheme.SparseSeed(0):
+            # weight 0 is no valid policy, so it is written but not read
+            with pytest.raises(FormatError, match="sparse weight"):
+                keyio.parse_public_key(blob)
+            refused += 1
+        else:
+            assert keyio.parse_public_key(blob) == key
+    assert refused == 5
 
 
 # frozen: SHA-256 over the serialized random_wire_keys(), in order
@@ -226,12 +235,45 @@ def test_randomized_wire_bytes_are_pinned():
     assert h.hexdigest() == RANDOM_WIRE_KEYS_SHA256
 
 
-def test_sparse_key_with_no_positions_round_trips():
+def test_sparse_key_with_no_positions_is_written_but_not_parsed(capsys, tmp_path):
     key = sparse_key(FULL, ())
     blob = keyio.serialize_public_key(key)
     assert blob.hex() == EMPTY_S1_BLOB
-    assert keyio.parse_public_key(blob) == key
     assert keyio.payload_bits(key) == 0
+    # the header-only file names SparseSeed(0), which load_private_key refuses too
+    with pytest.raises(FormatError, match="invalid public key header: sparse weight"):
+        keyio.parse_public_key(blob)
+    path = tmp_path / "empty.pk"
+    path.write_bytes(blob)
+    assert cli.main(["inspect", "--key", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 2 FormatError\n")
+    sk = keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, FULL, 0, 0, 0, seed_bytes(7), blob)
+    with pytest.raises(FormatError, match="invalid private key header: sparse weight"):
+        keyio.load_private_key(sk)
+
+
+BIG = CodeParams(65536, 65504, 2, 16)
+
+
+def test_header_refuses_parameters_wider_than_its_fields():
+    # CodeParams admits n = 2^16; the header's u16 fields do not
+    key = scheme.Kal1PublicKey(BIG, 1, scheme.DenseSeed())
+    with pytest.raises(FormatError, match="header field is out of range"):
+        keyio.serialize_public_key(key)
+    with pytest.raises(FormatError, match="header field is out of range"):
+        keyio.serialize_private_key(keyio.SCHEME_KAL1, BIG, 0, 0, 0, seed_bytes(7), b"")
+    with pytest.raises(FormatError, match="header field is out of range"):
+        keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, TOY, 256, 0, 0, seed_bytes(7), b"")
+
+
+def test_cli_keygen_at_n_65536_exits_2_and_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "big"
+    argv = ["keygen", "--n", "65536", "--k", "65504", "--t", "2", "--m", "16"]
+    code = cli.main(argv + ["--seed", "00" * 16, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: 2 FormatError\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_fuzz_random_bytes_never_crash():
