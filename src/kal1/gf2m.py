@@ -2,11 +2,11 @@
 
 Field elements are ints: bit i is the coefficient of x^i, reduced
 modulo the one primitive polynomial of degree m in REDUCTION_POLYS.
-Polynomials over the field are lists of elements with index = degree,
-normalized so the last entry is nonzero; the zero polynomial is the
-empty list.  Products, remainders and Euclid run on one packed kernel
-(coefficient i at bits [m*i, m*i + m) of one int) shared by Ben-Or's
-test and Patterson's steps, which take and return lists.
+A polynomial over the field is packed into one int, coefficient i at
+bits [m*i, m*i + m); products, remainders, Euclid and Patterson's
+steps take and return packed ints.  Ben-Or's test and power_planes
+take lists of coefficients with index = degree, normalized so the last
+entry is nonzero (the zero polynomial is the empty list).
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
         return self.exp_table[self.order - 1 - self.log_table[a]]
 
-    def sqrt(self, a: int) -> int:
-        """Square root, i.e. a^(2^(m-1)); every element has one."""
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] << (self.m - 1)) % (self.order - 1)]
-
     def __repr__(self) -> str:
         return f"Field(m={self.m})"
 
@@ -91,38 +85,6 @@ def poly_trim(f: list[int]) -> list[int]:
     while i and f[i - 1] == 0:
         i -= 1
     return f[:i]
-
-
-def poly_deg(f: list[int]) -> int:
-    return len(f) - 1
-
-
-def poly_add(f: list[int], g: list[int]) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] ^= c
-    return poly_trim(out)
-
-
-def poly_scale(field: Field, f: list[int], c: int) -> list[int]:
-    if c == 0:
-        return []
-    return poly_trim([field.mul(a, c) for a in f])
-
-
-def poly_sqr(field: Field, f: list[int]) -> list[int]:
-    # char 2: squaring just spreads the coefficients
-    if not f:
-        return []
-    exp = field.exp_table
-    log = field.log_table
-    out = [0] * (2 * len(f) - 1)
-    for i, a in enumerate(f):
-        if a:
-            out[2 * i] = exp[2 * log[a]]
-    return poly_trim(out)
 
 
 # --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---
@@ -171,30 +133,44 @@ def split(field: Field, basis: list[int]) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def modulus(field: Field, f: list[int]) -> tuple[int, list[int], list[int]]:
-    """What mul_mod needs of a nonzero f: its degree t and the split
-    tables of c -> c * x^t mod f.  f is made monic, which changes no
-    product modulo f; then x^t mod f is f less its leading 1."""
-    f = poly_trim(f)
+def mul_tables(field: Field, v: int) -> tuple[list[int], list[int]]:
+    """The split tables of c -> c * v, for packed v."""
+    return split(field, alpha_multiples(field, v, field.m))
+
+
+def scale(field: Field, v: int, c: int) -> int:
+    """Packed c * v: the XOR of v's alpha multiples over the bits of c."""
+    out = 0
+    for s, w in enumerate(alpha_multiples(field, v, c.bit_length())):
+        if c >> s & 1:
+            out ^= w
+    return out
+
+
+def modulus(field: Field, f: int) -> tuple[int, list[int], list[int]]:
+    """What mul_mod needs of a nonzero packed f: its degree t and the split
+    tables of c -> c * x^t mod f, which for f made monic is f less its top."""
     if not f:
         raise ZeroDivisionError("polynomial division by zero")
-    if f[-1] != 1:
-        f = poly_scale(field, f, field.inv(f[-1]))
-    return (len(f) - 1, *split(field, alpha_multiples(field, pack(field, f[:-1]), field.m)))
+    m = field.m
+    t = (f.bit_length() - 1) // m
+    f = scale(field, f, field.inv(f >> (m * t)))
+    return (t, *mul_tables(field, f ^ (1 << (m * t))))
 
 
-def mul_mod(field: Field, a: int, b: int, mod: tuple[int, list[int], list[int]]) -> int:
-    """Packed a * b modulo the f of mod, for a reduced modulo f and b of
-    any degree: Horner over b's coefficients from the top, with a's
-    multiples from split tables; each times x folds coefficient t back
-    in as c * x^t mod f."""
+def mul_mod(
+    field: Field, a: tuple[list[int], list[int]], b: int, mod: tuple[int, list[int], list[int]]
+) -> int:
+    """Packed a * b modulo the f of mod, for a reduced modulo f (given
+    by its mul_tables) and b of any degree: Horner over b's coefficients
+    from the top; each times x folds coefficient t back in as c * x^t."""
     t, fold_lo, fold_hi = mod
+    a_lo, a_hi = a
     m = field.m
     mask = field.order - 1
     lo_bits = m // 2
     lo_mask = (1 << lo_bits) - 1
     full = (1 << (m * t)) - 1
-    a_lo, a_hi = split(field, alpha_multiples(field, a, m))
     acc = 0
     for i in range((b.bit_length() - 1) // m, -1, -1):
         acc <<= m
@@ -242,63 +218,85 @@ def euclid(field: Field, r0: int, r1: int, dbound: int) -> tuple[int, int]:
     return b >> s, b & ((1 << s) - 1)
 
 
-# --- Patterson's steps, on lists in and out ---
+def squares(field: Field, v: int) -> int:
+    """Packed v(x)^2: in characteristic 2 each coefficient is squared,
+    one antilog at twice its log, and moves to twice its degree."""
+    m = field.m
+    mask = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    out = 0
+    for i in range((v.bit_length() + m - 1) // m):
+        c = (v >> (m * i)) & mask
+        if c:
+            out |= exp[log[c] << 1] << (2 * m * i)
+    return out
 
 
-def poly_eea_bounded(
-    field: Field, f: list[int], g: list[int], dbound: int
-) -> tuple[list[int], list[int]]:
-    """Extended Euclid on (f, g) stopped at the first remainder of
-    degree <= dbound; returns (r, v) with r = v*g mod f."""
-    r, v = euclid(field, pack(field, f), pack(field, g), dbound)
-    return unpack(field, r), unpack(field, v)
+def sqrt_halves(field: Field, v: int) -> tuple[int, int]:
+    """Packed (A, B) with v(x) = A(x)^2 + x*B(x)^2.  The square root of
+    a coefficient c is the antilog at half of log(c) modulo the odd
+    2^m - 1: half of log(c), or of log(c) + 2^m - 1 when it is odd."""
+    m = field.m
+    q1 = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    halves = [0, 0]
+    for i in range((v.bit_length() + m - 1) // m):
+        c = (v >> (m * i)) & q1
+        if c:
+            e = log[c]
+            halves[i & 1] |= exp[(e + (e & 1) * q1) >> 1] << (m * (i >> 1))
+    return halves[0], halves[1]
 
 
-def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
-    """Inverse of f modulo g; raises ZeroDivisionError if gcd(f, g) != 1.
+# --- Patterson's steps, the names the benchmark traces ---
+
+
+def poly_eea_bounded(field: Field, f: int, g: int, dbound: int) -> tuple[int, int]:
+    """euclid on packed (f, g) to the first remainder of degree <= dbound:
+    (r, v) with r = v*g mod f.  On (g, sqrt(T + x)) it splits Patterson's a, b."""
+    return euclid(field, f, g, dbound)
+
+
+def poly_inv_mod(field: Field, f: int, g: int) -> int:
+    """Packed inverse of f modulo g; ZeroDivisionError if gcd(f, g) != 1.
     Euclid on (g, f mod g) down to a constant remainder r0 leaves f's
     cofactor v, of degree below g's, with v*f = r0 mod g: so v / r0."""
-    g = pack(field, g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    r, v = euclid(field, g, remainder(field, pack(field, f), g), 0)
+    r, v = euclid(field, g, remainder(field, f, g), 0)
     if not r:
         raise ZeroDivisionError("polynomial not invertible modulo g")
-    return poly_scale(field, unpack(field, v), field.inv(r))
+    return scale(field, v, field.inv(r))
 
 
-def sqrt_x_mod(field: Field, g: list[int]) -> list[int]:
-    """The square root of x modulo g.  Splitting g = g0^2 + x*g1^2 gives
-    x = (g0/g1)^2 mod g, so the root is g0 * g1^-1 mod g; for irreducible
-    g it equals x^(2^(m*t-1)).  When g1 has no inverse (a repeated
-    factor, which only a hand-built g can have), that power of x is
-    found by repeated squaring.
-    """
-    mod = modulus(field, g)
+def sqrt_x_mod(field: Field, g: int, mod: tuple[int, list[int], list[int]]) -> int:
+    """The square root of x modulo packed g, whose modulus is mod.
+    Splitting g = g0^2 + x*g1^2 gives x = (g0/g1)^2 mod g, so the root
+    is g0 * g1^-1 mod g; for irreducible g it equals x^(2^(m*t-1)).
+    When g1 has no inverse (a repeated factor, which only a hand-built g
+    can have), that power of x is found by repeated squaring."""
+    g0, g1 = sqrt_halves(field, g)
     try:
-        g1_inv = poly_inv_mod(field, [field.sqrt(c) for c in g[1::2]], g)
+        g1_inv = poly_inv_mod(field, g1, g)
     except ZeroDivisionError:
         h = 1 << field.m  # x, reduced: a repeated factor makes t >= 2
-        for _ in range(field.m * poly_deg(g) - 1):
-            h = mul_mod(field, h, h, mod)
-    else:
-        g0 = pack(field, [field.sqrt(c) for c in g[0::2]])
-        h = mul_mod(field, pack(field, g1_inv), g0, mod)
-    return unpack(field, h)
+        for _ in range(field.m * mod[0] - 1):
+            h = mul_mod(field, mul_tables(field, h), h, mod)
+        return h
+    return mul_mod(field, mul_tables(field, g1_inv), g0, mod)
 
 
-def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:
-    """Square root of s modulo irreducible g, via the even/odd split.
-
-    With s(x) = a(x^2) + x b(x^2), the root is A(x) + sqrt(x) B(x)
-    where A, B take coefficient-wise field square roots of a and b.
-    """
-    mod = modulus(field, g)
-    packed_g = pack(field, g)
-    even = pack(field, [field.sqrt(c) for c in s[0::2]])
-    odd = pack(field, [field.sqrt(c) for c in s[1::2]])
-    root_x = remainder(field, pack(field, sqrt_x), packed_g)
-    return unpack(field, remainder(field, even ^ mul_mod(field, root_x, odd, mod), packed_g))
+def poly_sqrt_mod(
+    field: Field, s: int, mod: tuple[int, list[int], list[int]], sqrt_x: tuple[list[int], list[int]]
+) -> int:
+    """Square root of packed s, reduced modulo g, where mod is g's
+    modulus and sqrt_x the mul_tables of sqrt(x) mod g.  With
+    s = A^2 + x B^2, the root is A + sqrt(x) B, reduced because A has
+    at most half s's degree."""
+    even, odd = sqrt_halves(field, s)
+    return even ^ mul_mod(field, sqrt_x, odd, mod)
 
 
 # m -> [A_0, A_1, ...]: A_i packs the m bit planes of alpha^(i*e) over
@@ -403,7 +401,7 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     Products are mul_mod, and each gcd is a Euclid of remainder calls.
     """
     f = poly_trim(f)
-    t = poly_deg(f)
+    t = len(f) - 1
     if t < 1:
         return False
     if t == 1:
@@ -419,11 +417,10 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         return True
     m = field.m
     mask = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
     lo_bits = m // 2
     lo_mask = (1 << lo_bits) - 1
-    mod = modulus(field, f)
+    packed_f = pack(field, f)
+    mod = modulus(field, packed_f)
     half = (t + 1) // 2
     # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
     # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
@@ -437,19 +434,16 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         c = v >> (m * (t - 1))
         v = ((v << m) ^ (c << (m * t))) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
 
+    low_half = (1 << (m * half)) - 1
+
     def square(h: int) -> int:
         # h_i^2 on coefficient 2i while 2i < t, the lane tables above
-        acc = 0
-        for i in range(half):
-            c = (h >> (m * i)) & mask
-            if c:
-                acc |= exp[log[c] << 1] << (2 * m * i)
+        acc = squares(field, h & low_half)
         for i, (lo, hi) in enumerate(lanes, half):
             c = (h >> (m * i)) & mask
             acc ^= lo[c & lo_mask] ^ hi[c >> lo_bits]
         return acc
 
-    packed_f = pack(field, f)
     x = 1 << m
     # h starts at x^(2^s), the last power of x that squaring reaches
     # below degree t, or at x^q itself, and is squared up to x^q
@@ -457,12 +451,12 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     h = 1 << (m << s)
     for _ in range(m - s):
         h = square(h)
-    product = None
+    product = 1
     last = t // 2
     for level in range(2, last + 1):
         for _ in range(m):
             h = square(h)
-        product = h ^ x if product is None else mul_mod(field, product, h ^ x, mod)
+        product = mul_mod(field, mul_tables(field, h ^ x), product, mod)
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
             r0, r1 = packed_f, product
@@ -471,5 +465,5 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
             # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
             if not r1:
                 return False
-            product = None
+            product = 1
     return True

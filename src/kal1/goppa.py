@@ -20,15 +20,17 @@ from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, Param
 from .gf2m import (
     Field,
     is_irreducible,
-    poly_add,
-    poly_deg,
+    modulus,
+    mul_tables,
+    pack,
     poly_eea_bounded,
     poly_inv_mod,
-    poly_sqr,
     poly_sqrt_mod,
     poly_trim,
     power_planes,
     sqrt_x_mod,
+    squares,
+    unpack,
 )
 from .rng import SeededRng
 
@@ -66,14 +68,11 @@ class CodeParams:
 
 
 class ParityCheckMatrix:
-    """The binary parity check, by columns.  A check built from the
-    field rows also holds its m*t binary rows as binary, for
-    generate_code's rank test; a permuted check holds none (None)."""
+    """The binary parity check, by columns."""
 
-    def __init__(self, params: CodeParams, column_ints: list[int], binary: BinaryMatrix | None):
+    def __init__(self, params: CodeParams, column_ints: list[int]):
         self.params = params
         self.column_ints = column_ints
-        self.binary = binary
 
     def syndrome(self, e: int) -> int:
         """e times the transposed binary parity check, as an m*t-bit int."""
@@ -111,7 +110,7 @@ class GoppaCode:
             raise ParameterError("support element outside the field")
         if any(not 0 <= c < field.order for c in goppa_poly):
             raise ParameterError("Goppa polynomial coefficient outside the field")
-        if poly_deg(goppa_poly) != params.t or goppa_poly[-1] != 1:
+        if len(goppa_poly) - 1 != params.t or goppa_poly[-1] != 1:
             raise ParameterError("Goppa polynomial must be monic of degree t")
         self.field = field
         self.params = params
@@ -121,20 +120,21 @@ class GoppaCode:
         if 0 in self._g_values:
             raise ParameterError("Goppa polynomial vanishes on the support")
         self._pc: ParityCheckMatrix | None = None
-        self._sqrt_x: list[int] | None = None
+        self._decoder: tuple | None = None
         self._where: list[int | None] | None = None
 
-    def parity_check(self) -> ParityCheckMatrix:
+    def parity_check(self, rows: list[int] | None = None) -> ParityCheckMatrix:
         """The binary check, whose column i packs the m bits of each of
         the t field entries of column i, entry j at bit m*j.
 
-        The field rows are packed by struct.  As 16-bit lanes of one int,
-        bit b of every entry of field row j is a strided slice of its
-        binary digits: binary row j*m + b, which only generate_code's
-        rank test reads.  For the columns, the rows go
+        The field rows are packed by struct.  For the columns, the rows go
         64 // m at a time: with each entry in a 64-bit lane and each row
         shifted m bits above the one before, a group ORs into one int
-        whose lanes are its share of every column.
+        whose lanes are its share of every column.  A call that builds
+        the check appends the m*t binary rows to a given rows list, for
+        generate_code's rank test: as 16-bit lanes of one int, bit b of
+        every entry of field row j is a strided slice of its binary
+        digits, binary row j*m + b.  The code keeps no rows.
         """
         # cached; recomputation would be identical, so races are benign
         if self._pc is None:
@@ -143,27 +143,27 @@ class GoppaCode:
             wide = struct.Struct("<" + "H6x" * n)
             group = 64 // m
             field_rows = self._field_rows()
-            rows = []
             cols = [0] * n
             lanes = 0
             for j, entries in enumerate(field_rows):
                 field_rows[j] = None  # released once packed
-                digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
-                rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
+                if rows is not None:
+                    digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
+                    rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
                 lanes |= int.from_bytes(wide.pack(*entries), "little") << (m * (j % group))
                 if j % group == group - 1 or j == t - 1:
                     shift = m * (j - j % group)
                     share = struct.unpack(f"<{n}Q", lanes.to_bytes(8 * n, "little"))
                     cols = [c | v << shift for c, v in zip(cols, share)]
                     lanes = 0
-            self._pc = ParityCheckMatrix(self.params, cols, BinaryMatrix(len(rows), n, rows))
+            self._pc = ParityCheckMatrix(self.params, cols)
         return self._pc
 
     def permuted(self, dest: list[int]) -> GoppaCode:
         """The same code with position i moved to dest[i]: the support,
         the values of g on it and the check's columns are scattered, and
-        nothing is validated or evaluated again.  The check's rows are
-        not carried over."""
+        nothing is validated or evaluated again.  The decoder's tables
+        depend on g alone, so the copy shares them."""
         if sorted(dest) != list(range(self.params.n)):
             raise DimensionMismatch("destinations must be a permutation of the positions")
         out = object.__new__(GoppaCode)
@@ -172,8 +172,8 @@ class GoppaCode:
         out.support = scatter(self.support, dest)
         out.goppa_poly = self.goppa_poly
         out._g_values = scatter(self._g_values, dest)
-        out._pc = ParityCheckMatrix(self.params, scatter(self.parity_check().column_ints, dest), None)
-        out._sqrt_x = self._sqrt_x
+        out._pc = ParityCheckMatrix(self.params, scatter(self.parity_check().column_ints, dest))
+        out._decoder = self._decoder
         out._where = None
         return out
 
@@ -224,42 +224,37 @@ class GoppaCode:
                 row[zero] = 0
         return rows
 
-    def _sqrt_of_x(self) -> list[int]:
-        if self._sqrt_x is None:
-            self._sqrt_x = sqrt_x_mod(self.field, self.goppa_poly)
-        return self._sqrt_x
+    def _tables(self) -> tuple:
+        """Packed g, its modulus and mul_tables, and the mul_tables of
+        sqrt(x) mod g: what decoding needs of g, built at the first."""
+        if self._decoder is None:
+            fld = self.field
+            g = pack(fld, self.goppa_poly)
+            mod = modulus(fld, g)
+            root_x = sqrt_x_mod(fld, g, mod)
+            self._decoder = (g, mod, mul_tables(fld, g), mul_tables(fld, root_x))
+        return self._decoder
 
-    def syndrome_poly(self, synd: int) -> list[int]:
-        """Syndrome polynomial sum(1/(x - alpha_i)) mod g for the error
-        behind synd, recovered linearly from the m*t syndrome bits.
+    def syndrome_poly(self, synd: int) -> int:
+        """Packed syndrome polynomial sum(1/(x - alpha_i)) mod g for the
+        error behind synd, recovered linearly from the m*t syndrome bits.
 
         With field components S_r read off the syndrome, coefficient j
-        equals sum over l > j of g_l * S_{l-1-j}; the map is triangular
-        with unit diagonal, hence invertible.  The logs of the nonzero
-        g_l and S_r are taken once, and each product g_l * S_r is one
-        exp lookup XORed into coefficient l-1-r.
+        equals sum over l > j of g_l * S_{l-1-j}: S(x) is the quotient of
+        g(x) * S'(x) by x^t, where S' holds the components in reverse
+        order.  So it is one Horner pass over S', from S_0 down, that
+        adds S_r * g from g's mul_tables.
         """
-        fld = self.field
-        exp = fld.exp_table
-        log = fld.log_table
-        t, m = self.params.t, self.params.m
-        mask = fld.order - 1
-        s_logs = []
+        m, t = self.params.m, self.params.t
+        mask = self.field.order - 1
+        lo_bits = m // 2
+        lo_mask = (1 << lo_bits) - 1
+        _, _, (g_lo, g_hi), _ = self._tables()
+        acc = 0
         for r in range(t):
-            s = (synd >> (r * m)) & mask
-            if s:
-                s_logs.append((r, log[s]))
-        out = [0] * t
-        g = self.goppa_poly
-        for l in range(1, t + 1):
-            if not g[l]:
-                continue
-            lg = log[g[l]]
-            for r, ls in s_logs:
-                if r >= l:
-                    break
-                out[l - 1 - r] ^= exp[lg + ls]
-        return poly_trim(out)
+            c = (synd >> (m * r)) & mask
+            acc = (acc << m) ^ g_lo[c & lo_mask] ^ g_hi[c >> lo_bits]
+        return acc >> (m * t)
 
     def decode(self, synd: int) -> int:
         """Patterson decoding of a binary syndrome.
@@ -280,7 +275,7 @@ class GoppaCode:
         sigma = self._locator(synd)
         e = self._locator_roots(sigma)
         nroots = e.bit_count()
-        if nroots != poly_deg(sigma) or nroots > params.t:
+        if nroots != (sigma.bit_length() - 1) // params.m or nroots > params.t:
             raise DecodingFailure(
                 "error locator does not split over the support", "locator-not-split"
             )
@@ -288,42 +283,42 @@ class GoppaCode:
             raise DecodingFailure("recomputed syndrome mismatch", "syndrome-mismatch")
         return e
 
-    def _locator(self, synd: int) -> list[int]:
-        """Patterson's error locator sigma for a nonzero syndrome."""
+    def _locator(self, synd: int) -> int:
+        """Patterson's error locator sigma for a nonzero syndrome; every
+        step from S(x) to sigma = a^2 + x*b^2 is packed in one int."""
         fld = self.field
-        g = self.goppa_poly
-        s_poly = self.syndrome_poly(synd)
+        g, mod, _, root_x = self._tables()
         try:
-            t_poly = poly_inv_mod(fld, s_poly, g)
+            t_poly = poly_inv_mod(fld, self.syndrome_poly(synd), g)
         except ZeroDivisionError:
             raise DecodingFailure(
                 "syndrome not invertible modulo g", "syndrome-not-invertible"
             ) from None
-        u = poly_add(t_poly, [0, 1])
-        if not u:
-            # T(x) = x: the locator is x itself, a single error at alpha = 0
-            return [0, 1]
-        r = poly_sqrt_mod(fld, u, g, self._sqrt_of_x())
+        x = 1 << fld.m
+        r = poly_sqrt_mod(fld, t_poly ^ x, mod, root_x)
         if not r:
-            return [0, 1]
+            # T(x) = x, whose root is 0: the locator is x itself, a
+            # single error at alpha = 0
+            return x
         a, b = poly_eea_bounded(fld, g, r, self.params.t // 2)
-        return poly_add(poly_sqr(fld, a), [0] + poly_sqr(fld, b))
+        return squares(fld, a) | squares(fld, b) << fld.m
 
-    def _locator_roots(self, sigma: list[int]) -> int:
-        """The support positions where a nonzero sigma vanishes, as a bit
-        vector.
+    def _locator_roots(self, sigma: int) -> int:
+        """The support positions where a nonzero packed sigma vanishes, as
+        a bit vector.
 
         Lane e of sigma's power planes holds sigma(alpha^e), so the
         nonzero roots are the lanes that are zero on every plane, and
         alpha = 0 is a root exactly when sigma_0 = 0.  Each root maps to
-        its support position; roots off the support are dropped.
+        its support position; roots off the support are dropped.  sigma
+        is unpacked here, once, for power_planes.
         """
         q1 = self.field.order - 1
         nonzero = 0
-        for plane in power_planes(self.field, sigma):
+        for plane in power_planes(self.field, unpack(self.field, sigma)):
             nonzero |= plane
         roots = nonzero ^ ((1 << q1) - 1)
-        if not sigma[0]:
+        if not sigma & q1:
             roots |= 1 << q1  # the lane past the last stands for alpha = 0
         where = self._positions()
         e = 0
@@ -368,6 +363,8 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         else:
             raise GenerationFailure("no irreducible Goppa polynomial among the candidates")
         code = GoppaCode(field, params, support, g)
-        if code.parity_check().binary.rank() == params.m * params.t:
+        rows: list[int] = []
+        code.parity_check(rows)
+        if BinaryMatrix(len(rows), params.n, rows).rank() == params.m * params.t:
             return code
     raise GenerationFailure("could not sample a full-rank code")

@@ -315,11 +315,19 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
 def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: int, seed: bytes):
     """Rebuild the keypair a private file describes: (public key,
     private key).  The private key of every scheme is a GoppaCode with
-    its positions in public order."""
+    its positions in public order.  Fields the key header cannot carry
+    are refused before anything is drawn."""
+    policy = _policy_for(sid, w, run_start, run_len)
+    try:
+        _pack_header(MAGIC_PRIVATE, sid, params, w)
+    except FormatError:
+        if policy is not None:  # a bad policy is reported first, as keygen does
+            scheme.validate_policy(policy, params.redundancy)
+        raise
     rng = SeededRng(seed)
-    if sid == SCHEME_NIEDERREITER:
+    if policy is None:
         return niederreiter.keygen(params, rng)
-    return scheme.keygen(params, _policy_for(sid, w, run_start, run_len), rng)
+    return scheme.keygen(params, policy, rng)
 
 
 def serialize_private_key(

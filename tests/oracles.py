@@ -21,7 +21,7 @@ from kal1.errors import (
     RangeError,
     SingularMatrixError,
 )
-from kal1.gf2m import Field, poly_add, poly_deg, poly_scale, poly_trim
+from kal1.gf2m import Field, poly_trim
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.isd import NULLSPACE_CAP
 from kal1.niederreiter import NiederreiterPublicKey
@@ -125,6 +125,15 @@ def field_pow(field: Field, a: int, e: int) -> int:
     return r
 
 
+def poly_deg(f: list[int]) -> int:
+    return len(f) - 1
+
+
+def field_sqrt(field: Field, a: int) -> int:
+    """The square root a^(2^(m-1)), which every element has."""
+    return field_pow(field, a, 1 << (field.m - 1))
+
+
 def poly_eval(field: Field, f: list[int], x: int) -> int:
     """Horner evaluation; the constant polynomial [] evaluates to 0."""
     acc = 0
@@ -132,6 +141,21 @@ def poly_eval(field: Field, f: list[int], x: int) -> int:
     for c in reversed(f):
         acc = mul(acc, x) ^ c
     return acc
+
+
+def poly_add(f: list[int], g: list[int]) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] ^= c
+    return poly_trim(out)
+
+
+def poly_scale(field: Field, f: list[int], c: int) -> list[int]:
+    if c == 0:
+        return []
+    return poly_trim([field.mul(a, c) for a in f])
 
 
 def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
@@ -238,8 +262,8 @@ def poly_inv_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
 
 def poly_sqrt_mod(field: Field, s: list[int], g: list[int], sqrt_x: list[int]) -> list[int]:
     """A(x) + sqrt(x) B(x) mod g for s(x) = a(x^2) + x b(x^2)."""
-    even = poly_trim([field.sqrt(c) for c in s[0::2]])
-    odd = poly_trim([field.sqrt(c) for c in s[1::2]])
+    even = poly_trim([field_sqrt(field, c) for c in s[0::2]])
+    odd = poly_trim([field_sqrt(field, c) for c in s[1::2]])
     return poly_mod(field, poly_add(even, poly_mul(field, odd, sqrt_x)), g)
 
 

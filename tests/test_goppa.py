@@ -6,14 +6,15 @@ from itertools import combinations
 
 import pytest
 
+from kal1 import goppa
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
-from kal1.gf2m import Field, is_irreducible
+from kal1.gf2m import Field, is_irreducible, pack, unpack
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
+from conftest import MID, SQUARE_Q, TOY, check_rows, seed_bytes, to_dense
 from oracles import poly_eval, poly_mul
 
 # frozen draw for generate_code(TOY, seed 1)
@@ -101,24 +102,27 @@ def test_parity_check_first_row_and_shape(toy_code):
     for i, alpha in enumerate(toy_code.support):
         expected = field.inv(poly_eval(field, toy_code.goppa_poly, alpha))
         assert toy_code._field_rows()[0][i] == expected
-    assert pc.binary.rows == 8 and pc.binary.cols == 16
-    assert pc.binary.rank() == 8
+    rows = check_rows(toy_code)
+    assert rows == oracles.binary_check(toy_code)
+    assert rows.rows == 8 and rows.cols == 16
+    assert rows.rank() == 8
+    assert len(pc.column_ints) == 16
 
 
 def test_binary_expansion_bit_order(toy_code):
     # coefficient bit b of field row j lands in binary row j*m + b
-    pc = toy_code.parity_check()
+    rows = check_rows(toy_code)
     m = toy_code.params.m
     for j, row in enumerate(toy_code._field_rows()):
         for b in range(m):
             expected = sum(((row[i] >> b) & 1) << i for i in range(toy_code.params.n))
-            assert pc.binary.row_ints[j * m + b] == expected
+            assert rows.row_ints[j * m + b] == expected
 
 
 def test_codewords_have_zero_syndrome(toy_code):
     pc = toy_code.parity_check()
     # nullspace basis of the binary check via dense elimination
-    rows = to_dense(pc.binary)
+    rows = to_dense(check_rows(toy_code))
     n = toy_code.params.n
     pivots = {}
     row_i = 0
@@ -156,7 +160,7 @@ def test_syndrome_trivia(toy_code):
     for i in range(16):
         assert pc.syndrome(1 << i) == pc.column_ints[i]
     # weight-2 syndromes match the generic matrix product
-    bt = pc.binary.transpose()
+    bt = check_rows(toy_code).transpose()
     for supp in combinations(range(16), 2):
         e = sum(1 << i for i in supp)
         expected = BinaryMatrix(1, 16, [e]).mul(bt).row_ints[0]
@@ -241,7 +245,6 @@ def test_permuted_code_is_the_code_on_the_permuted_support(params, tag):
     assert moved.parity_check().column_ints == fresh.parity_check().column_ints
     permuted = oracles.binary_check(code).permute_columns(dest)
     assert moved.parity_check().column_ints == oracles.transpose(permuted).row_ints
-    assert moved.parity_check().binary is None
     for _ in range(20):
         e = sum(1 << i for i in rnd.sample(range(params.n), rnd.randint(1, params.t)))
         assert moved.decode(moved.parity_check().syndrome(e)) == e
@@ -249,6 +252,23 @@ def test_permuted_code_is_the_code_on_the_permuted_support(params, tag):
         code.permuted(dest[:-1])
     with pytest.raises(DimensionMismatch):
         code.permuted([0] * params.n)
+
+
+def test_permuted_code_shares_the_decoder_tables(monkeypatch):
+    # the tables depend on g alone: a copy permuted after the first
+    # decode does not look for sqrt(x) mod g again
+    code = generate_code(MID, SeededRng(seed_bytes(0x23)))
+    rnd = random.Random(0x23)
+    e = sum(1 << i for i in rnd.sample(range(MID.n), MID.t))
+    assert code.decode(code.parity_check().syndrome(e)) == e
+    calls = []
+    inner = goppa.sqrt_x_mod
+    monkeypatch.setattr(goppa, "sqrt_x_mod", lambda *args: calls.append(args) or inner(*args))
+    dest = rnd.sample(range(MID.n), MID.n)
+    moved = code.permuted(dest)
+    moved_e = sum(1 << dest[i] for i in range(MID.n) if e >> i & 1)
+    assert moved.decode(moved.parity_check().syndrome(moved_e)) == moved_e
+    assert calls == []
 
 
 def test_decode_random_round_trip_mid_scale():
@@ -271,7 +291,7 @@ def test_generated_codes_have_full_rank_various_params():
         (TOY, CodeParams(32, 17, 3, 5), CodeParams(64, 40, 4, 6), CodeParams(128, 72, 8, 7))
     ):
         code = generate_code(params, SeededRng(seed_bytes(0x30 + tag)))
-        assert code.parity_check().binary.rank() == params.m * params.t
+        assert oracles.rank(oracles.binary_check(code)) == params.m * params.t
         assert len(set(code.support)) == params.n
 
 
@@ -321,7 +341,7 @@ def test_locator_above_degree_t_fails_as_locator_not_split(monkeypatch):
     sigma = [1]
     for alpha in code.support[: MID.t + 1]:
         sigma = poly_mul(field, sigma, [alpha, 1])
-    monkeypatch.setattr(code, "_locator", lambda synd: sigma)
+    monkeypatch.setattr(code, "_locator", lambda synd: pack(field, sigma))
     with pytest.raises(DecodingFailure) as info:
         code.decode(1)
     assert info.value.reason == "locator-not-split"
@@ -343,7 +363,7 @@ def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
     code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
     assert is_irreducible(field, SQUARE_Q)
     sigma = code._locator(MISMATCH_SYNDROME)
-    assert code._locator_roots(sigma).bit_count() == len(sigma) - 1 == MID.t
+    assert code._locator_roots(sigma).bit_count() == len(unpack(field, sigma)) - 1 == MID.t
     with pytest.raises(DecodingFailure) as info:
         code.decode(MISMATCH_SYNDROME)
     assert info.value.reason == "syndrome-mismatch"
@@ -353,7 +373,7 @@ def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
 def test_non_invertible_syndrome_fails_as_syndrome_not_invertible():
     field = Field(8)
     code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
-    assert code.syndrome_poly(NON_INVERTIBLE_SYNDROME) == SQUARE_Q
+    assert unpack(field, code.syndrome_poly(NON_INVERTIBLE_SYNDROME)) == SQUARE_Q
     with pytest.raises(DecodingFailure) as info:
         code.decode(NON_INVERTIBLE_SYNDROME)
     assert info.value.reason == "syndrome-not-invertible"

@@ -9,6 +9,7 @@ import pytest
 from kal1 import binmat, cli, keyio, niederreiter, scheme
 from kal1.errors import FormatError, KatMismatch, RangeError
 from kal1.goppa import CodeParams, GoppaCode
+from kal1.rng import SeededRng
 import oracles
 from conftest import MID, TOY, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat, seed_bytes
 
@@ -266,14 +267,26 @@ def test_header_refuses_parameters_wider_than_its_fields():
         keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, TOY, 256, 0, 0, seed_bytes(7), b"")
 
 
-def test_cli_keygen_at_n_65536_exits_2_and_writes_nothing(capsys, tmp_path):
+def test_cli_keygen_at_n_65536_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path):
+    # the header is checked before the key is drawn, so nothing is read
+    # from the keystream
+    reads = []
+    inner = SeededRng.read
+
+    def counted(self, *args):
+        reads.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(SeededRng, "read", counted)
     out = tmp_path / "big"
     argv = ["keygen", "--n", "65536", "--k", "65504", "--t", "2", "--m", "16"]
     code = cli.main(argv + ["--seed", "00" * 16, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: 2 FormatError\n")
+    assert "a header field is out of range" in err
     assert list(tmp_path.iterdir()) == []
+    assert reads == []
 
 
 def test_parse_fuzz_random_bytes_never_crash():
@@ -523,5 +536,7 @@ def test_regeneration_and_decode_transpose_nothing(monkeypatch, fields):
     for msg in [3, 5]:
         assert scheme.decrypt(priv, scheme.encrypt(pub, msg)) == msg
     assert calls == []
-    assert priv.parity_check().binary is None
+    # the key holds the check's columns and no row matrix
+    held = [*vars(priv).values(), *vars(priv.parity_check()).values()]
+    assert not any(isinstance(v, binmat.BinaryMatrix) for v in held)
 
