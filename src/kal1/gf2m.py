@@ -3,14 +3,19 @@
 Field elements are ints: bit i is the coefficient of x^i, reduced
 modulo the one primitive polynomial of degree m in REDUCTION_POLYS.
 A polynomial over the field is packed into one int, coefficient i at
-bits [m*i, m*i + m); products, remainders, Euclid and Patterson's
-steps take and return packed ints.  Ben-Or's test and power_planes
+bits [m*i, m*i + m); products, Euclid and Patterson's steps take and
+return packed ints.  One Euclid loop serves Patterson's inverse, his
+split of (a, b) and Ben-Or's gcds: each quotient term is the XOR of the
+divisor's alpha multiples over the set bits of a scalar, read from two
+small tables, one per half of its bits.  Ben-Or's test and power_planes
 take lists of coefficients with index = degree, normalized so the last
 entry is nonzero (the zero polynomial is the empty list).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import struct
 
 from .errors import ParameterError
@@ -181,40 +186,65 @@ def mul_mod(
     return acc
 
 
-def remainder(field: Field, a: int, b: int) -> int:
-    """Packed a mod b, for b != 0: each step cancels a's top coefficient
-    with c * x^d times b, the XOR of b's alpha multiples picked by the
+@functools.cache
+def _bit_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(lo, hi): lo[c] lists the set bits s of c < 2^(m // 2), and hi[c]
+    those of c * 2^(m // 2), so a scalar's bits are two lookups, one per
+    half as in split.  No table has more than 2^8 entries."""
+    lo_bits = m // 2
+    bits = tuple(tuple(s for s in range(m) if c >> s & 1) for c in range(1 << (m - lo_bits)))
+    return bits[: 1 << lo_bits], tuple(tuple(lo_bits + s for s in b) for b in bits)
+
+
+def _euclid(field: Field, a: int, b: int, stop: int) -> tuple[int, int]:
+    """Euclid's remainder sequence on packed (a, b) until b >> stop is 0:
+    the last two remainders.  Each step cancels a's top coefficient with
+    c * x^d times b, the XOR of b's alpha multiples picked by the set
     bits of c.  Only the tops of a and b are read, so bits below both
     ride along with the quotient: euclid carries a cofactor there."""
     m = field.m
+    q1 = field.order - 1
     exp = field.exp_table
     log = field.log_table
+    lo_bits = m // 2
+    lo_mask = (1 << lo_bits) - 1
+    lo_picks, hi_picks = _bit_tables(m)
+    tops = ((1 << m * ((a | b).bit_length() // m + 1)) - 1) // q1 << (m - 1)
+    red = field.reduction_poly & q1
     db = (b.bit_length() - 1) // m
-    mults = alpha_multiples(field, b, m)
-    lead_inv = field.order - 1 - log[b >> (m * db)]
-    d = (a.bit_length() - 1) // m
-    while d >= db:
-        c = exp[log[a >> (m * d)] + lead_inv]
-        term = 0
-        while c:
-            low = c & -c
-            term ^= mults[low.bit_length() - 1]
-            c ^= low
-        a ^= term << (m * (d - db))
+    while b >> stop:
+        # alpha_multiples inline: a call per round made Euclid 6% slower
+        mults = [b]
+        v = b
+        for _ in range(m - 1):
+            top = v & tops
+            v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
+            mults.append(v)
+        lead_inv = q1 - log[b >> (m * db)]
         d = (a.bit_length() - 1) // m
-    return a
+        while d >= db:
+            c = exp[log[a >> (m * d)] + lead_inv]
+            term = 0
+            for s in lo_picks[c & lo_mask]:
+                term ^= mults[s]
+            for s in hi_picks[c >> lo_bits]:
+                term ^= mults[s]
+            a ^= term << (m * (d - db))
+            d = (a.bit_length() - 1) // m
+        # a mod b is the next divisor, and its degree is d
+        a, b, db = b, a, d
+    return a, b
 
 
 def euclid(field: Field, r0: int, r1: int, dbound: int) -> tuple[int, int]:
     """Extended Euclid on packed (r0, r1), stopped at the first remainder
     of degree <= dbound (at least -1): (r, v) with r = v*r1 mod r0.
     Each remainder sits s bits up, past every cofactor, over its cofactor
-    v (0 for r0, 1 for r1), so one remainder call also makes v0 + q*v1."""
+    v (0 for r0, 1 for r1), so one division also makes v0 + q*v1.  With
+    dbound = deg(r1) - 1 it is one division: (r0 mod r1, r0 / r1)."""
     m = field.m
     s = m * (max(r0.bit_length(), r1.bit_length()) // m + 1)
-    a, b = r0 << s, r1 << s | 1
-    while b >> (s + m * (dbound + 1)):
-        a, b = b, remainder(field, a, b)
+    _, b = _euclid(field, r0 << s, r1 << s | 1, s + m * (dbound + 1))
     return b >> s, b & ((1 << s) - 1)
 
 
@@ -260,12 +290,14 @@ def poly_eea_bounded(field: Field, f: int, g: int, dbound: int) -> tuple[int, in
 
 
 def poly_inv_mod(field: Field, f: int, g: int) -> int:
-    """Packed inverse of f modulo g; ZeroDivisionError if gcd(f, g) != 1.
-    Euclid on (g, f mod g) down to a constant remainder r0 leaves f's
-    cofactor v, of degree below g's, with v*f = r0 mod g: so v / r0."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r, v = euclid(field, g, remainder(field, f, g), 0)
+    """Packed inverse of f modulo g; ZeroDivisionError if gcd(f, g) != 1
+    or g is a constant, modulo which nothing is invertible.  Euclid on
+    (g, f) down to a constant remainder r0 leaves f's cofactor v, of
+    degree below g's, with v*f = r0 mod g: so v / r0.  When f is not
+    reduced, the first round is a swap and the second reduces f mod g."""
+    if not g >> field.m:
+        raise ZeroDivisionError("polynomial inverse modulo a constant")
+    r, v = euclid(field, g, f, 0)
     if not r:
         raise ZeroDivisionError("polynomial not invertible modulo g")
     return scale(field, v, field.inv(r))
@@ -356,23 +388,32 @@ def power_planes(field: Field, f: list[int]) -> list[int]:
     positions, from the top: times x (every plane moves up one and the
     top one folds back through the reduction polynomial's taps), then
     the XOR of the cached planes of alpha^(i*e) for every coefficient
-    f_i with bit j set.  All m planes travel packed in one int.
+    f_i with bit j set.  Those are listed per bit beforehand, from each
+    coefficient's set bits in the two tables Euclid picks by.  All m
+    planes travel packed in one int.
     """
     m = field.m
     q1 = field.order - 1
     powers = _powers_of_alpha(field, len(f) - 1)
+    lo_bits = m // 2
+    lo_mask = (1 << lo_bits) - 1
+    lo, hi = _bit_tables(m)
+    picks: list[list[int]] = [[] for _ in range(m)]
+    for c, planes in zip(f, powers):
+        for j in lo[c & lo_mask]:
+            picks[j].append(planes)
+        for j in hi[c >> lo_bits]:
+            picks[j].append(planes)
     top = (m - 1) * q1
     below_top = (1 << top) - 1
     taps = [s * q1 for s in range(m) if field.reduction_poly >> s & 1]
     acc = 0
     for j in range(m - 1, -1, -1):
-        hi = acc >> top
+        spill = acc >> top
         acc = (acc & below_top) << q1
         for shift in taps:
-            acc ^= hi << shift
-        for c, planes in zip(f, powers):
-            if c >> j & 1:
-                acc ^= planes
+            acc ^= spill << shift
+        acc = functools.reduce(operator.xor, picks[j], acc)
     lane = (1 << q1) - 1
     return [acc >> (b * q1) & lane for b in range(m)]
 
@@ -398,8 +439,12 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f stays packed:
     h_i^2 lands on coefficient 2i while 2i < deg(f), and each higher h_i
     reads c -> c^2 * x^(2i) mod f from split tables built once per call.
-    Products are mul_mod, and each gcd is a Euclid of remainder calls.
+    Products are mul_mod, and each gcd runs euclid's loop on f and the
+    product, untagged, down to a constant: 0 when they share a factor.
+    A coefficient outside the field raises ParameterError.
     """
+    if any(not 0 <= c < field.order for c in f):
+        raise ParameterError("Goppa polynomial coefficient outside the field")
     f = poly_trim(f)
     t = len(f) - 1
     if t < 1:
@@ -459,11 +504,8 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         product = mul_mod(field, mul_tables(field, h ^ x), product, mod)
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
-            r0, r1 = packed_f, product
-            while r1 >> m:
-                r0, r1 = r1, remainder(field, r0, r1)
             # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
-            if not r1:
+            if not _euclid(field, packed_f, product, m)[1]:
                 return False
             product = 1
     return True

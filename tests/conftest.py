@@ -1,11 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from kal1 import niederreiter, scheme
 from kal1.binmat import BinaryMatrix
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
+
+# tests/mutants.py runs the tests under this profile: the first failing
+# example is reported unshrunk, so a killed mutant stops early
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate], database=None)
 
 TOY = CodeParams(16, 8, 2, 4)
 MID = CodeParams(256, 192, 8, 8)

@@ -1,0 +1,372 @@
+"""Mutation gate for the fast kernels: do the differential tests bite?
+
+    python tests/mutants.py
+
+Each mutant is one exact snippet in one module of src/kal1, what
+replaces it, and the test ids that must fail once it is in.  For each
+mutant the runner copies src/kal1 to a temporary directory, applies the
+mutant there, and runs only its tests against the copy (the copy comes
+first on PYTHONPATH; the runner checks that it is the one imported).
+A mutant is killed when a test fails.  Before any mutant, the union of
+the tests runs once on the unmutated copy and must pass, so a kill is
+the mutant's doing; a mutant's run times out at twice that run's time
+(at least 10 s), since its tests are a subset.  A few mutants leave a
+division that never cancels its top coefficient, so no test returns:
+they are marked as hanging, and for them alone the timeout is the kill.
+Any other mutant that times out is reported as such and fails the gate.
+
+The exit status is 1 if any mutant survives or times out unmarked, if a
+snippet no longer occurs exactly once in its module, or if a run errs
+otherwise (say, a test id that no longer exists).  Only the standard
+library is used; the tests themselves need pytest and hypothesis, run
+with a fixed hypothesis seed so that a verdict does not change from run
+to run, and under conftest's "mutants" profile, which does not shrink a
+failure.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kal1"
+MIN_TIMEOUT_S = 10
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/kal1
+    snippet: str  # must occur exactly once in the module
+    replacement: str
+    tests: tuple[str, ...]  # ids under tests/, any of which must fail
+    hangs: bool = False  # no test returns: the timeout is the kill
+
+
+EUCLID = "test_fast_kernels.py::test_packed_euclid_matches_oracle"
+DIVMOD = "test_fast_kernels.py::test_poly_divmod_matches_oracle"
+INV = "test_fast_kernels.py::test_poly_inv_mod_matches_oracle"
+CONSTANT_G = "test_fast_kernels.py::test_poly_inv_mod_refuses_a_constant_modulus"
+BUILT = "test_root_screen.py::test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles"
+PLANES = "test_root_screen.py::test_power_planes_hold_f_at_every_element"
+MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
+
+MUTANTS = [
+    # the one Euclid loop and its set-bit tables
+    Mutant(
+        "bit-table-hi-offset",
+        "gf2m.py",
+        "tuple(lo_bits + s for s in b)",
+        "tuple(s for s in b)",
+        (PLANES, EUCLID),
+    ),
+    Mutant(
+        "lead-inverse-sign",
+        "gf2m.py",
+        "lead_inv = q1 - log[b >> (m * db)]",
+        "lead_inv = log[b >> (m * db)] - q1",
+        (EUCLID,),
+        hangs=True,
+    ),
+    Mutant(
+        # the dividend's degree stepped down by one, not re-read: it goes
+        # stale when a step cancels more than its top, and so does the
+        # divisor degree carried to the next round
+        "stale-carried-degree",
+        "gf2m.py",
+        "            d = (a.bit_length() - 1) // m\n        # a mod b",
+        "            d -= 1\n        # a mod b",
+        (EUCLID, DIVMOD),
+    ),
+    Mutant(
+        "tops-one-coefficient-short",
+        "gf2m.py",
+        "tops = ((1 << m * ((a | b).bit_length() // m + 1)) - 1)",
+        "tops = ((1 << m * ((a | b).bit_length() // m)) - 1)",
+        (EUCLID,),
+        hangs=True,
+    ),
+    Mutant(
+        "euclid-stops-one-coefficient-early",
+        "gf2m.py",
+        "s + m * (dbound + 1))",
+        "s + m * dbound)",
+        (EUCLID,),
+    ),
+    Mutant(
+        "gcd-zero-product-as-coprime",
+        "gf2m.py",
+        "if not _euclid(field, packed_f, product, m)[1]:",
+        "if product and not _euclid(field, packed_f, product, m)[1]:",
+        (BUILT,),
+    ),
+    Mutant(
+        "inverse-constant-modulus-guard",
+        "gf2m.py",
+        "if not g >> field.m:",
+        "if not g:",
+        (CONSTANT_G,),
+    ),
+    Mutant(
+        "inverse-unscaled",
+        "gf2m.py",
+        "return scale(field, v, field.inv(r))",
+        "return v",
+        (INV,),
+    ),
+    # power_planes
+    Mutant(
+        "planes-hi-bits-from-lo-table",
+        "gf2m.py",
+        "for j in hi[c >> lo_bits]:",
+        "for j in lo[c >> lo_bits]:",
+        (PLANES,),
+    ),
+    Mutant(
+        "planes-reduce-start-dropped",
+        "gf2m.py",
+        "functools.reduce(operator.xor, picks[j], acc)",
+        "functools.reduce(operator.xor, picks[j], 0)",
+        (PLANES,),
+    ),
+    Mutant(
+        "planes-tap-0-dropped",
+        "gf2m.py",
+        "taps = [s * q1 for s in range(m)",
+        "taps = [s * q1 for s in range(1, m)",
+        (PLANES,),
+    ),
+    Mutant(
+        "power-cache-repeats-a-1",
+        "gf2m.py",
+        "        cur = prod[:m]\n",
+        "        cur = list(base)\n",
+        (PLANES,),
+    ),
+    Mutant(
+        "power-cache-extends-from-a-1",
+        "gf2m.py",
+        "cur = [powers[-1] >> (b * q1) & lane for b in range(m)]",
+        "cur = [powers[1] >> (b * q1) & lane for b in range(m)]",
+        ("test_root_screen.py::test_extended_power_cache_equals_a_fresh_build",),
+    ),
+    # the other packed kernels
+    Mutant(
+        "mul-mod-fold-hi-dropped",
+        "gf2m.py",
+        "acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]",
+        "acc = (acc & full) ^ fold_lo[c & lo_mask]",
+        (MUL_MOD,),
+    ),
+    Mutant(
+        "alpha-tops-cache-never-grows",
+        "gf2m.py",
+        "if v >> tops.bit_length():",
+        "if not tops:",
+        (MUL_MOD, "test_fast_kernels.py::test_poly_mul_matches_oracle"),
+    ),
+    # Patterson's code-level stages
+    Mutant(
+        "syndrome-poly-horner-shift",
+        "goppa.py",
+        "return acc >> (m * t)",
+        "return acc >> (m * (t - 1))",
+        ("test_fast_kernels.py::test_syndrome_poly_matches_oracle_at_every_scale",),
+    ),
+    Mutant(
+        "permuted-rebuilds-sqrt-x",
+        "goppa.py",
+        "out._decoder = self._decoder",
+        "out._decoder = None",
+        ("test_goppa.py::test_permuted_code_shares_the_decoder_tables",),
+    ),
+    Mutant(
+        "permuted-keeps-positions",
+        "goppa.py",
+        "out._where = None",
+        "out._where = self._where",
+        ("test_goppa.py::test_permuted_code_shares_the_decoder_tables",),
+    ),
+    # keygen kernels
+    Mutant(
+        "keystream-refill-rounds-down",
+        "rng.py",
+        "blocks = -(-(nbytes - len(rest)) // BLOCK_BYTES)",
+        "blocks = (nbytes - len(rest)) // BLOCK_BYTES",
+        ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
+    ),
+    Mutant(
+        "randbelow-admits-the-bound",
+        "rng.py",
+        "            if v < n:\n",
+        "            if v <= n:\n",
+        ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
+    ),
+    Mutant(
+        "eliminate-keeps-earlier-pivots",
+        "binmat.py",
+        "pivots[c] = p ^ reduced",
+        "pivots[c] = p",
+        ("test_keygen_kernels.py::test_kernels_match_oracle_at_every_width",),
+    ),
+    Mutant(
+        "combinations-skip-empty-pivot",
+        "binmat.py",
+        "if row else table",
+        "if row else []",
+        ("test_keygen_kernels.py::test_kernels_match_oracle_at_every_width",),
+    ),
+    # Patterson's packed spreads and the root positions
+    Mutant(
+        "squares-at-the-degree-not-twice",
+        "gf2m.py",
+        "out |= exp[log[c] << 1] << (2 * m * i)",
+        "out |= exp[log[c] << 1] << (m * i)",
+        ("test_fast_kernels.py::test_squares_matches_oracle",),
+    ),
+    Mutant(
+        "sqrt-halves-odd-and-even-swapped",
+        "gf2m.py",
+        "halves[i & 1] |=",
+        "halves[~i & 1] |=",
+        ("test_fast_kernels.py::test_sqrt_halves_match_field_sqrt",),
+    ),
+    Mutant(
+        "syndrome-poly-components-reversed",
+        "goppa.py",
+        "c = (synd >> (m * r)) & mask",
+        "c = (synd >> (m * (t - 1 - r))) & mask",
+        ("test_fast_kernels.py::test_syndrome_poly_matches_oracle_at_every_scale",),
+    ),
+    Mutant(
+        "positions-put-zero-at-lane-0",
+        "goppa.py",
+        "where[log[a] if a else q1] = i",
+        "where[log[a]] = i",
+        ("test_fast_kernels.py::test_locator_roots_match_scan_on_partial_supports",),
+    ),
+    # the keyio wire codec
+    Mutant(
+        "bit-writer-keeps-flushed-bits",
+        "keyio.py",
+        "            acc &= (1 << rest) - 1\n",
+        "",
+        ("test_root_screen.py::test_codec_round_trips_with_the_old_bytes",),
+    ),
+    Mutant(
+        "bit-reader-ignores-padding-bits",
+        "keyio.py",
+        "if left >= 8 or self._data and self._data[-1] & ((1 << left) - 1):",
+        "if left >= 8:",
+        ("test_keyio.py::test_parse_rejects_nonzero_padding",),
+    ),
+    Mutant(
+        "parse-skips-the-canonical-form-rule",
+        "keyio.py",
+        "if seed_row >> nk or seed_fields(sid, seed_row) != fields:",
+        "if seed_row >> nk:",
+        ("test_keyio.py::test_parse_rejects_noncanonical_seed_fields",),
+    ),
+    # the constant-weight codec
+    Mutant(
+        "cw-encode-next-index-binomial",
+        "cw.py",
+        "b = b * j // c\n",
+        "b = b * (j - 1) // c\n",
+        ("test_cw.py::test_codec_matches_table_oracle_exhaustively",),
+    ),
+    Mutant(
+        "cw-decode-rank-position",
+        "cw.py",
+        "rank += math.comb(low.bit_length() - 1, j)",
+        "rank += math.comb(low.bit_length(), j)",
+        ("test_cw.py::test_codec_matches_table_oracle_exhaustively",),
+    ),
+]
+
+
+def copy_package(dest: Path) -> None:
+    shutil.copytree(PACKAGE, dest / "kal1", ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def pytest_run(tmp: Path, tests, timeout: float) -> int | None:
+    """pytest's exit status on the copy in tmp, or None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(tmp), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants", *(str(ROOT / "tests" / t) for t in tests)]
+    try:
+        # cwd is the copy, so hypothesis keeps its example database there
+        done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode
+
+
+def imports_copy(tmp: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tmp), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", "import kal1; print(kal1.__file__)"],
+                         cwd=tmp, env=env, capture_output=True, text=True, check=True)
+    return Path(out.stdout.strip()).resolve().is_relative_to(tmp.resolve())
+
+
+def run_mutant(mutant: Mutant, timeout: float) -> str:
+    """killed, hung (a marked mutant timed out), timeout, survived, stale
+    (snippet not found exactly once), or error (pytest could not run the
+    tests)."""
+    with tempfile.TemporaryDirectory(prefix="kal1-mutant-") as name:
+        tmp = Path(name)
+        copy_package(tmp)
+        path = tmp / "kal1" / mutant.module
+        text = path.read_text()
+        if text.count(mutant.snippet) != 1:
+            return "stale"
+        path.write_text(text.replace(mutant.snippet, mutant.replacement))
+        status = pytest_run(tmp, mutant.tests, timeout)
+    if status is None:
+        return "hung" if mutant.hangs else "timeout"
+    return {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="kal1-mutant-") as name:
+        tmp = Path(name)
+        copy_package(tmp)
+        if not imports_copy(tmp):
+            print("the copy of kal1 is not the one imported; is kal1 installed non-editable?")
+            return 1
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        status = pytest_run(tmp, tests, 600)
+    if status != 0:
+        print(f"the unmutated copy fails its tests (pytest exit {status}); no verdict")
+        return 1
+    baseline = time.perf_counter() - start
+    timeout = max(MIN_TIMEOUT_S, 2 * baseline)
+    print(f"unmutated copy passes {len(tests)} test ids in {baseline:.1f} s; "
+          f"timeout {timeout:.0f} s per mutant")
+
+    bad = []
+    hung = 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        verdict = run_mutant(mutant, timeout)
+        print(f"{verdict:9} {mutant.name:40} {time.perf_counter() - t0:5.1f} s", flush=True)
+        hung += verdict == "hung"
+        if verdict not in ("killed", "hung"):
+            bad.append((mutant.name, verdict))
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed in {total:.0f} s, "
+          f"{hung} of them (marked as hanging) by the timeout")
+    for name, verdict in bad:
+        print(f"  {name}: {verdict}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -205,6 +205,37 @@ def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], li
     return poly_trim(q), poly_trim(r[:dg])
 
 
+def remainder(field: Field, a: int, b: int) -> int:
+    """Packed a mod b, for b != 0, by long division: the divisor's alpha
+    multiples built on every call, then each step cancels a's top
+    coefficient with c * x^d times b, the XOR of the multiples over the
+    bits of c, peeled off with c & -c.  Only the tops of a and b are
+    read, so bits below both ride along with the quotient."""
+    m = field.m
+    mask = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    tops = ((1 << m * (max(a, b).bit_length() // m + 1)) - 1) // mask << (m - 1)
+    red = field.reduction_poly & mask
+    mults = [b]
+    for _ in range(m - 1):
+        top = mults[-1] & tops
+        mults.append(((mults[-1] ^ top) << 1) ^ (top >> (m - 1)) * red)
+    db = (b.bit_length() - 1) // m
+    lead_inv = mask - log[b >> (m * db)]
+    d = (a.bit_length() - 1) // m
+    while d >= db:
+        c = exp[log[a >> (m * d)] + lead_inv]
+        term = 0
+        while c:
+            low = c & -c
+            term ^= mults[low.bit_length() - 1]
+            c ^= low
+        a ^= term << (m * (d - db))
+        d = (a.bit_length() - 1) // m
+    return a
+
+
 def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     return poly_divmod(field, f, g)[1]
 

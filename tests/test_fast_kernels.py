@@ -4,8 +4,10 @@ Every kernel must return exactly what its oracle in ``oracles`` returns,
 on inputs that include zero coefficients, non-monic divisors and
 untrimmed lists, at m = 4, 8 and 10 (and 16 for the irreducibility
 test, whose deep levels get products of known irreducible factors, and
-for the packed division, reduction, product modulo f, Euclid and
-inverse, whose inputs share random common factors).
+for the packed division, reduction and product modulo f; Euclid, the
+inverse and the irreducibility test on raw lists also run at m = 5,
+whose bit tables split 2 + 3, and at 12, on inputs with all-ones
+coefficients that share random common factors, in either order).
 Keygen itself must reproduce the oracle chain's code, permutation,
 scrambler and public matrix, and decryption through the key's right
 block columns must match the unscramble-by-matrix chain.  Decoding's
@@ -39,7 +41,6 @@ from kal1.gf2m import (
     poly_inv_mod,
     poly_sqrt_mod,
     poly_trim,
-    remainder,
     sqrt_halves,
     sqrt_x_mod,
     squares,
@@ -56,6 +57,8 @@ FIELDS = {m: Field(m) for m in (4, 8, 10)}
 DEEP_FIELDS = {**FIELDS, 16: Field(16)}
 # every field the differential tests of Patterson's packed stages cover
 PATTERSON_FIELDS = {**DEEP_FIELDS, 12: Field(12)}
+# and of the Euclid loop that Patterson and Ben-Or share
+EUCLID_FIELDS = {**PATTERSON_FIELDS, 5: Field(5)}
 HEADLINE = CodeParams(1024, 524, 50, 10)
 
 
@@ -79,7 +82,9 @@ def field_and_monic(draw, max_deg=6):
 
 @given(field_and_polys(2, max_len=24, fields=DEEP_FIELDS))
 def test_poly_divmod_matches_oracle(case):
-    # the kernel's remainder, and the quotient that a tag below both
+    # one round of the kernel's Euclid, bounded just below g's degree, is
+    # one division: (f mod g, f / g).  The long division it replaced
+    # gives the remainder, and the quotient that a tag below both
     # operands collects: f*X mod (g*X + 1) = r*X + q
     field, (f, g) = case
     if not poly_trim(g):
@@ -88,9 +93,10 @@ def test_poly_divmod_matches_oracle(case):
         return
     q, r = oracles.poly_divmod(field, f, g)
     f_, g_ = pack(field, f), pack(field, g)
-    assert remainder(field, f_, g_) == pack(field, r)
+    assert euclid(field, f_, g_, poly_deg(poly_trim(g)) - 1) == (pack(field, r), pack(field, q))
+    assert oracles.remainder(field, f_, g_) == pack(field, r)
     s = field.m * (len(f) + 1)
-    assert remainder(field, f_ << s, g_ << s | 1) == pack(field, r) << s | pack(field, q)
+    assert oracles.remainder(field, f_ << s, g_ << s | 1) == pack(field, r) << s | pack(field, q)
 
 
 @given(field_and_polys(2, max_len=24, fields=DEEP_FIELDS))
@@ -126,7 +132,7 @@ def test_packed_mul_mod_matches_oracle(case):
     # a reduced modulo f first, as mul_mod asks; b of any degree
     field, f, a, b = case
     expected = oracles.poly_mod(field, oracles.poly_mul(field, a, b), f)
-    a_red = remainder(field, pack(field, a), pack(field, f))
+    a_red, _ = euclid(field, pack(field, a), pack(field, f), len(f) - 2)
     product = mul_mod(field, mul_tables(field, a_red), pack(field, b), modulus(field, pack(field, f)))
     assert unpack(field, product) == expected
 
@@ -136,19 +142,24 @@ def test_packed_mul_mod_matches_oracle(case):
 @example((DEEP_FIELDS[10], [0, 3, 0], [], []))
 @example((DEEP_FIELDS[16], [5, 0, 9, 0], [1] * 20, [0, 0]))
 def test_packed_remainder_of_any_degree_matches_oracle(case):
+    # euclid bounded below f's degree divides once; f is not monic
     field, f, a, b = case
     v = a + b  # up to degree 59, trailing zeros included
-    expected = oracles.poly_mod(field, v, f)
-    assert unpack(field, remainder(field, pack(field, v), pack(field, f))) == expected
+    q, expected = oracles.poly_divmod(field, v, f)
+    r, quotient = euclid(field, pack(field, v), pack(field, f), poly_deg(poly_trim(f)) - 1)
+    assert unpack(field, r) == expected
+    assert unpack(field, quotient) == q
+    assert unpack(field, oracles.remainder(field, pack(field, v), pack(field, f))) == expected
 
 
 @st.composite
 def field_and_pair(draw):
-    """A field with m in {4, 8, 10, 16} and two raw coefficient lists
-    with any leading coefficients and trailing zeros; about half the
-    time both are multiplied by a common factor of degree 1 to 3."""
-    field = DEEP_FIELDS[draw(st.sampled_from(sorted(DEEP_FIELDS)))]
-    coeff = st.integers(0, field.order - 1) | st.just(0)
+    """A field with m in {4, 5, 8, 10, 12, 16} and two raw coefficient
+    lists with any leading coefficients and trailing zeros, zero and
+    all-ones coefficients likely; about half the time both are
+    multiplied by a common factor of degree 1 to 3."""
+    field = EUCLID_FIELDS[draw(st.sampled_from(sorted(EUCLID_FIELDS)))]
+    coeff = st.integers(0, field.order - 1) | st.just(0) | st.just(field.order - 1)
     f, g = (draw(st.lists(coeff, max_size=12)) for _ in range(2))
     if draw(st.booleans()):
         h = draw(st.lists(coeff, min_size=1, max_size=3))
@@ -175,10 +186,18 @@ def test_poly_eea_bounded_matches_oracle(case, dbound):
 @example((DEEP_FIELDS[4], [], []), -1)
 @example((DEEP_FIELDS[16], [0, 5, 0], [3, 0, 0]), -1)
 @example((DEEP_FIELDS[8], [2, 7, 1], [0, 4, 0, 0]), 0)
+@example((EUCLID_FIELDS[5], [0, 1], [31]), -1)
+@example((DEEP_FIELDS[16], [65535, 0, 65535], [0, 65535, 65535]), 0)
+@example((DEEP_FIELDS[4], [1, 1], []), 1)
+@example((DEEP_FIELDS[4], [0, 1], [0, 2]), -1)
 def test_packed_euclid_matches_oracle(case, dbound):
+    # the loop's first round divides when deg r0 >= deg r1 and is a swap
+    # otherwise, so each pair runs in both orders; at equal degrees the
+    # first divisor's alpha multiples reach the widest coefficient
     field, f, g = case
-    r, _, v = oracles.poly_eea_bounded(field, f, g, dbound)
-    assert euclid(field, pack(field, f), pack(field, g), dbound) == (pack(field, r), pack(field, v))
+    for r0, r1 in ((f, g), (g, f)):
+        r, _, v = oracles.poly_eea_bounded(field, r0, r1, dbound)
+        assert euclid(field, pack(field, r0), pack(field, r1), dbound) == (pack(field, r), pack(field, v))
 
 
 def inv_outcome(fn, *args):
@@ -194,12 +213,26 @@ def packed_inv(field, f, g):
 
 @settings(max_examples=200)
 @given(field_and_pair())
+@example((DEEP_FIELDS[10], [5, 7, 1], [3, 1]))
+@example((PATTERSON_FIELDS[12], [0, 0, 9], [0, 1]))
 def test_poly_inv_mod_matches_oracle(case):
+    # f of any degree: unreduced, the loop's first round is a swap
     field, f, g = case
     expected = inv_outcome(oracles.poly_inv_mod, field, f, g)
     assert inv_outcome(packed_inv, field, f, g) == expected
     if expected is not ZeroDivisionError:
         assert poly_mod(field, oracles.poly_mul(field, f, expected), g) == [1]
+
+
+@pytest.mark.parametrize("m", sorted(EUCLID_FIELDS))
+def test_poly_inv_mod_refuses_a_constant_modulus(m):
+    # nothing is invertible modulo a constant, as the oracle's f mod g = 0
+    # says; Euclid alone would return f = 1 as its own inverse modulo 1
+    field = EUCLID_FIELDS[m]
+    for g in ([1], [field.order - 1], []):
+        for f in ([1], [3, 1], [1] * 7, [field.order - 1, 0, 2]):
+            assert inv_outcome(oracles.poly_inv_mod, field, f, g) is ZeroDivisionError
+            assert inv_outcome(packed_inv, field, f, g) is ZeroDivisionError
 
 
 @given(field_and_polys(1, max_len=30, fields=PATTERSON_FIELDS))
@@ -261,10 +294,11 @@ def test_is_irreducible_matches_oracle_on_products(m, degrees, seed):
 
 @st.composite
 def deep_field_and_raw_poly(draw):
-    """A field with m in {4, 8, 10, 16} and a coefficient list of degree
-    at most 24 with any leading coefficient and trailing zeros."""
-    field = DEEP_FIELDS[draw(st.sampled_from(sorted(DEEP_FIELDS)))]
-    coeff = st.integers(0, field.order - 1) | st.just(0)
+    """A field with m in {4, 5, 8, 10, 12, 16} and a coefficient list of
+    degree at most 24 with any leading coefficient and trailing zeros,
+    zero and all-ones coefficients likely."""
+    field = EUCLID_FIELDS[draw(st.sampled_from(sorted(EUCLID_FIELDS)))]
+    coeff = st.integers(0, field.order - 1) | st.just(0) | st.just(field.order - 1)
     f = draw(st.lists(coeff, max_size=24))
     f.append(draw(st.integers(1, field.order - 1)))
     return field, f + [0] * draw(st.integers(0, 3))

@@ -8,6 +8,7 @@ from kal1.errors import ParameterError
 from kal1.gf2m import (
     REDUCTION_POLYS,
     Field,
+    euclid,
     is_irreducible,
     modulus,
     mul_mod,
@@ -17,12 +18,12 @@ from kal1.gf2m import (
     poly_inv_mod,
     poly_sqrt_mod,
     poly_trim,
-    remainder,
     sqrt_halves,
     sqrt_x_mod,
     unpack,
 )
 
+import oracles
 from oracles import (
     field_pow,
     find_generator,
@@ -163,11 +164,12 @@ def test_poly_mul_and_divmod_roundtrip():
         b = poly_trim([rnd.randrange(64) for _ in range(rnd.randrange(1, 8))])
         if not b:
             continue
-        # the kernel's remainder, with the quotient collected by a tag
-        # below both operands, and its product modulo x^N as a plain product
+        # one round of the kernel's Euclid, bounded below b's degree, and
+        # the long division it replaced, with the quotient collected by a
+        # tag below both operands; the product modulo x^N is a plain product
+        r, q = euclid(f, pack(f, a), pack(f, b), poly_deg(b) - 1)
         s = 6 * (len(a) + 1)
-        tagged = remainder(f, pack(f, a) << s, pack(f, b) << s | 1)
-        q, r = tagged & ((1 << s) - 1), tagged >> s
+        assert oracles.remainder(f, pack(f, a) << s, pack(f, b) << s | 1) == r << s | q
         assert poly_deg(unpack(f, r)) < poly_deg(b)
         x_n = modulus(f, 1 << (6 * (len(a) + len(b))))
         assert unpack(f, mul_mod(f, mul_tables(f, q), pack(f, b), x_n) ^ r) == a
@@ -249,6 +251,15 @@ def test_is_irreducible_against_brute_force():
         assert is_irreducible(f, g) == expected
         checked_irreducible += expected
     assert checked_irreducible > 0
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_is_irreducible_refuses_coefficients_outside_the_field(m):
+    field = Field(m)
+    q = field.order
+    for f in ([1, q, 1], [1, 99 if m == 4 else q + 99, 1], [1, -1, 1], [q], [1, q], [2, 3, 1, q]):
+        with pytest.raises(ParameterError, match="Goppa polynomial coefficient outside the field"):
+            is_irreducible(field, f)
 
 
 def test_sqrt_mod_g():

@@ -28,17 +28,18 @@ from oracles import poly_mul
 FIELDS = {m: Field(m) for m in range(4, 17)}
 
 
-def irreducible(field, d, rnd):
+def irreducible(field, d, rnd, avoid=()):
     """A random monic irreducible of degree d, found with the oracle."""
     while True:
         g = [rnd.randrange(field.order) for _ in range(d)] + [1]
-        if oracles.is_irreducible(field, g):
+        if g not in avoid and oracles.is_irreducible(field, g):
             return g
 
 
 def cases(m):
     """(label, f) pairs: random monics of degree 2-5 (more of them at
-    m <= 12) and polynomials built to have or to lack a root."""
+    m <= 12), polynomials built to have or to lack a root, and ones
+    whose coefficients are mostly 0 and 2^m - 1."""
     field = FIELDS[m]
     rnd = random.Random(f"roots/{m}")
     q = field.order
@@ -64,6 +65,19 @@ def cases(m):
         h2 = poly_mul(field, h, h)
         out.append(("irreducible-9", irreducible(field, 9, rnd)))
         out.append(("cubics-and-quadratic", poly_mul(field, h2, irreducible(field, 2, rnd))))
+    # Ben-Or's block that ends at level 3 meets x^(q^3) - x = 0 mod f
+    out.append(("two-cubics", poly_mul(field, h, irreducible(field, 3, rnd, avoid=[h]))))
+    top = q - 1
+    out += [
+        ("extreme-0", [top]),
+        ("extreme-1", [0, top]),
+        ("extreme-2", [top] * 6),
+        ("extreme-3", [0, 0, 0, top]),
+        ("extreme-4", [1, 0, top, 0, 0, top]),
+    ]
+    for i in range(4 if m <= 12 else 1):
+        d = rnd.randrange(1, 12)
+        out.append((f"extreme-random-{i}", [rnd.choice([0, top, rnd.randrange(q)]) for _ in range(d)] + [top]))
     return out
 
 
@@ -123,7 +137,7 @@ def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
         assert is_irreducible(field, f) is batched is expected, label
         if label.startswith("irreducible-"):
             assert expected, label
-        elif not label.startswith("random-"):
+        elif not label.startswith(("random-", "extreme-")):
             assert not expected, label
 
 
