@@ -8,7 +8,8 @@ Rank, inversion and the product are "Four Russians" kernels, as in M4RI
 (Albrecht, Bard and Hart): eight columns or rows at a time, a table of
 the 256 XOR combinations of eight rows replaces up to eight row XORs by
 one lookup.  Rank, inversion and the ``isd`` window solve share one
-elimination, ``eliminate``.
+elimination, ``eliminate``, which takes fewer columns at a time when it
+has under 256 rows.
 """
 
 from __future__ import annotations
@@ -128,24 +129,28 @@ def eliminate(
     basis of the left kernel, rows minus rank of them.  Untagged rows
     that reduce to zero vanish, so for those the list is empty.
 
-    Columns go CHUNK at a time from bit 0.  Rows are scanned in order,
-    each one's chunk reduced by the chunk's pivots so far; the first
-    left nonzero becomes the pivot of its lowest bit there, and the
-    earlier pivots are cleared at that bit, so each pivot has a 1 at its
-    own column and 0 at the others'.  A row's chunk bits then index the
-    pivots' XOR combination that clears them, so one lookup reduces
-    each other row.  Every row is shifted down past the chunk, and the
-    other rows left zero are dropped.
+    Columns go CHUNK at a time from bit 0, or floor(log2(rows)) at a
+    time, at least one, when there are under 2^CHUNK rows.  Rows are
+    scanned in order, each one's chunk reduced by the chunk's pivots so
+    far; the first left nonzero becomes the pivot of its lowest bit
+    there, and the earlier pivots are cleared at that bit, so each pivot
+    has a 1 at its own column and 0 at the others'.  A row's chunk bits
+    then index the pivots' XOR combination that clears them, so one
+    lookup reduces each other row.  Every row is shifted down past the
+    chunk, and the other rows left zero are dropped.
 
     With solved given, the pivot rows are reduced by every later chunk
     too (Gauss-Jordan) and collected there in column order, shifted
     down past width.  The list rows itself is left as it is.
     """
     found: list[int] = []
-    for start in range(0, width, CHUNK):
+    # a table of 2^chunk entries for fewer rows than that costs more than
+    # it saves, so a small elimination takes narrower chunks
+    chunk = max(1, min(CHUNK, len(rows).bit_length() - 1))
+    for start in range(0, width, chunk):
         if not rows:
             break
-        step = min(CHUNK, width - start)
+        step = min(chunk, width - start)
         low = (1 << step) - 1
         pivots = [0] * step  # pivot row by chunk bit
         have = 0  # the chunk bits with a pivot

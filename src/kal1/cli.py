@@ -12,6 +12,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import isd, keyio, scheme
@@ -55,7 +56,9 @@ def _add_seed_flag(p: argparse.ArgumentParser):
     p.add_argument("--seed", help="32 hex chars; defaults to system entropy")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="kal1", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

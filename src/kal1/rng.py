@@ -9,12 +9,16 @@ integers.  Derived draws are defined on top of the raw stream:
 * ``randbits(k)``  read ceil(k/8) bytes, big-endian integer, masked
                    to the low k bits.
 * ``randbelow(n)`` rejection-sample ``randbits((n-1).bit_length())``
-                   until the value is below n.
+                   until the value is below n; n = 1 reads nothing.
 * ``permutation(n)``  Fisher-Yates over [0, n): for i from n-1 down
                    to 1, swap positions i and ``randbelow(i+1)``.
 * ``sample(n, k)`` partial Fisher-Yates: for i in 0..k-1 swap
                    positions i and i + ``randbelow(n-i)``; return the
                    first k entries.
+
+``randbelow`` is the rule, not a method: ``permutation`` and ``sample``
+draw their descending bounds through one loop that follows it, with one
+``read`` per draw, a rejected one included.
 
 Any change to these rules invalidates every stored fixture.
 """
@@ -75,25 +79,35 @@ class SeededRng:
             return 0
         return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
 
-    def randbelow(self, n: int) -> int:
-        if n <= 0:
-            raise ParameterError("bound must be positive")
-        k = (n - 1).bit_length()
-        if k == 0:
-            return 0
-        nbytes = (k + 7) // 8
-        mask = (1 << k) - 1
+    def _below_each(self, hi: int, lo: int) -> list[int]:
+        """randbelow(b) for b = hi, hi-1, ..., lo+1, in that order.
+
+        Bounds in (2^(k-1), 2^k] share the draw width k, its byte count
+        and its mask, so those are computed once per power of two.
+        """
+        out: list[int] = []
+        append = out.append
         read = self.read
-        while True:
-            v = int.from_bytes(read(nbytes), "big") & mask
-            if v < n:
-                return v
+        from_bytes = int.from_bytes
+        b = hi
+        while b > lo:
+            k = (b - 1).bit_length()
+            if not k:  # the bound 1, last of a full sample, reads nothing
+                append(0)
+                break
+            mask = (1 << k) - 1
+            nbytes = (k + 7) // 8
+            stop = max(lo, 1 << (k - 1))  # width k ends at the bound 2^(k-1) + 1
+            for bound in range(b, stop, -1):
+                while (v := from_bytes(read(nbytes), "big") & mask) >= bound:
+                    pass
+                append(v)
+            b = stop
+        return out
 
     def permutation(self, n: int) -> list[int]:
         arr = list(range(n))
-        below = self.randbelow
-        for i in range(n - 1, 0, -1):
-            j = below(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), self._below_each(n, 1)):
             arr[i], arr[j] = arr[j], arr[i]
         return arr
 
@@ -102,8 +116,7 @@ class SeededRng:
         if not 0 <= k <= n:
             raise ParameterError("sample size out of range")
         arr = list(range(n))
-        below = self.randbelow
-        for i in range(k):
-            j = i + below(n - i)
+        for i, j in enumerate(self._below_each(n, n - k)):
+            j += i
             arr[i], arr[j] = arr[j], arr[i]
         return arr[:k]

@@ -15,6 +15,8 @@ settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.
 TOY = CodeParams(16, 8, 2, 4)
 MID = CodeParams(256, 192, 8, 8)
 TOY_KAT = Path(__file__).parent / "data" / "toy.kat"
+# 8 records at MID under one fixed seed, pinning the draws through whole keys
+MID_KAT = Path(__file__).parent / "data" / "mid.kat"
 # an irreducible quartic over GF(2^8); its square is the Goppa
 # polynomial of caller-built mid codes with a repeated factor
 SQUARE_Q = [166, 88, 69, 184, 1]

@@ -56,6 +56,8 @@ CONSTANT_G = "test_fast_kernels.py::test_poly_inv_mod_refuses_a_constant_modulus
 BUILT = "test_root_screen.py::test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles"
 PLANES = "test_root_screen.py::test_power_planes_hold_f_at_every_element"
 MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
+DRAWS = "test_keygen_kernels.py::test_permutation_and_sample_match_the_unbuffered_oracle"
+ROW_COUNT = "test_keygen_kernels.py::test_eliminate_matches_oracle_at_every_row_count"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -201,12 +203,34 @@ MUTANTS = [
         "blocks = (nbytes - len(rest)) // BLOCK_BYTES",
         ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
     ),
+    # the one rejection loop of permutation and sample
     Mutant(
         "randbelow-admits-the-bound",
         "rng.py",
-        "            if v < n:\n",
-        "            if v <= n:\n",
-        ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
+        '& mask) >= bound:',
+        '& mask) > bound:',
+        (DRAWS,),
+    ),
+    Mutant(
+        "draw-width-range-one-bound-too-low",
+        "rng.py",
+        "stop = max(lo, 1 << (k - 1))",
+        "stop = max(lo, (1 << (k - 1)) - 1)",
+        (DRAWS,),
+    ),
+    Mutant(
+        "draw-mask-one-bit-short",
+        "rng.py",
+        "mask = (1 << k) - 1\n",
+        "mask = (1 << k - 1) - 1\n",
+        (DRAWS,),
+    ),
+    Mutant(
+        "bound-1-reads-a-byte",
+        "rng.py",
+        "append(0)",
+        "append(read(1)[0] & 0)",
+        (DRAWS,),
     ),
     Mutant(
         "eliminate-keeps-earlier-pivots",
@@ -214,6 +238,13 @@ MUTANTS = [
         "pivots[c] = p ^ reduced",
         "pivots[c] = p",
         ("test_keygen_kernels.py::test_kernels_match_oracle_at_every_width",),
+    ),
+    Mutant(
+        "chunk-width-may-be-zero",
+        "binmat.py",
+        "chunk = max(1, min(CHUNK, len(rows).bit_length() - 1))",
+        "chunk = min(CHUNK, len(rows).bit_length() - 1)",
+        (ROW_COUNT,),
     ),
     Mutant(
         "combinations-skip-empty-pivot",

@@ -551,6 +551,29 @@ def rank(m: BinaryMatrix) -> int:
     return len(basis)
 
 
+def eliminate(rows: list[int], width: int) -> tuple[list[int], list[int]]:
+    """binmat.eliminate's pivots and dependencies, a row at a time: each
+    row is reduced by the earlier independent rows, keyed by their lowest
+    bit below width.  The keys are the pivot columns; a row reduced to
+    zero below width, shifted down past it, is a dependency, unless it
+    is zero."""
+    low = (1 << width) - 1
+    basis: dict[int, int] = {}
+    deps = []
+    for row in rows:
+        cur = row
+        while cur & low:
+            key = (cur & -cur).bit_length() - 1  # below width, as cur & low is not 0
+            if key not in basis:
+                basis[key] = cur
+                break
+            cur ^= basis[key]
+        else:
+            if cur >> width:
+                deps.append(cur >> width)
+    return sorted(basis), deps
+
+
 def invert(m: BinaryMatrix) -> BinaryMatrix:
     """Gauss-Jordan on (m | identity), one column and one row at a time;
     SingularMatrixError names the first column without a pivot."""

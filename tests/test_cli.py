@@ -5,7 +5,7 @@ import pytest
 from kal1 import cli
 from kal1.goppa import CodeParams
 
-from conftest import odd_hex_kat, out_of_range_msg_kat, oversized_param_kat
+from conftest import MID_KAT, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat
 
 TOY_ARGS = ["--n", "16", "--k", "8", "--t", "2", "--m", "4"]
 SEED = "00000000000000000000000000000007"
@@ -236,6 +236,13 @@ def test_kat_generate_then_verify(capsys, tmp_path):
     assert "verified 4 records" in stdout
 
 
+def test_shipped_mid_kat_verifies(capsys):
+    # regeneration, the codec and decryption at m = 8, byte for byte
+    code, stdout, err = run(capsys, "kat", "verify", "--kat", str(MID_KAT))
+    assert code == 0, err
+    assert "verified 8 records" in stdout
+
+
 def test_kat_verify_mismatch_exits_5(capsys, tmp_path):
     kat = tmp_path / "records.kat"
     run(capsys, "kat", "generate", *TOY_ARGS, "--seed", SEED, "--count", "3", "--kat", str(kat))
@@ -436,3 +443,27 @@ def test_missing_key_file_errors(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: 1 FileNotFoundError")
+
+
+def test_successive_calls_share_one_parser_without_carrying_state(capsys, tmp_path):
+    # main builds its parser once per process; a flag given to one call
+    # must not become the default of the next
+    assert cli.build_parser() is cli.build_parser()
+    keygen(capsys, tmp_path, "w5", scheme="kal1-s1", extra=("--sparse-weight", "5"))
+    keygen(capsys, tmp_path, "w", scheme="kal1-s1")
+    for name, weight in (("w5", 5), ("w", 8)):  # the default weight is every one of 8
+        code, stdout, _ = run(capsys, "inspect", "--key", str(tmp_path / f"{name}.pk"))
+        positions = stdout.split("positions: [", 1)[1].split("]", 1)[0]
+        assert code == 0 and len(positions.split(",")) == weight
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["keygen", *TOY_ARGS, "--no-such-flag", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    msg, ct, back = tmp_path / "m", tmp_path / "c", tmp_path / "b"
+    msg.write_bytes(b"\x05")
+    code, _, err = run(capsys, "encrypt", "--key", str(tmp_path / "w.pk"), "--in", str(msg), "--out", str(ct))
+    assert code == 0, err
+    code, _, err = run(capsys, "decrypt", "--key", str(tmp_path / "w.sk"), "--in", str(ct), "--out", str(back))
+    assert code == 0, err
+    assert back.read_bytes() == msg.read_bytes()

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from kal1 import Kal1Error
-from kal1.binmat import BinaryMatrix
+from kal1.binmat import BinaryMatrix, eliminate
 from kal1.errors import DimensionMismatch, SingularMatrixError
 from kal1.gf2m import Field, is_irreducible
 from kal1.goppa import CodeParams, GoppaCode, generate_code
@@ -113,6 +113,21 @@ def test_kernels_match_oracle_at_500_columns():
     assert outcome(near.invert) == outcome(oracles.invert, near)
 
 
+@pytest.mark.parametrize("rows", range(1, 71))
+def test_eliminate_matches_oracle_at_every_row_count(rows):
+    # the chunk width follows the row count: 1 for up to 3 rows, 6 at 64;
+    # tagged rows are what the isd window solve eliminates
+    rnd = random.Random(f"rows/{rows}")
+    for cols in sorted({1, rows // 2 + 1, rows, rows + 5, 70}):
+        for density in (0.5, 0.1):
+            m = random_matrix(rnd, rows, cols, density)
+            for case in (m, with_dependent_row(rnd, m)):
+                check_matrix(rnd, case)
+                tagged = [r | 1 << (cols + i) for i, r in enumerate(case.row_ints)]
+                assert eliminate(tagged, cols, None) == oracles.eliminate(tagged, cols)
+                assert eliminate(case.row_ints, cols, None) == oracles.eliminate(case.row_ints, cols)
+
+
 # --- the batched-gcd irreducibility test ---
 
 FIELDS = {m: Field(m) for m in (4, 10, 12)}
@@ -203,19 +218,30 @@ def test_buffered_draws_match_unbuffered_oracle():
     for tag in range(6):
         rng, ref = SeededRng(seed_bytes(tag)), oracles.UnbufferedRng(seed_bytes(tag))
         for _ in range(300):
-            draw = rnd.choice(["read", "randbits", "randbelow", "permutation", "sample"])
+            draw = rnd.choice(["read", "randbits", "permutation", "sample"])
             if draw == "read":
                 args = (rnd.choice([0, 1, 15, 16, 17, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES + 3]),)
             elif draw == "randbits":
                 args = (rnd.choice([0, 1, 7, 8, 9, 10, 500, 20000]),)
-            elif draw == "randbelow":
-                args = (rnd.choice([1, 2, 3, 255, 256, 257, 1000, 2**40 + 1]),)
             elif draw == "permutation":
                 args = (rnd.choice([1, 2, 16, 1024]),)
             else:
                 n = rnd.choice([1, 16, 300, 4096])
                 args = (n, rnd.randint(0, n))
             assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (tag, draw, args)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 255, 256, 257, 1024, 1025, 3488, 4096])
+def test_permutation_and_sample_match_the_unbuffered_oracle(n):
+    # the one rejection loop over each power-of-two range of bounds, across
+    # the one- and two-byte draw widths, down to the bound 1 when k = n;
+    # the next bytes show that the stream stopped where the oracle's did
+    draws = [("permutation", (n,))]
+    draws += [("sample", (n, k)) for k in sorted({0, 1, n // 2, n}) if k <= n]
+    for tag, (draw, args) in enumerate(draws):
+        rng, ref = SeededRng(seed_bytes(tag)), oracles.UnbufferedRng(seed_bytes(tag))
+        assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (draw, args)
+        assert rng.read(16) == ref.read(16), (draw, args)
 
 
 def test_read_rejects_a_negative_count():
@@ -225,15 +251,17 @@ def test_read_rejects_a_negative_count():
 
 def test_draws_make_the_read_calls_the_unbuffered_oracle_makes(monkeypatch):
     # the benchmark's tracer counts SeededRng.read calls, so every draw
-    # still takes its bytes through read, one call per randbits
-    counts = {}
-    for cls in (SeededRng, oracles.UnbufferedRng):
+    # still takes its bytes through read, one call per randbits; the
+    # sizes cross the one- and two-byte draw widths
+    calls = {SeededRng: [], oracles.UnbufferedRng: []}
+    for cls in calls:
         def counted(self, nbytes, inner=cls.read, cls=cls):
-            counts[cls] = counts.get(cls, 0) + 1
+            calls[cls].append(nbytes)
             return inner(self, nbytes)
 
         monkeypatch.setattr(cls, "read", counted)
     for rng in (SeededRng(seed_bytes(1)), oracles.UnbufferedRng(seed_bytes(1))):
-        rng.randbits(0), rng.randbits(9), rng.randbelow(1), rng.randbelow(1000)
-        rng.permutation(64), rng.sample(300, 300)
-    assert counts[SeededRng] == counts[oracles.UnbufferedRng] > 0
+        rng.randbits(0), rng.randbits(9)
+        rng.permutation(1025), rng.sample(300, 300), rng.sample(4096, 3488)
+    assert calls[SeededRng] == calls[oracles.UnbufferedRng]
+    assert {1, 2} <= set(calls[SeededRng])

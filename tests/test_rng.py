@@ -16,8 +16,8 @@ def test_seed_of_wrong_length_raises_kal1_error(nbytes):
     "draw, args",
     [
         ("randbits", (-1,)),
-        ("randbelow", (0,)),
-        ("randbelow", (-3,)),
+        ("read", (-1,)),
+        ("sample", (-1, 0)),
         ("sample", (3, 4)),
         ("sample", (3, -1)),
     ],
