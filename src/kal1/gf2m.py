@@ -4,12 +4,12 @@ Field elements are ints: bit i is the coefficient of x^i, reduced
 modulo the one primitive polynomial of degree m in REDUCTION_POLYS.
 A polynomial over the field is packed into one int, coefficient i at
 bits [m*i, m*i + m); products, Euclid and Patterson's steps take and
-return packed ints.  One Euclid loop serves Patterson's inverse, his
+return packed ints, and so do Ben-Or's test and power_planes: no other
+form of a polynomial is kept, and no packed int can hold a coefficient
+outside the field.  One Euclid loop serves Patterson's inverse, his
 split of (a, b) and Ben-Or's gcds: each quotient term is the XOR of the
 divisor's alpha multiples over the set bits of a scalar, read from two
-small tables, one per half of its bits.  Ben-Or's test and power_planes
-take lists of coefficients with index = degree, normalized so the last
-entry is nonzero (the zero polynomial is the empty list).
+small tables, one per half of its bits.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ REDUCTION_POLYS = {
 class Field:
     """GF(2^m) in polynomial basis; immutable and freely shareable.
 
-    Multiplication uses discrete log/antilog tables built once at
-    construction: the powers of x, by shift and reduce, run through
-    every nonzero element because the reduction polynomial is primitive.
+    A product of nonzero elements is the antilog of the sum of their
+    logs, from tables built once at construction: the powers of x, by
+    shift and reduce, run through every nonzero element because the
+    reduction polynomial is primitive.
     """
 
     def __init__(self, m: int):
@@ -55,7 +56,7 @@ class Field:
         self.reduction_poly = REDUCTION_POLYS[m]
         self.order = 1 << m
         q1 = self.order - 1
-        # exp table doubled so mul can index log[a]+log[b] without a mod
+        # exp table doubled so a product can index log[a]+log[b] without a mod
         exp = [0] * (2 * q1)
         log = [0] * self.order
         v = 1
@@ -68,11 +69,6 @@ class Field:
         self.exp_table = exp
         self.log_table = log
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[self.log_table[a] + self.log_table[b]]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
@@ -82,26 +78,7 @@ class Field:
         return f"Field(m={self.m})"
 
 
-# --- polynomials over GF(2^m), lowest degree first ---
-
-
-def poly_trim(f: list[int]) -> list[int]:
-    i = len(f)
-    while i and f[i - 1] == 0:
-        i -= 1
-    return f[:i]
-
-
 # --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---
-
-
-def pack(field: Field, f: list[int]) -> int:
-    return sum(c << (field.m * i) for i, c in enumerate(f))
-
-
-def unpack(field: Field, v: int) -> list[int]:
-    m = field.m
-    return [v >> (m * i) & (field.order - 1) for i in range((v.bit_length() + m - 1) // m)]
 
 
 # m -> the top bit of each coefficient of the widest packed poly so far
@@ -379,9 +356,9 @@ def _powers_of_alpha(field: Field, t: int) -> list[int]:
     return powers
 
 
-def power_planes(field: Field, f: list[int]) -> list[int]:
-    """The m bit planes of f at every nonzero element: lane e of plane b
-    is bit b of f(alpha^e), for e in [0, q-1).
+def power_planes(field: Field, f: int) -> list[int]:
+    """The m bit planes of packed f at every nonzero element: lane e of
+    plane b is bit b of f(alpha^e), for e in [0, q-1).
 
     f(alpha^e) is the sum of f_i * alpha^(i*e), and f_i is the sum of its
     bits j times x^j, so the planes are a Horner pass over the bit
@@ -394,12 +371,13 @@ def power_planes(field: Field, f: list[int]) -> list[int]:
     """
     m = field.m
     q1 = field.order - 1
-    powers = _powers_of_alpha(field, len(f) - 1)
+    count = (f.bit_length() + m - 1) // m
     lo_bits = m // 2
     lo_mask = (1 << lo_bits) - 1
     lo, hi = _bit_tables(m)
     picks: list[list[int]] = [[] for _ in range(m)]
-    for c, planes in zip(f, powers):
+    for i, planes in zip(range(count), _powers_of_alpha(field, count - 1)):
+        c = f >> (m * i) & q1
         for j in lo[c & lo_mask]:
             picks[j].append(planes)
         for j in hi[c >> lo_bits]:
@@ -418,8 +396,8 @@ def power_planes(field: Field, f: list[int]) -> list[int]:
     return [acc >> (b * q1) & lane for b in range(m)]
 
 
-def is_irreducible(field: Field, f: list[int]) -> bool:
-    """Whether f of degree >= 1 is irreducible over GF(2^m).
+def is_irreducible(field: Field, f: int) -> bool:
+    """Whether packed f of degree >= 1 is irreducible over GF(2^m).
 
     Ben-Or's test: f is irreducible exactly when gcd(x^(q^i) - x, f) = 1
     for every level i up to deg(f)/2, which rules out every factor of
@@ -441,31 +419,26 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     reads c -> c^2 * x^(2i) mod f from split tables built once per call.
     Products are mul_mod, and each gcd runs euclid's loop on f and the
     product, untagged, down to a constant: 0 when they share a factor.
-    A coefficient outside the field raises ParameterError.
     """
-    if any(not 0 <= c < field.order for c in f):
-        raise ParameterError("Goppa polynomial coefficient outside the field")
-    f = poly_trim(f)
-    t = len(f) - 1
+    m = field.m
+    mask = field.order - 1
+    t = (f.bit_length() - 1) // m
     if t < 1:
         return False
     if t == 1:
         return True
-    if f[0] == 0:
+    if not f & mask:
         return False
     nonzero = 0
     for plane in power_planes(field, f):
         nonzero |= plane
-    if nonzero != (1 << (field.order - 1)) - 1:
+    if nonzero != (1 << mask) - 1:
         return False
     if t < 4:
         return True
-    m = field.m
-    mask = field.order - 1
     lo_bits = m // 2
     lo_mask = (1 << lo_bits) - 1
-    packed_f = pack(field, f)
-    mod = modulus(field, packed_f)
+    mod = modulus(field, f)
     half = (t + 1) // 2
     # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
     # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
@@ -505,7 +478,7 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
             # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
-            if not _euclid(field, packed_f, product, m)[1]:
+            if not _euclid(field, f, product, m)[1]:
                 return False
             product = 1
     return True

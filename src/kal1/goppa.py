@@ -1,9 +1,10 @@
 """Binary Goppa codes: construction and syndrome decoding.
 
 A code is a support sequence of n distinct GF(2^m) elements plus a
-monic irreducible degree-t polynomial g(x).  The parity-check matrix
-over the field has entries alpha_i^j / g(alpha_i); its binary expansion
-stacks the m coefficient bits of each entry, coefficient 0 topmost.
+monic irreducible degree-t polynomial g(x), one int packed as gf2m packs
+every polynomial.  The parity-check matrix over the field has entries
+alpha_i^j / g(alpha_i); its binary expansion stacks the m coefficient
+bits of each entry, coefficient 0 topmost.
 Decoding is Patterson's algorithm, which corrects any error of weight
 up to t when g is irreducible.  Its error locator is evaluated at every
 nonzero field element by power_planes, the evaluator that gives the
@@ -22,15 +23,12 @@ from .gf2m import (
     is_irreducible,
     modulus,
     mul_tables,
-    pack,
     poly_eea_bounded,
     poly_inv_mod,
     poly_sqrt_mod,
-    poly_trim,
     power_planes,
     sqrt_x_mod,
     squares,
-    unpack,
 )
 from .rng import SeededRng
 
@@ -98,8 +96,7 @@ def scatter(values: list[int], dest: list[int]) -> list[int]:
 class GoppaCode:
     """Support + Goppa polynomial, with cached decoding artifacts."""
 
-    def __init__(self, field: Field, params: CodeParams, support: list[int], goppa_poly: list[int]):
-        goppa_poly = poly_trim(goppa_poly)
+    def __init__(self, field: Field, params: CodeParams, support: list[int], goppa_poly: int):
         if field.m != params.m:
             raise ParameterError("field degree does not match the parameters")
         if len(support) != params.n:
@@ -108,9 +105,8 @@ class GoppaCode:
             raise ParameterError("support elements must be pairwise distinct")
         if any(not 0 <= a < field.order for a in support):
             raise ParameterError("support element outside the field")
-        if any(not 0 <= c < field.order for c in goppa_poly):
-            raise ParameterError("Goppa polynomial coefficient outside the field")
-        if len(goppa_poly) - 1 != params.t or goppa_poly[-1] != 1:
+        # a negative int fails too: shifted down, it stays negative
+        if goppa_poly >> (params.m * params.t) != 1:
             raise ParameterError("Goppa polynomial must be monic of degree t")
         self.field = field
         self.params = params
@@ -201,7 +197,7 @@ class GoppaCode:
         g_vals = [values[log[a]] for a in self.support]
         # alpha = 0 has no log (its table entry is 0)
         if 0 in self.support:
-            g_vals[self.support.index(0)] = self.goppa_poly[0]
+            g_vals[self.support.index(0)] = self.goppa_poly & q1
         return g_vals
 
     def _field_rows(self) -> list[list[int]]:
@@ -225,14 +221,14 @@ class GoppaCode:
         return rows
 
     def _tables(self) -> tuple:
-        """Packed g, its modulus and mul_tables, and the mul_tables of
-        sqrt(x) mod g: what decoding needs of g, built at the first."""
+        """g's modulus and mul_tables, and the mul_tables of sqrt(x) mod
+        g: what decoding needs of g, built at the first."""
         if self._decoder is None:
             fld = self.field
-            g = pack(fld, self.goppa_poly)
+            g = self.goppa_poly
             mod = modulus(fld, g)
             root_x = sqrt_x_mod(fld, g, mod)
-            self._decoder = (g, mod, mul_tables(fld, g), mul_tables(fld, root_x))
+            self._decoder = (mod, mul_tables(fld, g), mul_tables(fld, root_x))
         return self._decoder
 
     def syndrome_poly(self, synd: int) -> int:
@@ -249,7 +245,7 @@ class GoppaCode:
         mask = self.field.order - 1
         lo_bits = m // 2
         lo_mask = (1 << lo_bits) - 1
-        _, _, (g_lo, g_hi), _ = self._tables()
+        _, (g_lo, g_hi), _ = self._tables()
         acc = 0
         for r in range(t):
             c = (synd >> (m * r)) & mask
@@ -287,7 +283,8 @@ class GoppaCode:
         """Patterson's error locator sigma for a nonzero syndrome; every
         step from S(x) to sigma = a^2 + x*b^2 is packed in one int."""
         fld = self.field
-        g, mod, _, root_x = self._tables()
+        mod, _, root_x = self._tables()
+        g = self.goppa_poly
         try:
             t_poly = poly_inv_mod(fld, self.syndrome_poly(synd), g)
         except ZeroDivisionError:
@@ -310,12 +307,11 @@ class GoppaCode:
         Lane e of sigma's power planes holds sigma(alpha^e), so the
         nonzero roots are the lanes that are zero on every plane, and
         alpha = 0 is a root exactly when sigma_0 = 0.  Each root maps to
-        its support position; roots off the support are dropped.  sigma
-        is unpacked here, once, for power_planes.
+        its support position; roots off the support are dropped.
         """
         q1 = self.field.order - 1
         nonzero = 0
-        for plane in power_planes(self.field, unpack(self.field, sigma)):
+        for plane in power_planes(self.field, sigma):
             nonzero |= plane
         roots = nonzero ^ ((1 << q1) - 1)
         if not sigma & q1:
@@ -353,11 +349,13 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
     never needs filtering.  Codes whose binary parity check is rank
     deficient are resampled so that n - k = m*t holds exactly.
     """
-    field = Field(params.m)
+    m, t = params.m, params.t
+    field = Field(m)
     for _ in range(RESAMPLE_LIMIT):
         support = rng.sample(field.order, params.n)
-        for _ in range(POLY_TRIALS_PER_DEGREE * params.t):
-            g = [rng.randbits(params.m) for _ in range(params.t)] + [1]
+        for _ in range(POLY_TRIALS_PER_DEGREE * t):
+            # g_0 .. g_(t-1) drawn in that order, under the leading 1
+            g = sum(rng.randbits(m) << (m * i) for i in range(t)) | 1 << (m * t)
             if is_irreducible(field, g):
                 break
         else:
@@ -365,6 +363,6 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         code = GoppaCode(field, params, support, g)
         rows: list[int] = []
         code.parity_check(rows)
-        if BinaryMatrix(len(rows), params.n, rows).rank() == params.m * params.t:
+        if BinaryMatrix(len(rows), params.n, rows).rank() == m * t:
             return code
     raise GenerationFailure("could not sample a full-rank code")

@@ -18,8 +18,10 @@ Public key file (bit exact):
 All three Kal1 schemes publish one ``scheme.Kal1PublicKey``: its seed
 policy (dense, sparse or run) picks the scheme id, and the positions or
 the run are derived from its seed row when it is written (``seed_fields``).
-A row with no such form (more than 255 ones, or anything but one run of
-at least two ones that fits the length field) raises FormatError.
+A row with no such form (no ones or more than 255, or anything but one
+run of at least two ones that fits the length field) raises FormatError,
+and so does a Niederreiter check not in systematic form: what cannot be
+read back is not written.
 Parsing returns the same class, with the policy the scheme id names, and
 accepts Kal1-S1/S2 fields only when they name a row of at most n-k bits
 that ``seed_fields`` writes back as exactly those fields, and with a
@@ -193,8 +195,9 @@ def seed_fields(sid: int, seed_row: int) -> list[int]:
     such form."""
     if sid == SCHEME_KAL1_S1:
         positions = [i for i in range(seed_row.bit_length()) if seed_row >> i & 1]
-        if len(positions) > 255:
-            raise FormatError("more than 255 positions cannot be serialized")
+        # w = 0 names no valid policy, and a u8 holds no more than 255
+        if not 1 <= len(positions) <= 255:
+            raise FormatError("a Kal1-S1 row must have 1 to 255 ones")
         return positions
     start = (seed_row & -seed_row).bit_length() - 1
     run = seed_row.bit_length() - start
@@ -212,13 +215,15 @@ def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
 
 def serialize_public_key(key: scheme.PublicKey) -> bytes:
     """The .pk bytes; a Kal1 key is written in the form its seed policy
-    names, with the fields derived from its seed row."""
+    names, with the fields derived from its seed row.  A key that
+    parse_public_key would refuse raises FormatError instead."""
     params = key.params
     nk = params.redundancy
     sid = scheme_id(key)
     out = _BitWriter()
     fields = []
     if sid == SCHEME_NIEDERREITER:
+        _check_systematic(key.check_t.row_ints, params)
         for row in key.check_t.row_ints:
             out.put_vector(row, nk)
     elif key.seed_row >> nk:
@@ -267,6 +272,12 @@ def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPo
     return scheme.RunSeed(run_start, run_len)
 
 
+def _check_systematic(rows: list[int], params: CodeParams) -> None:
+    """FormatError unless the rows of check_t past the k-th are the identity."""
+    if rows[params.k :] != [1 << i for i in range(params.redundancy)]:
+        raise FormatError("check matrix is not in systematic form")
+
+
 def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
@@ -280,9 +291,7 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
     if sid == SCHEME_NIEDERREITER:
         rows = [rd.take_vector(nk) for _ in range(params.n)]
         rd.expect_zero_padding()
-        for i in range(nk):
-            if rows[params.k + i] != 1 << i:
-                raise FormatError("check matrix is not in systematic form")
+        _check_systematic(rows, params)
         return niederreiter.NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, rows))
     start = run = 0
     if sid == SCHEME_KAL1:
@@ -297,15 +306,15 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
             fields = [rd.take_uint(width), rd.take_uint(width)]
             start, run = fields
             seed_row = ((1 << run) - 1) << start
-        # the fields are the ones serialize_public_key writes for this row
-        if seed_row >> nk or seed_fields(sid, seed_row) != fields:
-            raise FormatError("payload fields are not the canonical form of a seed row")
-    rd.expect_zero_padding()
     policy = _policy_for(sid, w, start, run)
     try:
         scheme.validate_policy(policy, nk)
     except PolicyError as exc:
         raise FormatError(f"invalid public key header: {exc}") from exc
+    # the fields are the ones serialize_public_key writes for this row
+    if sid != SCHEME_KAL1 and (seed_row >> nk or seed_fields(sid, seed_row) != fields):
+        raise FormatError("payload fields are not the canonical form of a seed row")
+    rd.expect_zero_padding()
     return scheme.Kal1PublicKey(params, seed_row, policy)
 
 

@@ -106,6 +106,8 @@ class SeededRng:
         return out
 
     def permutation(self, n: int) -> list[int]:
+        if n < 0:
+            raise ParameterError("permutation size must be non-negative")
         arr = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), self._below_each(n, 1)):
             arr[i], arr[j] = arr[j], arr[i]

@@ -58,6 +58,7 @@ PLANES = "test_root_screen.py::test_power_planes_hold_f_at_every_element"
 MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
 DRAWS = "test_keygen_kernels.py::test_permutation_and_sample_match_the_unbuffered_oracle"
 ROW_COUNT = "test_keygen_kernels.py::test_eliminate_matches_oracle_at_every_row_count"
+EDGES = "test_root_screen.py::test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -104,8 +105,8 @@ MUTANTS = [
     Mutant(
         "gcd-zero-product-as-coprime",
         "gf2m.py",
-        "if not _euclid(field, packed_f, product, m)[1]:",
-        "if product and not _euclid(field, packed_f, product, m)[1]:",
+        "if not _euclid(field, f, product, m)[1]:",
+        "if product and not _euclid(field, f, product, m)[1]:",
         (BUILT,),
     ),
     Mutant(
@@ -129,6 +130,22 @@ MUTANTS = [
         "for j in hi[c >> lo_bits]:",
         "for j in lo[c >> lo_bits]:",
         (PLANES,),
+    ),
+    Mutant(
+        # a coefficient read with every coefficient above it
+        "planes-coefficient-unmasked",
+        "gf2m.py",
+        "c = f >> (m * i) & q1",
+        "c = f >> (m * i)",
+        (PLANES, EDGES),
+    ),
+    Mutant(
+        # the top coefficient of packed f is left out
+        "planes-one-coefficient-short",
+        "gf2m.py",
+        "count = (f.bit_length() + m - 1) // m",
+        "count = (f.bit_length() - 1) // m",
+        (PLANES, EDGES),
     ),
     Mutant(
         "planes-reduce-start-dropped",
@@ -182,6 +199,14 @@ MUTANTS = [
         ("test_fast_kernels.py::test_syndrome_poly_matches_oracle_at_every_scale",),
     ),
     Mutant(
+        # any g with a nonzero top, negative ones included, is let in
+        "goppa-monic-check-admits-any-top",
+        "goppa.py",
+        "if goppa_poly >> (params.m * params.t) != 1:",
+        "if goppa_poly >> (params.m * params.t) == 0:",
+        ("test_goppa.py::test_code_constructor_validations",),
+    ),
+    Mutant(
         "permuted-rebuilds-sqrt-x",
         "goppa.py",
         "out._decoder = self._decoder",
@@ -204,6 +229,13 @@ MUTANTS = [
         ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
     ),
     # the one rejection loop of permutation and sample
+    Mutant(
+        "permutation-admits-n-of-minus-1",
+        "rng.py",
+        "if n < 0:",
+        "if n < -1:",
+        ("test_rng.py::test_permutation_of_a_negative_size_raises_before_any_read",),
+    ),
     Mutant(
         "randbelow-admits-the-bound",
         "rng.py",
@@ -300,9 +332,24 @@ MUTANTS = [
     Mutant(
         "parse-skips-the-canonical-form-rule",
         "keyio.py",
-        "if seed_row >> nk or seed_fields(sid, seed_row) != fields:",
-        "if seed_row >> nk:",
+        "(seed_row >> nk or seed_fields(sid, seed_row) != fields)",
+        "seed_row >> nk",
         ("test_keyio.py::test_parse_rejects_noncanonical_seed_fields",),
+    ),
+    # write only what can be read back
+    Mutant(
+        "seed-fields-admit-a-row-with-no-ones",
+        "keyio.py",
+        "if not 1 <= len(positions) <= 255:",
+        "if len(positions) > 255:",
+        ("test_keyio.py::test_sparse_key_with_no_positions_is_refused_on_write",),
+    ),
+    Mutant(
+        "serialize-skips-the-systematic-check",
+        "keyio.py",
+        "        _check_systematic(key.check_t.row_ints, params)\n",
+        "",
+        ("test_keyio.py::test_parse_rejects_non_systematic_check",),
     ),
     # the constant-weight codec
     Mutant(

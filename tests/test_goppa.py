@@ -9,13 +9,13 @@ import pytest
 from kal1 import goppa
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
-from kal1.gf2m import Field, is_irreducible, pack, unpack
+from kal1.gf2m import Field, is_irreducible
 from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
 from conftest import MID, SQUARE_Q, TOY, check_rows, seed_bytes, to_dense
-from oracles import poly_eval, poly_mul
+from oracles import pack, poly_eval, poly_mul, unpack
 
 # frozen draw for generate_code(TOY, seed 1)
 TOY_SUPPORT = [5, 6, 12, 8, 1, 14, 2, 10, 9, 4, 3, 15, 7, 0, 13, 11]
@@ -45,7 +45,7 @@ def test_params_validation():
 
 def test_generate_code_pinned_fixture(toy_code):
     assert toy_code.support == TOY_SUPPORT
-    assert toy_code.goppa_poly == TOY_G
+    assert toy_code.goppa_poly == pack(toy_code.field, TOY_G) == 0x19F
 
 
 def test_support_is_permutation_when_full_length(toy_code):
@@ -57,22 +57,22 @@ def test_goppa_poly_is_irreducible_and_rootless(toy_code):
     field = toy_code.field
     assert is_irreducible(field, toy_code.goppa_poly)
     for a in range(16):
-        assert poly_eval(field, toy_code.goppa_poly, a) != 0
+        assert poly_eval(field, unpack(field, toy_code.goppa_poly), a) != 0
 
 
 def test_code_constructor_validations(toy_code):
     field = Field(4)
     params = TOY
+    g = pack(field, TOY_G)
     with pytest.raises(ParameterError):
-        GoppaCode(field, params, TOY_SUPPORT[:-1] + [TOY_SUPPORT[0]], TOY_G)  # duplicate
-    with pytest.raises(ParameterError):
-        GoppaCode(field, params, TOY_SUPPORT, [1, 0, 2])  # not monic
-    with pytest.raises(ParameterError):
-        GoppaCode(field, params, TOY_SUPPORT, [0, 0, 1])  # x^2 vanishes at 0
-    # a g with a coefficient outside the field once built a code whose
-    # every decode raised IndexError
-    for g in ([17, 2, 1], [16, 2, 1], [3, -1, 1], [3, 2, 17]):
-        with pytest.raises(ParameterError, match="coefficient outside the field"):
+        GoppaCode(field, params, TOY_SUPPORT[:-1] + [TOY_SUPPORT[0]], g)  # duplicate
+    with pytest.raises(ParameterError, match="vanishes"):
+        GoppaCode(field, params, TOY_SUPPORT, pack(field, [0, 0, 1]))  # x^2 vanishes at 0
+    # negative, not monic, or of another degree than t = 2
+    bad = [-g, -(1 << 8), pack(field, [1, 0, 2]), pack(field, [15, 9, 3])]
+    bad += [0, pack(field, [3, 1]), pack(field, [15, 9, 1, 1]), g << 4]
+    for g in bad:
+        with pytest.raises(ParameterError, match="monic of degree t"):
             GoppaCode(field, params, list(range(16)), g)
 
 
@@ -84,23 +84,23 @@ def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
     support = list(range(1, 13))
     for root in support:
         with pytest.raises(ParameterError, match="vanishes"):
-            GoppaCode(field, params, support, poly_mul(field, [root, 1], [14, 1]))
-    GoppaCode(field, params, support, poly_mul(field, [13, 1], [14, 1]))
+            GoppaCode(field, params, support, pack(field, poly_mul(field, [root, 1], [14, 1])))
+    GoppaCode(field, params, support, pack(field, poly_mul(field, [13, 1], [14, 1])))
     # mid scale, whole field: x + root times x^7 + x + 1, which stays
     # irreducible over GF(2^8) since gcd(7, 8) = 1, so root is g's only root
     field = Field(8)
     h = [1, 1, 0, 0, 0, 0, 0, 1]
-    assert is_irreducible(field, h)
+    assert is_irreducible(field, pack(field, h))
     for root in (1, 2, 97, 255):
         with pytest.raises(ParameterError, match="vanishes"):
-            GoppaCode(field, MID, list(range(256)), poly_mul(field, [root, 1], h))
+            GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, [root, 1], h)))
 
 
 def test_parity_check_first_row_and_shape(toy_code):
     pc = toy_code.parity_check()
     field = toy_code.field
     for i, alpha in enumerate(toy_code.support):
-        expected = field.inv(poly_eval(field, toy_code.goppa_poly, alpha))
+        expected = field.inv(poly_eval(field, unpack(field, toy_code.goppa_poly), alpha))
         assert toy_code._field_rows()[0][i] == expected
     rows = check_rows(toy_code)
     assert rows == oracles.binary_check(toy_code)
@@ -304,9 +304,10 @@ def test_square_goppa_poly_decodes_weight_one_errors():
         [a, b, 1]
         for a in range(1, 256)
         for b in range(256)
-        if is_irreducible(field, [a, b, 1])
+        if is_irreducible(field, pack(field, [a, b, 1]))
     )
-    code = GoppaCode(field, CodeParams(64, 32, 4, 8), list(range(1, 65)), poly_mul(field, q, q))
+    g = pack(field, poly_mul(field, q, q))
+    code = GoppaCode(field, CodeParams(64, 32, 4, 8), list(range(1, 65)), g)
     pc = code.parity_check()
     for i in range(64):
         assert code.decode(pc.syndrome(1 << i)) == 1 << i
@@ -360,8 +361,8 @@ NON_INVERTIBLE_SYNDROME = 0xA34D7FB801000000
 
 def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
     field = Field(8)
-    code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
-    assert is_irreducible(field, SQUARE_Q)
+    code = GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
+    assert is_irreducible(field, pack(field, SQUARE_Q))
     sigma = code._locator(MISMATCH_SYNDROME)
     assert code._locator_roots(sigma).bit_count() == len(unpack(field, sigma)) - 1 == MID.t
     with pytest.raises(DecodingFailure) as info:
@@ -372,7 +373,7 @@ def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
 
 def test_non_invertible_syndrome_fails_as_syndrome_not_invertible():
     field = Field(8)
-    code = GoppaCode(field, MID, list(range(256)), poly_mul(field, SQUARE_Q, SQUARE_Q))
+    code = GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
     assert unpack(field, code.syndrome_poly(NON_INVERTIBLE_SYNDROME)) == SQUARE_Q
     with pytest.raises(DecodingFailure) as info:
         code.decode(NON_INVERTIBLE_SYNDROME)

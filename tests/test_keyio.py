@@ -179,11 +179,17 @@ def test_parse_rejects_non_systematic_check(toy_nied):
     broken.params = pub.params
     rows = list(pub.check_t.row_ints)
     rows[TOY.k] ^= 0b10  # damage the identity block
-    from kal1.binmat import BinaryMatrix
-
-    broken.check_t = BinaryMatrix(TOY.n, TOY.redundancy, rows)
-    blob = keyio.serialize_public_key(broken)
-    with pytest.raises(FormatError):
+    broken.check_t = binmat.BinaryMatrix(TOY.n, TOY.redundancy, rows)
+    # the writer refuses the key, so its file is written by hand
+    with pytest.raises(FormatError, match="not in systematic form"):
+        keyio.serialize_public_key(broken)
+    out = keyio._BitWriter()
+    for row in rows:
+        out.put_vector(row, TOY.redundancy)
+    blob = keyio._pack_header(keyio.MAGIC_PUBLIC, keyio.SCHEME_NIEDERREITER, TOY, 0) + out.to_bytes()
+    good = keyio.serialize_public_key(pub)
+    assert (int.from_bytes(blob, "big") ^ int.from_bytes(good, "big")).bit_count() == 1
+    with pytest.raises(FormatError, match="not in systematic form"):
         keyio.parse_public_key(blob)
 
 
@@ -212,36 +218,38 @@ def random_wire_keys():
 def test_round_trip_randomized_all_three_forms():
     refused = 0
     for key in random_wire_keys():
-        blob = keyio.serialize_public_key(key)
         if key.policy == scheme.SparseSeed(0):
-            # weight 0 is no valid policy, so it is written but not read
-            with pytest.raises(FormatError, match="sparse weight"):
-                keyio.parse_public_key(blob)
+            # weight 0 is no valid policy, so it is neither written nor read
+            with pytest.raises(FormatError, match="must have 1 to 255 ones"):
+                keyio.serialize_public_key(key)
             refused += 1
         else:
-            assert keyio.parse_public_key(blob) == key
+            assert keyio.parse_public_key(keyio.serialize_public_key(key)) == key
     assert refused == 5
 
 
-# frozen: SHA-256 over the serialized random_wire_keys(), in order
-RANDOM_WIRE_KEYS_SHA256 = "89450322c9893b199385404008b7d517aba122ab6d4cdb9c751f1fdb303ba926"
-# frozen: a Kal1-S1 key with no positions is a bare header with w = 0
-EMPTY_S1_BLOB = "4b31504b01020400020c0032000a00"
+# frozen: SHA-256 over the serialized random_wire_keys(), in order, less
+# the 5 Kal1-S1 keys with no positions, which are refused; the bytes of
+# the other 295 are those the writer gave when it still wrote all 300
+RANDOM_WIRE_KEYS_SHA256 = "4a8d6514dc5e855dd6c05f9c637953adf46ec0a4314ade3b38ae58b84b1bb853"
 
 
 def test_randomized_wire_bytes_are_pinned():
     h = hashlib.sha256()
     for key in random_wire_keys():
-        h.update(keyio.serialize_public_key(key))
+        if key.policy != scheme.SparseSeed(0):
+            h.update(keyio.serialize_public_key(key))
     assert h.hexdigest() == RANDOM_WIRE_KEYS_SHA256
 
 
-def test_sparse_key_with_no_positions_is_written_but_not_parsed(capsys, tmp_path):
+def test_sparse_key_with_no_positions_is_refused_on_write(capsys, tmp_path):
     key = sparse_key(FULL, ())
-    blob = keyio.serialize_public_key(key)
-    assert blob.hex() == EMPTY_S1_BLOB
     assert keyio.payload_bits(key) == 0
-    # the header-only file names SparseSeed(0), which load_private_key refuses too
+    with pytest.raises(FormatError, match="a Kal1-S1 row must have 1 to 255 ones"):
+        keyio.serialize_public_key(key)
+    # the header-only file it would be names SparseSeed(0), which the
+    # readers refuse
+    blob = seed_payload_blob(keyio.SCHEME_KAL1_S1, FULL, [])
     with pytest.raises(FormatError, match="invalid public key header: sparse weight"):
         keyio.parse_public_key(blob)
     path = tmp_path / "empty.pk"

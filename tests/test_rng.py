@@ -3,7 +3,7 @@ entry point does."""
 
 import pytest
 
-from kal1 import Kal1Error, SeededRng
+from kal1 import Kal1Error, ParameterError, SeededRng
 
 
 @pytest.mark.parametrize("nbytes", [0, 15, 17])
@@ -25,3 +25,12 @@ def test_seed_of_wrong_length_raises_kal1_error(nbytes):
 def test_bad_draw_arguments_raise_kal1_error(draw, args):
     with pytest.raises(Kal1Error):
         getattr(SeededRng(bytes(16)), draw)(*args)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -1025])
+def test_permutation_of_a_negative_size_raises_before_any_read(n):
+    # as sample(-1, 0) does; the stream then goes on from its first byte
+    rng = SeededRng(bytes(16))
+    with pytest.raises(ParameterError, match="permutation size"):
+        rng.permutation(n)
+    assert rng.read(16) == SeededRng(bytes(16)).read(16)

@@ -7,8 +7,10 @@ plane) must agree with a scan of ``oracles.poly_eval`` over the whole
 field.  ``is_irreducible`` must decide like the batched Ben-Or it
 replaced, which took a gcd at level 1, and like the level-by-level
 oracle, on both sides of the degree-4 cut below which a rootless
-polynomial is irreducible.  A code's values of g must equal
-``poly_eval`` on supports with and without 0.  The bit writer and
+polynomial is irreducible.  Both take f packed, and must agree with
+the list oracles on the zero polynomial, a constant, degrees 1 to 3,
+f_0 = 0 and a degree one past the cached powers.  A code's values of
+g must equal ``poly_eval`` on supports with and without 0.  The bit writer and
 reader must round-trip and give the old codec's bytes and errors on
 truncated and padded payloads.
 """
@@ -23,7 +25,7 @@ from kal1.gf2m import Field, is_irreducible, power_planes
 from kal1.goppa import CodeParams, GoppaCode
 
 import oracles
-from oracles import poly_mul
+from oracles import pack, poly_mul, unpack
 
 FIELDS = {m: Field(m) for m in range(4, 17)}
 
@@ -93,7 +95,7 @@ def test_power_planes_hold_f_at_every_element(m):
     # every lane up to m = 12, a sample and both ends above
     lanes = range(q1) if m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
     for label, f in cases(m):
-        planes = power_planes(field, f)
+        planes = power_planes(field, pack(field, f))
         assert len(planes) == m and all(p >> q1 == 0 for p in planes), label
         for e in lanes:
             assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), (label, e)
@@ -105,11 +107,11 @@ def test_extended_power_cache_equals_a_fresh_build(monkeypatch, m):
     rnd = random.Random(f"extend/{m}")
     polys = [[rnd.randrange(field.order) for _ in range(d)] + [1] for d in (1, 3, 2, 9, 7)]
     monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
-    grown = [power_planes(field, f) for f in polys]
+    grown = [power_planes(field, pack(field, f)) for f in polys]
     assert len(gf2m._POWER_PLANES[m]) == 10
     for f, planes in zip(polys, grown):
         monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
-        assert power_planes(field, f) == planes
+        assert power_planes(field, pack(field, f)) == planes
         assert len(gf2m._POWER_PLANES[m]) == max(2, len(f))
 
 
@@ -119,7 +121,7 @@ def test_root_test_matches_a_scan_of_the_field(m):
     full = (1 << (field.order - 1)) - 1
     for label, f in cases(m):
         nonzero = 0
-        for plane in power_planes(field, f):
+        for plane in power_planes(field, pack(field, f)):
             nonzero |= plane
         has_root = f[0] == 0 or nonzero != full
         scan = any(oracles.poly_eval(field, f, a) == 0 for a in range(field.order))
@@ -134,7 +136,7 @@ def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
     for label, f in cases(m):
         expected = oracles.is_irreducible(field, f)
         batched = oracles.batched_is_irreducible(field, f)
-        assert is_irreducible(field, f) is batched is expected, label
+        assert is_irreducible(field, pack(field, f)) is batched is expected, label
         if label.startswith("irreducible-"):
             assert expected, label
         elif not label.startswith(("random-", "extreme-")):
@@ -150,7 +152,56 @@ def test_is_irreducible_matches_the_batched_oracle_around_the_degree_4_cut(m, t)
     rnd = random.Random(f"cut/{m}/{t}")
     for _ in range(200):
         f = [rnd.randrange(field.order) for _ in range(t)] + [1]
-        assert is_irreducible(field, f) is oracles.batched_is_irreducible(field, f)
+        assert is_irreducible(field, pack(field, f)) is oracles.batched_is_irreducible(field, f)
+
+
+# --- packed f against the list oracles, at the edges of the form ---
+
+PACKED_MS = (4, 8, 10, 12, 16)
+
+
+def lanes_to_check(field, rnd):
+    """Every lane up to m = 12, a sample and both ends above."""
+    q1 = field.order - 1
+    return range(q1) if field.m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
+
+
+def edge_cases(field, rnd):
+    """(label, f): the zero polynomial, a constant, then degrees 1 to 3
+    with any leading coefficient, each with a random f_0 and with f_0 = 0."""
+    q = field.order
+    out = [("zero", []), ("constant", [rnd.randrange(1, q)])]
+    for d in (1, 2, 3):
+        f = [rnd.randrange(q) for _ in range(d)] + [rnd.randrange(1, q)]
+        out += [(f"degree-{d}", f), (f"degree-{d}-f0-zero", [0] + f[1:])]
+    return out
+
+
+@pytest.mark.parametrize("m", PACKED_MS)
+def test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges(m):
+    field = FIELDS[m]
+    rnd = random.Random(f"edges/{m}")
+    lanes = lanes_to_check(field, rnd)
+    for label, f in edge_cases(field, rnd):
+        packed = pack(field, f)
+        assert unpack(field, packed) == oracles.poly_trim(f), label
+        planes = power_planes(field, packed)
+        for e in lanes:
+            assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), (label, e)
+        assert is_irreducible(field, packed) is oracles.is_irreducible(field, f), label
+
+
+@pytest.mark.parametrize("m", PACKED_MS)
+def test_packed_planes_one_degree_past_the_cache_extend_it(m):
+    # the cache holds A_0 .. A_(d-1); an f of degree d needs A_d as well
+    field = FIELDS[m]
+    rnd = random.Random(f"one-past/{m}")
+    d = len(gf2m._powers_of_alpha(field, 1))
+    f = [rnd.randrange(field.order) for _ in range(d)] + [rnd.randrange(1, field.order)]
+    planes = power_planes(field, pack(field, f))
+    assert len(gf2m._POWER_PLANES[m]) == d + 1
+    for e in lanes_to_check(field, rnd):
+        assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), e
 
 
 # --- the values of g on the support ---
@@ -165,8 +216,8 @@ def test_goppa_values_match_poly_eval(m, t, with_zero):
     support = rnd.sample(range(1, field.order), n - with_zero) + ([0] if with_zero else [])
     rnd.shuffle(support)
     params = CodeParams(n, n - m * t, t, m)
-    code = GoppaCode(field, params, support, irreducible(field, t, rnd))
-    expected = [oracles.poly_eval(field, code.goppa_poly, a) for a in support]
+    code = GoppaCode(field, params, support, pack(field, irreducible(field, t, rnd)))
+    expected = [oracles.poly_eval(field, unpack(field, code.goppa_poly), a) for a in support]
     assert code._g_values == expected == oracles.eval_goppa_poly(code)
 
 
@@ -185,11 +236,11 @@ def test_goppa_values_of_a_g_with_roots_off_the_support(with_zero):
     support = rnd.sample(others, 8 * t + 20)
     if with_zero:
         support[rnd.randrange(len(support))] = 0
-    code = GoppaCode(field, CodeParams(len(support), 20, t, 8), support, g)
+    code = GoppaCode(field, CodeParams(len(support), 20, t, 8), support, pack(field, g))
     assert code._g_values == [oracles.poly_eval(field, g, a) for a in support]
     # and a root on the support is refused
     with pytest.raises(ParameterError, match="vanishes"):
-        GoppaCode(field, CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], g)
+        GoppaCode(field, CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], pack(field, g))
 
 
 # --- the bit writer and reader ---
