@@ -9,7 +9,9 @@ form of a polynomial is kept, and no packed int can hold a coefficient
 outside the field.  One Euclid loop serves Patterson's inverse, his
 split of (a, b) and Ben-Or's gcds: each quotient term is the XOR of the
 divisor's alpha multiples over the set bits of a scalar, read from two
-small tables, one per half of its bits.
+small tables, one per half of its bits.  The Frobenius maps, squares
+and sqrt_halves, move bits by bytes.translate tables over the whole
+int and fold or scale what the move leaves: no loop per coefficient.
 """
 
 from __future__ import annotations
@@ -81,8 +83,23 @@ class Field:
 # --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---
 
 
-# m -> the top bit of each coefficient of the widest packed poly so far
-_TOPS: dict[int, int] = {}
+@functools.cache
+def _slots(m: int, size: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """Masks over 2^size coefficients of m bits: the top bit of each, the
+    odd m-bit slots of their spread (twice as many), and the low
+    ceil(m/2) and floor(m/2) bits of each; then the reduction
+    polynomial's low taps.  A mask serves every narrower packed int, and
+    size = (bit length // m).bit_length() covers an int of that length."""
+    count = 1 << size
+    ones = ((1 << (m * count)) - 1) // ((1 << m) - 1)
+    pairs = ((1 << (2 * m * count)) - 1) // ((1 << (2 * m)) - 1)
+    return (
+        ones << (m - 1),
+        pairs * (((1 << m) - 1) << m),
+        ones * ((1 << (m + 1) // 2) - 1),
+        ones * ((1 << m // 2) - 1),
+        tuple(s for s in range(m) if REDUCTION_POLYS[m] >> s & 1),
+    )
 
 
 def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
@@ -90,11 +107,8 @@ def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
     shifts every coefficient up one bit and folds the bit that leaves
     it back in through the low bits of the reduction polynomial."""
     m = field.m
-    mask = field.order - 1
-    tops = _TOPS.get(m, 0)
-    if v >> tops.bit_length():
-        tops = _TOPS[m] = ((1 << m * (v.bit_length() // m + 1)) - 1) // mask << (m - 1)
-    red = field.reduction_poly & mask
+    tops = _slots(m, (v.bit_length() // m).bit_length())[0]
+    red = field.reduction_poly & (field.order - 1)
     out = [v]
     for _ in range(count - 1):
         top = v & tops
@@ -225,36 +239,73 @@ def euclid(field: Field, r0: int, r1: int, dbound: int) -> tuple[int, int]:
     return b >> s, b & ((1 << s) - 1)
 
 
+def _byte_table(values: list[int]) -> bytes:
+    """The bytes.translate table of b -> the XOR of values[j] over the set
+    bits j of b, built by doubling as split builds its tables."""
+    table = [0]
+    for v in values:
+        table += [acc ^ v for acc in table]
+    return bytes(table)
+
+
+# bits 0-3 of a byte to bits 0, 2, 4, 6, and bits 4-7 to the same bits of
+# the next byte: bit p of an int moves to bit 2p
+_SPREAD_LO = _byte_table([1, 4, 16, 64, 0, 0, 0, 0])
+_SPREAD_HI = _byte_table([0, 0, 0, 0, 1, 4, 16, 64])
+# bits 0, 2, 4, 6 or bits 1, 3, 5, 7 of a byte to bits 0-3
+_EVENS = _byte_table([1, 0, 2, 0, 4, 0, 8, 0])
+_ODDS = _byte_table([0, 1, 0, 2, 0, 4, 0, 8])
+
+
 def squares(field: Field, v: int) -> int:
-    """Packed v(x)^2: in characteristic 2 each coefficient is squared,
-    one antilog at twice its log, and moves to twice its degree."""
+    """Packed v(x)^2.  In characteristic 2 each coefficient is squared
+    and moves to twice its degree, and the square of c, unreduced, moves
+    bit j of c to bit 2j: so bit p of v moves to bit 2p, by byte tables.
+    That leaves the square of coefficient i in the 2m bits from 2m*i;
+    its bits m to 2m - 2, in the odd m-bit slot above coefficient 2i,
+    fold back down through the reduction polynomial's low taps until no
+    odd slot holds a bit."""
     m = field.m
-    mask = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    out = 0
-    for i in range((v.bit_length() + m - 1) // m):
-        c = (v >> (m * i)) & mask
-        if c:
-            out |= exp[log[c] << 1] << (2 * m * i)
+    _, odd, _, _, taps = _slots(m, (v.bit_length() // m).bit_length())
+    src = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    spread = bytearray(2 * len(src))
+    spread[0::2] = src.translate(_SPREAD_LO)
+    spread[1::2] = src.translate(_SPREAD_HI)
+    out = int.from_bytes(spread, "little")
+    high = out & odd
+    while high:
+        out ^= high
+        high >>= m
+        for s in taps:
+            out ^= high << s
+        high = out & odd
     return out
 
 
 def sqrt_halves(field: Field, v: int) -> tuple[int, int]:
-    """Packed (A, B) with v(x) = A(x)^2 + x*B(x)^2.  The square root of
-    a coefficient c is the antilog at half of log(c) modulo the odd
-    2^m - 1: half of log(c), or of log(c) + 2^m - 1 when it is odd."""
+    """Packed (A, B) with v(x) = A(x)^2 + x*B(x)^2: A holds the square
+    roots of the even-index coefficients, B those of the odd ones.
+
+    The square root of c is E + sqrt(alpha)*O, where E and O compact the
+    even and odd bits of c, and sqrt(alpha) = alpha^(2^(m-1)).  The even
+    and odd bits of all of v, compacted by byte tables, hold E and O of
+    each pair of coefficients in one m-bit slot: the even-index
+    coefficient's in the low bits, the odd-index one's above them, where
+    an odd m swaps E and O.  One scale multiplies both O halves."""
     m = field.m
-    q1 = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    halves = [0, 0]
-    for i in range((v.bit_length() + m - 1) // m):
-        c = (v >> (m * i)) & q1
-        if c:
-            e = log[c]
-            halves[i & 1] |= exp[(e + (e & 1) * q1) >> 1] << (m * (i >> 1))
-    return halves[0], halves[1]
+    count = -(-v.bit_length() // m)
+    _, _, evens, odds, _ = _slots(m, count.bit_length())
+    src = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    # each table leaves a nibble per byte; byte pairs join them
+    ev, od = (
+        int.from_bytes(nibbles[0::2], "little") | int.from_bytes(nibbles[1::2], "little") << 4
+        for nibbles in (src.translate(_EVENS), src.translate(_ODDS))
+    )
+    hi_ev, hi_od = (od, ev) if m & 1 else (ev, od)
+    low = m // 2
+    s = m * ((count + 1) // 2)
+    root = scale(field, od & odds | (hi_od >> (m - low) & odds) << s, field.exp_table[1 << (m - 1)])
+    return ev & evens ^ root & ((1 << s) - 1), hi_ev >> low & evens ^ root >> s
 
 
 # --- Patterson's steps, the names the benchmark traces ---
@@ -417,7 +468,8 @@ def is_irreducible(field: Field, f: int) -> bool:
     Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f stays packed:
     h_i^2 lands on coefficient 2i while 2i < deg(f), and each higher h_i
     reads c -> c^2 * x^(2i) mod f from split tables built once per call.
-    Products are mul_mod, and each gcd runs euclid's loop on f and the
+    Products are mul_mod, except that a block's first h - x is its
+    product as it is, and each gcd runs euclid's loop on f and the
     product, untagged, down to a constant: 0 when they share a factor.
     """
     m = field.m
@@ -474,7 +526,11 @@ def is_irreducible(field: Field, f: int) -> bool:
     for level in range(2, last + 1):
         for _ in range(m):
             h = square(h)
-        product = mul_mod(field, mul_tables(field, h ^ x), product, mod)
+        # a block's first level is its product; h - x is reduced
+        if product == 1:
+            product = h ^ x
+        else:
+            product = mul_mod(field, mul_tables(field, h ^ x), product, mod)
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
             # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd

@@ -4,7 +4,7 @@ A code is a support sequence of n distinct GF(2^m) elements plus a
 monic irreducible degree-t polynomial g(x), one int packed as gf2m packs
 every polynomial.  The parity-check matrix over the field has entries
 alpha_i^j / g(alpha_i); its binary expansion stacks the m coefficient
-bits of each entry, coefficient 0 topmost.
+bits of each entry, coefficient 0 topmost, and is held by columns only.
 Decoding is Patterson's algorithm, which corrects any error of weight
 up to t when g is irreducible.  Its error locator is evaluated at every
 nonzero field element by power_planes, the evaluator that gives the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, eliminate
 from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, ParameterError
 from .gf2m import (
     Field,
@@ -36,6 +36,10 @@ RESAMPLE_LIMIT = 100
 # A random monic polynomial of degree t is irreducible with probability
 # about 1/t, so 40*t candidates all fail with probability about e^-40.
 POLY_TRIALS_PER_DEGREE = 40
+# m*t random columns span GF(2)^(m*t) with probability about 0.29; each
+# column past them makes a shortfall about half as likely, so with 16
+# more, generate_code ranks all n columns for about one code in 2^16.
+RANK_SPARE_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -119,23 +123,19 @@ class GoppaCode:
         self._decoder: tuple | None = None
         self._where: list[int | None] | None = None
 
-    def parity_check(self, rows: list[int] | None = None) -> ParityCheckMatrix:
+    def parity_check(self) -> ParityCheckMatrix:
         """The binary check, whose column i packs the m bits of each of
-        the t field entries of column i, entry j at bit m*j.
+        the t field entries of column i, entry j at bit m*j: bit b of
+        entry j is binary row j*m + b.
 
-        The field rows are packed by struct.  For the columns, the rows go
-        64 // m at a time: with each entry in a 64-bit lane and each row
-        shifted m bits above the one before, a group ORs into one int
-        whose lanes are its share of every column.  A call that builds
-        the check appends the m*t binary rows to a given rows list, for
-        generate_code's rank test: as 16-bit lanes of one int, bit b of
-        every entry of field row j is a strided slice of its binary
-        digits, binary row j*m + b.  The code keeps no rows.
+        The field rows are packed by struct, 64 // m at a time: with each
+        entry in a 64-bit lane and each row shifted m bits above the one
+        before, a group ORs into one int whose lanes are its share of
+        every column.  The code keeps no binary rows.
         """
         # cached; recomputation would be identical, so races are benign
         if self._pc is None:
             n, m, t = self.params.n, self.params.m, self.params.t
-            narrow = struct.Struct(f"<{n}H")
             wide = struct.Struct("<" + "H6x" * n)
             group = 64 // m
             field_rows = self._field_rows()
@@ -143,9 +143,6 @@ class GoppaCode:
             lanes = 0
             for j, entries in enumerate(field_rows):
                 field_rows[j] = None  # released once packed
-                if rows is not None:
-                    digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
-                    rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
                 lanes |= int.from_bytes(wide.pack(*entries), "little") << (m * (j % group))
                 if j % group == group - 1 or j == t - 1:
                     shift = m * (j - j % group)
@@ -347,7 +344,11 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
 
     Irreducibility implies g has no roots in GF(2^m), so the support
     never needs filtering.  Codes whose binary parity check is rank
-    deficient are resampled so that n - k = m*t holds exactly.
+    deficient are resampled so that n - k = m*t holds exactly.  The
+    check has full rank when its columns, as m*t-bit rows, do: one
+    rank() of the first m*t + RANK_SPARE_COLUMNS of them decides almost
+    every code, and only when those fall short does an elimination of
+    all n decide.
     """
     m, t = params.m, params.t
     field = Field(m)
@@ -361,8 +362,11 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         else:
             raise GenerationFailure("no irreducible Goppa polynomial among the candidates")
         code = GoppaCode(field, params, support, g)
-        rows: list[int] = []
-        code.parity_check(rows)
-        if BinaryMatrix(len(rows), params.n, rows).rank() == m * t:
+        cols = code.parity_check().column_ints
+        first = cols[: m * t + RANK_SPARE_COLUMNS]
+        if (
+            BinaryMatrix(len(first), m * t, first).rank() == m * t
+            or len(eliminate(cols, m * t, None)[0]) == m * t
+        ):
             return code
     raise GenerationFailure("could not sample a full-rank code")

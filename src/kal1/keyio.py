@@ -21,7 +21,9 @@ the run are derived from its seed row when it is written (``seed_fields``).
 A row with no such form (no ones or more than 255, or anything but one
 run of at least two ones that fits the length field) raises FormatError,
 and so does a Niederreiter check not in systematic form: what cannot be
-read back is not written.
+read back is not written.  The same holds for a private key file, whose
+header fields the caller names: its writer refuses, with the loader's
+message, any header the loader refuses.
 Parsing returns the same class, with the policy the scheme id names, and
 accepts Kal1-S1/S2 fields only when they name a row of at most n-k bits
 that ``seed_fields`` writes back as exactly those fields, and with a
@@ -250,15 +252,25 @@ def _parse_header(data: bytes, magic: bytes):
         raise FormatError(f"bad magic {got_magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if sid not in SCHEME_NAMES:
-        raise FormatError(f"unknown scheme id {sid:#04x}")
     try:
         params = CodeParams(n, k, t, m)
     except ParameterError as exc:
         raise FormatError(f"invalid parameters in header: {exc}") from exc
+    return sid, params, w
+
+
+def _check_scheme_fields(sid: int, w: int, run_start: int, run_len: int) -> None:
+    """FormatError unless the scheme id is known, the weight byte is zero
+    outside Kal1-S1 and the run fields (0 for a .pk) are zero outside
+    Kal1-S2: the rules of a key header.  The readers apply them, and so
+    do regenerate and serialize_private_key, whose callers name the
+    fields."""
+    if sid not in SCHEME_NAMES:
+        raise FormatError(f"unknown scheme id {sid:#04x}")
     if sid != SCHEME_KAL1_S1 and w != 0:
         raise FormatError("weight byte must be zero outside Kal1-S1")
-    return sid, params, w
+    if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):
+        raise FormatError("run fields must be zero outside Kal1-S2")
 
 
 def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPolicy | None:
@@ -281,6 +293,7 @@ def _check_systematic(rows: list[int], params: CodeParams) -> None:
 def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
+    _check_scheme_fields(sid, w, 0, 0)
     nk = params.redundancy
     width = position_width(nk)
     nbytes = (scheme_payload_bits(sid, params, w) + 7) // 8
@@ -325,7 +338,9 @@ def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: in
     """Rebuild the keypair a private file describes: (public key,
     private key).  The private key of every scheme is a GoppaCode with
     its positions in public order.  Fields the key header cannot carry
-    are refused before anything is drawn."""
+    are refused before anything is drawn, and so are fields the header
+    rules refuse: an unknown scheme id would otherwise name Kal1-S2."""
+    _check_scheme_fields(sid, w, run_start, run_len)
     policy = _policy_for(sid, w, run_start, run_len)
     try:
         _pack_header(MAGIC_PRIVATE, sid, params, w)
@@ -342,10 +357,20 @@ def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: in
 def serialize_private_key(
     sid: int, params: CodeParams, w: int, run_start: int, run_len: int, seed: bytes, pk_bytes: bytes
 ) -> bytes:
+    """The .sk bytes.  A header that load_private_key would refuse raises
+    FormatError with its message instead, a seed policy that keygen
+    refuses included; a valid policy keeps every field in its width."""
     if len(seed) != SEED_BYTES:
         raise FormatError(f"seed must be {SEED_BYTES} bytes")
-    tail = _PRIVATE_TAIL.pack(run_start, run_len, seed, zlib.crc32(pk_bytes))
-    return _pack_header(MAGIC_PRIVATE, sid, params, w) + tail
+    header = _pack_header(MAGIC_PRIVATE, sid, params, w)
+    _check_scheme_fields(sid, w, run_start, run_len)
+    policy = _policy_for(sid, w, run_start, run_len)
+    if policy is not None:
+        try:
+            scheme.validate_policy(policy, params.redundancy)
+        except PolicyError as exc:
+            raise FormatError(f"invalid private key header: {exc}") from exc
+    return header + _PRIVATE_TAIL.pack(run_start, run_len, seed, zlib.crc32(pk_bytes))
 
 
 def load_private_key(data: bytes):
@@ -359,10 +384,9 @@ def load_private_key(data: bytes):
         raise FormatError(f"private key file must be {_PRIVATE_SIZE} bytes, got {len(data)}")
     sid, params, w = _parse_header(data, MAGIC_PRIVATE)
     run_start, run_len, seed, crc = _PRIVATE_TAIL.unpack_from(data, _HEADER.size)
-    if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):
-        raise FormatError("run fields must be zero outside Kal1-S2")
     try:
-        # scheme.keygen checks the header's seed policy before any draw
+        # regenerate checks the scheme fields, and scheme.keygen the seed
+        # policy they name, before any draw
         pub, priv = regenerate(sid, params, w, run_start, run_len, seed)
     except PolicyError as exc:
         raise FormatError(f"invalid private key header: {exc}") from exc

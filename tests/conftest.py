@@ -5,7 +5,7 @@ from hypothesis import Phase, settings
 
 from kal1 import niederreiter, scheme
 from kal1.binmat import BinaryMatrix
-from kal1.goppa import CodeParams, GoppaCode, generate_code
+from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
 # tests/mutants.py runs the tests under this profile: the first failing
@@ -86,14 +86,6 @@ def perm_inverse(dest: list[int]) -> list[int]:
     for i, d in enumerate(dest):
         inv[d] = i
     return inv
-
-
-def check_rows(code: GoppaCode) -> BinaryMatrix:
-    """The m*t binary rows that a fresh parity_check pass over code's
-    support and g appends for generate_code's rank test."""
-    rows: list[int] = []
-    GoppaCode(code.field, code.params, code.support, code.goppa_poly).parity_check(rows)
-    return BinaryMatrix(len(rows), code.params.n, rows)
 
 
 def key_perm(params: CodeParams, seed: bytes, priv) -> list[int]:

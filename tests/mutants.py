@@ -59,6 +59,8 @@ MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
 DRAWS = "test_keygen_kernels.py::test_permutation_and_sample_match_the_unbuffered_oracle"
 ROW_COUNT = "test_keygen_kernels.py::test_eliminate_matches_oracle_at_every_row_count"
 EDGES = "test_root_screen.py::test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges"
+SQUARES = "test_fast_kernels.py::test_squares_matches_oracle"
+FROBENIUS = "test_fast_kernels.py::test_squares_and_sqrt_halves_match_their_oracles_at_every_m"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -107,6 +109,14 @@ MUTANTS = [
         "gf2m.py",
         "if not _euclid(field, f, product, m)[1]:",
         "if product and not _euclid(field, f, product, m)[1]:",
+        (BUILT,),
+    ),
+    Mutant(
+        # every level's product is its own h - x: a block keeps only its last level
+        "block-start-shortcut-past-the-start",
+        "gf2m.py",
+        "if product == 1:",
+        "if product:",
         (BUILT,),
     ),
     Mutant(
@@ -184,10 +194,11 @@ MUTANTS = [
         (MUL_MOD,),
     ),
     Mutant(
-        "alpha-tops-cache-never-grows",
+        # the top-bit mask covers half the coefficients it must
+        "alpha-tops-mask-too-narrow",
         "gf2m.py",
-        "if v >> tops.bit_length():",
-        "if not tops:",
+        "tops = _slots(m, (v.bit_length() // m).bit_length())[0]",
+        "tops = _slots(m, (v.bit_length() // m).bit_length() - 1)[0]",
         (MUL_MOD, "test_fast_kernels.py::test_poly_mul_matches_oracle"),
     ),
     # Patterson's code-level stages
@@ -205,6 +216,15 @@ MUTANTS = [
         "if goppa_poly >> (params.m * params.t) != 1:",
         "if goppa_poly >> (params.m * params.t) == 0:",
         ("test_goppa.py::test_code_constructor_validations",),
+    ),
+    Mutant(
+        # the first m*t + 16 columns alone decide, so a code whose
+        # shortfall is there is resampled though all n have full rank
+        "full-rank-fallback-dropped",
+        "goppa.py",
+        "            or len(eliminate(cols, m * t, None)[0]) == m * t\n",
+        "",
+        ("test_fast_kernels.py::test_generate_code_picks_the_oracle_code_and_leaves_the_stream_there",),
     ),
     Mutant(
         "permuted-rebuilds-sqrt-x",
@@ -287,18 +307,47 @@ MUTANTS = [
     ),
     # Patterson's packed spreads and the root positions
     Mutant(
+        # each byte's spread lands one byte up, not at twice its position
         "squares-at-the-degree-not-twice",
         "gf2m.py",
-        "out |= exp[log[c] << 1] << (2 * m * i)",
-        "out |= exp[log[c] << 1] << (m * i)",
-        ("test_fast_kernels.py::test_squares_matches_oracle",),
+        "    spread = bytearray(2 * len(src))\n"
+        "    spread[0::2] = src.translate(_SPREAD_LO)\n"
+        "    spread[1::2] = src.translate(_SPREAD_HI)\n"
+        "    out = int.from_bytes(spread, \"little\")\n",
+        "    out = int.from_bytes(src.translate(_SPREAD_LO), \"little\")"
+        " ^ int.from_bytes(src.translate(_SPREAD_HI), \"little\") << 8\n",
+        (SQUARES, FROBENIUS),
     ),
     Mutant(
+        "squares-spread-table-entry",
+        "gf2m.py",
+        "_SPREAD_LO = _byte_table([1, 4, 16, 64, 0, 0, 0, 0])",
+        "_SPREAD_LO = _byte_table([1, 4, 16, 32, 0, 0, 0, 0])",
+        (SQUARES, FROBENIUS),
+    ),
+    Mutant(
+        # m = 10 needs two passes and m = 16 four
+        "squares-fold-one-pass",
+        "gf2m.py",
+        "    while high:\n",
+        "    if high:\n",
+        (SQUARES, FROBENIUS),
+    ),
+    Mutant(
+        # the even and odd bits of the odd-index coefficients, whose
+        # places an odd m swaps, read from each other's places
         "sqrt-halves-odd-and-even-swapped",
         "gf2m.py",
-        "halves[i & 1] |=",
-        "halves[~i & 1] |=",
-        ("test_fast_kernels.py::test_sqrt_halves_match_field_sqrt",),
+        "hi_ev, hi_od = (od, ev) if m & 1 else (ev, od)",
+        "hi_ev, hi_od = (ev, od) if m & 1 else (od, ev)",
+        ("test_fast_kernels.py::test_sqrt_halves_match_field_sqrt", FROBENIUS),
+    ),
+    Mutant(
+        "sqrt-halves-root-of-alpha-exponent",
+        "gf2m.py",
+        "field.exp_table[1 << (m - 1)]",
+        "field.exp_table[(1 << m) - 1 >> 1]",
+        ("test_fast_kernels.py::test_sqrt_halves_match_field_sqrt", FROBENIUS),
     ),
     Mutant(
         "syndrome-poly-components-reversed",
@@ -343,6 +392,21 @@ MUTANTS = [
         "if not 1 <= len(positions) <= 255:",
         "if len(positions) > 255:",
         ("test_keyio.py::test_sparse_key_with_no_positions_is_refused_on_write",),
+    ),
+    Mutant(
+        "private-writer-skips-the-policy-check",
+        "keyio.py",
+        "    if policy is not None:\n        try:\n            scheme.validate_policy",
+        "    if False:\n        try:\n            scheme.validate_policy",
+        ("test_keyio.py::test_private_key_writer_refuses_what_the_loader_refuses",),
+    ),
+    Mutant(
+        # an unknown scheme id regenerates a Kal1-S2 key
+        "regenerate-skips-the-scheme-fields",
+        "keyio.py",
+        "    _check_scheme_fields(sid, w, run_start, run_len)\n    policy = _policy_for(sid, w, run_start, run_len)\n    try:",
+        "    policy = _policy_for(sid, w, run_start, run_len)\n    try:",
+        ("test_keyio.py::test_regenerate_refuses_scheme_fields_before_any_draw",),
     ),
     Mutant(
         "serialize-skips-the-systematic-check",

@@ -6,6 +6,7 @@ them, so they must stay simple and must not call the kernels they check.
 """
 
 import functools
+import struct
 from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -207,6 +208,39 @@ def poly_sqr(field: Field, f: list[int]) -> list[int]:
         if a:
             out[2 * i] = field_mul(field, a, a)
     return poly_trim(out)
+
+
+def squares(field: Field, v: int) -> int:
+    """Packed v(x)^2, a coefficient at a time: each coefficient is
+    squared, one antilog at twice its log, and moves to twice its degree."""
+    m = field.m
+    mask = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    out = 0
+    for i in range((v.bit_length() + m - 1) // m):
+        c = (v >> (m * i)) & mask
+        if c:
+            out |= exp[log[c] << 1] << (2 * m * i)
+    return out
+
+
+def sqrt_halves(field: Field, v: int) -> tuple[int, int]:
+    """Packed (A, B) with v(x) = A(x)^2 + x*B(x)^2, a coefficient at a
+    time.  The square root of a coefficient c is the antilog at half of
+    log(c) modulo the odd 2^m - 1: half of log(c), or of log(c) + 2^m - 1
+    when it is odd."""
+    m = field.m
+    q1 = field.order - 1
+    exp = field.exp_table
+    log = field.log_table
+    halves = [0, 0]
+    for i in range((v.bit_length() + m - 1) // m):
+        c = (v >> (m * i)) & q1
+        if c:
+            e = log[c]
+            halves[i & 1] |= exp[(e + (e & 1) * q1) >> 1] << (m * (i >> 1))
+    return halves[0], halves[1]
 
 
 def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -757,6 +791,20 @@ def parity_check_rows(code: GoppaCode) -> list[list[int]]:
     for _ in range(1, code.params.t):
         rows.append([field_mul(fld, c, a) for c, a in zip(rows[-1], code.support)])
     return rows
+
+
+def check_rows(code: GoppaCode) -> BinaryMatrix:
+    """The m*t binary rows of the check, as parity_check once built them
+    for generate_code's rank test: with each field row packed in 16-bit
+    lanes, bit b of every entry is a strided slice of its binary digits,
+    binary row j*m + b."""
+    n, m = code.params.n, code.params.m
+    narrow = struct.Struct(f"<{n}H")
+    rows = []
+    for entries in code._field_rows():
+        digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
+        rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
+    return BinaryMatrix(len(rows), n, rows)
 
 
 def binary_check(code: GoppaCode) -> BinaryMatrix:

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kal1 import goppa, keyio, niederreiter, scheme
-from kal1.binmat import BinaryMatrix
+from kal1.binmat import BinaryMatrix, eliminate
 from kal1.errors import DecodingFailure, GenerationFailure, Kal1Error
 from kal1.gf2m import (
     REDUCTION_POLYS,
@@ -152,11 +152,17 @@ def test_packed_remainder_of_any_degree_matches_oracle(case):
 def field_and_pair(draw):
     """A field with m in {4, 5, 8, 10, 12, 16} and two raw coefficient
     lists with any leading coefficients and trailing zeros, zero and
-    all-ones coefficients likely; about half the time both are
+    all-ones coefficients likely; about half the time the two are of
+    one degree, and independently about half the time both are
     multiplied by a common factor of degree 1 to 3."""
     field = EUCLID_FIELDS[draw(st.sampled_from(sorted(EUCLID_FIELDS)))]
     coeff = st.integers(0, field.order - 1) | st.just(0) | st.just(field.order - 1)
-    f, g = (draw(st.lists(coeff, max_size=12)) for _ in range(2))
+    if draw(st.booleans()):
+        lead = st.integers(1, field.order - 1) | st.just(field.order - 1)
+        d = draw(st.integers(0, 11))
+        f, g = (draw(st.lists(coeff, min_size=d, max_size=d)) + [draw(lead)] for _ in range(2))
+    else:
+        f, g = (draw(st.lists(coeff, max_size=12)) for _ in range(2))
     if draw(st.booleans()):
         h = draw(st.lists(coeff, min_size=1, max_size=3))
         h.append(draw(st.integers(1, field.order - 1)))
@@ -244,6 +250,31 @@ def test_sqrt_halves_match_field_sqrt(case):
     even, odd = sqrt_halves(field, pack(field, f))
     assert unpack(field, even) == poly_trim([oracles.field_sqrt(field, c) for c in f[0::2]])
     assert unpack(field, odd) == poly_trim([oracles.field_sqrt(field, c) for c in f[1::2]])
+
+
+def frobenius_cases(field, rnd):
+    """Packed polynomials for the byte-table kernels: 0, one coefficient
+    at each of several degrees, all-ones coefficients and random ones,
+    at lengths on both sides of every byte boundary up to 33
+    coefficients (eight of them fill m bytes) and at 64 and 65."""
+    m, q1 = field.m, field.order - 1
+    yield 0
+    for i in (0, 1, 2, 7, 8, 9, 31):
+        for c in (1, q1, rnd.randrange(1, field.order)):
+            yield c << (m * i)
+    for length in [*range(1, 34), 64, 65]:
+        yield pack(field, [q1] * length)
+        yield pack(field, [rnd.randrange(field.order) for _ in range(length - 1)] + [q1])
+        yield pack(field, [rnd.randrange(field.order) for _ in range(length)])
+
+
+@pytest.mark.parametrize("m", sorted(REDUCTION_POLYS))
+def test_squares_and_sqrt_halves_match_their_oracles_at_every_m(m):
+    # odd m puts the m-bit slots out of step with the translated bytes
+    field = Field(m)
+    for v in frobenius_cases(field, random.Random(f"frobenius/{m}")):
+        assert squares(field, v) == oracles.squares(field, v)
+        assert sqrt_halves(field, v) == oracles.sqrt_halves(field, v)
 
 
 @given(field_and_polys(1, max_len=8))
@@ -423,6 +454,37 @@ def test_generate_code_draws_the_packed_g_of_the_list_oracle(params, tag):
     g = unpack(code.field, code.goppa_poly)
     assert len(g) == params.t + 1 and g[-1] == 1
     assert oracles.is_irreducible(code.field, g)
+
+
+# k = 1 leaves one column past m*t, so rank-deficient codes are common:
+# over a third of the seeds resample, and seed 12 resamples three times
+SMALL_K = CodeParams(25, 1, 3, 8)
+
+
+@pytest.mark.parametrize("spare", [goppa.RANK_SPARE_COLUMNS, 0])
+@pytest.mark.parametrize("params, tag", [(TOY, 1), (MID, 4), (HEADLINE, 7), (SMALL_K, 12)])
+def test_generate_code_picks_the_oracle_code_and_leaves_the_stream_there(
+    monkeypatch, params, tag, spare
+):
+    # the full-rank test on the first m*t + spare columns, or on all n
+    # when those fall short, decides as the oracle's rank of the binary
+    # rows; with no spare column the fallback runs for these seeds
+    fallbacks = []
+
+    def counted(rows, width, solved):
+        fallbacks.append(len(rows))
+        return eliminate(rows, width, solved)
+
+    monkeypatch.setattr(goppa, "RANK_SPARE_COLUMNS", spare)
+    monkeypatch.setattr(goppa, "eliminate", counted)
+    rng, ref_rng = SeededRng(seed_bytes(tag)), SeededRng(seed_bytes(tag))
+    code = generate_code(params, rng)
+    ref = oracles.generate_code(params, ref_rng)
+    assert (code.support, code.goppa_poly) == (ref.support, ref.goppa_poly)
+    assert rng.read(16) == ref_rng.read(16)
+    assert set(fallbacks) <= {params.n}
+    if spare == 0 and params.n > params.m * params.t:
+        assert fallbacks
 
 
 def check_keygen(params, seed):

@@ -14,8 +14,8 @@ from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, SQUARE_Q, TOY, check_rows, seed_bytes, to_dense
-from oracles import pack, poly_eval, poly_mul, unpack
+from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
+from oracles import check_rows, pack, poly_eval, poly_mul, unpack
 
 # frozen draw for generate_code(TOY, seed 1)
 TOY_SUPPORT = [5, 6, 12, 8, 1, 14, 2, 10, 9, 4, 3, 15, 7, 0, 13, 11]
@@ -106,7 +106,7 @@ def test_parity_check_first_row_and_shape(toy_code):
     assert rows == oracles.binary_check(toy_code)
     assert rows.rows == 8 and rows.cols == 16
     assert rows.rank() == 8
-    assert len(pc.column_ints) == 16
+    assert pc.column_ints == oracles.transpose(rows).row_ints
 
 
 def test_binary_expansion_bit_order(toy_code):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import zlib
 
 import pytest
 
@@ -145,6 +146,19 @@ def seed_payload_blob(sid, params, fields):
     return keyio._pack_header(keyio.MAGIC_PUBLIC, sid, params, w) + out.to_bytes()
 
 
+def private_blob(sid, params, w, run_start, run_len, seed, pk_bytes):
+    """A .sk file with the given header fields, whatever they are."""
+    header = keyio._HEADER.pack(
+        keyio.MAGIC_PRIVATE, keyio.VERSION, sid, params.n, params.k, params.t, params.m, w
+    )
+    return header + keyio._PRIVATE_TAIL.pack(run_start, run_len, seed, zlib.crc32(pk_bytes))
+
+
+def test_private_blob_writes_what_serialize_does():
+    args = (keyio.SCHEME_KAL1_S2, ODD, 0, 4, 3, seed_bytes(7), b"pk")
+    assert private_blob(*args) == keyio.serialize_private_key(*args)
+
+
 def test_seed_payload_blob_writes_canonical_fields_as_serialize_does():
     blob = seed_payload_blob(keyio.SCHEME_KAL1_S1, ODD, [3, 7])
     assert blob == keyio.serialize_public_key(sparse_key(ODD, (3, 7)))
@@ -256,9 +270,53 @@ def test_sparse_key_with_no_positions_is_refused_on_write(capsys, tmp_path):
     path.write_bytes(blob)
     assert cli.main(["inspect", "--key", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: 2 FormatError\n")
-    sk = keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, FULL, 0, 0, 0, seed_bytes(7), blob)
+    # and so do the writer and the reader of a .sk that names it
+    with pytest.raises(FormatError, match="invalid private key header: sparse weight"):
+        keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, FULL, 0, 0, 0, seed_bytes(7), blob)
+    sk = private_blob(keyio.SCHEME_KAL1_S1, FULL, 0, 0, 0, seed_bytes(7), blob)
     with pytest.raises(FormatError, match="invalid private key header: sparse weight"):
         keyio.load_private_key(sk)
+
+
+@pytest.mark.parametrize(
+    "sid, w, run_start, run_len, message",
+    [
+        (4, 0, 0, 0, "unknown scheme id 0x04"),
+        (keyio.SCHEME_KAL1, 3, 0, 0, "weight byte must be zero outside Kal1-S1"),
+        (keyio.SCHEME_KAL1_S1, 3, 0, 2, "run fields must be zero outside Kal1-S2"),
+        (keyio.SCHEME_NIEDERREITER, 0, 5, 0, "run fields must be zero outside Kal1-S2"),
+        (keyio.SCHEME_KAL1_S2, 0, 7, 2, "invalid private key header: run must fit"),
+        (keyio.SCHEME_KAL1_S2, 0, 0, 1, "invalid private key header: run length must be at least 2"),
+        (keyio.SCHEME_KAL1_S2, 0, 65535, 2, "invalid private key header: run must fit"),
+        (keyio.SCHEME_KAL1_S1, 9, 0, 0, "invalid private key header: sparse weight"),
+    ],
+)
+def test_private_key_writer_refuses_what_the_loader_refuses(sid, w, run_start, run_len, message):
+    # the same FormatError, with the same message, on write and on load
+    with pytest.raises(FormatError, match=message):
+        keyio.serialize_private_key(sid, TOY, w, run_start, run_len, seed_bytes(7), b"pk")
+    with pytest.raises(FormatError, match=message):
+        keyio.load_private_key(private_blob(sid, TOY, w, run_start, run_len, seed_bytes(7), b"pk"))
+
+
+@pytest.mark.parametrize("sid, w, run_start, run_len", [(4, 0, 0, 2), (keyio.SCHEME_KAL1, 1, 0, 0)])
+def test_regenerate_refuses_scheme_fields_before_any_draw(monkeypatch, sid, w, run_start, run_len):
+    # an unknown scheme id fell through to a Kal1-S2 key with that run
+    def no_read(*args):
+        raise AssertionError("a header the loader refuses was drawn from")
+
+    monkeypatch.setattr(SeededRng, "read", no_read)
+    with pytest.raises(FormatError, match="^(unknown scheme id|weight byte)"):
+        keyio.regenerate(sid, TOY, w, run_start, run_len, seed_bytes(7))
+
+
+@pytest.mark.parametrize("run_start, run_len", [(-1, 2), (0, -2), (65536, 2), (0, 65536)])
+def test_private_key_writer_refuses_run_fields_outside_u16(run_start, run_len):
+    # a FormatError from the policy check, never struct.error from packing
+    with pytest.raises(FormatError, match="^invalid private key header: "):
+        keyio.serialize_private_key(
+            keyio.SCHEME_KAL1_S2, TOY, 0, run_start, run_len, seed_bytes(7), b"pk"
+        )
 
 
 BIG = CodeParams(65536, 65504, 2, 16)
@@ -382,7 +440,7 @@ def test_private_key_load_checks_the_policy_once_and_a_bad_one_before_keygen(mon
         raise AssertionError("keygen ran for an invalid header")
 
     monkeypatch.setattr(niederreiter, "keygen_private", no_keygen)
-    bad = keyio.serialize_private_key(keyio.SCHEME_KAL1_S2, TOY, 0, 7, 2, seed_bytes(7), pk_bytes)
+    bad = private_blob(keyio.SCHEME_KAL1_S2, TOY, 0, 7, 2, seed_bytes(7), pk_bytes)
     with pytest.raises(FormatError, match="^invalid private key header: "):
         keyio.load_private_key(bad)
 
