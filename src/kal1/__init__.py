@@ -7,7 +7,9 @@ a GoppaCode with its positions in public order, is the private key of
 every scheme), scheme (Kal1 itself; one public key class whose seed
 policy picks the wire form), keyio (the one wire codec: keys,
 ciphertexts, messages and KATs), isd (Prange probe, masking matrix and
-rank checks), cli.
+rank checks; imported by no other module, and by the CLI only for
+inspect --rank-report), cli.  The value classes are plain classes on
+the bases in errors, so importing the package loads no dataclasses.
 """
 
 from .cw import CwParams, cw_decode, cw_encode

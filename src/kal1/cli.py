@@ -6,7 +6,8 @@ other command is a function of its inputs.  bench prints the public-key
 size table; timings come from the benchmark harness in bench/.  Error
 exits print a machine-parsable first line ``error: <code> <name>``;
 codes are 1 generic/parameter, 2 format, 3 range, 4 decoding, 5 KAT
-mismatch.
+mismatch.  Each run imports this module afresh, so the analysis module
+isd is imported only by inspect --rank-report.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import functools
 import sys
 
-from . import isd, keyio, scheme
+from . import keyio, scheme
 from .errors import (
     DecodingFailure,
     FormatError,
@@ -189,6 +190,8 @@ def cmd_inspect(args) -> int:
         print(f"params: n={params.n} k={params.k} t={params.t} m={params.m}")
         print("checksum: ok")
         if args.rank_report and sid != keyio.SCHEME_NIEDERREITER:
+            from . import isd  # here, not at the top: no other command needs it
+
             print(isd.rank_report(scheme.expand_cyclic(pub), priv))
         return 0
     pub = keyio.parse_public_key(data)

@@ -10,22 +10,20 @@ largest power of two not exceeding C(length, weight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionMismatch, ParameterError, RangeError, WeightError
+from .errors import DimensionMismatch, Frozen, ParameterError, RangeError, WeightError
 
 
-@dataclass(frozen=True)
-class CwParams:
-    length: int
-    weight: int
+class CwParams(Frozen):
+    _fields = ("length", "weight")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int, weight: int):
+        if length < 1:
             raise ParameterError("length must be at least 1")
-        if not 0 <= self.weight <= self.length:
+        if not 0 <= weight <= length:
             raise ParameterError("weight must lie in [0, length]")
+        self.__dict__.update(length=length, weight=weight)
 
     @property
     def capacity(self) -> int:

@@ -14,10 +14,9 @@ values of g, so root finding costs O(2^m), not O(n).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .binmat import BinaryMatrix, eliminate
-from .errors import DecodingFailure, DimensionMismatch, GenerationFailure, ParameterError
+from .errors import DecodingFailure, DimensionMismatch, Frozen, GenerationFailure, ParameterError
 from .gf2m import (
     Field,
     is_irreducible,
@@ -42,27 +41,22 @@ POLY_TRIALS_PER_DEGREE = 40
 RANK_SPARE_COLUMNS = 16
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    n: int
-    k: int
-    t: int
-    m: int
+class CodeParams(Frozen):
+    _fields = ("n", "k", "t", "m")
 
-    def __post_init__(self):
-        if not 4 <= self.m <= 16:
-            raise ParameterError(f"field degree must be in [4, 16], got {self.m}")
-        if self.n > (1 << self.m):
-            raise ParameterError(f"code length {self.n} exceeds field size 2^{self.m}")
-        if self.t < 2:
-            raise ParameterError(f"error capability must be at least 2, got {self.t}")
+    def __init__(self, n: int, k: int, t: int, m: int):
+        if not 4 <= m <= 16:
+            raise ParameterError(f"field degree must be in [4, 16], got {m}")
+        if n > (1 << m):
+            raise ParameterError(f"code length {n} exceeds field size 2^{m}")
+        if t < 2:
+            raise ParameterError(f"error capability must be at least 2, got {t}")
         # the block layouts need n - k = m*t exactly; other k are rejected
-        if self.k != self.n - self.m * self.t:
-            raise ParameterError(
-                f"dimension must equal n - m*t = {self.n - self.m * self.t}, got {self.k}"
-            )
-        if self.k < 1:
+        if k != n - m * t:
+            raise ParameterError(f"dimension must equal n - m*t = {n - m * t}, got {k}")
+        if k < 1:
             raise ParameterError("parameters leave no message positions (k < 1)")
+        self.__dict__.update(n=n, k=k, t=t, m=m)
 
     @property
     def redundancy(self) -> int:
@@ -347,8 +341,8 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
     deficient are resampled so that n - k = m*t holds exactly.  The
     check has full rank when its columns, as m*t-bit rows, do: one
     rank() of the first m*t + RANK_SPARE_COLUMNS of them decides almost
-    every code, and only when those fall short does an elimination of
-    all n decide.
+    every code, and only when those fall short, and are fewer than n,
+    does an elimination of all n decide.
     """
     m, t = params.m, params.t
     field = Field(m)
@@ -364,9 +358,8 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         code = GoppaCode(field, params, support, g)
         cols = code.parity_check().column_ints
         first = cols[: m * t + RANK_SPARE_COLUMNS]
-        if (
-            BinaryMatrix(len(first), m * t, first).rank() == m * t
-            or len(eliminate(cols, m * t, None)[0]) == m * t
+        if BinaryMatrix(len(first), m * t, first).rank() == m * t or (
+            len(first) < params.n and len(eliminate(cols, m * t, None)[0]) == m * t
         ):
             return code
     raise GenerationFailure("could not sample a full-rank code")

@@ -19,10 +19,8 @@ its transpose have the same rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .binmat import BinaryMatrix, eliminate, matrix_times_vec, transpose_ints
-from .errors import DimensionMismatch, ParameterError
+from .errors import DimensionMismatch, Frozen, ParameterError, Value
 from .goppa import GoppaCode
 from .niederreiter import NiederreiterPublicKey, public_key
 from .rng import SeededRng
@@ -34,17 +32,16 @@ NULLSPACE_CAP = 16
 DEFAULT_LENGTH_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class IsdInstance:
-    check: BinaryMatrix  # (n-k) x n parity check
-    syndrome: int  # n-k bits
-    weight: int  # target error weight t
+class IsdInstance(Frozen):
+    _fields = ("check", "syndrome", "weight")
 
-    def __post_init__(self):
-        if self.syndrome < 0 or self.syndrome.bit_length() > self.check.rows:
+    def __init__(self, check: BinaryMatrix, syndrome: int, weight: int):
+        # check is the (n-k) x n parity check, weight the target error weight t
+        if syndrome < 0 or syndrome.bit_length() > check.rows:
             raise DimensionMismatch("syndrome negative or longer than n-k bits")
-        if self.weight < 0:
+        if weight < 0:
             raise DimensionMismatch("negative weight bound")
+        self.__dict__.update(check=check, syndrome=syndrome, weight=weight)
 
 
 def instance_from_public(pub: NiederreiterPublicKey, c: int) -> IsdInstance:
@@ -120,17 +117,26 @@ def prange_search(
     return None
 
 
-@dataclass
-class RankReport:
-    params_line: str
-    cyclic_rank: int
-    check_rank: int
-    secondary_rank: int
-    redundancy: int
-    subadditive: bool
-    full_rank_windows: int
-    sampled_windows: int
-    notes: list[str] = field(default_factory=list)
+class RankReport(Value):
+    _fields = (
+        "params_line", "cyclic_rank", "check_rank", "secondary_rank", "redundancy",
+        "subadditive", "full_rank_windows", "sampled_windows", "notes",
+    )
+
+    def __init__(
+        self, params_line: str, cyclic_rank: int, check_rank: int, secondary_rank: int,
+        redundancy: int, subadditive: bool, full_rank_windows: int, sampled_windows: int,
+        notes: list[str],
+    ):
+        self.params_line = params_line
+        self.cyclic_rank = cyclic_rank
+        self.check_rank = check_rank
+        self.secondary_rank = secondary_rank
+        self.redundancy = redundancy
+        self.subadditive = subadditive
+        self.full_rank_windows = full_rank_windows
+        self.sampled_windows = sampled_windows
+        self.notes = notes
 
     def lines(self) -> list[str]:
         out = [

@@ -73,6 +73,8 @@ SCHEME_NAMES = {
 # both key files start with this header; a private key file goes on
 # with run start, run length, the seed and a CRC-32 of the .pk bytes
 _HEADER = struct.Struct(">4sBBHHHHB")
+# the fields after magic and version, with their widths in bits
+_HEADER_FIELDS = (("scheme id", 8), ("n", 16), ("k", 16), ("t", 16), ("m", 16), ("weight byte", 8))
 _PRIVATE_TAIL = struct.Struct(">HH16sI")
 _PRIVATE_SIZE = _HEADER.size + _PRIVATE_TAIL.size
 
@@ -209,10 +211,14 @@ def seed_fields(sid: int, seed_row: int) -> list[int]:
 
 
 def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
-    try:  # CodeParams admits n = 2^16, one more than a u16 field holds
-        return _HEADER.pack(magic, VERSION, sid, params.n, params.k, params.t, params.m, w)
-    except struct.error as exc:
-        raise FormatError(f"a header field is out of range: {exc}") from None
+    values = (sid, params.n, params.k, params.t, params.m, w)
+    for (name, bits), value in zip(_HEADER_FIELDS, values):
+        # CodeParams admits n = 2^16, one more than 16 bits hold
+        if not 0 <= value < 1 << bits:
+            raise FormatError(
+                f"a header field is out of range: {name} = {value} does not fit in {bits} bits"
+            )
+    return _HEADER.pack(magic, VERSION, *values)
 
 
 def serialize_public_key(key: scheme.PublicKey) -> bytes:

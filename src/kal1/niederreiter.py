@@ -21,18 +21,18 @@ so both yield the same key for a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binmat import BinaryMatrix, random_permutation
-from .errors import GenerationFailure
+from .errors import GenerationFailure, Value
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code, scatter
 from .rng import SeededRng
 
 
-@dataclass
-class NiederreiterPublicKey:
-    params: CodeParams
-    check_t: BinaryMatrix  # n x (n-k); bottom (n-k) rows are the identity
+class NiederreiterPublicKey(Value):
+    _fields = ("params", "check_t")
+
+    def __init__(self, params: CodeParams, check_t: BinaryMatrix):
+        self.params = params
+        self.check_t = check_t  # n x (n-k); bottom (n-k) rows are the identity
 
 
 def keygen_private(params: CodeParams, rng: SeededRng) -> GoppaCode:

@@ -26,12 +26,10 @@ Niederreiter keygen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import niederreiter
 from .binmat import BinaryMatrix
 from .cw import CwParams, cw_decode, cw_encode
-from .errors import FormatError, PolicyError, RangeError
+from .errors import FormatError, Frozen, PolicyError, RangeError, Value
 from .goppa import CodeParams, GoppaCode
 from .rng import SeededRng
 
@@ -51,24 +49,26 @@ def rotate_right(v: int, shift: int, width: int) -> int:
 # --- seed-row policies ---
 
 
-@dataclass(frozen=True)
-class DenseSeed:
+class DenseSeed(Frozen):
     """Uniform random seed row."""
 
 
-@dataclass(frozen=True)
-class SparseSeed:
+class SparseSeed(Frozen):
     """Seed row with a fixed number of uniformly placed ones."""
 
-    weight: int
+    _fields = ("weight",)
+
+    def __init__(self, weight: int):
+        self.__dict__.update(weight=weight)
 
 
-@dataclass(frozen=True)
-class RunSeed:
+class RunSeed(Frozen):
     """Seed row that is a single contiguous run of ones."""
 
-    start: int
-    length: int
+    _fields = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        self.__dict__.update(start=start, length=length)
 
 
 SeedPolicy = DenseSeed | SparseSeed | RunSeed
@@ -102,14 +102,16 @@ def draw_seed_row(policy: SeedPolicy, redundancy: int, rng: SeededRng) -> int:
 # --- key material ---
 
 
-@dataclass
-class Kal1PublicKey:
+class Kal1PublicKey(Value):
     """The seed row and the policy it was drawn under, which also picks
     its wire form."""
 
-    params: CodeParams
-    seed_row: int
-    policy: SeedPolicy = DenseSeed()
+    _fields = ("params", "seed_row", "policy")
+
+    def __init__(self, params: CodeParams, seed_row: int, policy: SeedPolicy = DenseSeed()):
+        self.params = params
+        self.seed_row = seed_row
+        self.policy = policy
 
 
 PublicKey = niederreiter.NiederreiterPublicKey | Kal1PublicKey

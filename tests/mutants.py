@@ -222,9 +222,17 @@ MUTANTS = [
         # shortfall is there is resampled though all n have full rank
         "full-rank-fallback-dropped",
         "goppa.py",
-        "            or len(eliminate(cols, m * t, None)[0]) == m * t\n",
+        " or (\n            len(first) < params.n and len(eliminate(cols, m * t, None)[0]) == m * t\n        )",
         "",
         ("test_fast_kernels.py::test_generate_code_picks_the_oracle_code_and_leaves_the_stream_there",),
+    ),
+    Mutant(
+        # a code no longer than its first columns is ranked twice
+        "full-rank-fallback-reranks-all-columns",
+        "goppa.py",
+        "len(first) < params.n and ",
+        "",
+        ("test_fast_kernels.py::test_generate_code_ranks_a_code_no_longer_than_its_first_columns_once",),
     ),
     Mutant(
         "permuted-rebuilds-sqrt-x",

@@ -1,5 +1,10 @@
 """Command-line behavior: files, determinism, exit codes."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kal1 import cli
@@ -223,6 +228,22 @@ def test_rank_report_of_sparse_private_key_is_pinned(capsys, tmp_path):
     code, stdout, _ = run(capsys, "inspect", "--key", out + ".sk", "--rank-report")
     assert code == 0
     assert stdout == "private key, scheme kal1-s1\n" + TOY_PARAMS_LINE + "checksum: ok\n" + RANK_REPORT_S1
+
+
+def test_import_loads_no_dataclasses_inspect_or_isd():
+    # every `kal1` command starts a fresh interpreter that imports the
+    # CLI; none of these three buys it anything (isd serves
+    # inspect --rank-report alone), so none is imported
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import kal1.cli, json; "
+        "print(json.dumps([kal1.cli.__file__, sorted(sys.modules)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    path, modules = json.loads(out.stdout)
+    assert Path(path).resolve() == Path(cli.__file__).resolve()
+    assert "kal1.keyio" in modules
+    assert {"dataclasses", "inspect", "kal1.isd"} & set(modules) == set()
 
 
 def test_kat_generate_then_verify(capsys, tmp_path):

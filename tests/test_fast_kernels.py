@@ -487,6 +487,26 @@ def test_generate_code_picks_the_oracle_code_and_leaves_the_stream_there(
         assert fallbacks
 
 
+def test_generate_code_ranks_a_code_no_longer_than_its_first_columns_once(monkeypatch):
+    # at SMALL_K the first m*t + 16 columns are all 25, so their rank()
+    # decides each code alone: seed 12 draws four codes, three of them
+    # rank deficient, and no elimination repeats a rank just made
+    ranks, fallbacks = [], []
+    rank = BinaryMatrix.rank
+
+    def counted_rank(self):
+        ranks.append(self.rows)
+        return rank(self)
+
+    monkeypatch.setattr(BinaryMatrix, "rank", counted_rank)
+    monkeypatch.setattr(goppa, "eliminate", lambda *args: fallbacks.append(args) or eliminate(*args))
+    code = generate_code(SMALL_K, SeededRng(seed_bytes(12)))
+    ref = oracles.generate_code(SMALL_K, SeededRng(seed_bytes(12)))
+    assert (code.support, code.goppa_poly) == (ref.support, ref.goppa_poly)
+    assert ranks == [SMALL_K.n] * 4
+    assert fallbacks == []
+
+
 def check_keygen(params, seed):
     pub, priv = niederreiter.keygen(params, SeededRng(seed))
     chain = oracles.niederreiter_keygen(params, SeededRng(seed))

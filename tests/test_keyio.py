@@ -324,13 +324,18 @@ BIG = CodeParams(65536, 65504, 2, 16)
 
 def test_header_refuses_parameters_wider_than_its_fields():
     # CodeParams admits n = 2^16; the header's u16 fields do not
+    # the message names the field and its width, not struct's internals
     key = scheme.Kal1PublicKey(BIG, 1, scheme.DenseSeed())
-    with pytest.raises(FormatError, match="header field is out of range"):
+    n_too_wide = "^a header field is out of range: n = 65536 does not fit in 16 bits$"
+    with pytest.raises(FormatError, match=n_too_wide) as info:
         keyio.serialize_public_key(key)
-    with pytest.raises(FormatError, match="header field is out of range"):
+    assert "format requires" not in str(info.value)
+    with pytest.raises(FormatError, match=n_too_wide):
         keyio.serialize_private_key(keyio.SCHEME_KAL1, BIG, 0, 0, 0, seed_bytes(7), b"")
-    with pytest.raises(FormatError, match="header field is out of range"):
+    with pytest.raises(FormatError, match="^a header field is out of range: weight byte = 256 does"):
         keyio.serialize_private_key(keyio.SCHEME_KAL1_S1, TOY, 256, 0, 0, seed_bytes(7), b"")
+    with pytest.raises(FormatError, match="^a header field is out of range: scheme id = -1 does"):
+        keyio.serialize_private_key(-1, TOY, 0, 0, 0, seed_bytes(7), b"")
 
 
 def test_cli_keygen_at_n_65536_exits_2_and_writes_nothing(monkeypatch, capsys, tmp_path):
@@ -350,7 +355,8 @@ def test_cli_keygen_at_n_65536_exits_2_and_writes_nothing(monkeypatch, capsys, t
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: 2 FormatError\n")
-    assert "a header field is out of range" in err
+    assert "a header field is out of range: n = 65536 does not fit in 16 bits" in err
+    assert "format requires" not in err
     assert list(tmp_path.iterdir()) == []
     assert reads == []
 

@@ -1,0 +1,148 @@
+"""The library's value classes: construction, validation, equality,
+hashing, immutability and repr.
+
+Messages embed ``{policy!r}`` and the like, so a repr is part of the
+output; equality is by exact type and fields; the parameter and seed
+classes are frozen and hashable, the key and report classes mutable and
+unhashable.
+"""
+
+import re
+
+import pytest
+
+from kal1 import isd
+from kal1.binmat import BinaryMatrix
+from kal1.cw import CwParams
+from kal1.errors import DimensionMismatch, ParameterError
+from kal1.goppa import CodeParams
+from kal1.niederreiter import NiederreiterPublicKey
+from kal1.scheme import DenseSeed, Kal1PublicKey, RunSeed, SparseSeed
+
+from conftest import TOY
+
+CHECK_T = BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)])
+CHECK = BinaryMatrix(8, 16, [0] * 8)
+
+
+def report(notes):
+    return isd.RankReport("n=16 k=8 t=2 m=4", 8, 8, 7, 8, True, 0, 32, notes)
+
+
+REPRS = [
+    (CodeParams(16, 8, 2, 4), "CodeParams(n=16, k=8, t=2, m=4)"),
+    (CwParams(8, 2), "CwParams(length=8, weight=2)"),
+    (DenseSeed(), "DenseSeed()"),
+    (SparseSeed(4), "SparseSeed(weight=4)"),
+    (RunSeed(0, 2), "RunSeed(start=0, length=2)"),
+    (
+        Kal1PublicKey(TOY, 5),
+        "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=5, policy=DenseSeed())",
+    ),
+    (
+        Kal1PublicKey(TOY, 6, RunSeed(1, 2)),
+        "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=6,"
+        " policy=RunSeed(start=1, length=2))",
+    ),
+    (
+        NiederreiterPublicKey(TOY, CHECK_T),
+        "NiederreiterPublicKey(params=CodeParams(n=16, k=8, t=2, m=4), check_t=BinaryMatrix(16x8))",
+    ),
+    (isd.IsdInstance(CHECK, 5, 2), "IsdInstance(check=BinaryMatrix(8x16), syndrome=5, weight=2)"),
+    (
+        report(["a note"]),
+        "RankReport(params_line='n=16 k=8 t=2 m=4', cyclic_rank=8, check_rank=8,"
+        " secondary_rank=7, redundancy=8, subadditive=True, full_rank_windows=0,"
+        " sampled_windows=32, notes=['a note'])",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text", REPRS, ids=[t.split("(")[0] + str(i) for i, (_, t) in enumerate(REPRS)])
+def test_repr_is_the_class_and_its_fields(value, text):
+    assert repr(value) == text
+
+
+# each pair built twice from the same arguments, so equal but not identical
+FROZEN = [
+    lambda: CodeParams(16, 8, 2, 4),
+    lambda: CwParams(8, 2),
+    lambda: DenseSeed(),
+    lambda: SparseSeed(4),
+    lambda: RunSeed(0, 2),
+    lambda: isd.IsdInstance(CHECK, 5, 2),
+]
+MUTABLE = [
+    lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
+    lambda: NiederreiterPublicKey(TOY, CHECK_T),
+    lambda: report([]),
+]
+
+
+@pytest.mark.parametrize("make", FROZEN + MUTABLE)
+def test_equal_by_fields(make):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+
+
+@pytest.mark.parametrize("make", FROZEN)
+def test_frozen_values_hash_by_fields_and_refuse_assignment(make):
+    a, b = make(), make()
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for name in ("n", "weight", "length", "syndrome", "unheard_of"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.unheard_of
+    assert a == b
+
+
+@pytest.mark.parametrize("make", MUTABLE)
+def test_mutable_values_are_unhashable(make):
+    with pytest.raises(TypeError):
+        hash(make())
+
+
+def test_equality_needs_the_exact_type():
+    # same field values, different classes
+    assert RunSeed(2, 1) != CwParams(2, 1)
+    assert CwParams(2, 1) != RunSeed(2, 1)
+    assert SparseSeed(2) != RunSeed(2, 2)
+    assert DenseSeed() != ()
+    assert CodeParams(16, 8, 2, 4) != (16, 8, 2, 4)
+    assert Kal1PublicKey(TOY, 5) != Kal1PublicKey(TOY, 5, SparseSeed(2))
+    assert Kal1PublicKey(TOY, 5) != Kal1PublicKey(TOY, 4)
+
+
+def test_positional_construction_and_the_dense_default():
+    pk = Kal1PublicKey(TOY, 5)
+    assert (pk.params, pk.seed_row, pk.policy) == (TOY, 5, DenseSeed())
+    assert Kal1PublicKey(TOY, 5) == Kal1PublicKey(TOY, 5, DenseSeed())
+    pk.seed_row = 6  # the key classes stay mutable
+    pk.policy = RunSeed(1, 2)
+    assert pk == Kal1PublicKey(TOY, 6, RunSeed(1, 2))
+    assert (CwParams(8, 2).length, CwParams(8, 2).weight) == (8, 2)
+    assert (RunSeed(3, 4).start, RunSeed(3, 4).length, SparseSeed(5).weight) == (3, 4, 5)
+
+
+VALIDATIONS = [
+    (lambda: CodeParams(16, 8, 2, 3), ParameterError, "field degree must be in [4, 16], got 3"),
+    (lambda: CodeParams(16, 8, 2, 17), ParameterError, "field degree must be in [4, 16], got 17"),
+    (lambda: CodeParams(32, 24, 2, 4), ParameterError, "code length 32 exceeds field size 2^4"),
+    (lambda: CodeParams(16, 12, 1, 4), ParameterError, "error capability must be at least 2, got 1"),
+    (lambda: CodeParams(16, 9, 2, 4), ParameterError, "dimension must equal n - m*t = 8, got 9"),
+    (lambda: CodeParams(8, 0, 2, 4), ParameterError, "parameters leave no message positions (k < 1)"),
+    (lambda: CwParams(0, 0), ParameterError, "length must be at least 1"),
+    (lambda: CwParams(4, 5), ParameterError, "weight must lie in [0, length]"),
+    (lambda: CwParams(4, -1), ParameterError, "weight must lie in [0, length]"),
+    (lambda: isd.IsdInstance(CHECK, -1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: isd.IsdInstance(CHECK, 1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: isd.IsdInstance(CHECK, 5, -1), DimensionMismatch, "negative weight bound"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", VALIDATIONS, ids=[m for _, _, m in VALIDATIONS])
+def test_constructor_validation_messages(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
