@@ -468,9 +468,17 @@ def is_irreducible(field: Field, f: int) -> bool:
     Squaring modulo f is GF(2)-linear, so h = x^(2^j) mod f stays packed:
     h_i^2 lands on coefficient 2i while 2i < deg(f), and each higher h_i
     reads c -> c^2 * x^(2i) mod f from split tables built once per call.
+    Their basis, alpha^(2s) * x^(2i) mod f over the bits s of c, is the
+    XOR of the m alpha multiples of x^(2i) mod f over the set bits of
+    alpha^(2s).  h starts at x^(2^s) for the power of two 2^(s-1) in
+    [deg(f)/2, deg(f)): the entry of lane 2^(s-1) for c = 1, no squaring.
+
     Products are mul_mod, except that a block's first h - x is its
-    product as it is, and each gcd runs euclid's loop on f and the
-    product, untagged, down to a constant: 0 when they share a factor.
+    product as it is.  Each gcd runs euclid's loop on f and the product,
+    untagged, until the remainder's degree falls below the block's first
+    level L.  Every level before L has passed, so every irreducible
+    factor of f has degree >= L: a nonzero remainder of lower degree
+    proves them coprime, and 0 leaves the last divisor as the gcd.
     """
     m = field.m
     mask = field.order - 1
@@ -493,13 +501,25 @@ def is_irreducible(field: Field, f: int) -> bool:
     mod = modulus(field, f)
     half = (t + 1) // 2
     # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
-    # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
+    # basis is alpha^(2s) * x^(2i) mod f over the bits s of c: the XOR of
+    # x^(2i)'s alpha multiples over the set bits of alpha^(2s)
     lanes = []
+    lo_picks, hi_picks = _bit_tables(m)
+    square_bits = [
+        lo_picks[e & lo_mask] + hi_picks[e >> lo_bits] for e in field.exp_table[: 2 * m : 2]
+    ]
     _, fold_lo, fold_hi = mod
     v = fold_lo[1]  # x^t mod f
     for j in range(t, 2 * t - 1):
         if not j & 1:
-            lanes.append(split(field, alpha_multiples(field, v, 2 * m - 1)[::2]))
+            mults = alpha_multiples(field, v, m)
+            basis = []
+            for bits in square_bits:
+                w = 0
+                for b in bits:
+                    w ^= mults[b]
+                basis.append(w)
+            lanes.append(split(field, basis))
         # times x, as a step of mul_mod: coefficient t folds back as c * x^t
         c = v >> (m * (t - 1))
         v = ((v << m) ^ (c << (m * t))) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
@@ -515,10 +535,15 @@ def is_irreducible(field: Field, f: int) -> bool:
         return acc
 
     x = 1 << m
-    # h starts at x^(2^s), the last power of x that squaring reaches
-    # below degree t, or at x^q itself, and is squared up to x^q
-    s = min((t - 1).bit_length() - 1, m)
-    h = 1 << (m << s)
+    # 2^(s-1) is the largest power of two below t, so in [half, t), and
+    # x^(2^s) mod f is lane 2^(s-1)'s entry for c = 1; for s > m, h
+    # starts at the monomial x^q.  Then it is squared up to x^q.
+    s = (t - 1).bit_length()
+    if s <= m:
+        h = lanes[(1 << (s - 1)) - half][0][1]
+    else:
+        s = m
+        h = 1 << (m << m)
     for _ in range(m - s):
         h = square(h)
     product = 1
@@ -529,12 +554,14 @@ def is_irreducible(field: Field, f: int) -> bool:
         # a block's first level is its product; h - x is reduced
         if product == 1:
             product = h ^ x
+            first = level
         else:
             product = mul_mod(field, mul_tables(field, h ^ x), product, mod)
         # the gcd blocks are levels {2}, {3, 4, 5}, {6, 7, 8}, ...
         if level % 3 == 2 or level == last:
-            # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
-            if not _euclid(field, f, product, m)[1]:
+            # every factor of f has degree >= first: a nonzero remainder
+            # below that is coprime to f, and 0 leaves the gcd as divisor
+            if not _euclid(field, f, product, m * first)[1]:
                 return False
             product = 1
     return True

@@ -13,6 +13,7 @@ values of g, so root finding costs O(2^m), not O(n).
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from .binmat import BinaryMatrix, eliminate
@@ -350,7 +351,8 @@ def generate_code(params: CodeParams, rng: SeededRng) -> GoppaCode:
         support = rng.sample(field.order, params.n)
         for _ in range(POLY_TRIALS_PER_DEGREE * t):
             # g_0 .. g_(t-1) drawn in that order, under the leading 1
-            g = sum(rng.randbits(m) << (m * i) for i in range(t)) | 1 << (m * t)
+            coeffs = rng.randbits_each(m, t)
+            g = sum(map(operator.lshift, coeffs, range(0, m * t, m))) | 1 << (m * t)
             if is_irreducible(field, g):
                 break
         else:

@@ -8,6 +8,8 @@ integers.  Derived draws are defined on top of the raw stream:
 * ``read(n)``      next n bytes of the keystream.
 * ``randbits(k)``  read ceil(k/8) bytes, big-endian integer, masked
                    to the low k bits.
+* ``randbits_each(k, count)``  ``randbits(k)`` count times, in order,
+                   one ``read`` per value; k = 0 reads nothing.
 * ``randbelow(n)`` rejection-sample ``randbits((n-1).bit_length())``
                    until the value is below n; n = 1 reads nothing.
 * ``permutation(n)``  Fisher-Yates over [0, n): for i from n-1 down
@@ -78,6 +80,18 @@ class SeededRng:
         if k == 0:
             return 0
         return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
+
+    def randbits_each(self, k: int, count: int) -> list[int]:
+        """count randbits(k) values in draw order, one read each."""
+        if k < 0:
+            raise ParameterError("bit count must be non-negative")
+        if count < 0:
+            raise ParameterError("draw count must be non-negative")
+        if k == 0:
+            return [0] * count
+        mask = (1 << k) - 1
+        from_bytes = int.from_bytes
+        return [from_bytes(b, "big") & mask for b in map(self.read, [(k + 7) // 8] * count)]
 
     def _below_each(self, hi: int, lo: int) -> list[int]:
         """randbelow(b) for b = hi, hi-1, ..., lo+1, in that order.

@@ -731,6 +731,9 @@ class UnbufferedRng:
             return 0
         return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
 
+    def randbits_each(self, k: int, count: int) -> list[int]:
+        return [self.randbits(k) for _ in range(count)]
+
     def randbelow(self, n: int) -> int:
         k = (n - 1).bit_length()
         while True:

@@ -8,17 +8,21 @@ for the packed division, reduction and product modulo f; Euclid, the
 inverse and the irreducibility test on raw lists also run at m = 5,
 whose bit tables split 2 + 3, and at 12, on inputs with all-ones
 coefficients that share random common factors, in either order).
-Keygen itself must reproduce the oracle chain's code, permutation,
-scrambler and public matrix, and decryption through the key's right
-block columns must match the unscramble-by-matrix chain.  Decoding's
+Each packed Euclid example must return within 2 s, so a division that
+never cancels its top coefficient fails by assertion.  Keygen itself
+must reproduce the oracle chain's code, permutation, scrambler and
+public matrix, and decryption through the key's right block columns
+must match the unscramble-by-matrix chain.  Decoding's
 bitsliced root finder must mark exactly the support positions the
 per-element scan marks; S(x), Patterson's locator and the whole decode
 must match the chain of oracles, failures included.  The field
 tables must equal those built from a searched generator.
 """
 
+import contextlib
 import functools
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -183,6 +187,23 @@ def test_poly_eea_bounded_matches_oracle(case, dbound):
     assert poly_add(oracles.poly_mul(field, u, f), oracles.poly_mul(field, v, g)) == r
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the example by assertion once it runs past seconds: a division
+    that never cancels its top coefficient would otherwise never return."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=200)
 @given(field_and_pair(), st.integers(-1, 12))
 @example((DEEP_FIELDS[4], [], []), -1)
@@ -199,7 +220,9 @@ def test_packed_euclid_matches_oracle(case, dbound):
     field, f, g = case
     for r0, r1 in ((f, g), (g, f)):
         r, _, v = oracles.poly_eea_bounded(field, r0, r1, dbound)
-        assert euclid(field, pack(field, r0), pack(field, r1), dbound) == (pack(field, r), pack(field, v))
+        with time_limit(2):
+            packed = euclid(field, pack(field, r0), pack(field, r1), dbound)
+        assert packed == (pack(field, r), pack(field, v))
 
 
 def inv_outcome(fn, *args):
@@ -531,24 +554,24 @@ def check_key_against_chain(priv, chain):
 
 class ReducibleRng:
     """Stub generator: the identity support and the Goppa candidate x^t,
-    which is never irreducible."""
+    which is never irreducible; it counts the coefficients drawn."""
 
     def __init__(self):
-        self.randbits_calls = 0
+        self.coefficient_draws = 0
 
     def sample(self, n, k):
         return list(range(k))
 
-    def randbits(self, k):
-        self.randbits_calls += 1
-        return 0
+    def randbits_each(self, k, count):
+        self.coefficient_draws += count
+        return [0] * count
 
 
 def test_goppa_polynomial_search_is_bounded():
     rng = ReducibleRng()
     with pytest.raises(GenerationFailure):
         generate_code(TOY, rng)
-    assert rng.randbits_calls == POLY_TRIALS_PER_DEGREE * TOY.t * TOY.t
+    assert rng.coefficient_draws == POLY_TRIALS_PER_DEGREE * TOY.t * TOY.t
 
 
 # one generated code per scale; its support is the whole field, so it

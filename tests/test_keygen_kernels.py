@@ -244,6 +244,15 @@ def test_permutation_and_sample_match_the_unbuffered_oracle(n):
         assert rng.read(16) == ref.read(16), (draw, args)
 
 
+@pytest.mark.parametrize("k, count", [(0, 0), (0, 5), (9, 0), (1, 7), (8, 40), (10, 50), (16, 3), (17, 4)])
+def test_randbits_each_matches_the_unbuffered_oracle(k, count):
+    # count randbits(k) values; the next bytes show that the stream
+    # stopped where the oracle's did, so k = 0 read nothing
+    rng, ref = SeededRng(seed_bytes(k)), oracles.UnbufferedRng(seed_bytes(k))
+    assert rng.randbits_each(k, count) == ref.randbits_each(k, count)
+    assert rng.read(16) == ref.read(16)
+
+
 def test_read_rejects_a_negative_count():
     with pytest.raises(Kal1Error):
         SeededRng(bytes(16)).read(-1)
@@ -251,8 +260,9 @@ def test_read_rejects_a_negative_count():
 
 def test_draws_make_the_read_calls_the_unbuffered_oracle_makes(monkeypatch):
     # the benchmark's tracer counts SeededRng.read calls, so every draw
-    # still takes its bytes through read, one call per randbits; the
-    # sizes cross the one- and two-byte draw widths
+    # still takes its bytes through read, one call per randbits and per
+    # value of randbits_each; the sizes cross the one- and two-byte draw
+    # widths
     calls = {SeededRng: [], oracles.UnbufferedRng: []}
     for cls in calls:
         def counted(self, nbytes, inner=cls.read, cls=cls):
@@ -262,6 +272,7 @@ def test_draws_make_the_read_calls_the_unbuffered_oracle_makes(monkeypatch):
         monkeypatch.setattr(cls, "read", counted)
     for rng in (SeededRng(seed_bytes(1)), oracles.UnbufferedRng(seed_bytes(1))):
         rng.randbits(0), rng.randbits(9)
+        rng.randbits_each(0, 3), rng.randbits_each(10, 50), rng.randbits_each(9, 0)
         rng.permutation(1025), rng.sample(300, 300), rng.sample(4096, 3488)
     assert calls[SeededRng] == calls[oracles.UnbufferedRng]
     assert {1, 2} <= set(calls[SeededRng])

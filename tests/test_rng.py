@@ -20,6 +20,8 @@ def test_seed_of_wrong_length_raises_kal1_error(nbytes):
         ("sample", (-1, 0)),
         ("sample", (3, 4)),
         ("sample", (3, -1)),
+        ("randbits_each", (-1, 1)),
+        ("randbits_each", (8, -1)),
     ],
 )
 def test_bad_draw_arguments_raise_kal1_error(draw, args):

@@ -7,9 +7,11 @@ plane) must agree with a scan of ``oracles.poly_eval`` over the whole
 field.  ``is_irreducible`` must decide like the batched Ben-Or it
 replaced, which took a gcd at level 1, and like the level-by-level
 oracle, on both sides of the degree-4 cut below which a rootless
-polynomial is irreducible.  Both take f packed, and must agree with
-the list oracles on the zero polynomial, a constant, degrees 1 to 3,
-f_0 = 0 and a degree one past the cached powers.  A code's values of
+polynomial is irreducible, and on products whose gcd with a block's
+product has the degree of the block's first level, where Euclid stops.
+Both take f packed, and must agree with the list oracles on the zero
+polynomial, a constant, degrees 1 to 3, f_0 = 0 and a degree one past
+the cached powers.  A code's values of
 g must equal ``poly_eval`` on supports with and without 0.  The bit writer and
 reader must round-trip and give the old codec's bytes and errors on
 truncated and padded payloads.
@@ -40,8 +42,9 @@ def irreducible(field, d, rnd, avoid=()):
 
 def cases(m):
     """(label, f) pairs: random monics of degree 2-5 (more of them at
-    m <= 12), polynomials built to have or to lack a root, and ones
-    whose coefficients are mostly 0 and 2^m - 1."""
+    m <= 12), polynomials built to have or to lack a root, products
+    whose smallest factor meets each of Ben-Or's gcds, and ones whose
+    coefficients are mostly 0 and 2^m - 1."""
     field = FIELDS[m]
     rnd = random.Random(f"roots/{m}")
     q = field.order
@@ -80,6 +83,10 @@ def cases(m):
     for i in range(4 if m <= 12 else 1):
         d = rnd.randrange(1, 12)
         out.append((f"extreme-random-{i}", [rnd.choice([0, top, rnd.randrange(q)]) for _ in range(d)] + [top]))
+    # a nonzero block product whose gcd with f has the degree of the
+    # block's first level, where the gcd stops: blocks {3, 4} and {6}
+    out.append(("cubic-times-quintic", poly_mul(field, h, irreducible(field, 5, rnd))))
+    out.append(("sextic-times-septic", poly_mul(field, irreducible(field, 6, rnd), irreducible(field, 7, rnd))))
     return out
 
 
