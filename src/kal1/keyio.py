@@ -9,11 +9,12 @@ Public key file (bit exact):
             0x03 Kal1-S2
     u16be   n, k, t, m
     u8      w (Kal1-S1 position count; 0x00 for every other scheme)
-    bytes   payload bits, MSB first, zero padded to a byte boundary:
-              0x00  the n x (n-k) public check matrix, row major
+    bytes   payload bits, MSB of each byte first, zero padded to a byte:
+              0x00  the n rows of the n x (n-k) public check matrix
               0x01  the seed row, n-k bits
               0x02  w sorted positions, ceil(log2(n-k)) bits each
               0x03  run start then run length, ceil(log2(n-k)) bits each
+            A row goes position 0 first, a position or run field MSB first.
 
 All three Kal1 schemes publish one ``scheme.Kal1PublicKey``: its seed
 policy (dense, sparse or run) picks the scheme id, and the positions or
@@ -35,9 +36,9 @@ unless scheme 0x03), the 16-byte generator seed that regenerates the
 keypair, and a big-endian CRC-32 of the matching public key file.
 
 Messages are raw big-endian integers of ceil(msg_bits/8) bytes;
-ciphertexts are n-k bit vectors in the payload bit layout: position 0
-is the most significant bit of the first byte, zero padded to a byte
-boundary.  KAT files are text, one record per line:
+ciphertexts are one n-k bit row in the payload layout.  Every payload is
+fields of one width, so one writer and one reader carry them all.  KAT
+files are text, one record per line:
 
     params=<n>,<k>,<t>,<m> seed=<hex16B> msg=<hex> ct=<hex>
 """
@@ -84,7 +85,10 @@ _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _reverse_bits(value: int, nbits: int) -> int:
-    """Reverse an nbits-wide value: bit i moves to bit nbits-1-i."""
+    """Reverse an nbits-wide value: bit i moves to bit nbits-1-i, as an
+    MSB-first field goes through the codec; FormatError if it is wider."""
+    if value >> nbits:
+        raise FormatError(f"value {value} does not fit in {nbits} bits")
     nbytes = (nbits + 7) // 8
     rev = int.from_bytes(value.to_bytes(nbytes, "little").translate(_REV8), "big")
     return rev >> (8 * nbytes - nbits)
@@ -95,67 +99,34 @@ def position_width(redundancy: int) -> int:
     return (redundancy - 1).bit_length()
 
 
-class _BitWriter:
-    """MSB-first fields into a byte buffer.  Every whole byte goes out
-    as soon as a field completes it, so the pending bits stay under one
-    byte and each field costs time in its own width only."""
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def put_uint(self, value: int, width: int):
+def _write_fields(fields: list[int], width: int) -> bytes:
+    """The payload bytes of fields of one width: field 0 first, each
+    field's bit 0 first, zero padded to a byte boundary.  FormatError
+    for a value wider than its field."""
+    for value in fields:
         if value >> width:
             raise FormatError(f"value {value} does not fit in {width} bits")
-        pending = self._nbits % 8 + width
-        acc = self._acc << width | value
-        whole = pending // 8
-        if whole:
-            rest = pending - 8 * whole
-            self._out += (acc >> rest).to_bytes(whole, "big")
-            acc &= (1 << rest) - 1
-        self._acc = acc
-        self._nbits += width
-
-    def put_vector(self, v: int, nbits: int):
-        if v >> nbits:
-            raise FormatError(f"vector does not fit in {nbits} bits")
-        # vector position 0 is emitted first, hence the bit reversal
-        self.put_uint(_reverse_bits(v, nbits), nbits)
-
-    @property
-    def bit_count(self) -> int:
-        return self._nbits
-
-    def to_bytes(self) -> bytes:
-        pad = -self._nbits % 8
-        return bytes(self._out) + ((self._acc << pad).to_bytes(1, "big") if pad else b"")
+    nbits = width * len(fields)
+    # join neighbours, so each level copies the vector once
+    while len(fields) > 1:
+        odd = fields[-1:] if len(fields) % 2 else []
+        fields = [a | b << width for a, b in zip(fields[::2], fields[1::2])] + odd
+        width *= 2
+    return (fields[0] if fields else 0).to_bytes((nbits + 7) // 8, "little").translate(_REV8)
 
 
-class _BitReader:
-    """MSB-first fields out of a byte string: each one converts only the
-    bytes its bits lie in."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def take_uint(self, width: int) -> int:
-        end = self._pos + width
-        if end > 8 * len(self._data):
-            raise FormatError("payload truncated")
-        chunk = int.from_bytes(self._data[self._pos // 8 : (end + 7) // 8], "big")
-        self._pos = end
-        return chunk >> (-end % 8) & ((1 << width) - 1)
-
-    def take_vector(self, nbits: int) -> int:
-        return _reverse_bits(self.take_uint(nbits), nbits)
-
-    def expect_zero_padding(self):
-        left = 8 * len(self._data) - self._pos
-        if left >= 8 or self._data and self._data[-1] & ((1 << left) - 1):
-            raise FormatError("nonzero or oversized payload padding")
+def _read_fields(data: bytes, width: int, count: int) -> list[int]:
+    """The count fields _write_fields wrote into data, width >= 1; data
+    is exactly their bytes.  FormatError when a padding bit is set."""
+    data = data.translate(_REV8)
+    nbits = width * count
+    if int.from_bytes(data, "little") >> nbits:
+        raise FormatError("nonzero or oversized payload padding")
+    mask = (1 << width) - 1
+    return [
+        int.from_bytes(data[i >> 3 : (i + width + 7) >> 3], "little") >> (i & 7) & mask
+        for i in range(0, nbits, width)
+    ]
 
 
 # the wire form each Kal1 seed policy is published in
@@ -210,15 +181,21 @@ def seed_fields(sid: int, seed_row: int) -> list[int]:
     return [start, run]
 
 
-def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
+def _header_misfit(sid: int, params: CodeParams, w: int) -> str:
+    """The refusal of the first header field wider than its bits, or ""."""
     values = (sid, params.n, params.k, params.t, params.m, w)
     for (name, bits), value in zip(_HEADER_FIELDS, values):
         # CodeParams admits n = 2^16, one more than 16 bits hold
         if not 0 <= value < 1 << bits:
-            raise FormatError(
-                f"a header field is out of range: {name} = {value} does not fit in {bits} bits"
-            )
-    return _HEADER.pack(magic, VERSION, *values)
+            return f"a header field is out of range: {name} = {value} does not fit in {bits} bits"
+    return ""
+
+
+def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
+    misfit = _header_misfit(sid, params, w)
+    if misfit:
+        raise FormatError(misfit)
+    return _HEADER.pack(magic, VERSION, sid, params.n, params.k, params.t, params.m, w)
 
 
 def serialize_public_key(key: scheme.PublicKey) -> bytes:
@@ -228,24 +205,21 @@ def serialize_public_key(key: scheme.PublicKey) -> bytes:
     params = key.params
     nk = params.redundancy
     sid = scheme_id(key)
-    out = _BitWriter()
-    fields = []
+    w = 0
     if sid == SCHEME_NIEDERREITER:
         _check_systematic(key.check_t.row_ints, params)
-        for row in key.check_t.row_ints:
-            out.put_vector(row, nk)
+        payload = _write_fields(key.check_t.row_ints, nk)
     elif key.seed_row >> nk:
         raise FormatError("seed row longer than n-k bits")
     elif sid == SCHEME_KAL1:
-        out.put_vector(key.seed_row, nk)
+        payload = _write_fields([key.seed_row], nk)
     else:
         fields = seed_fields(sid, key.seed_row)
-        for value in fields:
-            # a run length at or above 2^width raises here
-            out.put_uint(value, position_width(nk))
-    w = len(fields) if sid == SCHEME_KAL1_S1 else 0
-    assert out.bit_count == scheme_payload_bits(sid, params, w)
-    return _pack_header(MAGIC_PUBLIC, sid, params, w) + out.to_bytes()
+        w = len(fields) if sid == SCHEME_KAL1_S1 else 0
+        width = position_width(nk)
+        # a run length at or above 2^width raises here
+        payload = _write_fields([_reverse_bits(f, width) for f in fields], width)
+    return _pack_header(MAGIC_PUBLIC, sid, params, w) + payload
 
 
 def _parse_header(data: bytes, magic: bytes):
@@ -265,22 +239,17 @@ def _parse_header(data: bytes, magic: bytes):
     return sid, params, w
 
 
-def _check_scheme_fields(sid: int, w: int, run_start: int, run_len: int) -> None:
-    """FormatError unless the scheme id is known, the weight byte is zero
-    outside Kal1-S1 and the run fields (0 for a .pk) are zero outside
-    Kal1-S2: the rules of a key header.  The readers apply them, and so
-    do regenerate and serialize_private_key, whose callers name the
-    fields."""
+def _header_policy(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPolicy | None:
+    """The seed policy a key header names (None for Niederreiter); each
+    caller validates it itself.  FormatError unless the scheme id is known,
+    the weight byte is zero outside Kal1-S1 and the run fields (a .pk's
+    are in its payload) are zero outside Kal1-S2: the header rules."""
     if sid not in SCHEME_NAMES:
         raise FormatError(f"unknown scheme id {sid:#04x}")
     if sid != SCHEME_KAL1_S1 and w != 0:
         raise FormatError("weight byte must be zero outside Kal1-S1")
     if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):
         raise FormatError("run fields must be zero outside Kal1-S2")
-
-
-def _policy_for(sid: int, w: int, run_start: int, run_len: int) -> scheme.SeedPolicy | None:
-    """The seed policy a header names; None for a Niederreiter key."""
     if sid == SCHEME_NIEDERREITER:
         return None
     if sid == SCHEME_KAL1:
@@ -299,33 +268,29 @@ def _check_systematic(rows: list[int], params: CodeParams) -> None:
 def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
-    _check_scheme_fields(sid, w, 0, 0)
+    _header_policy(sid, w, 0, 0)  # the scheme id sets the payload size
     nk = params.redundancy
-    width = position_width(nk)
     nbytes = (scheme_payload_bits(sid, params, w) + 7) // 8
     body = data[_HEADER.size :]
     if len(body) != nbytes:
         raise FormatError(f"payload must be {nbytes} bytes, got {len(body)}")
-    rd = _BitReader(body)
     if sid == SCHEME_NIEDERREITER:
-        rows = [rd.take_vector(nk) for _ in range(params.n)]
-        rd.expect_zero_padding()
+        rows = _read_fields(body, nk, params.n)
         _check_systematic(rows, params)
         return niederreiter.NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, rows))
     start = run = 0
     if sid == SCHEME_KAL1:
-        seed_row = rd.take_vector(nk)
+        (seed_row,) = _read_fields(body, nk, 1)
     else:
+        width = position_width(nk)
+        count = w if sid == SCHEME_KAL1_S1 else 2
+        fields = [_reverse_bits(f, width) for f in _read_fields(body, width, count)]
         if sid == SCHEME_KAL1_S1:
-            fields = [rd.take_uint(width) for _ in range(w)]
-            seed_row = 0
-            for p in fields:
-                seed_row |= 1 << p  # OR: a repeated position must not carry
+            seed_row = sum({1 << p for p in fields})  # a repeated position must not carry
         else:
-            fields = [rd.take_uint(width), rd.take_uint(width)]
             start, run = fields
             seed_row = ((1 << run) - 1) << start
-    policy = _policy_for(sid, w, start, run)
+    policy = _header_policy(sid, w, start, run)
     try:
         scheme.validate_policy(policy, nk)
     except PolicyError as exc:
@@ -333,7 +298,6 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
     # the fields are the ones serialize_public_key writes for this row
     if sid != SCHEME_KAL1 and (seed_row >> nk or seed_fields(sid, seed_row) != fields):
         raise FormatError("payload fields are not the canonical form of a seed row")
-    rd.expect_zero_padding()
     return scheme.Kal1PublicKey(params, seed_row, policy)
 
 
@@ -346,14 +310,11 @@ def regenerate(sid: int, params: CodeParams, w: int, run_start: int, run_len: in
     its positions in public order.  Fields the key header cannot carry
     are refused before anything is drawn, and so are fields the header
     rules refuse: an unknown scheme id would otherwise name Kal1-S2."""
-    _check_scheme_fields(sid, w, run_start, run_len)
-    policy = _policy_for(sid, w, run_start, run_len)
-    try:
-        _pack_header(MAGIC_PRIVATE, sid, params, w)
-    except FormatError:
-        if policy is not None:  # a bad policy is reported first, as keygen does
-            scheme.validate_policy(policy, params.redundancy)
-        raise
+    policy = _header_policy(sid, w, run_start, run_len)
+    # a bad policy is reported first, as keygen does; else keygen checks it
+    if policy is not None and _header_misfit(sid, params, w):
+        scheme.validate_policy(policy, params.redundancy)
+    _pack_header(MAGIC_PRIVATE, sid, params, w)
     rng = SeededRng(seed)
     if policy is None:
         return niederreiter.keygen(params, rng)
@@ -369,8 +330,7 @@ def serialize_private_key(
     if len(seed) != SEED_BYTES:
         raise FormatError(f"seed must be {SEED_BYTES} bytes")
     header = _pack_header(MAGIC_PRIVATE, sid, params, w)
-    _check_scheme_fields(sid, w, run_start, run_len)
-    policy = _policy_for(sid, w, run_start, run_len)
+    policy = _header_policy(sid, w, run_start, run_len)
     if policy is not None:
         try:
             scheme.validate_policy(policy, params.redundancy)
@@ -391,8 +351,7 @@ def load_private_key(data: bytes):
     sid, params, w = _parse_header(data, MAGIC_PRIVATE)
     run_start, run_len, seed, crc = _PRIVATE_TAIL.unpack_from(data, _HEADER.size)
     try:
-        # regenerate checks the scheme fields, and scheme.keygen the seed
-        # policy they name, before any draw
+        # regenerate checks the header and its seed policy before any draw
         pub, priv = regenerate(sid, params, w, run_start, run_len, seed)
     except PolicyError as exc:
         raise FormatError(f"invalid private key header: {exc}") from exc
@@ -413,33 +372,32 @@ def ciphertext_bytes(params: CodeParams) -> int:
     return (params.redundancy + 7) // 8
 
 
-def encode_message(msg: int, params: CodeParams) -> bytes:
-    return msg.to_bytes(message_bytes(params), "big")
-
-
-def decode_message(data: bytes, params: CodeParams) -> int:
-    cwp = scheme.cw_params(params)
-    if len(data) != message_bytes(params):
-        raise FormatError(f"message must be {message_bytes(params)} bytes, got {len(data)}")
-    msg = int.from_bytes(data, "big")
-    if msg >> cwp.msg_bits:
-        raise RangeError(f"message exceeds the {cwp.msg_bits}-bit capacity")
+def _in_capacity(msg: int, params: CodeParams) -> int:
+    bits = scheme.cw_params(params).msg_bits
+    if msg < 0 or msg >> bits:
+        raise RangeError(f"message exceeds the {bits}-bit capacity")
     return msg
 
 
+def encode_message(msg: int, params: CodeParams) -> bytes:
+    """The message bytes; RangeError, as from decode_message, past the capacity."""
+    return _in_capacity(msg, params).to_bytes(message_bytes(params), "big")
+
+
+def decode_message(data: bytes, params: CodeParams) -> int:
+    if len(data) != message_bytes(params):
+        raise FormatError(f"message must be {message_bytes(params)} bytes, got {len(data)}")
+    return _in_capacity(int.from_bytes(data, "big"), params)
+
+
 def encode_ciphertext(c: int, params: CodeParams) -> bytes:
-    out = _BitWriter()
-    out.put_vector(c, params.redundancy)
-    return out.to_bytes()
+    return _write_fields([c], params.redundancy)
 
 
 def decode_ciphertext(data: bytes, params: CodeParams) -> int:
     if len(data) != ciphertext_bytes(params):
         raise FormatError(f"ciphertext must be {ciphertext_bytes(params)} bytes, got {len(data)}")
-    rd = _BitReader(data)
-    c = rd.take_vector(params.redundancy)
-    rd.expect_zero_padding()
-    return c
+    return _read_fields(data, params.redundancy, 1)[0]
 
 
 # --- KAT records ---

@@ -9,8 +9,14 @@ from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
 # tests/mutants.py runs the tests under this profile: the first failing
-# example is reported unshrunk, so a killed mutant stops early
-settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate], database=None)
+# example is reported unshrunk, and the first failing explicit example
+# ends the test, so a killed mutant stops early
+settings.register_profile(
+    "mutants",
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    database=None,
+    report_multiple_bugs=False,
+)
 
 TOY = CodeParams(16, 8, 2, 4)
 MID = CodeParams(256, 192, 8, 8)

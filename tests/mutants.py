@@ -21,7 +21,7 @@ otherwise (say, a test id that no longer exists).  Only the standard
 library is used; the tests themselves need pytest and hypothesis, run
 with a fixed hypothesis seed so that a verdict does not change from run
 to run, and under conftest's "mutants" profile, which does not shrink a
-failure.
+failure and stops at the first failing example.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ ROW_COUNT = "test_keygen_kernels.py::test_eliminate_matches_oracle_at_every_row_
 EDGES = "test_root_screen.py::test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges"
 SQUARES = "test_fast_kernels.py::test_squares_matches_oracle"
 FROBENIUS = "test_fast_kernels.py::test_squares_and_sqrt_halves_match_their_oracles_at_every_m"
+CODEC = "test_root_screen.py::test_codec_round_trips_with_the_old_bytes"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -393,17 +394,33 @@ MUTANTS = [
     ),
     # the keyio wire codec
     Mutant(
+        # each join level shifts by the field width, so joined fields
+        # overlap the bits already placed
         "bit-writer-keeps-flushed-bits",
         "keyio.py",
-        "            acc &= (1 << rest) - 1\n",
+        "        width *= 2\n",
         "",
-        ("test_root_screen.py::test_codec_round_trips_with_the_old_bytes",),
+        (CODEC,),
+    ),
+    Mutant(
+        "join-drops-the-odd-field",
+        "keyio.py",
+        "for a, b in zip(fields[::2], fields[1::2])] + odd",
+        "for a, b in zip(fields[::2], fields[1::2])]",
+        (CODEC,),
+    ),
+    Mutant(
+        "split-ignores-the-bit-offset",
+        "keyio.py",
+        '"little") >> (i & 7) & mask',
+        '"little") & mask',
+        (CODEC,),
     ),
     Mutant(
         "bit-reader-ignores-padding-bits",
         "keyio.py",
-        "if left >= 8 or self._data and self._data[-1] & ((1 << left) - 1):",
-        "if left >= 8:",
+        'if int.from_bytes(data, "little") >> nbits:',
+        "if False:",
         ("test_keyio.py::test_parse_rejects_nonzero_padding",),
     ),
     Mutant(
@@ -424,16 +441,20 @@ MUTANTS = [
     Mutant(
         "private-writer-skips-the-policy-check",
         "keyio.py",
-        "    if policy is not None:\n        try:\n            scheme.validate_policy",
-        "    if False:\n        try:\n            scheme.validate_policy",
+        "    policy = _header_policy(sid, w, run_start, run_len)\n    if policy is not None:\n        try:",
+        "    policy = _header_policy(sid, w, run_start, run_len)\n    if False:\n        try:",
         ("test_keyio.py::test_private_key_writer_refuses_what_the_loader_refuses",),
     ),
     Mutant(
-        # an unknown scheme id regenerates a Kal1-S2 key
+        # the header rules regenerate applies through _header_policy are
+        # gone, so an unknown scheme id regenerates a Kal1-S2 key
         "regenerate-skips-the-scheme-fields",
         "keyio.py",
-        "    _check_scheme_fields(sid, w, run_start, run_len)\n    policy = _policy_for(sid, w, run_start, run_len)\n    try:",
-        "    policy = _policy_for(sid, w, run_start, run_len)\n    try:",
+        "    if sid not in SCHEME_NAMES:\n        raise FormatError(f\"unknown scheme id {sid:#04x}\")\n"
+        "    if sid != SCHEME_KAL1_S1 and w != 0:\n        raise FormatError(\"weight byte must be zero outside Kal1-S1\")\n"
+        "    if sid != SCHEME_KAL1_S2 and (run_start != 0 or run_len != 0):\n"
+        "        raise FormatError(\"run fields must be zero outside Kal1-S2\")\n",
+        "",
         ("test_keyio.py::test_regenerate_refuses_scheme_fields_before_any_draw",),
     ),
     Mutant(

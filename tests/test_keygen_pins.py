@@ -77,6 +77,15 @@ STRESS_KEY = (
 )
 
 
+# Niederreiter keys whose n-k (15 and 500) is not a multiple of 8, so
+# the check rows do not start on byte boundaries: (params, seed tag,
+# .pk SHA-256).  The pinned MID and toy keys have n-k of 64 and 8.
+UNALIGNED_NIEDERREITER_KEYS = [
+    (CodeParams(32, 17, 3, 5), 1, "20c3dd8b44780d9ee564a306de777ea3c32d74c367571100ff5d8c107828abbb"),
+    (FULL, 1, "368e729b9dfcf906d5014846053eef1e853a8efc6e73bbcbadba62867ed08505"),
+]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -114,3 +123,12 @@ def test_stress_kal1_key_pinned_and_round_trips():
     assert sha256(sk) == sk_sha
     msg = (1 << scheme.cw_params(STRESS).msg_bits) // 3
     assert scheme.decrypt(priv, scheme.encrypt(pub, msg)) == msg
+
+
+@pytest.mark.parametrize("params, tag, pk_sha", UNALIGNED_NIEDERREITER_KEYS, ids=["n-k=15", "n-k=500"])
+def test_unaligned_niederreiter_key_pinned_and_parsed(params, tag, pk_sha):
+    pub, _ = keyio.regenerate(keyio.SCHEME_NIEDERREITER, params, 0, 0, 0, seed_bytes(tag))
+    pk = keyio.serialize_public_key(pub)
+    assert len(pk) == keyio._HEADER.size + (params.n * params.redundancy + 7) // 8
+    assert sha256(pk) == pk_sha
+    assert keyio.parse_public_key(pk).check_t.row_ints == pub.check_t.row_ints

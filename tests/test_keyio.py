@@ -139,7 +139,7 @@ ODD = CodeParams(32, 17, 3, 5)
 
 def seed_payload_blob(sid, params, fields):
     """A .pk file whose Kal1-S1/S2 payload holds the given fields."""
-    out = keyio._BitWriter()
+    out = oracles.BitWriter()
     for value in fields:
         out.put_uint(value, keyio.position_width(params.redundancy))
     w = len(fields) if sid == keyio.SCHEME_KAL1_S1 else 0
@@ -197,7 +197,7 @@ def test_parse_rejects_non_systematic_check(toy_nied):
     # the writer refuses the key, so its file is written by hand
     with pytest.raises(FormatError, match="not in systematic form"):
         keyio.serialize_public_key(broken)
-    out = keyio._BitWriter()
+    out = oracles.BitWriter()
     for row in rows:
         out.put_vector(row, TOY.redundancy)
     blob = keyio._pack_header(keyio.MAGIC_PUBLIC, keyio.SCHEME_NIEDERREITER, TOY, 0) + out.to_bytes()
@@ -465,6 +465,16 @@ def test_message_and_ciphertext_codecs():
     assert keyio.encode_ciphertext(c, TOY) == b"\xa0"
     with pytest.raises(FormatError):
         keyio.decode_ciphertext(b"", TOY)
+
+
+@pytest.mark.parametrize("params", [TOY, MID, FULL], ids=["toy", "mid", "headline"])
+def test_encode_message_refuses_what_decode_message_refuses(params):
+    bits = scheme.cw_params(params).msg_bits
+    top = (1 << bits) - 1
+    assert keyio.decode_message(keyio.encode_message(top, params), params) == top
+    for msg in (-1, 1 << bits, 1 << 8 * keyio.message_bytes(params)):
+        with pytest.raises(RangeError, match=f"^message exceeds the {bits}-bit capacity$"):
+            keyio.encode_message(msg, params)
 
 
 def test_ciphertext_bit_order():

@@ -250,70 +250,104 @@ def test_goppa_values_of_a_g_with_roots_off_the_support(with_zero):
         GoppaCode(field, CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], pack(field, g))
 
 
-# --- the bit writer and reader ---
+# --- the payload writer and reader ---
+
+# field counts: none, one, two, three and other odd counts, so every
+# level of the writer's pairwise join meets a leftover field
+COUNTS = (0, 1, 2, 3, 5, 7, 13, 31)
+WIDTHS = (1, 9, 64, 65, 131)
 
 
-def random_fields(rnd, count):
-    """(kind, width, value) with kind u (MSB first) or v (position 0 first)."""
-    out = []
-    for _ in range(count):
-        width = rnd.choice([0, 1, 3, 7, 8, 9, 16, 31, 64, 65, rnd.randrange(300)])
-        out.append((rnd.choice("uv"), width, rnd.getrandbits(width) if width else 0))
-    return out
+def random_payload(seed):
+    """(kind, width, fields): fields of one width, kind u (MSB first, as
+    Kal1-S1/S2 positions) or v (position 0 first, as rows)."""
+    rnd = random.Random(f"codec/{seed}")
+    width = WIDTHS[seed // len(COUNTS) % len(WIDTHS)]
+    count = COUNTS[seed % len(COUNTS)]
+    return rnd.choice("uv"), width, [rnd.getrandbits(width) for _ in range(count)]
 
 
-def write(writer, fields):
-    for kind, width, value in fields:
+def write(kind, width, fields):
+    """keyio's payload bytes for the fields, an MSB-first field reversed
+    as serialize_public_key does."""
+    if kind == "u":
+        fields = [keyio._reverse_bits(value, width) for value in fields]
+    return keyio._write_fields(fields, width)
+
+
+def oracle_write(kind, width, fields):
+    writer = oracles.BitWriter()
+    for value in fields:
         (writer.put_uint if kind == "u" else writer.put_vector)(value, width)
-    return writer.bit_count, writer.to_bytes()
+    return writer.to_bytes()
 
 
-def read(reader, fields):
-    """What the reader gives for the fields, then its padding verdict;
-    a FormatError's message ends the list."""
+def read(kind, width, count, data):
+    """What keyio's reader gives for the fields, then "ok"; a
+    FormatError's message ends the list."""
+    try:
+        fields = keyio._read_fields(data, width, count)
+    except FormatError as exc:
+        return [str(exc)]
+    if kind == "u":
+        fields = [keyio._reverse_bits(value, width) for value in fields]
+    return fields + ["ok"]
+
+
+def oracle_read(kind, width, count, data):
+    reader = oracles.BitReader(data)
     out = []
     try:
-        for kind, width, _ in fields:
+        for _ in range(count):
             out.append((reader.take_uint if kind == "u" else reader.take_vector)(width))
         reader.expect_zero_padding()
-        out.append("ok")
     except FormatError as exc:
-        out.append(str(exc))
-    return out
+        return [str(exc)]
+    return out + ["ok"]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_codec_round_trips_with_the_old_bytes(seed):
-    rnd = random.Random(f"codec/{seed}")
-    fields = random_fields(rnd, rnd.randrange(0, 12))
-    nbits, data = write(keyio._BitWriter(), fields)
-    assert (nbits, data) == write(oracles.BitWriter(), fields)
-    assert read(keyio._BitReader(data), fields) == [v for _, _, v in fields] + ["ok"]
+    kind, width, fields = random_payload(seed)
+    data = write(kind, width, fields)
+    assert data == oracle_write(kind, width, fields)
+    assert len(data) == (width * len(fields) + 7) // 8
+    assert read(kind, width, len(fields), data) == fields + ["ok"]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_codec_errors_match_the_old_codec_on_damaged_payloads(seed):
-    rnd = random.Random(f"damaged/{seed}")
-    fields = random_fields(rnd, rnd.randrange(1, 8))
-    _, data = write(keyio._BitWriter(), fields)
-    damaged = [data[:cut] for cut in range(len(data))]  # every truncation
-    damaged += [data + b"\x00", data + b"\x80", data + bytes(rnd.randrange(1, 4))]
+    # the callers check the payload length, so the damage keeps it
+    kind, width, fields = random_payload(seed)
+    count = len(fields)
+    data = write(kind, width, fields)
+    nbits = width * count
+    damaged = []
     # every padding bit set, one at a time
-    pad = -sum(w for _, w, _ in fields) % 8
-    damaged += [data[:-1] + bytes([data[-1] | 1 << b]) for b in range(pad)]
+    for bit in range(nbits, 8 * len(data)):
+        blob = bytearray(data)
+        blob[bit // 8] |= 0x80 >> bit % 8
+        damaged.append(bytes(blob))
+    assert len(damaged) == -nbits % 8
+    # and a few field bits flipped
+    rnd = random.Random(f"damaged/{seed}")
+    for bit in rnd.sample(range(nbits), min(nbits, 8)):
+        blob = bytearray(data)
+        blob[bit // 8] ^= 0x80 >> bit % 8
+        damaged.append(bytes(blob))
     for blob in damaged:
-        assert read(keyio._BitReader(blob), fields) == read(oracles.BitReader(blob), fields)
-    # each cut drops a byte that holds a field bit, if any field has one
-    truncated = [read(keyio._BitReader(blob), fields)[-1] for blob in damaged[: len(data)]]
-    assert truncated == ["payload truncated"] * len(data)
+        assert read(kind, width, count, blob) == oracle_read(kind, width, count, blob)
+    padding_refused = [read(kind, width, count, blob) for blob in damaged[: -nbits % 8]]
+    assert padding_refused == [["nonzero or oversized payload padding"]] * (-nbits % 8)
 
 
 @pytest.mark.parametrize("kind", "uv")
 @pytest.mark.parametrize("value, width", [(8, 3), (-1, 5), (1, 0), (1 << 70, 70)])
 def test_codec_refuses_a_value_wider_than_its_field_like_the_old_writer(kind, value, width):
-    messages = []
-    for writer in (keyio._BitWriter(), oracles.BitWriter()):
-        with pytest.raises(FormatError) as info:
-            (writer.put_uint if kind == "u" else writer.put_vector)(value, width)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    # both paths refuse with the old writer's message for a field, also
+    # when the value sits between fields that fit
+    with pytest.raises(FormatError) as old:
+        oracles.BitWriter().put_uint(value, width)
+    with pytest.raises(FormatError) as new:
+        write(kind, width, [0, value, 0])
+    assert str(new.value) == str(old.value) == f"value {value} does not fit in {width} bits"
