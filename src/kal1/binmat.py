@@ -68,7 +68,7 @@ class BinaryMatrix:
         left = [r.to_bytes((self.cols + 7) // 8, "little") for r in self.row_ints]
         out = [0] * self.rows
         for j in range(0, self.cols, CHUNK):
-            table = _combinations(orows[j : j + CHUNK])
+            table = combinations(orows[j : j + CHUNK])
             byte = j // CHUNK
             out = [acc ^ table[row[byte]] for acc, row in zip(out, left)]
         return BinaryMatrix(self.rows, other.cols, out)
@@ -109,9 +109,10 @@ class BinaryMatrix:
 CHUNK = 8  # columns per Four-Russians step; its tables have 2^CHUNK entries
 
 
-def _combinations(rows: list[int]) -> list[int]:
+def combinations(rows: list[int]) -> list[int]:
     """Entry v is the XOR of the rows picked by the bits of v, built by
-    doubling: each row is XORed into a copy of the table so far."""
+    doubling: each row is XORed into a copy of the table so far.  gf2m
+    builds its split tables and its byte tables with it too."""
     table = [0]
     for row in rows:
         table += [acc ^ row for acc in table] if row else table
@@ -175,7 +176,7 @@ def eliminate(
                     pivots[c] = p ^ reduced
             pivots[b.bit_length() - 1] = reduced
             have |= b
-        table = _combinations(pivots)
+        table = combinations(pivots)
         if solved is not None:
             solved[:] = [(r ^ table[r & low]) >> step for r in solved]
             solved += [p >> step for p in pivots if p]

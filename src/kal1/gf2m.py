@@ -12,6 +12,8 @@ divisor's alpha multiples over the set bits of a scalar, read from two
 small tables, one per half of its bits.  The Frobenius maps, squares
 and sqrt_halves, move bits by bytes.translate tables over the whole
 int and fold or scale what the move leaves: no loop per coefficient.
+Those tables and the split tables come from binmat.combinations.  The
+one root finder, roots, serves Ben-Or's level 1 and Patterson's locator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import operator
 import struct
 
+from .binmat import combinations
 from .errors import ParameterError
 
 # One reduction polynomial per extension degree, each primitive: x
@@ -119,14 +122,9 @@ def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
 
 def split(field: Field, basis: list[int]) -> tuple[list[int], list[int]]:
     """c -> the XOR of basis[s] over the bits s of c, as a table for the
-    low m // 2 bits of c and one for the rest, built by doubling."""
+    low m // 2 bits of c and one for the rest."""
     lo_bits = field.m // 2
-    lo, hi = [0], [0]
-    for v in basis[:lo_bits]:
-        lo += [acc ^ v for acc in lo]
-    for v in basis[lo_bits:]:
-        hi += [acc ^ v for acc in hi]
-    return lo, hi
+    return combinations(basis[:lo_bits]), combinations(basis[lo_bits:])
 
 
 def mul_tables(field: Field, v: int) -> tuple[list[int], list[int]]:
@@ -239,22 +237,14 @@ def euclid(field: Field, r0: int, r1: int, dbound: int) -> tuple[int, int]:
     return b >> s, b & ((1 << s) - 1)
 
 
-def _byte_table(values: list[int]) -> bytes:
-    """The bytes.translate table of b -> the XOR of values[j] over the set
-    bits j of b, built by doubling as split builds its tables."""
-    table = [0]
-    for v in values:
-        table += [acc ^ v for acc in table]
-    return bytes(table)
-
-
-# bits 0-3 of a byte to bits 0, 2, 4, 6, and bits 4-7 to the same bits of
-# the next byte: bit p of an int moves to bit 2p
-_SPREAD_LO = _byte_table([1, 4, 16, 64, 0, 0, 0, 0])
-_SPREAD_HI = _byte_table([0, 0, 0, 0, 1, 4, 16, 64])
+# bytes.translate tables, b -> the XOR of the values picked by its bits.
+# Bits 0-3 of a byte to bits 0, 2, 4, 6, and bits 4-7 to the same bits
+# of the next byte: bit p of an int moves to bit 2p
+_SPREAD_LO = bytes(combinations([1, 4, 16, 64, 0, 0, 0, 0]))
+_SPREAD_HI = bytes(combinations([0, 0, 0, 0, 1, 4, 16, 64]))
 # bits 0, 2, 4, 6 or bits 1, 3, 5, 7 of a byte to bits 0-3
-_EVENS = _byte_table([1, 0, 2, 0, 4, 0, 8, 0])
-_ODDS = _byte_table([0, 1, 0, 2, 0, 4, 0, 8])
+_EVENS = bytes(combinations([1, 0, 2, 0, 4, 0, 8, 0]))
+_ODDS = bytes(combinations([0, 1, 0, 2, 0, 4, 0, 8]))
 
 
 def squares(field: Field, v: int) -> int:
@@ -447,6 +437,14 @@ def power_planes(field: Field, f: int) -> list[int]:
     return [acc >> (b * q1) & lane for b in range(m)]
 
 
+def roots(field: Field, f: int) -> int:
+    """The roots of packed f as bits: bit e < q - 1 where f(alpha^e) = 0, a
+    lane of power_planes zero on every plane, and bit q - 1 where f_0 = 0."""
+    q1 = field.order - 1
+    nonzero = functools.reduce(operator.or_, power_planes(field, f))
+    return nonzero ^ ((1 << q1) - 1) | (0 if f & q1 else 1 << q1)
+
+
 def is_irreducible(field: Field, f: int) -> bool:
     """Whether packed f of degree >= 1 is irreducible over GF(2^m).
 
@@ -454,9 +452,8 @@ def is_irreducible(field: Field, f: int) -> bool:
     for every level i up to deg(f)/2, which rules out every factor of
     degree at most deg(f)/2 and therefore all of them.  Level 1 holds
     exactly when f has no root in GF(q), since x^q - x is the product of
-    every x - a, so it is decided by evaluation: f_0 at 0 and the
-    bitsliced power_planes at every other element.  Most candidates that
-    fail, fail there, before any table below is built; below degree 4 a
+    every x - a, so it is decided by roots.  Most candidates that fail,
+    fail there, before any table below is built; below degree 4 a
     reducible f has a linear factor, so a rootless f is irreducible.
 
     Level 2 gets a gcd.  From level 3 on, the h - x of three levels are
@@ -487,12 +484,7 @@ def is_irreducible(field: Field, f: int) -> bool:
         return False
     if t == 1:
         return True
-    if not f & mask:
-        return False
-    nonzero = 0
-    for plane in power_planes(field, f):
-        nonzero |= plane
-    if nonzero != (1 << mask) - 1:
+    if roots(field, f):
         return False
     if t < 4:
         return True

@@ -6,9 +6,10 @@ every polynomial.  The parity-check matrix over the field has entries
 alpha_i^j / g(alpha_i); its binary expansion stacks the m coefficient
 bits of each entry, coefficient 0 topmost, and is held by columns only.
 Decoding is Patterson's algorithm, which corrects any error of weight
-up to t when g is irreducible.  Its error locator is evaluated at every
-nonzero field element by power_planes, the evaluator that gives the
-values of g, so root finding costs O(2^m), not O(n).
+up to t when g is irreducible.  Its error locator's roots come from
+gf2m.roots, over the whole field at once, so root finding costs O(2^m),
+not O(n); the values of g are read off the same power_planes.  Either
+way alpha^e is index e and alpha = 0 index 2^m - 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .gf2m import (
     poly_inv_mod,
     poly_sqrt_mod,
     power_planes,
+    roots,
     sqrt_x_mod,
     squares,
 )
@@ -167,7 +169,7 @@ class GoppaCode:
 
     def _eval_goppa_poly(self) -> list[int]:
         """g(alpha_i) for every support element, read off g's power
-        planes: g(alpha^e) is lane e, and g(0) is g_0.
+        planes: g(alpha^e) is lane e, and g(0) = g_0 goes at index q - 1.
 
         Each plane's binary digits, as ASCII bytes less b"0", hold bit e
         at byte e, so planes 0-7 OR into one int of byte lanes and
@@ -185,12 +187,9 @@ class GoppaCode:
                 high |= lanes << (b - 8)
         lows, highs = low.to_bytes(q1, "little"), high.to_bytes(q1, "little")
         values = [lo | hi << 8 for lo, hi in zip(lows, highs)]
+        values.append(self.goppa_poly & q1)
         log = fld.log_table
-        g_vals = [values[log[a]] for a in self.support]
-        # alpha = 0 has no log (its table entry is 0)
-        if 0 in self.support:
-            g_vals[self.support.index(0)] = self.goppa_poly & q1
-        return g_vals
+        return [values[log[a] if a else q1] for a in self.support]
 
     def _field_rows(self) -> list[list[int]]:
         """Rows r < t of alpha_i^r / g(alpha_i), in the log domain: the
@@ -294,28 +293,17 @@ class GoppaCode:
 
     def _locator_roots(self, sigma: int) -> int:
         """The support positions where a nonzero packed sigma vanishes, as
-        a bit vector.
-
-        Lane e of sigma's power planes holds sigma(alpha^e), so the
-        nonzero roots are the lanes that are zero on every plane, and
-        alpha = 0 is a root exactly when sigma_0 = 0.  Each root maps to
-        its support position; roots off the support are dropped.
-        """
-        q1 = self.field.order - 1
-        nonzero = 0
-        for plane in power_planes(self.field, sigma):
-            nonzero |= plane
-        roots = nonzero ^ ((1 << q1) - 1)
-        if not sigma & q1:
-            roots |= 1 << q1  # the lane past the last stands for alpha = 0
+        a bit vector: each root from gf2m.roots maps to its support
+        position, and roots off the support are dropped."""
+        found = roots(self.field, sigma)
         where = self._positions()
         e = 0
-        while roots:
-            low = roots & -roots
+        while found:
+            low = found & -found
             i = where[low.bit_length() - 1]
             if i is not None:
                 e |= 1 << i
-            roots ^= low
+            found ^= low
         return e
 
     def _positions(self) -> list[int | None]:

@@ -179,6 +179,16 @@ MUTANTS = [
         (PLANES,),
     ),
     Mutant(
+        # alpha = 0 is never a root: f_0 = 0 passes Ben-Or's level 1, and
+        # an error at alpha = 0 is not located
+        "roots-drops-alpha-zero",
+        "gf2m.py",
+        " | (0 if f & q1 else 1 << q1)",
+        "",
+        (BUILT, "test_fast_kernels.py::test_locator_roots_match_scan",
+         "test_fast_kernels.py::test_locator_roots_match_scan_on_partial_supports"),
+    ),
+    Mutant(
         "planes-tap-0-dropped",
         "gf2m.py",
         "taps = [s * q1 for s in range(m)",
@@ -350,8 +360,8 @@ MUTANTS = [
     Mutant(
         "squares-spread-table-entry",
         "gf2m.py",
-        "_SPREAD_LO = _byte_table([1, 4, 16, 64, 0, 0, 0, 0])",
-        "_SPREAD_LO = _byte_table([1, 4, 16, 32, 0, 0, 0, 0])",
+        "_SPREAD_LO = bytes(combinations([1, 4, 16, 64, 0, 0, 0, 0]))",
+        "_SPREAD_LO = bytes(combinations([1, 4, 16, 32, 0, 0, 0, 0]))",
         (SQUARES, FROBENIUS),
     ),
     Mutant(

@@ -6,7 +6,6 @@ them, so they must stay simple and must not call the kernels they check.
 """
 
 import functools
-import struct
 from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -794,20 +793,6 @@ def parity_check_rows(code: GoppaCode) -> list[list[int]]:
     for _ in range(1, code.params.t):
         rows.append([field_mul(fld, c, a) for c, a in zip(rows[-1], code.support)])
     return rows
-
-
-def check_rows(code: GoppaCode) -> BinaryMatrix:
-    """The m*t binary rows of the check, as parity_check once built them
-    for generate_code's rank test: with each field row packed in 16-bit
-    lanes, bit b of every entry is a strided slice of its binary digits,
-    binary row j*m + b."""
-    n, m = code.params.n, code.params.m
-    narrow = struct.Struct(f"<{n}H")
-    rows = []
-    for entries in code._field_rows():
-        digits = format(int.from_bytes(narrow.pack(*entries), "little"), f"0{16 * n}b")
-        rows += [int(digits[15 - b :: 16], 2) for b in range(m)]
-    return BinaryMatrix(len(rows), n, rows)
 
 
 def binary_check(code: GoppaCode) -> BinaryMatrix:

@@ -15,7 +15,7 @@ from kal1.rng import SeededRng
 
 import oracles
 from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
-from oracles import check_rows, pack, poly_eval, poly_mul, unpack
+from oracles import pack, poly_eval, poly_mul, unpack
 
 # frozen draw for generate_code(TOY, seed 1)
 TOY_SUPPORT = [5, 6, 12, 8, 1, 14, 2, 10, 9, 4, 3, 15, 7, 0, 13, 11]
@@ -102,8 +102,7 @@ def test_parity_check_first_row_and_shape(toy_code):
     for i, alpha in enumerate(toy_code.support):
         expected = field.inv(poly_eval(field, unpack(field, toy_code.goppa_poly), alpha))
         assert toy_code._field_rows()[0][i] == expected
-    rows = check_rows(toy_code)
-    assert rows == oracles.binary_check(toy_code)
+    rows = oracles.binary_check(toy_code)
     assert rows.rows == 8 and rows.cols == 16
     assert rows.rank() == 8
     assert pc.column_ints == oracles.transpose(rows).row_ints
@@ -111,7 +110,7 @@ def test_parity_check_first_row_and_shape(toy_code):
 
 def test_binary_expansion_bit_order(toy_code):
     # coefficient bit b of field row j lands in binary row j*m + b
-    rows = check_rows(toy_code)
+    rows = oracles.binary_check(toy_code)
     m = toy_code.params.m
     for j, row in enumerate(toy_code._field_rows()):
         for b in range(m):
@@ -122,7 +121,7 @@ def test_binary_expansion_bit_order(toy_code):
 def test_codewords_have_zero_syndrome(toy_code):
     pc = toy_code.parity_check()
     # nullspace basis of the binary check via dense elimination
-    rows = to_dense(check_rows(toy_code))
+    rows = to_dense(oracles.binary_check(toy_code))
     n = toy_code.params.n
     pivots = {}
     row_i = 0
@@ -160,7 +159,7 @@ def test_syndrome_trivia(toy_code):
     for i in range(16):
         assert pc.syndrome(1 << i) == pc.column_ints[i]
     # weight-2 syndromes match the generic matrix product
-    bt = check_rows(toy_code).transpose()
+    bt = oracles.binary_check(toy_code).transpose()
     for supp in combinations(range(16), 2):
         e = sum(1 << i for i in supp)
         expected = BinaryMatrix(1, 16, [e]).mul(bt).row_ints[0]

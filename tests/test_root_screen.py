@@ -2,9 +2,10 @@
 and keyio's byte-at-a-time bit codec, against the code they replaced.
 
 ``power_planes`` must put f(alpha^e) in lane e at every m from 4 to 16,
-and the root test it makes (f_0 = 0, or a lane that is zero in every
-plane) must agree with a scan of ``oracles.poly_eval`` over the whole
-field.  ``is_irreducible`` must decide like the batched Ben-Or it
+and ``roots``, which reads them, must set bit e exactly where
+``oracles.poly_eval`` is 0 at alpha^e and bit 2^m - 1 exactly where
+f_0 = 0, so that it finds a root exactly when a scan of the whole field
+does.  ``is_irreducible`` must decide like the batched Ben-Or it
 replaced, which took a gcd at level 1, and like the level-by-level
 oracle, on both sides of the degree-4 cut below which a rootless
 polynomial is irreducible, and on products whose gcd with a block's
@@ -23,7 +24,7 @@ import pytest
 
 from kal1 import gf2m, keyio
 from kal1.errors import FormatError, ParameterError
-from kal1.gf2m import Field, is_irreducible, power_planes
+from kal1.gf2m import Field, is_irreducible, power_planes, roots
 from kal1.goppa import CodeParams, GoppaCode
 
 import oracles
@@ -102,10 +103,13 @@ def test_power_planes_hold_f_at_every_element(m):
     # every lane up to m = 12, a sample and both ends above
     lanes = range(q1) if m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
     for label, f in cases(m):
-        planes = power_planes(field, pack(field, f))
+        packed = pack(field, f)
+        planes, found = power_planes(field, packed), roots(field, packed)
         assert len(planes) == m and all(p >> q1 == 0 for p in planes), label
+        assert found >> q1 == (f[0] == 0), label
         for e in lanes:
-            assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), (label, e)
+            value = oracles.poly_eval(field, f, field.exp_table[e])
+            assert lane(planes, e) == value and found >> e & 1 == (value == 0), (label, e)
 
 
 @pytest.mark.parametrize("m", [4, 10, 13])
@@ -125,12 +129,8 @@ def test_extended_power_cache_equals_a_fresh_build(monkeypatch, m):
 @pytest.mark.parametrize("m", sorted(FIELDS))
 def test_root_test_matches_a_scan_of_the_field(m):
     field = FIELDS[m]
-    full = (1 << (field.order - 1)) - 1
     for label, f in cases(m):
-        nonzero = 0
-        for plane in power_planes(field, pack(field, f)):
-            nonzero |= plane
-        has_root = f[0] == 0 or nonzero != full
+        has_root = roots(field, pack(field, f)) != 0
         scan = any(oracles.poly_eval(field, f, a) == 0 for a in range(field.order))
         assert has_root == scan, label
         if label.startswith("root-") or label.startswith("linear-"):
@@ -192,9 +192,11 @@ def test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges(m)
     for label, f in edge_cases(field, rnd):
         packed = pack(field, f)
         assert unpack(field, packed) == oracles.poly_trim(f), label
-        planes = power_planes(field, packed)
+        planes, found = power_planes(field, packed), roots(field, packed)
+        assert found >> (field.order - 1) == (oracles.poly_eval(field, f, 0) == 0), label
         for e in lanes:
-            assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), (label, e)
+            value = oracles.poly_eval(field, f, field.exp_table[e])
+            assert lane(planes, e) == value and found >> e & 1 == (value == 0), (label, e)
         assert is_irreducible(field, packed) is oracles.is_irreducible(field, f), label
 
 
