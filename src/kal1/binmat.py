@@ -119,6 +119,17 @@ def combinations(rows: list[int]) -> list[int]:
     return table
 
 
+def xor_rows(rows: list[int], v: int) -> int:
+    """The XOR of rows[i] over the set bits i of v, for v >= 0: one
+    entry of combinations(rows), without the table."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
 def eliminate(
     rows: list[int], width: int, solved: list[int] | None
 ) -> tuple[list[int], list[int]]:
@@ -200,13 +211,7 @@ def vec_times_matrix(v: int, m: BinaryMatrix) -> int:
     """Row vector (m.rows bits) times matrix; XOR of the selected rows."""
     if v < 0 or v.bit_length() > m.rows:
         raise DimensionMismatch("vector negative or longer than the matrix row count")
-    acc = 0
-    rows = m.row_ints
-    while v:
-        low = v & -v
-        acc ^= rows[low.bit_length() - 1]
-        v ^= low
-    return acc
+    return xor_rows(m.row_ints, v)
 
 
 def matrix_times_vec(m: BinaryMatrix, v: int) -> int:

@@ -46,11 +46,11 @@ CITED_KEY_BITS = [
 ]
 
 
-def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, required=True, help="code length")
-    p.add_argument("--k", type=int, required=True, help="code dimension (must be n - m*t)")
-    p.add_argument("--t", type=int, required=True, help="error weight")
-    p.add_argument("--m", type=int, required=True, help="field extension degree")
+def _add_param_flags(p: argparse.ArgumentParser, required: bool = True):
+    p.add_argument("--n", type=int, required=required, help="code length")
+    p.add_argument("--k", type=int, required=required, help="code dimension (must be n - m*t)")
+    p.add_argument("--t", type=int, required=required, help="error weight")
+    p.add_argument("--m", type=int, required=required, help="field extension degree")
 
 
 def _add_seed_flag(p: argparse.ArgumentParser):
@@ -74,15 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--run-len", type=int, default=2, help="run length for kal1-s2")
     kg.add_argument("--out", required=True, help="output path prefix")
 
-    en = sub.add_parser("encrypt", help="encrypt a message file")
-    en.add_argument("--key", required=True, help="public key file")
-    en.add_argument("--in", dest="infile", required=True)
-    en.add_argument("--out", required=True)
-
-    de = sub.add_parser("decrypt", help="decrypt a ciphertext file")
-    de.add_argument("--key", required=True, help="private key file")
-    de.add_argument("--in", dest="infile", required=True)
-    de.add_argument("--out", required=True)
+    for name, what, key in (("encrypt", "a message", "public"), ("decrypt", "a ciphertext", "private")):
+        p = sub.add_parser(name, help=f"{name} {what} file")
+        p.add_argument("--key", required=True, help=f"{key} key file")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
 
     ins = sub.add_parser("inspect", help="describe a key file")
     ins.add_argument("--key", required=True)
@@ -94,10 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     ka.add_argument("mode", choices=("generate", "verify"))
     ka.add_argument("--kat", required=True, help="KAT file path")
     ka.add_argument("--count", type=int, default=8)
-    ka.add_argument("--n", type=int)
-    ka.add_argument("--k", type=int)
-    ka.add_argument("--t", type=int)
-    ka.add_argument("--m", type=int)
+    _add_param_flags(ka, required=False)
     _add_seed_flag(ka)
 
     be = sub.add_parser("bench", help="public-key size table")

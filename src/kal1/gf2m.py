@@ -22,7 +22,7 @@ import functools
 import operator
 import struct
 
-from .binmat import combinations
+from .binmat import combinations, xor_rows
 from .errors import ParameterError
 
 # One reduction polynomial per extension degree, each primitive: x
@@ -134,11 +134,7 @@ def mul_tables(field: Field, v: int) -> tuple[list[int], list[int]]:
 
 def scale(field: Field, v: int, c: int) -> int:
     """Packed c * v: the XOR of v's alpha multiples over the bits of c."""
-    out = 0
-    for s, w in enumerate(alpha_multiples(field, v, c.bit_length())):
-        if c >> s & 1:
-            out ^= w
-    return out
+    return xor_rows(alpha_multiples(field, v, c.bit_length()), c)
 
 
 def modulus(field: Field, f: int) -> tuple[int, list[int], list[int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import struct
 
-from .binmat import BinaryMatrix, eliminate
+from .binmat import BinaryMatrix, eliminate, xor_rows
 from .errors import DecodingFailure, DimensionMismatch, Frozen, GenerationFailure, ParameterError
 from .gf2m import (
     Field,
@@ -77,13 +77,7 @@ class ParityCheckMatrix:
         """e times the transposed binary parity check, as an m*t-bit int."""
         if e < 0 or e.bit_length() > self.params.n:
             raise DimensionMismatch("error vector negative or longer than the code length")
-        acc = 0
-        cols = self.column_ints
-        while e:
-            low = e & -e
-            acc ^= cols[low.bit_length() - 1]
-            e ^= low
-        return acc
+        return xor_rows(self.column_ints, e)
 
 
 def scatter(values: list[int], dest: list[int]) -> list[int]:

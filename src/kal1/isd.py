@@ -19,7 +19,7 @@ its transpose have the same rank.
 
 from __future__ import annotations
 
-from .binmat import BinaryMatrix, eliminate, matrix_times_vec, transpose_ints
+from .binmat import BinaryMatrix, eliminate, matrix_times_vec, transpose_ints, xor_rows
 from .errors import DimensionMismatch, Frozen, ParameterError, Value
 from .goppa import GoppaCode
 from .niederreiter import NiederreiterPublicKey, public_key
@@ -71,12 +71,7 @@ def _solve_window(cols: list[int], syndrome: int, weight: int) -> int | None:
         return None
     best = None
     for combo in range(1 << len(basis)):
-        x = base
-        cc = combo
-        while cc:
-            low = cc & -cc
-            x ^= basis[low.bit_length() - 1]
-            cc ^= low
+        x = base ^ xor_rows(basis, combo)
         wt = x.bit_count()
         if wt <= weight and (best is None or wt < best.bit_count()):
             best = x
@@ -106,11 +101,8 @@ def prange_search(
         x = _solve_window([columns[w] for w in window], inst.syndrome, inst.weight)
         if x is None:
             continue
-        e = 0
-        while x:
-            low = x & -x
-            e |= 1 << window[low.bit_length() - 1]
-            x ^= low
+        # the window's positions are distinct, so the XOR places each bit
+        e = xor_rows([1 << w for w in window], x)
         assert matrix_times_vec(inst.check, e) == inst.syndrome
         assert e.bit_count() <= inst.weight
         return e

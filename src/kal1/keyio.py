@@ -201,7 +201,8 @@ def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
 def serialize_public_key(key: scheme.PublicKey) -> bytes:
     """The .pk bytes; a Kal1 key is written in the form its seed policy
     names, with the fields derived from its seed row.  A key that
-    parse_public_key would refuse raises FormatError instead."""
+    parse_public_key would refuse, or would read back with another
+    policy, raises FormatError instead."""
     params = key.params
     nk = params.redundancy
     sid = scheme_id(key)
@@ -216,6 +217,9 @@ def serialize_public_key(key: scheme.PublicKey) -> bytes:
     else:
         fields = seed_fields(sid, key.seed_row)
         w = len(fields) if sid == SCHEME_KAL1_S1 else 0
+        # the reader rebuilds the policy from these fields, so they must name this one
+        if _header_policy(sid, w, *(fields if sid == SCHEME_KAL1_S2 else (0, 0))) != key.policy:
+            raise FormatError(f"seed row does not match its policy {key.policy!r}")
         width = position_width(nk)
         # a run length at or above 2^width raises here
         payload = _write_fields([_reverse_bits(f, width) for f in fields], width)
@@ -372,22 +376,15 @@ def ciphertext_bytes(params: CodeParams) -> int:
     return (params.redundancy + 7) // 8
 
 
-def _in_capacity(msg: int, params: CodeParams) -> int:
-    bits = scheme.cw_params(params).msg_bits
-    if msg < 0 or msg >> bits:
-        raise RangeError(f"message exceeds the {bits}-bit capacity")
-    return msg
-
-
 def encode_message(msg: int, params: CodeParams) -> bytes:
     """The message bytes; RangeError, as from decode_message, past the capacity."""
-    return _in_capacity(msg, params).to_bytes(message_bytes(params), "big")
+    return scheme.in_capacity(msg, scheme.cw_params(params)).to_bytes(message_bytes(params), "big")
 
 
 def decode_message(data: bytes, params: CodeParams) -> int:
     if len(data) != message_bytes(params):
         raise FormatError(f"message must be {message_bytes(params)} bytes, got {len(data)}")
-    return _in_capacity(int.from_bytes(data, "big"), params)
+    return scheme.in_capacity(int.from_bytes(data, "big"), scheme.cw_params(params))
 
 
 def encode_ciphertext(c: int, params: CodeParams) -> bytes:

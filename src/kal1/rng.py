@@ -75,14 +75,11 @@ class SeededRng:
         return self._buf[pos:end]
 
     def randbits(self, k: int) -> int:
-        if k < 0:
-            raise ParameterError("bit count must be non-negative")
-        if k == 0:
-            return 0
-        return int.from_bytes(self.read((k + 7) // 8), "big") & ((1 << k) - 1)
+        return self.randbits_each(k, 1)[0]
 
     def randbits_each(self, k: int, count: int) -> list[int]:
-        """count randbits(k) values in draw order, one read each."""
+        """count k-bit values in draw order, one read of ceil(k/8) bytes
+        each, big-endian and masked to k bits; randbits is one of them."""
         if k < 0:
             raise ParameterError("bit count must be non-negative")
         if count < 0:

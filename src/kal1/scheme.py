@@ -146,18 +146,24 @@ def keygen(
     return Kal1PublicKey(params, seed_row, policy), priv
 
 
+def in_capacity(msg: int, cwp: CwParams) -> int:
+    """msg, if it lies in [0, 2^msg_bits), the range decryption returns;
+    RangeError otherwise: encrypt's rule and keyio's message byte form's."""
+    if msg < 0 or msg >> cwp.msg_bits:
+        raise RangeError(f"message exceeds the {cwp.msg_bits}-bit capacity")
+    return msg
+
+
 def encrypt(pub: PublicKey, msg: int) -> int:
     """The ciphertext of a message under any public key kind.
 
     The error is the message's weight-t word behind k zeros, and every
     published matrix ends in an identity block, so the ciphertext is
-    the word itself.  Messages must be below 2^msg_bits, the range
-    decryption accepts; anything else raises RangeError.
+    the word itself.  Messages must pass in_capacity, the range
+    decryption returns; anything else raises its RangeError.
     """
     cwp = cw_params(pub.params)
-    if not 0 <= msg < 1 << cwp.msg_bits:
-        raise RangeError(f"message must be below 2^{cwp.msg_bits}")
-    return cw_encode(msg, cwp)
+    return cw_encode(in_capacity(msg, cwp), cwp)
 
 
 def decrypt(priv: GoppaCode, c: int) -> int:

@@ -344,6 +344,14 @@ MUTANTS = [
         "if row else []",
         ("test_keygen_kernels.py::test_kernels_match_oracle_at_every_width",),
     ),
+    Mutant(
+        # the one set-bit XOR walk: syndromes, vector products, scale
+        "xor-rows-ors",
+        "binmat.py",
+        "acc ^= rows[low.bit_length() - 1]",
+        "acc |= rows[low.bit_length() - 1]",
+        ("test_goppa.py::test_syndrome_trivia", "test_binmat.py::test_vector_products_match_matrix_forms"),
+    ),
     # Patterson's packed spreads and the root positions
     Mutant(
         # each byte's spread lands one byte up, not at twice its position
@@ -473,6 +481,14 @@ MUTANTS = [
         "        _check_systematic(key.check_t.row_ints, params)\n",
         "",
         ("test_keyio.py::test_parse_rejects_non_systematic_check",),
+    ),
+    # the one message-range rule, for encrypt and the message byte form
+    Mutant(
+        "in-capacity-one-bit-wide",
+        "scheme.py",
+        "if msg < 0 or msg >> cwp.msg_bits:",
+        "if msg < 0 or msg >> (cwp.msg_bits + 1):",
+        ("test_keyio.py::test_encode_message_refuses_what_decode_message_refuses",),
     ),
     # the constant-weight codec
     Mutant(

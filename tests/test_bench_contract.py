@@ -16,7 +16,6 @@ import importlib
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -27,22 +26,9 @@ from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, seed_bytes
+from conftest import MID, import_tracer, seed_bytes
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _import_tracer():
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        return importlib.import_module("tracer")
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
-
-
-tracer = _import_tracer()
+tracer = import_tracer()
 HEADLINE = CodeParams(1024, 524, 50, 10)
 
 

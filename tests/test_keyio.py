@@ -279,6 +279,19 @@ def test_sparse_key_with_no_positions_is_refused_on_write(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "row, policy",
+    [(0b10110001, scheme.SparseSeed(3)), (0b0111000, scheme.RunSeed(0, 2))],
+    ids=["sparse-weight", "run-fields"],
+)
+def test_public_key_writer_refuses_a_row_its_policy_does_not_name(row, policy):
+    # the reader rebuilds the policy from the row's fields, here
+    # SparseSeed(4) and RunSeed(3, 3), so the bytes would name another key
+    key = scheme.Kal1PublicKey(TOY, row, policy)
+    with pytest.raises(FormatError, match="seed row does not match its policy"):
+        keyio.serialize_public_key(key)
+
+
+@pytest.mark.parametrize(
     "sid, w, run_start, run_len, message",
     [
         (4, 0, 0, 0, "unknown scheme id 0x04"),

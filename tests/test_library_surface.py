@@ -18,31 +18,19 @@ Calls are matched to definitions by name, ``Cls(...)`` to
 """
 
 import ast
-import importlib
-import sys
 from collections import Counter
 from pathlib import Path
 
 import kal1
 
+from conftest import import_tracer
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kal1"
-BENCH = ROOT / "bench"
-
-
-def _import_tracer():
-    # read-only, as test_bench_contract does: no bytecode under bench/
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        return importlib.import_module("tracer")
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
 
 
 def _allowed() -> set[str]:
-    tracer = _import_tracer()
+    tracer = import_tracer()
     allowed = set(kal1.__all__) | {"main"}
     allowed |= {attr for _, attr in tracer.FUNCTIONS.values()}
     allowed |= {attr for _, _, attr in tracer.METHODS.values()}
