@@ -23,17 +23,12 @@ class CwParams(Frozen):
             raise ParameterError("length must be at least 1")
         if not 0 <= weight <= length:
             raise ParameterError("weight must lie in [0, length]")
-        self.__dict__.update(length=length, weight=weight)
-
-    @property
-    def capacity(self) -> int:
-        """Number of words, C(length, weight)."""
-        return math.comb(self.length, self.weight)
-
-    @property
-    def msg_bits(self) -> int:
-        """floor(log2(capacity)): the usable message width in bits."""
-        return self.capacity.bit_length() - 1
+        # derived, so outside _fields: capacity is the number of words,
+        # C(length, weight), and msg_bits = floor(log2(capacity)) the
+        # usable message width
+        capacity = math.comb(length, weight)
+        msg_bits = capacity.bit_length() - 1
+        self.__dict__.update(length=length, weight=weight, capacity=capacity, msg_bits=msg_bits)
 
     @cached_property
     def _binom(self) -> list[list[int]]:

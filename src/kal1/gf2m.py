@@ -9,11 +9,13 @@ form of a polynomial is kept, and no packed int can hold a coefficient
 outside the field.  One Euclid loop serves Patterson's inverse, his
 split of (a, b) and Ben-Or's gcds: each quotient term is the XOR of the
 divisor's alpha multiples over the set bits of a scalar, read from two
-small tables, one per half of its bits.  The Frobenius maps, squares
-and sqrt_halves, move bits by bytes.translate tables over the whole
-int and fold or scale what the move leaves: no loop per coefficient.
-Those tables and the split tables come from binmat.combinations.  The
-one root finder, roots, serves Ben-Or's level 1 and Patterson's locator.
+small tables, one per half of its bits: Field owns that split, those
+tables and every other constant derived from m.  The Frobenius maps,
+squares and sqrt_halves, move bits by bytes.translate tables over the
+whole int and fold or scale what the move leaves: no loop per
+coefficient.  Those tables and the split tables come from
+binmat.combinations.  The one root finder, roots, serves Ben-Or's
+level 1 and Patterson's locator.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class Field:
     logs, from tables built once at construction: the powers of x, by
     shift and reduce, run through every nonzero element because the
     reduction polynomial is primitive.
+
+    A scalar c is read in two halves, c & lo_mask and c >> lo_bits, as
+    split cuts its tables: picks = (lo, hi) lists the set bits of each
+    half, hi's shifted up by lo_bits.  taps are the reduction
+    polynomial's low set bits, and red is them as one int.
     """
 
     def __init__(self, m: int):
@@ -73,26 +80,30 @@ class Field:
                 v ^= self.reduction_poly
         self.exp_table = exp
         self.log_table = log
+        self.lo_bits = lo_bits = m // 2
+        self.lo_mask = (1 << lo_bits) - 1
+        # lists of bytes, at most 2^8 each: built per key, tuples raised cli-regen's peak RSS
+        bits = [bytes(s for s in range(m) if c >> s & 1) for c in range(1 << (m - lo_bits))]
+        self.picks = bits[: 1 << lo_bits], [bytes(lo_bits + s for s in b) for b in bits]
+        self.red = self.reduction_poly & q1
+        self.taps = tuple(s for s in range(m) if self.red >> s & 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
         return self.exp_table[self.order - 1 - self.log_table[a]]
 
-    def __repr__(self) -> str:
-        return f"Field(m={self.m})"
-
 
 # --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---
 
 
 @functools.cache
-def _slots(m: int, size: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+def _slots(m: int, size: int) -> tuple[int, int, int, int]:
     """Masks over 2^size coefficients of m bits: the top bit of each, the
     odd m-bit slots of their spread (twice as many), and the low
-    ceil(m/2) and floor(m/2) bits of each; then the reduction
-    polynomial's low taps.  A mask serves every narrower packed int, and
-    size = (bit length // m).bit_length() covers an int of that length."""
+    ceil(m/2) and floor(m/2) bits of each.  A mask serves every narrower
+    packed int, and size = (bit length // m).bit_length() covers an int
+    of that length."""
     count = 1 << size
     ones = ((1 << (m * count)) - 1) // ((1 << m) - 1)
     pairs = ((1 << (2 * m * count)) - 1) // ((1 << (2 * m)) - 1)
@@ -101,7 +112,6 @@ def _slots(m: int, size: int) -> tuple[int, int, int, int, tuple[int, ...]]:
         pairs * (((1 << m) - 1) << m),
         ones * ((1 << (m + 1) // 2) - 1),
         ones * ((1 << m // 2) - 1),
-        tuple(s for s in range(m) if REDUCTION_POLYS[m] >> s & 1),
     )
 
 
@@ -111,7 +121,7 @@ def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
     it back in through the low bits of the reduction polynomial."""
     m = field.m
     tops = _slots(m, (v.bit_length() // m).bit_length())[0]
-    red = field.reduction_poly & (field.order - 1)
+    red = field.red
     out = [v]
     for _ in range(count - 1):
         top = v & tops
@@ -122,8 +132,8 @@ def alpha_multiples(field: Field, v: int, count: int) -> list[int]:
 
 def split(field: Field, basis: list[int]) -> tuple[list[int], list[int]]:
     """c -> the XOR of basis[s] over the bits s of c, as a table for the
-    low m // 2 bits of c and one for the rest."""
-    lo_bits = field.m // 2
+    low field.lo_bits bits of c and one for the rest."""
+    lo_bits = field.lo_bits
     return combinations(basis[:lo_bits]), combinations(basis[lo_bits:])
 
 
@@ -158,8 +168,7 @@ def mul_mod(
     a_lo, a_hi = a
     m = field.m
     mask = field.order - 1
-    lo_bits = m // 2
-    lo_mask = (1 << lo_bits) - 1
+    lo_bits, lo_mask = field.lo_bits, field.lo_mask
     full = (1 << (m * t)) - 1
     acc = 0
     for i in range((b.bit_length() - 1) // m, -1, -1):
@@ -169,16 +178,6 @@ def mul_mod(
         c = (b >> (m * i)) & mask
         acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
     return acc
-
-
-@functools.cache
-def _bit_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(lo, hi): lo[c] lists the set bits s of c < 2^(m // 2), and hi[c]
-    those of c * 2^(m // 2), so a scalar's bits are two lookups, one per
-    half as in split.  No table has more than 2^8 entries."""
-    lo_bits = m // 2
-    bits = tuple(tuple(s for s in range(m) if c >> s & 1) for c in range(1 << (m - lo_bits)))
-    return bits[: 1 << lo_bits], tuple(tuple(lo_bits + s for s in b) for b in bits)
 
 
 def _euclid(field: Field, a: int, b: int, stop: int) -> tuple[int, int]:
@@ -191,11 +190,10 @@ def _euclid(field: Field, a: int, b: int, stop: int) -> tuple[int, int]:
     q1 = field.order - 1
     exp = field.exp_table
     log = field.log_table
-    lo_bits = m // 2
-    lo_mask = (1 << lo_bits) - 1
-    lo_picks, hi_picks = _bit_tables(m)
+    lo_bits, lo_mask = field.lo_bits, field.lo_mask
+    lo_picks, hi_picks = field.picks
     tops = ((1 << m * ((a | b).bit_length() // m + 1)) - 1) // q1 << (m - 1)
-    red = field.reduction_poly & q1
+    red = field.red
     db = (b.bit_length() - 1) // m
     while b >> stop:
         # alpha_multiples inline: a call per round made Euclid 6% slower
@@ -252,7 +250,8 @@ def squares(field: Field, v: int) -> int:
     fold back down through the reduction polynomial's low taps until no
     odd slot holds a bit."""
     m = field.m
-    _, odd, _, _, taps = _slots(m, (v.bit_length() // m).bit_length())
+    taps = field.taps
+    odd = _slots(m, (v.bit_length() // m).bit_length())[1]
     src = v.to_bytes((v.bit_length() + 7) // 8, "little")
     spread = bytearray(2 * len(src))
     spread[0::2] = src.translate(_SPREAD_LO)
@@ -280,7 +279,7 @@ def sqrt_halves(field: Field, v: int) -> tuple[int, int]:
     an odd m swaps E and O.  One scale multiplies both O halves."""
     m = field.m
     count = -(-v.bit_length() // m)
-    _, _, evens, odds, _ = _slots(m, count.bit_length())
+    _, _, evens, odds = _slots(m, count.bit_length())
     src = v.to_bytes((v.bit_length() + 7) // 8, "little")
     # each table leaves a nibble per byte; byte pairs join them
     ev, od = (
@@ -375,7 +374,7 @@ def _powers_of_alpha(field: Field, t: int) -> list[int]:
         powers = [lane, sum(int(digits[15 - b :: 16], 2) << (b * q1) for b in range(m))]
     else:
         powers = list(powers)
-    taps = [s for s in range(m) if field.reduction_poly >> s & 1]
+    taps = field.taps
     base = [powers[1] >> (b * q1) & lane for b in range(m)]
     cur = [powers[-1] >> (b * q1) & lane for b in range(m)]
     while len(powers) <= t:
@@ -409,9 +408,8 @@ def power_planes(field: Field, f: int) -> list[int]:
     m = field.m
     q1 = field.order - 1
     count = (f.bit_length() + m - 1) // m
-    lo_bits = m // 2
-    lo_mask = (1 << lo_bits) - 1
-    lo, hi = _bit_tables(m)
+    lo_bits, lo_mask = field.lo_bits, field.lo_mask
+    lo, hi = field.picks
     picks: list[list[int]] = [[] for _ in range(m)]
     for i, planes in zip(range(count), _powers_of_alpha(field, count - 1)):
         c = f >> (m * i) & q1
@@ -421,7 +419,7 @@ def power_planes(field: Field, f: int) -> list[int]:
             picks[j].append(planes)
     top = (m - 1) * q1
     below_top = (1 << top) - 1
-    taps = [s * q1 for s in range(m) if field.reduction_poly >> s & 1]
+    taps = [s * q1 for s in field.taps]
     acc = 0
     for j in range(m - 1, -1, -1):
         spill = acc >> top
@@ -484,15 +482,14 @@ def is_irreducible(field: Field, f: int) -> bool:
         return False
     if t < 4:
         return True
-    lo_bits = m // 2
-    lo_mask = (1 << lo_bits) - 1
+    lo_bits, lo_mask = field.lo_bits, field.lo_mask
     mod = modulus(field, f)
     half = (t + 1) // 2
     # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
     # basis is alpha^(2s) * x^(2i) mod f over the bits s of c: the XOR of
     # x^(2i)'s alpha multiples over the set bits of alpha^(2s)
     lanes = []
-    lo_picks, hi_picks = _bit_tables(m)
+    lo_picks, hi_picks = field.picks
     square_bits = [
         lo_picks[e & lo_mask] + hi_picks[e >> lo_bits] for e in field.exp_table[: 2 * m : 2]
     ]

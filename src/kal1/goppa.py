@@ -59,11 +59,8 @@ class CodeParams(Frozen):
             raise ParameterError(f"dimension must equal n - m*t = {n - m * t}, got {k}")
         if k < 1:
             raise ParameterError("parameters leave no message positions (k < 1)")
-        self.__dict__.update(n=n, k=k, t=t, m=m)
-
-    @property
-    def redundancy(self) -> int:
-        return self.n - self.k
+        # redundancy is derived, so it stays out of _fields
+        self.__dict__.update(n=n, k=k, t=t, m=m, redundancy=n - k)
 
 
 class ParityCheckMatrix:
@@ -228,8 +225,7 @@ class GoppaCode:
         """
         m, t = self.params.m, self.params.t
         mask = self.field.order - 1
-        lo_bits = m // 2
-        lo_mask = (1 << lo_bits) - 1
+        lo_bits, lo_mask = self.field.lo_bits, self.field.lo_mask
         _, (g_lo, g_hi), _ = self._tables()
         acc = 0
         for r in range(t):

@@ -53,10 +53,7 @@ class SeededRng:
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ParameterError(f"seed must be exactly {SEED_BYTES} bytes, got {len(seed)}")
-        self.seed = bytes(seed)
-        self._stream = Cipher(
-            algorithms.AES(self.seed), modes.CTR(bytes(SEED_BYTES))
-        ).encryptor()
+        self._stream = Cipher(algorithms.AES(bytes(seed)), modes.CTR(bytes(SEED_BYTES))).encryptor()
         self._buf = b""
         self._pos = 0
 

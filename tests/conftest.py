@@ -1,5 +1,3 @@
-import importlib
-import sys
 from pathlib import Path
 
 import pytest
@@ -28,21 +26,6 @@ MID_KAT = Path(__file__).parent / "data" / "mid.kat"
 # an irreducible quartic over GF(2^8); its square is the Goppa
 # polynomial of caller-built mid codes with a repeated factor
 SQUARE_Q = [166, 88, 69, 184, 1]
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def import_tracer():
-    """The benchmark's tracer module, imported read-only: no bytecode is
-    written under bench/."""
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        return importlib.import_module("tracer")
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
-
 
 def seed_bytes(tag: int) -> bytes:
     return tag.to_bytes(16, "big")

@@ -13,7 +13,9 @@ the mutant's doing; a mutant's run times out at twice that run's time
 (at least 10 s), since its tests are a subset.  A mutant that times
 out is reported as such and fails the gate: the Euclid test bounds each
 example by an alarm, so a division that never cancels its top
-coefficient fails there by assertion.
+coefficient fails there by assertion.  Every run of one invocation
+writes its bytecode under one PYTHONPYCACHEPREFIX, a temporary
+directory removed at exit, so the tests compile once, not per mutant.
 
 The exit status is 1 if any mutant survives or times out, if a
 snippet no longer occurs exactly once in its module, or if a run errs
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -67,8 +70,8 @@ MUTANTS = [
     Mutant(
         "bit-table-hi-offset",
         "gf2m.py",
-        "tuple(lo_bits + s for s in b)",
-        "tuple(s for s in b)",
+        "bytes(lo_bits + s for s in b)",
+        "bytes(s for s in b)",
         (PLANES, EUCLID),
     ),
     Mutant(
@@ -191,8 +194,8 @@ MUTANTS = [
     Mutant(
         "planes-tap-0-dropped",
         "gf2m.py",
-        "taps = [s * q1 for s in range(m)",
-        "taps = [s * q1 for s in range(1, m)",
+        "taps = [s * q1 for s in field.taps]",
+        "taps = [s * q1 for s in field.taps[1:]]",
         (PLANES,),
     ),
     Mutant(
@@ -512,9 +515,20 @@ def copy_package(dest: Path) -> None:
     shutil.copytree(PACKAGE, dest / "kal1", ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def pytest_run(tmp: Path, tests, timeout: float) -> int | None:
+def copy_env(tmp: Path, cache: Path) -> dict[str, str]:
+    """The environment of a run on the copy in tmp: the copy first on the
+    path, and bytecode written under cache, which every run of one gate
+    invocation shares.  The test modules are then compiled once, and each
+    copy of kal1 lives at its own path, so no run reads another copy's
+    bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(tmp), PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def pytest_run(tmp: Path, cache: Path, tests, timeout: float) -> int | None:
     """pytest's exit status on the copy in tmp, or None on a timeout."""
-    env = dict(os.environ, PYTHONPATH=str(tmp), PYTHONDONTWRITEBYTECODE="1")
+    env = copy_env(tmp, cache)
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", "--hypothesis-profile=mutants", *(str(ROOT / "tests" / t) for t in tests)]
     try:
@@ -525,14 +539,14 @@ def pytest_run(tmp: Path, tests, timeout: float) -> int | None:
     return done.returncode
 
 
-def imports_copy(tmp: Path) -> bool:
-    env = dict(os.environ, PYTHONPATH=str(tmp), PYTHONDONTWRITEBYTECODE="1")
+def imports_copy(tmp: Path, cache: Path) -> bool:
+    env = copy_env(tmp, cache)
     out = subprocess.run([sys.executable, "-c", "import kal1; print(kal1.__file__)"],
                          cwd=tmp, env=env, capture_output=True, text=True, check=True)
     return Path(out.stdout.strip()).resolve().is_relative_to(tmp.resolve())
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> str:
+def run_mutant(mutant: Mutant, cache: Path, timeout: float) -> str:
     """killed, timeout, survived, stale (snippet not found exactly once),
     or error (pytest could not run the tests)."""
     with tempfile.TemporaryDirectory(prefix="kal1-mutant-") as name:
@@ -543,22 +557,27 @@ def run_mutant(mutant: Mutant, timeout: float) -> str:
         if text.count(mutant.snippet) != 1:
             return "stale"
         path.write_text(text.replace(mutant.snippet, mutant.replacement))
-        status = pytest_run(tmp, mutant.tests, timeout)
+        status = pytest_run(tmp, cache, mutant.tests, timeout)
     if status is None:
         return "timeout"
     return {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="kal1-pycache-") as cache:
+        return gate(Path(cache))
+
+
+def gate(cache: Path) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kal1-mutant-") as name:
         tmp = Path(name)
         copy_package(tmp)
-        if not imports_copy(tmp):
+        if not imports_copy(tmp, cache):
             print("the copy of kal1 is not the one imported; is kal1 installed non-editable?")
             return 1
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        status = pytest_run(tmp, tests, 600)
+        status = pytest_run(tmp, cache, tests, 600)
     if status != 0:
         print(f"the unmutated copy fails its tests (pytest exit {status}); no verdict")
         return 1
@@ -568,14 +587,17 @@ def main() -> int:
           f"timeout {timeout:.0f} s per mutant")
 
     bad = []
+    took = []
     for mutant in MUTANTS:
         t0 = time.perf_counter()
-        verdict = run_mutant(mutant, timeout)
-        print(f"{verdict:9} {mutant.name:40} {time.perf_counter() - t0:5.1f} s", flush=True)
+        verdict = run_mutant(mutant, cache, timeout)
+        took.append(time.perf_counter() - t0)
+        print(f"{verdict:9} {mutant.name:40} {took[-1]:5.1f} s", flush=True)
         if verdict != "killed":
             bad.append((mutant.name, verdict))
     total = time.perf_counter() - start
-    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed in {total:.0f} s")
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed in {total:.0f} s, "
+          f"median {statistics.median(took):.1f} s per mutant")
     for name, verdict in bad:
         print(f"  {name}: {verdict}")
     return 1 if bad else 0

@@ -26,7 +26,8 @@ from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, import_tracer, seed_bytes
+from conftest import MID, seed_bytes
+from reach import import_tracer
 
 tracer = import_tracer()
 HEADLINE = CodeParams(1024, 524, 50, 10)

@@ -1,6 +1,7 @@
 """Constant-weight codec against a full-enumeration colex oracle and
 against the Pascal-table codec it replaced (``oracles``)."""
 
+import math
 from itertools import combinations
 from math import comb
 
@@ -31,6 +32,24 @@ def test_params_validation():
     p = CwParams(8, 2)
     assert p.capacity == comb(8, 2) == 28
     assert p.msg_bits == 4
+
+
+def test_sizes_are_computed_once_at_construction(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counted)
+    p = CwParams(500, 50)
+    assert calls == [(500, 50)]
+    for _ in range(100):
+        assert (p.capacity, p.msg_bits) == (comb(500, 50), comb(500, 50).bit_length() - 1)
+    assert len(calls) == 1
+    # derived, so equality, hashing and repr see only the fields
+    assert p == CwParams(500, 50) and hash(p) == hash(CwParams(500, 50))
+    assert repr(p) == "CwParams(length=500, weight=50)"
 
 
 def test_encode_examples():

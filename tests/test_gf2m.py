@@ -16,6 +16,7 @@ from kal1.gf2m import (
     poly_eea_bounded,
     poly_inv_mod,
     poly_sqrt_mod,
+    split,
     sqrt_halves,
     sqrt_x_mod,
 )
@@ -65,6 +66,23 @@ def test_field_construction_rejects_bad_inputs():
     for m in (3, 17, 0, -4):
         with pytest.raises(ParameterError, match="extension degree"):
             Field(m)
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_field_owns_the_split_its_pick_tables_and_the_taps(m):
+    field = Field(m)
+    assert field.lo_bits == m // 2
+    assert field.lo_mask == (1 << (m // 2)) - 1
+    lo, hi = field.picks
+    assert (len(lo), len(hi)) == (1 << (m // 2), 1 << (m - m // 2))
+    for c in range(field.order):
+        assert list(lo[c & field.lo_mask] + hi[c >> field.lo_bits]) == [s for s in range(m) if c >> s & 1]
+    assert field.taps == tuple(s for s in range(m) if REDUCTION_POLYS[m] >> s & 1)
+    assert field.red == REDUCTION_POLYS[m] ^ (1 << m) == sum(1 << s for s in field.taps)
+    # split cuts its tables where the pick tables are cut
+    split_lo, split_hi = split(field, [1 << s for s in range(m)])
+    assert (len(split_lo), len(split_hi)) == (len(lo), len(hi))
+    assert all(split_lo[c & field.lo_mask] ^ split_hi[c >> field.lo_bits] == c for c in range(field.order))
 
 
 def test_add_is_xor():

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import kal1
 
-from conftest import import_tracer
+from reach import import_tracer
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kal1"

@@ -5,8 +5,10 @@ a ciphertext, a message or a KAT record), applies one to four edits to
 it (a bit flip, a byte overwrite, a cut or a few bytes appended) and
 hands the result to the reader.  The reader may accept it or raise any
 Kal1Error; anything else, and any traceback from the CLI, fails.
-.sk files are left out: a 39-byte header can name parameters whose
-regeneration takes seconds before the checksum refuses it.
+Decryption gets ints the same way: random, negative, too long, or a
+valid ciphertext with bits flipped.  .sk files are left out: a 39-byte
+header can name parameters whose regeneration takes seconds before the
+checksum refuses it.
 """
 
 import contextlib
@@ -20,7 +22,6 @@ from kal1 import cli, keyio, niederreiter, scheme
 from kal1.errors import Kal1Error
 from kal1.rng import SeededRng
 from conftest import MID, MID_KAT, TOY, TOY_KAT, seed_bytes
-
 
 
 def _edit(data: bytes, edits) -> bytes:
@@ -86,6 +87,34 @@ def test_ciphertext_and_message_readers_raise_only_kal1_errors(params, data):
     messages = [keyio.encode_message(msg, params) for msg in (0, 1, top)]
     _kal1_errors_only(keyio.decode_ciphertext, data.draw(mutated(ciphertexts)), params)
     _kal1_errors_only(keyio.decode_message, data.draw(mutated(messages)), params)
+
+
+def ciphertext_ints(pub: scheme.Kal1PublicKey):
+    """Random ints of the ciphertext width, negative ints, ints past the
+    width, and valid ciphertexts with one to four bits flipped."""
+    nk = pub.params.redundancy
+    top = (1 << scheme.cw_params(pub.params).msg_bits) - 1
+    valid = st.integers(0, top).map(lambda msg: scheme.encrypt(pub, msg))
+    flips = st.lists(st.integers(0, nk - 1), min_size=1, max_size=4)
+    return st.one_of(
+        st.integers(0, (1 << nk) - 1),
+        st.integers(max_value=-1),
+        st.integers(1 << nk, 1 << (nk + 64)),
+        st.builds(lambda c, bits: functools.reduce(lambda v, b: v ^ 1 << b, bits, c), valid, flips),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decrypt_of_any_int_raises_only_kal1_errors(toy_kal1, mid_kal1, data):
+    pub, priv = data.draw(st.sampled_from((toy_kal1, mid_kal1)))
+    c = data.draw(ciphertext_ints(pub))
+    try:
+        msg = scheme.decrypt(priv, c)
+    except Kal1Error:
+        return
+    # the ciphertext is the message's word, so an accepted one re-encrypts to itself
+    assert scheme.encrypt(pub, msg) == c
 
 
 @functools.cache
