@@ -9,7 +9,8 @@ integers.  Derived draws are defined on top of the raw stream:
 * ``randbits(k)``  read ceil(k/8) bytes, big-endian integer, masked
                    to the low k bits.
 * ``randbits_each(k, count)``  ``randbits(k)`` count times, in order,
-                   one ``read`` per value; k = 0 reads nothing.
+                   from one ``read`` of count * ceil(k/8) bytes; k = 0
+                   reads nothing.
 * ``randbelow(n)`` rejection-sample ``randbits((n-1).bit_length())``
                    until the value is below n; n = 1 reads nothing.
 * ``permutation(n)``  Fisher-Yates over [0, n): for i from n-1 down
@@ -19,8 +20,11 @@ integers.  Derived draws are defined on top of the raw stream:
                    first k entries.
 
 ``randbelow`` is the rule, not a method: ``permutation`` and ``sample``
-draw their descending bounds through one loop that follows it, with one
-``read`` per draw, a rejected one included.
+draw their descending bounds through one loop that follows it.  Within
+each power-of-two range of bounds it reads the bytes of every value
+still owed at once, walks them in order under the rejection rule, and
+reads again only for what the rejections left owing; so every byte read
+is one that drawing value by value would have examined.
 
 Any change to these rules invalidates every stored fixture.
 """
@@ -46,8 +50,10 @@ class SeededRng:
     """AES-128-CTR keystream generator; single-owner, not thread safe.
 
     The keystream is taken from the cipher BLOCK_BYTES at a time and
-    every draw is served from that buffer, so the bytes and their order
-    are those of reading the stream draw by draw.
+    every draw is served from that buffer.  A draw of many values takes
+    their bytes with one ``read`` (a rejection loop with one per round),
+    so the bytes and their order are those of reading the stream draw by
+    draw.
     """
 
     def __init__(self, seed: bytes):
@@ -75,8 +81,9 @@ class SeededRng:
         return self.randbits_each(k, 1)[0]
 
     def randbits_each(self, k: int, count: int) -> list[int]:
-        """count k-bit values in draw order, one read of ceil(k/8) bytes
-        each, big-endian and masked to k bits; randbits is one of them."""
+        """count k-bit values in draw order from one read of count *
+        ceil(k/8) bytes, each big-endian and masked to k bits; randbits
+        is one of them."""
         if k < 0:
             raise ParameterError("bit count must be non-negative")
         if count < 0:
@@ -84,19 +91,22 @@ class SeededRng:
         if k == 0:
             return [0] * count
         mask = (1 << k) - 1
-        from_bytes = int.from_bytes
-        return [from_bytes(b, "big") & mask for b in map(self.read, [(k + 7) // 8] * count)]
+        nbytes = (k + 7) // 8
+        return [(top << 8 | low) & mask for top, low in _split(self.read(count * nbytes), nbytes)]
 
     def _below_each(self, hi: int, lo: int) -> list[int]:
         """randbelow(b) for b = hi, hi-1, ..., lo+1, in that order.
 
         Bounds in (2^(k-1), 2^k] share the draw width k, its byte count
-        and its mask, so those are computed once per power of two.
+        and its mask, so those are computed once per power of two.  Each
+        round reads the bytes of the need values still owed in that
+        range and walks them in order: an accepted value lowers the
+        bound, a rejected one leaves it owing to the next round.  A round
+        reads no byte past the last value it could accept.
         """
         out: list[int] = []
         append = out.append
         read = self.read
-        from_bytes = int.from_bytes
         b = hi
         while b > lo:
             k = (b - 1).bit_length()
@@ -106,11 +116,20 @@ class SeededRng:
             mask = (1 << k) - 1
             nbytes = (k + 7) // 8
             stop = max(lo, 1 << (k - 1))  # width k ends at the bound 2^(k-1) + 1
-            for bound in range(b, stop, -1):
-                while (v := from_bytes(read(nbytes), "big") & mask) >= bound:
-                    pass
-                append(v)
-            b = stop
+            while (need := b - stop) > 0:
+                data = read(need * nbytes)
+                if nbytes == 1:  # the bytes are the draws
+                    for v in data:
+                        v &= mask
+                        if v < b:
+                            append(v)
+                            b -= 1
+                else:
+                    for top, low in _split(data, nbytes):
+                        v = (top << 8 | low) & mask
+                        if v < b:
+                            append(v)
+                            b -= 1
         return out
 
     def permutation(self, n: int) -> list[int]:
@@ -130,3 +149,16 @@ class SeededRng:
             j += i
             arr[i], arr[j] = arr[j], arr[i]
         return arr[:k]
+
+
+def _split(data: bytes, nbytes: int) -> zip:
+    """The nbytes-wide big-endian draws in data, each as (top, low): the
+    int of its bytes before the last, and its last byte."""
+    lows = data[nbytes - 1 :: nbytes]
+    if nbytes == 2:
+        tops = data[::2]
+    elif nbytes == 1:
+        tops = bytes(len(lows))
+    else:
+        tops = [int.from_bytes(data[i : i + nbytes - 1], "big") for i in range(0, len(data), nbytes)]
+    return zip(tops, lows)

@@ -59,6 +59,7 @@ BUILT = "test_root_screen.py::test_is_irreducible_decides_like_the_batched_and_l
 PLANES = "test_root_screen.py::test_power_planes_hold_f_at_every_element"
 MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
 DRAWS = "test_keygen_kernels.py::test_permutation_and_sample_match_the_unbuffered_oracle"
+INTERLEAVED = "test_keygen_kernels.py::test_interleaved_draws_match_the_unbuffered_oracle"
 ROW_COUNT = "test_keygen_kernels.py::test_eliminate_matches_oracle_at_every_row_count"
 EDGES = "test_root_screen.py::test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges"
 SQUARES = "test_fast_kernels.py::test_squares_matches_oracle"
@@ -277,11 +278,17 @@ MUTANTS = [
     ),
     # keygen kernels
     Mutant(
+        # a short read leaves a rejection round owing values it never
+        # reads, so the bounded draws hang; randbits_each, which loops on
+        # nothing, fails first (pytest runs the ids in this order, -x)
         "keystream-refill-rounds-down",
         "rng.py",
         "blocks = -(-(nbytes - len(rest)) // BLOCK_BYTES)",
         "blocks = (nbytes - len(rest)) // BLOCK_BYTES",
-        ("test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",),
+        (
+            "test_keygen_kernels.py::test_randbits_each_matches_the_unbuffered_oracle",
+            "test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",
+        ),
     ),
     # the one rejection loop of permutation and sample
     Mutant(
@@ -294,15 +301,22 @@ MUTANTS = [
     Mutant(
         "randbits-each-unmasked",
         "rng.py",
-        'from_bytes(b, "big") & mask for b',
-        'from_bytes(b, "big") for b',
+        "& mask for top, low",
+        "for top, low",
         ("test_keygen_kernels.py::test_randbits_each_matches_the_unbuffered_oracle",),
     ),
     Mutant(
         "randbelow-admits-the-bound",
         "rng.py",
-        '& mask) >= bound:',
-        '& mask) > bound:',
+        "| low) & mask\n                        if v < b:",
+        "| low) & mask\n                        if v <= b:",
+        (DRAWS,),
+    ),
+    Mutant(
+        "randbelow-admits-the-bound-in-byte-draws",
+        "rng.py",
+        "v &= mask\n                        if v < b:",
+        "v &= mask\n                        if v <= b:",
         (DRAWS,),
     ),
     Mutant(
@@ -325,6 +339,39 @@ MUTANTS = [
         "append(0)",
         "append(read(1)[0] & 0)",
         (DRAWS,),
+    ),
+    # the batches of the rejection loop and of randbits_each
+    Mutant(
+        "draw-bytes-swapped",
+        "rng.py",
+        "v = (top << 8 | low)",
+        "v = (low << 8 | top)",
+        (DRAWS, INTERLEAVED),
+    ),
+    Mutant(
+        # the extra draw's bytes are read and, when the round accepts all
+        # it owes, the extra value is taken too
+        "batch-one-draw-too-long",
+        "rng.py",
+        "read(need * nbytes)",
+        "read((need + 1) * nbytes)",
+        (DRAWS, INTERLEAVED),
+    ),
+    Mutant(
+        # a round of wide draws tests its values against the bound it
+        # started at, which is lowered only once the round is walked
+        "bound-kept-through-the-round",
+        "rng.py",
+        "                            b -= 1\n        return out",
+        "                            pass\n                b = hi - len(out)\n        return out",
+        (DRAWS, INTERLEAVED),
+    ),
+    Mutant(
+        "wide-draw-top-takes-its-low-byte",
+        "rng.py",
+        "data[i : i + nbytes - 1]",
+        "data[i : i + nbytes]",
+        ("test_keygen_kernels.py::test_randbits_each_matches_the_unbuffered_oracle", INTERLEAVED),
     ),
     Mutant(
         "eliminate-keeps-earlier-pivots",

@@ -7,13 +7,15 @@ at every width up to 70 and at 500 columns.  The batched-gcd Ben-Or test
 must decide like the level-by-level oracle on products whose smallest
 factor falls in each gcd block, and on squares of irreducibles.  The
 packed parity check must equal the bit-by-bit expansion, and the
-buffered keystream must make the draws the unbuffered one makes,
-through as many ``read`` calls.
+buffered keystream must make the draws the unbuffered one makes, from
+the same bytes, read in batches.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kal1 import Kal1Error
 from kal1.binmat import BinaryMatrix, eliminate
@@ -255,21 +257,71 @@ def test_read_rejects_a_negative_count():
         SeededRng(bytes(16)).read(-1)
 
 
-def test_draws_make_the_read_calls_the_unbuffered_oracle_makes(monkeypatch):
-    # the benchmark's tracer counts SeededRng.read calls, so every draw
-    # still takes its bytes through read, one call per randbits and per
-    # value of randbits_each; the sizes cross the one- and two-byte draw
-    # widths
-    calls = {SeededRng: [], oracles.UnbufferedRng: []}
-    for cls in calls:
-        def counted(self, nbytes, inner=cls.read, cls=cls):
-            calls[cls].append(nbytes)
-            return inner(self, nbytes)
+# a bounded draw of up to 4096 values reads once per width range and
+# once per rejection round; value by value it would read over 1,000 times
+BOUNDED_DRAW_READS = 64
 
-        monkeypatch.setattr(cls, "read", counted)
-    for rng in (SeededRng(seed_bytes(1)), oracles.UnbufferedRng(seed_bytes(1))):
-        rng.randbits(0), rng.randbits(9)
-        rng.randbits_each(0, 3), rng.randbits_each(10, 50), rng.randbits_each(9, 0)
-        rng.permutation(1025), rng.sample(300, 300), rng.sample(4096, 3488)
-    assert calls[SeededRng] == calls[oracles.UnbufferedRng]
-    assert {1, 2} <= set(calls[SeededRng])
+
+def test_draws_read_the_oracles_bytes_in_batches(monkeypatch):
+    # the bytes SeededRng reads are those the unbuffered oracle reads value
+    # by value, in order, and they come in few reads: exactly one per
+    # randbits_each with k > 0 (none when k = 0), and at most
+    # BOUNDED_DRAW_READS per permutation or sample; the sizes cross the
+    # one- and two-byte draw widths
+    reads = {SeededRng: [], oracles.UnbufferedRng: []}
+    for cls in reads:
+        def recorded(self, nbytes, inner=cls.read, cls=cls):
+            data = inner(self, nbytes)
+            reads[cls].append(data)
+            return data
+
+        monkeypatch.setattr(cls, "read", recorded)
+    rng, ref = SeededRng(seed_bytes(1)), oracles.UnbufferedRng(seed_bytes(1))
+    draws = [
+        ("randbits", (0,), 0),
+        ("randbits", (9,), 1),
+        ("randbits_each", (0, 3), 0),
+        ("randbits_each", (10, 50), 1),
+        ("randbits_each", (9, 0), 1),
+        ("permutation", (1025,), None),
+        ("sample", (300, 300), None),
+        ("sample", (4096, 3488), None),
+    ]
+    for draw, args, calls in draws:
+        before = len(reads[SeededRng])
+        assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (draw, args)
+        made = len(reads[SeededRng]) - before
+        if calls is None:
+            assert 0 < made <= BOUNDED_DRAW_READS, (draw, args, made)
+        else:
+            assert made == calls, (draw, args, made)
+    assert b"".join(reads[SeededRng]) == b"".join(reads[oracles.UnbufferedRng])
+    assert {1, 2} <= {len(data) for data in reads[oracles.UnbufferedRng]}
+
+
+def _sized_sample(n):
+    return st.tuples(st.just("sample"), st.just(n), st.integers(0, n))
+
+
+DRAW_SEQUENCES = st.lists(
+    st.one_of(
+        st.tuples(st.just("randbits_each"), st.integers(0, 40), st.integers(0, 5000)),
+        st.tuples(st.just("permutation"), st.integers(0, 4096)),
+        st.integers(0, 4096).flatmap(_sized_sample),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.binary(min_size=16, max_size=16), draws=DRAW_SEQUENCES)
+# the second batch straddles the first 4096-byte refill
+@example(seed=bytes(16), draws=[("randbits_each", 8, 4000), ("randbits_each", 16, 100)])
+@example(seed=bytes(16), draws=[("randbits_each", 24, 1500), ("permutation", 300), ("sample", 4096, 4096)])
+def test_interleaved_draws_match_the_unbuffered_oracle(seed, draws):
+    # 1-, 2- and 3+-byte widths, batches past the refill, and the bound 1;
+    # the next bytes show that the streams stopped at the same place
+    rng, ref = SeededRng(seed), oracles.UnbufferedRng(seed)
+    for draw, *args in draws:
+        assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (draw, args)
+    assert rng.read(16) == ref.read(16)
