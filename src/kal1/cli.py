@@ -200,8 +200,7 @@ def cmd_inspect(args) -> int:
     elif sid == keyio.SCHEME_KAL1_S1:
         print(f"positions: {keyio.seed_fields(sid, pub.seed_row)}")
     elif sid == keyio.SCHEME_KAL1_S2:
-        start, length = keyio.seed_fields(sid, pub.seed_row)
-        print(f"run: start={start} length={length}")
+        print(f"run: start={pub.policy.start} length={pub.policy.length}")
     return 0
 
 

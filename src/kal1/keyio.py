@@ -19,12 +19,14 @@ Public key file (bit exact):
 All three Kal1 schemes publish one ``scheme.Kal1PublicKey``: its seed
 policy (dense, sparse or run) picks the scheme id, and the positions or
 the run are derived from its seed row when it is written (``seed_fields``).
-A row with no such form (no ones or more than 255, or anything but one
-run of at least two ones that fits the length field) raises FormatError,
-and so does a Niederreiter check not in systematic form: what cannot be
-read back is not written.  The same holds for a private key file, whose
-header fields the caller names: its writer refuses, with the loader's
-message, any header the loader refuses.
+The key classes refuse, when built, a row its policy does not name and a
+Niederreiter check not in systematic form, so the writer refuses only
+fields the wire cannot carry: a header field past its width, a Kal1-S1
+weight byte outside 1 to 255, and a Kal1-S2 run shorter than two ones or
+too long for its length field.  What cannot be read back is not written.
+The same holds for a private key file, whose header fields the caller
+names: its writer refuses, with the loader's message, any header the
+loader refuses.
 Parsing returns the same class, with the policy the scheme id names, and
 accepts Kal1-S1/S2 fields only when they name a row of at most n-k bits
 that ``seed_fields`` writes back as exactly those fields, and with a
@@ -200,26 +202,18 @@ def _pack_header(magic: bytes, sid: int, params: CodeParams, w: int) -> bytes:
 
 def serialize_public_key(key: scheme.PublicKey) -> bytes:
     """The .pk bytes; a Kal1 key is written in the form its seed policy
-    names, with the fields derived from its seed row.  A key that
-    parse_public_key would refuse, or would read back with another
-    policy, raises FormatError instead."""
+    names, with the fields derived from its seed row.  Its constructor
+    checked its form, so only a wire limit raises FormatError here."""
     params = key.params
     nk = params.redundancy
     sid = scheme_id(key)
-    w = 0
+    w = key.seed_row.bit_count() if sid == SCHEME_KAL1_S1 else 0
     if sid == SCHEME_NIEDERREITER:
-        _check_systematic(key.check_t.row_ints, params)
         payload = _write_fields(key.check_t.row_ints, nk)
-    elif key.seed_row >> nk:
-        raise FormatError("seed row longer than n-k bits")
     elif sid == SCHEME_KAL1:
         payload = _write_fields([key.seed_row], nk)
     else:
         fields = seed_fields(sid, key.seed_row)
-        w = len(fields) if sid == SCHEME_KAL1_S1 else 0
-        # the reader rebuilds the policy from these fields, so they must name this one
-        if _header_policy(sid, w, *(fields if sid == SCHEME_KAL1_S2 else (0, 0))) != key.policy:
-            raise FormatError(f"seed row does not match its policy {key.policy!r}")
         width = position_width(nk)
         # a run length at or above 2^width raises here
         payload = _write_fields([_reverse_bits(f, width) for f in fields], width)
@@ -263,12 +257,6 @@ def _header_policy(sid: int, w: int, run_start: int, run_len: int) -> scheme.See
     return scheme.RunSeed(run_start, run_len)
 
 
-def _check_systematic(rows: list[int], params: CodeParams) -> None:
-    """FormatError unless the rows of check_t past the k-th are the identity."""
-    if rows[params.k :] != [1 << i for i in range(params.redundancy)]:
-        raise FormatError("check matrix is not in systematic form")
-
-
 def parse_public_key(data: bytes) -> scheme.PublicKey:
     """Strict inverse of serialize_public_key; FormatError on any defect."""
     sid, params, w = _parse_header(data, MAGIC_PUBLIC)
@@ -280,7 +268,6 @@ def parse_public_key(data: bytes) -> scheme.PublicKey:
         raise FormatError(f"payload must be {nbytes} bytes, got {len(body)}")
     if sid == SCHEME_NIEDERREITER:
         rows = _read_fields(body, nk, params.n)
-        _check_systematic(rows, params)
         return niederreiter.NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, rows))
     start = run = 0
     if sid == SCHEME_KAL1:

@@ -22,17 +22,21 @@ so both yield the same key for a seed.
 from __future__ import annotations
 
 from .binmat import BinaryMatrix, random_permutation
-from .errors import GenerationFailure, Value
+from .errors import FormatError, Frozen, GenerationFailure
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code, scatter
 from .rng import SeededRng
 
 
-class NiederreiterPublicKey(Value):
+class NiederreiterPublicKey(Frozen):
+    """The transposed systematic check, n x (n-k) and ending in the identity; else FormatError."""
+
     _fields = ("params", "check_t")
 
     def __init__(self, params: CodeParams, check_t: BinaryMatrix):
-        self.params = params
-        self.check_t = check_t  # n x (n-k); bottom (n-k) rows are the identity
+        nk = params.redundancy
+        if check_t.cols != nk or check_t.row_ints[params.k :] != [1 << i for i in range(nk)]:
+            raise FormatError("check matrix is not in systematic form")
+        self.__dict__.update(params=params, check_t=check_t)
 
 
 def keygen_private(params: CodeParams, rng: SeededRng) -> GoppaCode:

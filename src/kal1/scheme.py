@@ -29,7 +29,7 @@ from __future__ import annotations
 from . import niederreiter
 from .binmat import BinaryMatrix
 from .cw import CwParams, cw_decode, cw_encode
-from .errors import FormatError, Frozen, PolicyError, RangeError, Value
+from .errors import FormatError, Frozen, PolicyError, RangeError
 from .goppa import CodeParams, GoppaCode
 from .rng import SeededRng
 
@@ -102,16 +102,25 @@ def draw_seed_row(policy: SeedPolicy, redundancy: int, rng: SeededRng) -> int:
 # --- key material ---
 
 
-class Kal1PublicKey(Value):
+class Kal1PublicKey(Frozen):
     """The seed row and the policy it was drawn under, which also picks
-    its wire form."""
+    its wire form.  FormatError unless the row has at most n-k bits and
+    its policy's form: w ones for SparseSeed(w), that run for RunSeed."""
 
     _fields = ("params", "seed_row", "policy")
 
     def __init__(self, params: CodeParams, seed_row: int, policy: SeedPolicy = DenseSeed()):
-        self.params = params
-        self.seed_row = seed_row
-        self.policy = policy
+        if seed_row >> params.redundancy:  # a negative row too
+            raise FormatError("seed row negative or longer than n-k bits")
+        fits = True
+        if isinstance(policy, SparseSeed):
+            fits = seed_row.bit_count() == policy.weight
+        elif isinstance(policy, RunSeed):
+            start, length = policy.start, policy.length
+            fits = 0 <= start and 0 <= length and seed_row == ((1 << length) - 1) << start
+        if not fits:
+            raise FormatError(f"seed row does not match its policy {policy!r}")
+        self.__dict__.update(params=params, seed_row=seed_row, policy=policy)
 
 
 PublicKey = niederreiter.NiederreiterPublicKey | Kal1PublicKey

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,24 @@ SQUARE_Q = [166, 88, 69, 184, 1]
 
 def seed_bytes(tag: int) -> bytes:
     return tag.to_bytes(16, "big")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test by assertion once it runs past seconds: a loop that
+    never ends (a division that never cancels its top coefficient, a
+    keystream read that comes back short) would otherwise never return."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def odd_hex_kat(field: str, pad: bool = False) -> str:

@@ -65,6 +65,8 @@ EDGES = "test_root_screen.py::test_packed_planes_and_irreducibility_match_the_li
 SQUARES = "test_fast_kernels.py::test_squares_matches_oracle"
 FROBENIUS = "test_fast_kernels.py::test_squares_and_sqrt_halves_match_their_oracles_at_every_m"
 CODEC = "test_root_screen.py::test_codec_round_trips_with_the_old_bytes"
+VALIDATIONS = "test_values.py::test_constructor_validation_messages"
+WIRE_PROPERTY = "test_untrusted_input.py::test_a_kal1_key_is_refused_when_built_or_written_or_reads_back"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -525,12 +527,34 @@ MUTANTS = [
         "",
         ("test_keyio.py::test_regenerate_refuses_scheme_fields_before_any_draw",),
     ),
+    # the public key classes refuse, when built, what no reader returns
     Mutant(
-        "serialize-skips-the-systematic-check",
-        "keyio.py",
-        "        _check_systematic(key.check_t.row_ints, params)\n",
-        "",
+        "public-key-skips-the-systematic-check",
+        "niederreiter.py",
+        "if check_t.cols != nk or check_t.row_ints[params.k :] != [1 << i for i in range(nk)]:",
+        "if check_t.cols != nk:",
         ("test_keyio.py::test_parse_rejects_non_systematic_check",),
+    ),
+    Mutant(
+        "kal1-row-check-one-bit-wide",
+        "scheme.py",
+        "if seed_row >> params.redundancy:",
+        "if seed_row >> (params.redundancy + 1):",
+        (VALIDATIONS,),
+    ),
+    Mutant(
+        "kal1-key-skips-the-run-check",
+        "scheme.py",
+        "fits = 0 <= start and 0 <= length and seed_row == ((1 << length) - 1) << start",
+        "fits = True",
+        (WIRE_PROPERTY, VALIDATIONS),
+    ),
+    Mutant(
+        "kal1-key-skips-the-sparse-count",
+        "scheme.py",
+        "fits = seed_row.bit_count() == policy.weight",
+        "fits = True",
+        (WIRE_PROPERTY, VALIDATIONS),
     ),
     # the one message-range rule, for encrypt and the message byte form
     Mutant(

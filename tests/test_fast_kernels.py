@@ -19,10 +19,8 @@ must match the chain of oracles, failures included.  The field
 tables must equal those built from a searched generator.
 """
 
-import contextlib
 import functools
 import random
-import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,7 +48,7 @@ from kal1.goppa import POLY_TRIALS_PER_DEGREE, CodeParams, GoppaCode, generate_c
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, SQUARE_Q, TOY, perm_inverse, seed_bytes
+from conftest import MID, SQUARE_Q, TOY, perm_inverse, seed_bytes, time_limit
 from oracles import field_mul, pack, poly_add, poly_deg, poly_mod, poly_mul, poly_trim, unpack
 
 FIELDS = {m: Field(m) for m in (4, 8, 10)}
@@ -185,23 +183,6 @@ def test_poly_eea_bounded_matches_oracle(case, dbound):
     )
     assert poly_deg(r) <= dbound
     assert poly_add(oracles.poly_mul(field, u, f), oracles.poly_mul(field, v, g)) == r
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the example by assertion once it runs past seconds: a division
-    that never cancels its top coefficient would otherwise never return."""
-
-    def expire(signum, frame):
-        raise AssertionError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=200)

@@ -25,7 +25,7 @@ from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import BLOCK_BYTES, SeededRng
 
 import oracles
-from conftest import MID, TOY, seed_bytes
+from conftest import MID, TOY, seed_bytes, time_limit
 from oracles import pack, poly_mul
 
 HEADLINE = CodeParams(1024, 524, 50, 10)
@@ -213,21 +213,24 @@ def test_parity_check_matches_oracle_on_partial_supports(with_zero):
 
 
 def test_buffered_draws_match_unbuffered_oracle():
+    # about half a second; a short read would leave a rejection round
+    # owing values forever, so the alarm fails it instead
     rnd = random.Random(7)
-    for tag in range(6):
-        rng, ref = SeededRng(seed_bytes(tag)), oracles.UnbufferedRng(seed_bytes(tag))
-        for _ in range(300):
-            draw = rnd.choice(["read", "randbits", "permutation", "sample"])
-            if draw == "read":
-                args = (rnd.choice([0, 1, 15, 16, 17, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES + 3]),)
-            elif draw == "randbits":
-                args = (rnd.choice([0, 1, 7, 8, 9, 10, 500, 20000]),)
-            elif draw == "permutation":
-                args = (rnd.choice([1, 2, 16, 1024]),)
-            else:
-                n = rnd.choice([1, 16, 300, 4096])
-                args = (n, rnd.randint(0, n))
-            assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (tag, draw, args)
+    with time_limit(10):
+        for tag in range(6):
+            rng, ref = SeededRng(seed_bytes(tag)), oracles.UnbufferedRng(seed_bytes(tag))
+            for _ in range(300):
+                draw = rnd.choice(["read", "randbits", "permutation", "sample"])
+                if draw == "read":
+                    args = (rnd.choice([0, 1, 15, 16, 17, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES + 3]),)
+                elif draw == "randbits":
+                    args = (rnd.choice([0, 1, 7, 8, 9, 10, 500, 20000]),)
+                elif draw == "permutation":
+                    args = (rnd.choice([1, 2, 16, 1024]),)
+                else:
+                    n = rnd.choice([1, 16, 300, 4096])
+                    args = (n, rnd.randint(0, n))
+                assert getattr(rng, draw)(*args) == getattr(ref, draw)(*args), (tag, draw, args)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 255, 256, 257, 1024, 1025, 3488, 4096])

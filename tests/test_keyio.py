@@ -189,14 +189,11 @@ def test_parse_rejects_noncanonical_seed_fields(capsys, tmp_path, sid, fields):
 
 def test_parse_rejects_non_systematic_check(toy_nied):
     pub, _ = toy_nied
-    broken = niederreiter.NiederreiterPublicKey.__new__(niederreiter.NiederreiterPublicKey)
-    broken.params = pub.params
     rows = list(pub.check_t.row_ints)
     rows[TOY.k] ^= 0b10  # damage the identity block
-    broken.check_t = binmat.BinaryMatrix(TOY.n, TOY.redundancy, rows)
-    # the writer refuses the key, so its file is written by hand
+    # no such key can be built, so its file is written by hand
     with pytest.raises(FormatError, match="not in systematic form"):
-        keyio.serialize_public_key(broken)
+        niederreiter.NiederreiterPublicKey(TOY, binmat.BinaryMatrix(TOY.n, TOY.redundancy, rows))
     out = oracles.BitWriter()
     for row in rows:
         out.put_vector(row, TOY.redundancy)
@@ -283,12 +280,12 @@ def test_sparse_key_with_no_positions_is_refused_on_write(capsys, tmp_path):
     [(0b10110001, scheme.SparseSeed(3)), (0b0111000, scheme.RunSeed(0, 2))],
     ids=["sparse-weight", "run-fields"],
 )
-def test_public_key_writer_refuses_a_row_its_policy_does_not_name(row, policy):
+def test_public_key_refuses_a_row_its_policy_does_not_name(row, policy):
     # the reader rebuilds the policy from the row's fields, here
-    # SparseSeed(4) and RunSeed(3, 3), so the bytes would name another key
-    key = scheme.Kal1PublicKey(TOY, row, policy)
+    # SparseSeed(4) and RunSeed(3, 3), so the bytes would name another
+    # key; so no key holds such a row, and no writer is handed one
     with pytest.raises(FormatError, match="seed row does not match its policy"):
-        keyio.serialize_public_key(key)
+        scheme.Kal1PublicKey(TOY, row, policy)
 
 
 @pytest.mark.parametrize(

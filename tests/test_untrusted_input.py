@@ -8,7 +8,8 @@ Kal1Error; anything else, and any traceback from the CLI, fails.
 Decryption gets ints the same way: random, negative, too long, or a
 valid ciphertext with bits flipped.  .sk files are left out: a 39-byte
 header can name parameters whose regeneration takes seconds before the
-checksum refuses it.
+checksum refuses it.  Kal1 keys built from random rows and policies are
+refused when built, refused by the writer for a wire limit, or read back.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kal1 import cli, keyio, niederreiter, scheme
-from kal1.errors import Kal1Error
+from kal1.errors import FormatError, Kal1Error
 from kal1.rng import SeededRng
 from conftest import MID, MID_KAT, TOY, TOY_KAT, seed_bytes
 
@@ -115,6 +116,72 @@ def test_decrypt_of_any_int_raises_only_kal1_errors(toy_kal1, mid_kal1, data):
         return
     # the ciphertext is the message's word, so an accepted one re-encrypts to itself
     assert scheme.encrypt(pub, msg) == c
+
+
+def kal1_key_fields(params):
+    """A seed row and a policy for a Kal1 key at params.  The row is
+    random, a set of positions or a run, up to one bit past n-k, or
+    negative; the policy is the row's own form or drawn apart from it."""
+    nk = params.redundancy
+    own = st.one_of(
+        st.integers(-4, (1 << (nk + 1)) - 1).map(lambda row: (row, scheme.DenseSeed())),
+        st.sets(st.integers(0, nk), max_size=nk + 1).map(
+            lambda ps: (sum(1 << p for p in ps), scheme.SparseSeed(len(ps)))
+        ),
+        st.tuples(st.integers(0, nk), st.integers(0, nk + 1)).map(
+            lambda sl: (((1 << sl[1]) - 1) << sl[0], scheme.RunSeed(*sl))
+        ),
+    )
+    field = st.integers(-1, nk + 1)
+    drawn = st.one_of(
+        st.just(scheme.DenseSeed()), st.builds(scheme.SparseSeed, field), st.builds(scheme.RunSeed, field, field)
+    )
+    return st.one_of(own, st.tuples(own.map(lambda pair: pair[0]), drawn))
+
+
+def has_its_form(params, row, policy) -> bool:
+    """The key constructor's rule, restated on sets of positions."""
+    if row < 0 or row.bit_length() > params.redundancy:
+        return False
+    ones = {p for p in range(row.bit_length()) if row >> p & 1}
+    if isinstance(policy, scheme.SparseSeed):
+        return len(ones) == policy.weight
+    if isinstance(policy, scheme.RunSeed):
+        start, length = policy.start, policy.length
+        return start >= 0 and length >= 0 and ones == set(range(start, start + length))
+    return True
+
+
+def past_the_wire(params, policy) -> bool:
+    """The writer's rule for a key that was built: a Kal1-S1 weight byte
+    holds 1 to 255 positions, a Kal1-S2 run is at least two ones long
+    and its length fits the ceil(log2(n-k))-bit field."""
+    if isinstance(policy, scheme.SparseSeed):
+        return not 1 <= policy.weight <= 255
+    if isinstance(policy, scheme.RunSeed):
+        return not 2 <= policy.length < 1 << keyio.position_width(params.redundancy)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((TOY, MID)), st.data())
+def test_a_kal1_key_is_refused_when_built_or_written_or_reads_back(params, data):
+    # exactly one: the constructor refuses the row's form, the writer
+    # refuses a wire limit, or the bytes read back as the same key
+    row, policy = data.draw(kal1_key_fields(params))
+    try:
+        key = scheme.Kal1PublicKey(params, row, policy)
+    except FormatError:
+        assert not has_its_form(params, row, policy)
+        return
+    assert has_its_form(params, row, policy)
+    try:
+        blob = keyio.serialize_public_key(key)
+    except FormatError:
+        assert past_the_wire(params, policy)
+        return
+    assert not past_the_wire(params, policy)
+    assert keyio.parse_public_key(blob) == key
 
 
 @functools.cache

@@ -2,9 +2,9 @@
 hashing, immutability and repr.
 
 Messages embed ``{policy!r}`` and the like, so a repr is part of the
-output; equality is by exact type and fields; the parameter and seed
-classes are frozen and hashable, the key and report classes mutable and
-unhashable.
+output; equality is by exact type and fields; the parameter, seed and
+public key classes are frozen and hashable, so a key checked when built
+stays checked, and the report class is mutable and unhashable.
 """
 
 import re
@@ -14,7 +14,7 @@ import pytest
 from kal1 import isd
 from kal1.binmat import BinaryMatrix
 from kal1.cw import CwParams
-from kal1.errors import DimensionMismatch, ParameterError
+from kal1.errors import DimensionMismatch, FormatError, ParameterError
 from kal1.goppa import CodeParams
 from kal1.niederreiter import NiederreiterPublicKey
 from kal1.scheme import DenseSeed, Kal1PublicKey, RunSeed, SparseSeed
@@ -71,11 +71,12 @@ FROZEN = [
     lambda: SparseSeed(4),
     lambda: RunSeed(0, 2),
     lambda: isd.IsdInstance(CHECK, 5, 2),
-]
-MUTABLE = [
     lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
     lambda: NiederreiterPublicKey(TOY, CHECK_T),
+]
+MUTABLE = [
     lambda: report([]),
+    lambda: report(["a note"]),
 ]
 
 
@@ -90,7 +91,7 @@ def test_frozen_values_hash_by_fields_and_refuse_assignment(make):
     a, b = make(), make()
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-    for name in ("n", "weight", "length", "syndrome", "unheard_of"):
+    for name in ("n", "weight", "length", "syndrome", "seed_row", "check_t", "unheard_of"):
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
     with pytest.raises(AttributeError):
@@ -119,9 +120,6 @@ def test_positional_construction_and_the_dense_default():
     pk = Kal1PublicKey(TOY, 5)
     assert (pk.params, pk.seed_row, pk.policy) == (TOY, 5, DenseSeed())
     assert Kal1PublicKey(TOY, 5) == Kal1PublicKey(TOY, 5, DenseSeed())
-    pk.seed_row = 6  # the key classes stay mutable
-    pk.policy = RunSeed(1, 2)
-    assert pk == Kal1PublicKey(TOY, 6, RunSeed(1, 2))
     assert (CwParams(8, 2).length, CwParams(8, 2).weight) == (8, 2)
     assert (RunSeed(3, 4).start, RunSeed(3, 4).length, SparseSeed(5).weight) == (3, 4, 5)
 
@@ -139,6 +137,34 @@ VALIDATIONS = [
     (lambda: isd.IsdInstance(CHECK, -1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
     (lambda: isd.IsdInstance(CHECK, 1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
     (lambda: isd.IsdInstance(CHECK, 5, -1), DimensionMismatch, "negative weight bound"),
+    (lambda: Kal1PublicKey(TOY, -1), FormatError, "seed row negative or longer than n-k bits"),
+    (lambda: Kal1PublicKey(TOY, 1 << 8), FormatError, "seed row negative or longer than n-k bits"),
+    (
+        lambda: Kal1PublicKey(TOY, 0b111, SparseSeed(2)),
+        FormatError,
+        "seed row does not match its policy SparseSeed(weight=2)",
+    ),
+    (
+        lambda: Kal1PublicKey(TOY, 0b1110, RunSeed(0, 3)),
+        FormatError,
+        "seed row does not match its policy RunSeed(start=0, length=3)",
+    ),
+    (
+        lambda: Kal1PublicKey(TOY, 0, RunSeed(-1, 0)),
+        FormatError,
+        "seed row does not match its policy RunSeed(start=-1, length=0)",
+    ),
+    (
+        lambda: NiederreiterPublicKey(TOY, BinaryMatrix(16, 8, [1] * 16)),
+        FormatError,
+        "check matrix is not in systematic form",
+    ),
+    # the identity's rows, but one column too wide
+    (
+        lambda: NiederreiterPublicKey(TOY, BinaryMatrix(16, 9, CHECK_T.row_ints)),
+        FormatError,
+        "check matrix is not in systematic form",
+    ),
 ]
 
 
