@@ -1,8 +1,8 @@
 """Bit-packed linear algebra over GF(2).
 
-A matrix stores its rows as ints: bit j of a row is column j, and bits
-at or above the column count stay zero.  Matrices are treated as
-immutable values; every operation returns a fresh matrix.
+A matrix is a frozen value that stores its rows as a tuple of ints: bit
+j of a row is column j, and bits at or above the column count stay
+zero.  Every operation returns a fresh matrix.
 
 Rank, inversion and the product are "Four Russians" kernels, as in M4RI
 (Albrecht, Bard and Hart): eight columns or rows at a time, a table of
@@ -14,14 +14,14 @@ has under 256 rows.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch, Frozen, SingularMatrixError
 from .rng import SeededRng
 
 
-class BinaryMatrix:
-    __slots__ = ("rows", "cols", "row_ints")
+class BinaryMatrix(Frozen):
+    _fields = ("rows", "cols", "row_ints")
 
-    def __init__(self, rows: int, cols: int, row_ints: list[int]):
+    def __init__(self, rows: int, cols: int, row_ints: list[int] | tuple[int, ...]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative dimension")
         if len(row_ints) != rows:
@@ -30,20 +30,7 @@ class BinaryMatrix:
         for r in row_ints:
             if r & ~mask:
                 raise DimensionMismatch("row has bits beyond the column count")
-        self.rows = rows
-        self.cols = cols
-        self.row_ints = list(row_ints)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_ints == other.row_ints
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.row_ints)))
+        self.__dict__.update(rows=rows, cols=cols, row_ints=tuple(row_ints))
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"

@@ -101,7 +101,7 @@ def position_width(redundancy: int) -> int:
     return (redundancy - 1).bit_length()
 
 
-def _write_fields(fields: list[int], width: int) -> bytes:
+def _write_fields(fields: list[int] | tuple[int, ...], width: int) -> bytes:
     """The payload bytes of fields of one width: field 0 first, each
     field's bit 0 first, zero padded to a byte boundary.  FormatError
     for a value wider than its field."""
@@ -111,7 +111,7 @@ def _write_fields(fields: list[int], width: int) -> bytes:
     nbits = width * len(fields)
     # join neighbours, so each level copies the vector once
     while len(fields) > 1:
-        odd = fields[-1:] if len(fields) % 2 else []
+        odd = [fields[-1]] if len(fields) % 2 else []
         fields = [a | b << width for a, b in zip(fields[::2], fields[1::2])] + odd
         width *= 2
     return (fields[0] if fields else 0).to_bytes((nbits + 7) // 8, "little").translate(_REV8)

@@ -34,7 +34,7 @@ class NiederreiterPublicKey(Frozen):
 
     def __init__(self, params: CodeParams, check_t: BinaryMatrix):
         nk = params.redundancy
-        if check_t.cols != nk or check_t.row_ints[params.k :] != [1 << i for i in range(nk)]:
+        if check_t.cols != nk or check_t.row_ints[params.k :] != tuple(1 << i for i in range(nk)):
             raise FormatError("check matrix is not in systematic form")
         self.__dict__.update(params=params, check_t=check_t)
 
@@ -75,7 +75,7 @@ def public_key(priv: GoppaCode) -> NiederreiterPublicKey:
     cols = priv.parity_check().column_ints
     s_t = BinaryMatrix(nk, nk, cols[k:]).invert()
     top = BinaryMatrix(k, nk, cols[:k]).mul(s_t).row_ints
-    return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, top + [1 << i for i in range(nk)]))
+    return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, [*top, *(1 << i for i in range(nk))]))
 
 
 def decrypt(priv: GoppaCode, c: int) -> int:

@@ -38,7 +38,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .errors import ParameterError
 
 SEED_BYTES = 16
-BLOCK_BYTES = 4096  # keystream bytes taken from the cipher at a time
 
 
 def fresh_seed() -> bytes:
@@ -49,33 +48,21 @@ def fresh_seed() -> bytes:
 class SeededRng:
     """AES-128-CTR keystream generator; single-owner, not thread safe.
 
-    The keystream is taken from the cipher BLOCK_BYTES at a time and
-    every draw is served from that buffer.  A draw of many values takes
-    their bytes with one ``read`` (a rejection loop with one per round),
-    so the bytes and their order are those of reading the stream draw by
-    draw.
+    Each ``read`` takes its bytes straight from the cipher.  A draw of
+    many values takes their bytes with one ``read`` (a rejection loop
+    with one per round), so the bytes and their order are those of
+    reading the stream draw by draw.
     """
 
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ParameterError(f"seed must be exactly {SEED_BYTES} bytes, got {len(seed)}")
         self._stream = Cipher(algorithms.AES(bytes(seed)), modes.CTR(bytes(SEED_BYTES))).encryptor()
-        self._buf = b""
-        self._pos = 0
 
     def read(self, nbytes: int) -> bytes:
         if nbytes < 0:
             raise ParameterError("byte count must be non-negative")
-        pos = self._pos
-        end = pos + nbytes
-        if end > len(self._buf):
-            # keep the unread bytes and append whole blocks until nbytes are there
-            rest = self._buf[pos:]
-            blocks = -(-(nbytes - len(rest)) // BLOCK_BYTES)
-            self._buf = rest + self._stream.update(bytes(blocks * BLOCK_BYTES))
-            pos, end = 0, nbytes
-        self._pos = end
-        return self._buf[pos:end]
+        return self._stream.update(bytes(nbytes))
 
     def randbits(self, k: int) -> int:
         return self.randbits_each(k, 1)[0]

@@ -278,21 +278,7 @@ MUTANTS = [
         "out._where = self._where",
         ("test_goppa.py::test_permuted_code_shares_the_decoder_tables",),
     ),
-    # keygen kernels
-    Mutant(
-        # a short read leaves a rejection round owing values it never
-        # reads, so the bounded draws hang; randbits_each, which loops on
-        # nothing, fails first (pytest runs the ids in this order, -x)
-        "keystream-refill-rounds-down",
-        "rng.py",
-        "blocks = -(-(nbytes - len(rest)) // BLOCK_BYTES)",
-        "blocks = (nbytes - len(rest)) // BLOCK_BYTES",
-        (
-            "test_keygen_kernels.py::test_randbits_each_matches_the_unbuffered_oracle",
-            "test_keygen_kernels.py::test_buffered_draws_match_unbuffered_oracle",
-        ),
-    ),
-    # the one rejection loop of permutation and sample
+    # keygen kernels: the one rejection loop of permutation and sample
     Mutant(
         "permutation-admits-n-of-minus-1",
         "rng.py",
@@ -531,9 +517,19 @@ MUTANTS = [
     Mutant(
         "public-key-skips-the-systematic-check",
         "niederreiter.py",
-        "if check_t.cols != nk or check_t.row_ints[params.k :] != [1 << i for i in range(nk)]:",
+        "if check_t.cols != nk or check_t.row_ints[params.k :] != tuple(1 << i for i in range(nk)):",
         "if check_t.cols != nk:",
         ("test_keyio.py::test_parse_rejects_non_systematic_check",),
+    ),
+    Mutant(
+        # a list of rows could be changed in place after the check
+        # passed; it also never equals the identity's tuple, so keygen
+        # refuses its own key
+        "matrix-rows-kept-as-a-list",
+        "binmat.py",
+        "row_ints=tuple(row_ints)",
+        "row_ints=list(row_ints)",
+        ("test_niederreiter.py::test_a_built_key_keeps_its_check_rows",),
     ),
     Mutant(
         "kal1-row-check-one-bit-wide",

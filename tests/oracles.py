@@ -716,8 +716,9 @@ def solve_window(sub: BinaryMatrix, syndrome: int, weight: int) -> int | None:
 
 
 class UnbufferedRng:
-    """The pinned draws with one cipher call per read, as SeededRng made
-    them before it buffered the keystream."""
+    """The pinned draws value by value: one read per randbits, one
+    randbits per rejection-loop try, as the rng module's rules state
+    them; SeededRng batches those reads."""
 
     def __init__(self, seed: bytes):
         self._stream = Cipher(algorithms.AES(seed), modes.CTR(bytes(16))).encryptor()

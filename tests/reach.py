@@ -41,7 +41,6 @@ CO_OPTIMIZED = 0x1  # set on function code, not on class or module bodies
 
 # unentered function -> why it stays
 REASONS = {
-    "binmat.BinaryMatrix.__hash__": "value contract pinned by test_values; IsdInstance hashes its check",
     "binmat.BinaryMatrix.__repr__": "value contract pinned by test_values",
     "binmat.transpose_ints": "behind BinaryMatrix.transpose and Prange's column view",
     "errors.Frozen.__delattr__": "value contract pinned by test_values",

@@ -526,7 +526,7 @@ def check_key_against_chain(priv, chain):
     assert priv.goppa_poly == chain.code.goppa_poly
     assert priv.support == [chain.code.support[i] for i in perm_inverse(chain.perm)]
     permuted = oracles.binary_check(chain.code).permute_columns(chain.perm)
-    assert priv.parity_check().column_ints == oracles.transpose(permuted).row_ints
+    assert priv.parity_check().column_ints == list(oracles.transpose(permuted).row_ints)
     right_t = BinaryMatrix(nk, nk, priv.parity_check().column_ints[k:])
     assert right_t == oracles.transpose(chain.scrambler.s_inv)
     assert right_t.invert() == oracles.transpose(chain.scrambler.s)

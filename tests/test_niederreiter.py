@@ -35,6 +35,17 @@ def test_public_key_is_systematic(toy_nied):
         assert pub.check_t.row_ints[TOY.k + i] == 1 << i
 
 
+def test_a_built_key_keeps_its_check_rows():
+    # the rows are a tuple, so the systematic form checked when the key
+    # was built is the form it hashes by and writes
+    pub, _ = niederreiter.keygen(TOY, SeededRng(bytes(16)))
+    before = hash(pub)
+    with pytest.raises(TypeError):
+        pub.check_t.row_ints[-1] ^= 1
+    assert hash(pub) == before
+    assert keyio.parse_public_key(keyio.serialize_public_key(pub)) == pub
+
+
 def test_public_key_equals_transposed_private_product(toy_nied):
     # check_t must equal P^T H^T S^T computed independently with
     # materialized matrices, from the code in its drawn order
@@ -43,7 +54,7 @@ def test_public_key_equals_transposed_private_product(toy_nied):
     p = perm_matrix(key_perm(TOY, seed_bytes(1), priv))
     hp = h.mul(p)
     # the key is the code in public order: its check is H P
-    assert priv.parity_check().column_ints == oracles.transpose(hp).row_ints
+    assert priv.parity_check().column_ints == list(oracles.transpose(hp).row_ints)
     s_t = oracles.columns(hp, list(range(TOY.k, TOY.n))).transpose().invert()
     assert pub.check_t == p.transpose().mul(h.transpose()).mul(s_t)
 

@@ -1,9 +1,20 @@
-"""SeededRng rejects bad arguments with a Kal1Error, as every library
-entry point does."""
+"""SeededRng is the AES-128-CTR keystream, however its reads are cut,
+and rejects bad arguments with a Kal1Error, as every library entry
+point does."""
 
 import pytest
 
 from kal1 import Kal1Error, ParameterError, SeededRng
+
+# AES-128 under the all-zero key of counter blocks 0 and 1; the first is
+# the textbook encryption of the zero block under the zero key
+ZERO_SEED_STREAM = "66e94bd4ef8a2c3b884cfa59ca342b2e58e2fccefa7e3061367f1d57a4e7455a"
+
+
+def test_the_stream_is_aes_128_ctr_from_counter_zero():
+    assert SeededRng(bytes(16)).read(32).hex() == ZERO_SEED_STREAM
+    rng = SeededRng(bytes(16))
+    assert b"".join(rng.read(n) for n in (1, 15, 0, 16)).hex() == ZERO_SEED_STREAM
 
 
 @pytest.mark.parametrize("nbytes", [0, 15, 17])

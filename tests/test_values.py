@@ -2,9 +2,10 @@
 hashing, immutability and repr.
 
 Messages embed ``{policy!r}`` and the like, so a repr is part of the
-output; equality is by exact type and fields; the parameter, seed and
-public key classes are frozen and hashable, so a key checked when built
-stays checked, and the report class is mutable and unhashable.
+output; equality is by exact type and fields; the parameter, seed,
+matrix and public key classes are frozen and hashable, and a matrix's
+rows are a tuple, so a key checked when built stays checked, and the
+report class is mutable and unhashable.
 """
 
 import re
@@ -73,6 +74,7 @@ FROZEN = [
     lambda: isd.IsdInstance(CHECK, 5, 2),
     lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
     lambda: NiederreiterPublicKey(TOY, CHECK_T),
+    lambda: BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)]),
 ]
 MUTABLE = [
     lambda: report([]),
@@ -91,7 +93,7 @@ def test_frozen_values_hash_by_fields_and_refuse_assignment(make):
     a, b = make(), make()
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-    for name in ("n", "weight", "length", "syndrome", "seed_row", "check_t", "unheard_of"):
+    for name in ("n", "weight", "length", "syndrome", "seed_row", "check_t", "rows", "row_ints", "unheard_of"):
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
     with pytest.raises(AttributeError):
