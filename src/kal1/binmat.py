@@ -35,15 +35,6 @@ class BinaryMatrix(Frozen):
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"
 
-    def add(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        return BinaryMatrix(
-            self.rows, self.cols, [a ^ b for a, b in zip(self.row_ints, other.row_ints)]
-        )
-
     def mul(self, other: "BinaryMatrix") -> "BinaryMatrix":
         """Four-Russians product: for each 8 rows of other, a table of
         their 256 XOR combinations, picked by each row's byte there."""

@@ -82,7 +82,7 @@ class Field:
         self.log_table = log
         self.lo_bits = lo_bits = m // 2
         self.lo_mask = (1 << lo_bits) - 1
-        # lists of bytes, at most 2^8 each: built per key, tuples raised cli-regen's peak RSS
+        # lists of bytes, at most 2^8 each: as tuples, built per key, they raised peak RSS
         bits = [bytes(s for s in range(m) if c >> s & 1) for c in range(1 << (m - lo_bits))]
         self.picks = bits[: 1 << lo_bits], [bytes(lo_bits + s for s in b) for b in bits]
         self.red = self.reduction_poly & q1
@@ -92,6 +92,13 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
         return self.exp_table[self.order - 1 - self.log_table[a]]
+
+
+@functools.cache
+def shared_field(m: int) -> Field:
+    """The one Field of degree m, which every code over it shares; at
+    most 13 are ever built, one per m in REDUCTION_POLYS."""
+    return Field(m)
 
 
 # --- packed polynomials: coefficient i at bits [m*i, m*i + m) of one int ---

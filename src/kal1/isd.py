@@ -148,8 +148,14 @@ class RankReport(Value):
 
 
 def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: NiederreiterPublicKey) -> BinaryMatrix:
-    """Masking matrix: cyclic_t plus check_t; its bottom block is zero."""
-    return cyclic_t.add(inner_pub.check_t)
+    """Masking matrix: cyclic_t plus check_t, row by row; its bottom block is zero."""
+    check_t = inner_pub.check_t
+    if (cyclic_t.rows, cyclic_t.cols) != (check_t.rows, check_t.cols):
+        raise DimensionMismatch(
+            f"cannot add {cyclic_t.rows}x{cyclic_t.cols} and {check_t.rows}x{check_t.cols}"
+        )
+    rows = [a ^ b for a, b in zip(cyclic_t.row_ints, check_t.row_ints)]
+    return BinaryMatrix(check_t.rows, check_t.cols, rows)
 
 
 def rank_report(

@@ -47,7 +47,7 @@ def keygen_private(params: CodeParams, rng: SeededRng) -> GoppaCode:
     shared resample limit.
     """
     code = generate_code(params, rng)
-    cols = code.parity_check().column_ints
+    cols = code.parity_check()
     nk = params.redundancy
     for _ in range(RESAMPLE_LIMIT):
         dest = random_permutation(params.n, rng)
@@ -72,7 +72,7 @@ def public_key(priv: GoppaCode) -> NiederreiterPublicKey:
     """
     params = priv.params
     k, nk = params.k, params.redundancy
-    cols = priv.parity_check().column_ints
+    cols = priv.parity_check()
     s_t = BinaryMatrix(nk, nk, cols[k:]).invert()
     top = BinaryMatrix(k, nk, cols[:k]).mul(s_t).row_ints
     return NiederreiterPublicKey(params, BinaryMatrix(params.n, nk, [*top, *(1 << i for i in range(nk))]))
@@ -85,4 +85,4 @@ def decrypt(priv: GoppaCode, c: int) -> int:
     A negative ciphertext, or one longer than n-k bits, raises
     DimensionMismatch in the syndrome.
     """
-    return priv.decode(priv.parity_check().syndrome(c << priv.params.k))
+    return priv.decode(priv.syndrome(c << priv.params.k))

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import os
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 from .errors import ParameterError
 
 SEED_BYTES = 16
@@ -57,6 +55,8 @@ class SeededRng:
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ParameterError(f"seed must be exactly {SEED_BYTES} bytes, got {len(seed)}")
+        # here, not at the top: a command that draws nothing loads no cipher
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
         self._stream = Cipher(algorithms.AES(bytes(seed)), modes.CTR(bytes(SEED_BYTES))).encryptor()
 
     def read(self, nbytes: int) -> bytes:

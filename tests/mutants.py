@@ -267,16 +267,31 @@ MUTANTS = [
     Mutant(
         "permuted-rebuilds-sqrt-x",
         "goppa.py",
-        "out._decoder = self._decoder",
-        "out._decoder = None",
+        "            _where=None,\n",
+        "            _where=None,\n            _decoder=None,\n",
         ("test_goppa.py::test_permuted_code_shares_the_decoder_tables",),
     ),
     Mutant(
         "permuted-keeps-positions",
         "goppa.py",
-        "out._where = None",
-        "out._where = self._where",
+        "_where=None,",
+        "_where=self._where,",
         ("test_goppa.py::test_permuted_code_shares_the_decoder_tables",),
+    ),
+    # one Field per degree m, shared by every code over it
+    Mutant(
+        "code-builds-its-own-field",
+        "goppa.py",
+        "field = shared_field(params.m)",
+        "field = shared_field.__wrapped__(params.m)",
+        ("test_goppa.py::test_codes_over_one_degree_share_one_field",),
+    ),
+    Mutant(
+        "generate-code-builds-its-own-field",
+        "goppa.py",
+        "field = shared_field(m)",
+        "field = shared_field.__wrapped__(m)",
+        ("test_goppa.py::test_codes_over_one_degree_share_one_field",),
     ),
     # keygen kernels: the one rejection loop of permutation and sample
     Mutant(
@@ -529,7 +544,19 @@ MUTANTS = [
         "binmat.py",
         "row_ints=tuple(row_ints)",
         "row_ints=list(row_ints)",
-        ("test_niederreiter.py::test_a_built_key_keeps_its_check_rows",),
+        (
+            "test_niederreiter.py::test_a_built_key_keeps_its_check_rows",
+            # collected test by test, so the fault fails here too
+            "test_values.py::test_frozen_values_hash_by_fields_and_refuse_assignment[<lambda>8]",
+        ),
+    ),
+    Mutant(
+        # the masking sum of a narrower cyclic_t is taken, not refused
+        "masking-sum-skips-the-shape-check",
+        "isd.py",
+        "if (cyclic_t.rows, cyclic_t.cols) != (check_t.rows, check_t.cols):",
+        "if cyclic_t.rows != check_t.rows:",
+        ("test_binmat.py::test_add",),
     ),
     Mutant(
         "kal1-row-check-one-bit-wide",

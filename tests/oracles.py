@@ -571,7 +571,7 @@ def decode(code: GoppaCode, synd: int) -> int:
     e = scan_roots(code, sigma)
     if e.bit_count() != poly_deg(sigma) or e.bit_count() > code.params.t:
         raise DecodingFailure("error locator does not split over the support", "locator-not-split")
-    if code.parity_check().syndrome(e) != synd:
+    if code.syndrome(e) != synd:
         raise DecodingFailure("recomputed syndrome mismatch", "syndrome-mismatch")
     return e
 
@@ -839,7 +839,7 @@ def generate_code(params: CodeParams, rng) -> GoppaCode:
             g = [rng.randbits(params.m) for _ in range(params.t)] + [1]
             if is_irreducible(field, g):
                 break
-        code = GoppaCode(field, params, support, pack(field, g))
+        code = GoppaCode(params, support, pack(field, g))
         if rank(binary_check(code)) == params.m * params.t:
             return code
     raise GenerationFailure("could not sample a full-rank code")

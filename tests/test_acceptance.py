@@ -57,14 +57,13 @@ def test_criterion_1_key_sizes_and_keygen_time():
 
 
 def test_criterion_2_exhaustive_decoder(toy_code):
-    pc = toy_code.parity_check()
     start = time.perf_counter()
     failures = 0
     count = 0
     for w in range(TOY.t + 1):
         for supp in combinations(range(TOY.n), w):
             e = sum(1 << i for i in supp)
-            if toy_code.decode(pc.syndrome(e)) != e:
+            if toy_code.decode(toy_code.syndrome(e)) != e:
                 failures += 1
             count += 1
     elapsed = time.perf_counter() - start
@@ -110,7 +109,9 @@ def test_criterion_4_decomposition_structure():
             inner_pub = niederreiter.public_key(priv)
             cyclic_t = scheme.expand_cyclic(pub)
             secondary = isd.secondary_check_t(cyclic_t, inner_pub)
-            if cyclic_t != inner_pub.check_t.add(secondary):
+            # the sum row by row, apart from the one isd takes
+            summed = tuple(a ^ b for a, b in zip(inner_pub.check_t.row_ints, secondary.row_ints))
+            if cyclic_t.row_ints != summed:
                 bad += 1
             if any(secondary.row_ints[params.k + i] for i in range(params.redundancy)):
                 bad += 1

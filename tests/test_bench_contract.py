@@ -8,7 +8,8 @@ how often keygen calls ``is_irreducible``, so the count per code is
 checked here with the name wrapped the way the tracer wraps it.  The
 Patterson layers the tracer times must stay the functions ``goppa``
 calls, and a headline decode must call each of them, counted the same
-way.  The warm encrypt/decrypt path must build no Pascal table.
+way; so must a headline decrypt call the code's one syndrome, which the
+tracer wraps under its old class name.  The warm encrypt/decrypt path must build no Pascal table.
 """
 
 import functools
@@ -19,10 +20,10 @@ from collections import Counter
 
 import pytest
 
-from kal1 import gf2m, goppa, scheme
+from kal1 import gf2m, goppa, niederreiter, scheme
 from kal1.cw import CwParams
 from kal1.errors import Kal1Error
-from kal1.goppa import CodeParams, generate_code
+from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
@@ -103,13 +104,36 @@ def test_headline_decode_calls_every_patterson_layer(monkeypatch):
     errors = [sum(1 << i for i in rnd.sample(range(HEADLINE.n), HEADLINE.t)) for _ in range(2)]
     calls = count_calls(monkeypatch, PATTERSON_LAYERS)
     # the first decode finds sqrt(x) mod g, whose g1^-1 is a poly_inv_mod
-    assert code.decode(code.parity_check().syndrome(errors[0])) == errors[0]
+    assert code.decode(code.syndrome(errors[0])) == errors[0]
     first = Counter(name for name, _ in calls)
     assert first == {"poly_inv_mod": 2, "sqrt_x_mod": 1, "poly_sqrt_mod": 1, "poly_eea_bounded": 1}
     calls.clear()
-    assert code.decode(code.parity_check().syndrome(errors[1])) == errors[1]
+    assert code.decode(code.syndrome(errors[1])) == errors[1]
     warm = Counter(name for name, _ in calls)
     assert warm == {"poly_inv_mod": 1, "poly_sqrt_mod": 1, "poly_eea_bounded": 1}
+
+
+def test_traced_syndrome_is_the_codes_one_syndrome(monkeypatch):
+    # the tracer wraps ParityCheckMatrix.syndrome on its class; that name
+    # is GoppaCode's, so goppa.syndrome.ms times every syndrome
+    _, cls_name, attr = tracer.METHODS["goppa.syndrome"]
+    cls = getattr(goppa, cls_name)
+    assert cls.__dict__[attr] is GoppaCode.syndrome
+    # wrapped like the tracer wraps it: on the class, around the original
+    inner = cls.__dict__[attr]
+    calls = []
+
+    def counted(self, e):
+        calls.append(e)
+        return inner(self, e)
+
+    monkeypatch.setattr(cls, attr, counted)
+    priv = niederreiter.keygen_private(HEADLINE, SeededRng(seed_bytes(0x72)))
+    nk = HEADLINE.redundancy
+    c = sum(1 << i for i in random.Random(72).sample(range(nk), HEADLINE.t))
+    assert niederreiter.decrypt(priv, c) == c << HEADLINE.k
+    # the ciphertext's syndrome, then decode's recheck of the error found
+    assert calls == [c << HEADLINE.k, c << HEADLINE.k]
 
 
 def test_headline_round_trip_builds_no_pascal_table(monkeypatch):

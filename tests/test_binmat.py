@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from kal1 import isd
 from kal1.binmat import BinaryMatrix, eliminate, matrix_times_vec, random_permutation, vec_times_matrix
 from kal1.errors import DimensionMismatch, SingularMatrixError
+from kal1.niederreiter import NiederreiterPublicKey
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import entry, from_dense, identity, perm_inverse, perm_matrix, to_dense
+from conftest import TOY, entry, from_dense, identity, perm_inverse, perm_matrix, to_dense
 
 # frozen draws for the pinned generator (seed 3)
 PERM16 = [1, 2, 14, 12, 4, 3, 9, 8, 11, 15, 7, 10, 5, 6, 0, 13]
@@ -32,6 +34,11 @@ def naive_mul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 
 def random_matrix(rnd, rows, cols):
     return BinaryMatrix(rows, cols, [rnd.getrandbits(cols) for _ in range(rows)])
+
+
+def xor(a, b):
+    """The sum of two matrices of one shape, row by row."""
+    return BinaryMatrix(a.rows, a.cols, [x ^ y for x, y in zip(a.row_ints, b.row_ints)])
 
 
 def test_mul_identity():
@@ -62,13 +69,18 @@ def test_mul_dimension_mismatch():
 
 
 def test_add():
+    # the library's one matrix sum is isd's masking matrix, cyclic_t + check_t
     rnd = random.Random(4)
-    a = random_matrix(rnd, 6, 9)
-    zero = BinaryMatrix(6, 9, [0] * 6)
-    assert a.add(a) == zero
-    assert a.add(zero) == a
-    with pytest.raises(DimensionMismatch):
-        a.add(BinaryMatrix(6, 8, [0] * 6))
+    top = random_matrix(rnd, 8, 8).row_ints
+    pub = NiederreiterPublicKey(TOY, BinaryMatrix(16, 8, [*top, *identity(8).row_ints]))
+    a = random_matrix(rnd, 16, 8)
+    zero = BinaryMatrix(16, 8, [0] * 16)
+    assert isd.secondary_check_t(pub.check_t, pub) == zero
+    assert isd.secondary_check_t(zero, pub) == pub.check_t
+    assert isd.secondary_check_t(a, pub) == xor(a, pub.check_t)
+    for rows, cols in [(16, 9), (15, 8)]:
+        with pytest.raises(DimensionMismatch, match=f"^cannot add {rows}x{cols} and 16x8$"):
+            isd.secondary_check_t(BinaryMatrix(rows, cols, [0] * rows), pub)
 
 
 def test_invert_trivial_cases():
@@ -160,7 +172,7 @@ def test_rank_subadditivity():
         r, c = rnd.randint(1, 10), rnd.randint(1, 10)
         a = random_matrix(rnd, r, c)
         b = random_matrix(rnd, r, c)
-        assert a.add(b).rank() <= a.rank() + b.rank()
+        assert xor(a, b).rank() <= a.rank() + b.rank()
 
 
 def test_transpose():

@@ -235,7 +235,9 @@ def test_import_loads_no_dataclasses_inspect_or_isd():
     # CLI; none of these buys it anything (isd serves inspect
     # --rank-report alone), so none is imported.  Nor is array: its
     # extension module alone costs about 0.3 MB of peak RSS, which the
-    # benchmark pays again each time it re-imports the library
+    # benchmark pays again each time it re-imports the library.  Nor is
+    # the cipher: rng loads it when the first SeededRng is built, so
+    # encrypt and inspect, which draw nothing, never pay for it
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import kal1.cli, json; "
@@ -245,7 +247,8 @@ def test_import_loads_no_dataclasses_inspect_or_isd():
     path, modules = json.loads(out.stdout)
     assert Path(path).resolve() == Path(cli.__file__).resolve()
     assert "kal1.keyio" in modules
-    assert {"array", "dataclasses", "inspect", "kal1.isd"} & set(modules) == set()
+    unwanted = {"array", "dataclasses", "inspect", "kal1.isd", "cryptography.hazmat.primitives.ciphers"}
+    assert unwanted & set(modules) == set()
 
 
 def test_kat_generate_then_verify(capsys, tmp_path):

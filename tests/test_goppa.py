@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from kal1 import goppa
+from kal1 import gf2m, goppa
 from kal1.binmat import BinaryMatrix
 from kal1.errors import DecodingFailure, DimensionMismatch, ParameterError
 from kal1.gf2m import Field, is_irreducible
@@ -65,15 +65,15 @@ def test_code_constructor_validations(toy_code):
     params = TOY
     g = pack(field, TOY_G)
     with pytest.raises(ParameterError):
-        GoppaCode(field, params, TOY_SUPPORT[:-1] + [TOY_SUPPORT[0]], g)  # duplicate
+        GoppaCode(params, TOY_SUPPORT[:-1] + [TOY_SUPPORT[0]], g)  # duplicate
     with pytest.raises(ParameterError, match="vanishes"):
-        GoppaCode(field, params, TOY_SUPPORT, pack(field, [0, 0, 1]))  # x^2 vanishes at 0
+        GoppaCode(params, TOY_SUPPORT, pack(field, [0, 0, 1]))  # x^2 vanishes at 0
     # negative, not monic, or of another degree than t = 2
     bad = [-g, -(1 << 8), pack(field, [1, 0, 2]), pack(field, [15, 9, 3])]
     bad += [0, pack(field, [3, 1]), pack(field, [15, 9, 1, 1]), g << 4]
     for g in bad:
         with pytest.raises(ParameterError, match="monic of degree t"):
-            GoppaCode(field, params, list(range(16)), g)
+            GoppaCode(params, list(range(16)), g)
 
 
 def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
@@ -84,8 +84,8 @@ def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
     support = list(range(1, 13))
     for root in support:
         with pytest.raises(ParameterError, match="vanishes"):
-            GoppaCode(field, params, support, pack(field, poly_mul(field, [root, 1], [14, 1])))
-    GoppaCode(field, params, support, pack(field, poly_mul(field, [13, 1], [14, 1])))
+            GoppaCode(params, support, pack(field, poly_mul(field, [root, 1], [14, 1])))
+    GoppaCode(params, support, pack(field, poly_mul(field, [13, 1], [14, 1])))
     # mid scale, whole field: x + root times x^7 + x + 1, which stays
     # irreducible over GF(2^8) since gcd(7, 8) = 1, so root is g's only root
     field = Field(8)
@@ -93,11 +93,10 @@ def test_code_rejects_goppa_poly_with_a_nonzero_root_on_the_support():
     assert is_irreducible(field, pack(field, h))
     for root in (1, 2, 97, 255):
         with pytest.raises(ParameterError, match="vanishes"):
-            GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, [root, 1], h)))
+            GoppaCode(MID, list(range(256)), pack(field, poly_mul(field, [root, 1], h)))
 
 
 def test_parity_check_first_row_and_shape(toy_code):
-    pc = toy_code.parity_check()
     field = toy_code.field
     for i, alpha in enumerate(toy_code.support):
         expected = field.inv(poly_eval(field, unpack(field, toy_code.goppa_poly), alpha))
@@ -105,7 +104,7 @@ def test_parity_check_first_row_and_shape(toy_code):
     rows = oracles.binary_check(toy_code)
     assert rows.rows == 8 and rows.cols == 16
     assert rows.rank() == 8
-    assert pc.column_ints == list(oracles.transpose(rows).row_ints)
+    assert toy_code.parity_check() == list(oracles.transpose(rows).row_ints)
 
 
 def test_binary_expansion_bit_order(toy_code):
@@ -119,7 +118,6 @@ def test_binary_expansion_bit_order(toy_code):
 
 
 def test_codewords_have_zero_syndrome(toy_code):
-    pc = toy_code.parity_check()
     # nullspace basis of the binary check via dense elimination
     rows = to_dense(oracles.binary_check(toy_code))
     n = toy_code.params.n
@@ -150,31 +148,29 @@ def test_codewords_have_zero_syndrome(toy_code):
         for b in basis:
             if rnd.getrandbits(1):
                 cw ^= b
-        assert pc.syndrome(cw) == 0
+        assert toy_code.syndrome(cw) == 0
 
 
 def test_syndrome_trivia(toy_code):
-    pc = toy_code.parity_check()
-    assert pc.syndrome(0) == 0
+    assert toy_code.syndrome(0) == 0
     for i in range(16):
-        assert pc.syndrome(1 << i) == pc.column_ints[i]
+        assert toy_code.syndrome(1 << i) == toy_code.parity_check()[i]
     # weight-2 syndromes match the generic matrix product
     bt = oracles.binary_check(toy_code).transpose()
     for supp in combinations(range(16), 2):
         e = sum(1 << i for i in supp)
         expected = BinaryMatrix(1, 16, [e]).mul(bt).row_ints[0]
-        assert pc.syndrome(e) == expected
+        assert toy_code.syndrome(e) == expected
     with pytest.raises(DimensionMismatch):
-        pc.syndrome(1 << 16)
+        toy_code.syndrome(1 << 16)
 
 
 def test_syndrome_linearity(toy_code):
-    pc = toy_code.parity_check()
     rnd = random.Random(4)
     for _ in range(300):
         e1 = rnd.getrandbits(16)
         e2 = rnd.getrandbits(16)
-        assert pc.syndrome(e1 ^ e2) == pc.syndrome(e1) ^ pc.syndrome(e2)
+        assert toy_code.syndrome(e1 ^ e2) == toy_code.syndrome(e1) ^ toy_code.syndrome(e2)
 
 
 def test_decode_zero_syndrome(toy_code):
@@ -182,12 +178,11 @@ def test_decode_zero_syndrome(toy_code):
 
 
 def test_decode_exhaustive_toy(toy_code):
-    pc = toy_code.parity_check()
     start = time.perf_counter()
     count = 0
     syndromes = set()
     for e in all_weights_upto(16, 2):
-        s = pc.syndrome(e)
+        s = toy_code.syndrome(e)
         syndromes.add(s)
         assert toy_code.decode(s) == e
         count += 1
@@ -200,12 +195,11 @@ def test_decode_exhaustive_toy(toy_code):
 def test_decode_rejects_undecodable_syndromes(toy_code):
     # syndromes of weight-3 errors: either outside the decodable set
     # (must fail) or a true weight <= 2 preimage exists (must return it)
-    pc = toy_code.parity_check()
-    decodable = {pc.syndrome(e): e for e in all_weights_upto(16, 2)}
+    decodable = {toy_code.syndrome(e): e for e in all_weights_upto(16, 2)}
     failures = 0
     for supp in combinations(range(16), 3):
         e3 = sum(1 << i for i in supp)
-        s = pc.syndrome(e3)
+        s = toy_code.syndrome(e3)
         if s in decodable:
             assert toy_code.decode(s) == decodable[s]
         else:
@@ -223,7 +217,7 @@ def test_decode_syndrome_length_check(toy_code):
 def test_negative_syndrome_inputs_are_dimension_mismatch(toy_code):
     for e in (-1, -3, -(1 << 16)):
         with pytest.raises(DimensionMismatch):
-            toy_code.parity_check().syndrome(e)
+            toy_code.syndrome(e)
     for synd in (-1, -5, -(1 << 8)):
         with pytest.raises(DimensionMismatch):
             toy_code.decode(synd)
@@ -238,15 +232,15 @@ def test_permuted_code_is_the_code_on_the_permuted_support(params, tag):
     for i, d in enumerate(dest):
         assert moved.support[d] == code.support[i]
     # the same code built from scratch on the permuted support
-    fresh = GoppaCode(code.field, params, moved.support, code.goppa_poly)
+    fresh = GoppaCode(params, moved.support, code.goppa_poly)
     assert moved._g_values == fresh._g_values
     assert moved._field_rows() == fresh._field_rows()
-    assert moved.parity_check().column_ints == fresh.parity_check().column_ints
+    assert moved.parity_check() == fresh.parity_check()
     permuted = oracles.binary_check(code).permute_columns(dest)
-    assert moved.parity_check().column_ints == list(oracles.transpose(permuted).row_ints)
+    assert moved.parity_check() == list(oracles.transpose(permuted).row_ints)
     for _ in range(20):
         e = sum(1 << i for i in rnd.sample(range(params.n), rnd.randint(1, params.t)))
-        assert moved.decode(moved.parity_check().syndrome(e)) == e
+        assert moved.decode(moved.syndrome(e)) == e
     with pytest.raises(DimensionMismatch):
         code.permuted(dest[:-1])
     with pytest.raises(DimensionMismatch):
@@ -259,30 +253,45 @@ def test_permuted_code_shares_the_decoder_tables(monkeypatch):
     code = generate_code(MID, SeededRng(seed_bytes(0x23)))
     rnd = random.Random(0x23)
     e = sum(1 << i for i in rnd.sample(range(MID.n), MID.t))
-    assert code.decode(code.parity_check().syndrome(e)) == e
+    assert code.decode(code.syndrome(e)) == e
     calls = []
     inner = goppa.sqrt_x_mod
     monkeypatch.setattr(goppa, "sqrt_x_mod", lambda *args: calls.append(args) or inner(*args))
     dest = rnd.sample(range(MID.n), MID.n)
     moved = code.permuted(dest)
     moved_e = sum(1 << dest[i] for i in range(MID.n) if e >> i & 1)
-    assert moved.decode(moved.parity_check().syndrome(moved_e)) == moved_e
+    assert moved.decode(moved.syndrome(moved_e)) == moved_e
     assert calls == []
+
+
+def test_codes_over_one_degree_share_one_field(monkeypatch):
+    shared = gf2m.shared_field(MID.m)
+    assert gf2m.shared_field(MID.m) is shared and shared.m == MID.m
+    built = []
+    init = gf2m.Field.__init__
+    monkeypatch.setattr(gf2m.Field, "__init__", lambda self, m: built.append(m) or init(self, m))
+    code = generate_code(MID, SeededRng(seed_bytes(0x25)))
+    moved = code.permuted(random.Random(0x25).sample(range(MID.n), MID.n))
+    fresh = GoppaCode(MID, code.support, code.goppa_poly)
+    assert code.field is moved.field is fresh.field is shared
+    assert built == []
+    # another degree, another field, built once
+    assert generate_code(TOY, SeededRng(seed_bytes(0x25))).field is gf2m.shared_field(TOY.m) is not shared
+    assert built in ([], [TOY.m])
 
 
 def test_decode_random_round_trip_mid_scale():
     code = generate_code(MID, SeededRng(seed_bytes(0x20)))
-    pc = code.parity_check()
     rnd = random.Random(5)
     for _ in range(500):
         supp = rnd.sample(range(MID.n), MID.t)
         e = sum(1 << i for i in supp)
-        assert code.decode(pc.syndrome(e)) == e
+        assert code.decode(code.syndrome(e)) == e
     # below-capability weights decode too
     for w in range(0, MID.t):
         supp = rnd.sample(range(MID.n), w)
         e = sum(1 << i for i in supp)
-        assert code.decode(pc.syndrome(e)) == e
+        assert code.decode(code.syndrome(e)) == e
 
 
 def test_generated_codes_have_full_rank_various_params():
@@ -306,10 +315,9 @@ def test_square_goppa_poly_decodes_weight_one_errors():
         if is_irreducible(field, pack(field, [a, b, 1]))
     )
     g = pack(field, poly_mul(field, q, q))
-    code = GoppaCode(field, CodeParams(64, 32, 4, 8), list(range(1, 65)), g)
-    pc = code.parity_check()
+    code = GoppaCode(CodeParams(64, 32, 4, 8), list(range(1, 65)), g)
     for i in range(64):
-        assert code.decode(pc.syndrome(1 << i)) == 1 << i
+        assert code.decode(code.syndrome(1 << i)) == 1 << i
 
 
 def test_forged_mid_syndromes_fail_as_locator_not_split():
@@ -317,7 +325,6 @@ def test_forged_mid_syndromes_fail_as_locator_not_split():
     # has the decoded syndrome (Patterson's key equation), so every
     # forged syndrome that fails, fails at the root count
     code = generate_code(MID, SeededRng(seed_bytes(0x20)))
-    pc = code.parity_check()
     rnd = random.Random(6)
     failures = 0
     for _ in range(200):
@@ -329,7 +336,7 @@ def test_forged_mid_syndromes_fail_as_locator_not_split():
             assert str(exc) == "error locator does not split over the support"
             failures += 1
         else:
-            assert e.bit_count() <= MID.t and pc.syndrome(e) == synd
+            assert e.bit_count() <= MID.t and code.syndrome(e) == synd
     assert failures > 190
 
 
@@ -360,7 +367,7 @@ NON_INVERTIBLE_SYNDROME = 0xA34D7FB801000000
 
 def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
     field = Field(8)
-    code = GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
+    code = GoppaCode(MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
     assert is_irreducible(field, pack(field, SQUARE_Q))
     sigma = code._locator(MISMATCH_SYNDROME)
     assert code._locator_roots(sigma).bit_count() == len(unpack(field, sigma)) - 1 == MID.t
@@ -372,7 +379,7 @@ def test_forged_mid_syndrome_fails_as_syndrome_mismatch():
 
 def test_non_invertible_syndrome_fails_as_syndrome_not_invertible():
     field = Field(8)
-    code = GoppaCode(field, MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
+    code = GoppaCode(MID, list(range(256)), pack(field, poly_mul(field, SQUARE_Q, SQUARE_Q)))
     assert unpack(field, code.syndrome_poly(NON_INVERTIBLE_SYNDROME)) == SQUARE_Q
     with pytest.raises(DecodingFailure) as info:
         code.decode(NON_INVERTIBLE_SYNDROME)

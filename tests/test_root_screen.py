@@ -225,7 +225,7 @@ def test_goppa_values_match_poly_eval(m, t, with_zero):
     support = rnd.sample(range(1, field.order), n - with_zero) + ([0] if with_zero else [])
     rnd.shuffle(support)
     params = CodeParams(n, n - m * t, t, m)
-    code = GoppaCode(field, params, support, pack(field, irreducible(field, t, rnd)))
+    code = GoppaCode(params, support, pack(field, irreducible(field, t, rnd)))
     expected = [oracles.poly_eval(field, unpack(field, code.goppa_poly), a) for a in support]
     assert code._g_values == expected == oracles.eval_goppa_poly(code)
 
@@ -245,11 +245,11 @@ def test_goppa_values_of_a_g_with_roots_off_the_support(with_zero):
     support = rnd.sample(others, 8 * t + 20)
     if with_zero:
         support[rnd.randrange(len(support))] = 0
-    code = GoppaCode(field, CodeParams(len(support), 20, t, 8), support, pack(field, g))
+    code = GoppaCode(CodeParams(len(support), 20, t, 8), support, pack(field, g))
     assert code._g_values == [oracles.poly_eval(field, g, a) for a in support]
     # and a root on the support is refused
     with pytest.raises(ParameterError, match="vanishes"):
-        GoppaCode(field, CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], pack(field, g))
+        GoppaCode(CodeParams(len(support), 20, t, 8), support[:-1] + [roots[-1]], pack(field, g))
 
 
 # --- the payload writer and reader ---

@@ -22,8 +22,15 @@ from kal1.scheme import DenseSeed, Kal1PublicKey, RunSeed, SparseSeed
 
 from conftest import TOY
 
-CHECK_T = BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)])
-CHECK = BinaryMatrix(8, 16, [0] * 8)
+
+# every value below is built when its test runs, so a faulty constructor
+# fails its own cases and not the module's collection
+def check_t():
+    return BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)])
+
+
+def check():
+    return BinaryMatrix(8, 16, [0] * 8)
 
 
 def report(notes):
@@ -31,27 +38,27 @@ def report(notes):
 
 
 REPRS = [
-    (CodeParams(16, 8, 2, 4), "CodeParams(n=16, k=8, t=2, m=4)"),
-    (CwParams(8, 2), "CwParams(length=8, weight=2)"),
-    (DenseSeed(), "DenseSeed()"),
-    (SparseSeed(4), "SparseSeed(weight=4)"),
-    (RunSeed(0, 2), "RunSeed(start=0, length=2)"),
+    (lambda: CodeParams(16, 8, 2, 4), "CodeParams(n=16, k=8, t=2, m=4)"),
+    (lambda: CwParams(8, 2), "CwParams(length=8, weight=2)"),
+    (lambda: DenseSeed(), "DenseSeed()"),
+    (lambda: SparseSeed(4), "SparseSeed(weight=4)"),
+    (lambda: RunSeed(0, 2), "RunSeed(start=0, length=2)"),
     (
-        Kal1PublicKey(TOY, 5),
+        lambda: Kal1PublicKey(TOY, 5),
         "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=5, policy=DenseSeed())",
     ),
     (
-        Kal1PublicKey(TOY, 6, RunSeed(1, 2)),
+        lambda: Kal1PublicKey(TOY, 6, RunSeed(1, 2)),
         "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=6,"
         " policy=RunSeed(start=1, length=2))",
     ),
     (
-        NiederreiterPublicKey(TOY, CHECK_T),
+        lambda: NiederreiterPublicKey(TOY, check_t()),
         "NiederreiterPublicKey(params=CodeParams(n=16, k=8, t=2, m=4), check_t=BinaryMatrix(16x8))",
     ),
-    (isd.IsdInstance(CHECK, 5, 2), "IsdInstance(check=BinaryMatrix(8x16), syndrome=5, weight=2)"),
+    (lambda: isd.IsdInstance(check(), 5, 2), "IsdInstance(check=BinaryMatrix(8x16), syndrome=5, weight=2)"),
     (
-        report(["a note"]),
+        lambda: report(["a note"]),
         "RankReport(params_line='n=16 k=8 t=2 m=4', cyclic_rank=8, check_rank=8,"
         " secondary_rank=7, redundancy=8, subadditive=True, full_rank_windows=0,"
         " sampled_windows=32, notes=['a note'])",
@@ -59,9 +66,9 @@ REPRS = [
 ]
 
 
-@pytest.mark.parametrize("value, text", REPRS, ids=[t.split("(")[0] + str(i) for i, (_, t) in enumerate(REPRS)])
-def test_repr_is_the_class_and_its_fields(value, text):
-    assert repr(value) == text
+@pytest.mark.parametrize("make, text", REPRS, ids=[t.split("(")[0] + str(i) for i, (_, t) in enumerate(REPRS)])
+def test_repr_is_the_class_and_its_fields(make, text):
+    assert repr(make()) == text
 
 
 # each pair built twice from the same arguments, so equal but not identical
@@ -71,10 +78,10 @@ FROZEN = [
     lambda: DenseSeed(),
     lambda: SparseSeed(4),
     lambda: RunSeed(0, 2),
-    lambda: isd.IsdInstance(CHECK, 5, 2),
+    lambda: isd.IsdInstance(check(), 5, 2),
     lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
-    lambda: NiederreiterPublicKey(TOY, CHECK_T),
-    lambda: BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)]),
+    lambda: NiederreiterPublicKey(TOY, check_t()),
+    lambda: check_t(),
 ]
 MUTABLE = [
     lambda: report([]),
@@ -136,9 +143,9 @@ VALIDATIONS = [
     (lambda: CwParams(0, 0), ParameterError, "length must be at least 1"),
     (lambda: CwParams(4, 5), ParameterError, "weight must lie in [0, length]"),
     (lambda: CwParams(4, -1), ParameterError, "weight must lie in [0, length]"),
-    (lambda: isd.IsdInstance(CHECK, -1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
-    (lambda: isd.IsdInstance(CHECK, 1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
-    (lambda: isd.IsdInstance(CHECK, 5, -1), DimensionMismatch, "negative weight bound"),
+    (lambda: isd.IsdInstance(check(), -1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: isd.IsdInstance(check(), 1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: isd.IsdInstance(check(), 5, -1), DimensionMismatch, "negative weight bound"),
     (lambda: Kal1PublicKey(TOY, -1), FormatError, "seed row negative or longer than n-k bits"),
     (lambda: Kal1PublicKey(TOY, 1 << 8), FormatError, "seed row negative or longer than n-k bits"),
     (
@@ -163,7 +170,7 @@ VALIDATIONS = [
     ),
     # the identity's rows, but one column too wide
     (
-        lambda: NiederreiterPublicKey(TOY, BinaryMatrix(16, 9, CHECK_T.row_ints)),
+        lambda: NiederreiterPublicKey(TOY, BinaryMatrix(16, 9, check_t().row_ints)),
         FormatError,
         "check matrix is not in systematic form",
     ),
