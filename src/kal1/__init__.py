@@ -8,8 +8,9 @@ every scheme), scheme (Kal1 itself; one public key class whose seed
 policy picks the wire form), keyio (the one wire codec: keys,
 ciphertexts, messages and KATs), isd (Prange probe, masking matrix and
 rank checks; imported by no other module, and by the CLI only for
-inspect --rank-report), cli.  The value classes are plain classes on
-the bases in errors, so importing the package loads no dataclasses.
+inspect --rank-report), cli.  Every value class, the private key and the
+rank report included, is an immutable errors.Frozen, equal and hashing by
+its fields, so importing the package loads no dataclasses.
 """
 
 from .cw import CwParams, cw_decode, cw_encode

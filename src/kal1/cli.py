@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import keyio, scheme
@@ -138,13 +139,29 @@ def cmd_keygen(args) -> int:
     sk_bytes = keyio.serialize_private_key(sid, params, w, run_start, run_len, seed, pk_bytes)
     pk_path = args.out + ".pk"
     sk_path = args.out + ".sk"
-    with open(pk_path, "wb") as fh:
-        fh.write(pk_bytes)
-    with open(sk_path, "wb") as fh:
-        fh.write(sk_bytes)
+    # the .sk goes into place first, so a failing keygen leaves no new .pk
+    _write_files([(pk_path, pk_bytes), (sk_path, sk_bytes)])
     print(f"public key: {keyio.payload_bits(pub)} bits")
     print(f"wrote {pk_path} and {sk_path}")
     return 0
+
+
+def _write_files(files: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) under a temporary name beside its path, then
+    os.replace them into place, last first.  An OSError removes the
+    temporaries and names its path, having changed only the paths after it."""
+    temps = []
+    try:
+        for path, data in files:
+            with open(f"{path}.{os.getpid()}.tmp", "xb") as fh:
+                temps.append(fh.name)
+                fh.write(data)
+        for (path, _), tmp in reversed(list(zip(files, temps))):
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in filter(os.path.exists, temps):
+            os.remove(tmp)
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def cmd_encrypt(args) -> int:

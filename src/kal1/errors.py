@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the bases that give
-its value classes equality, hashing and repr by fields without importing
-dataclasses (which pulls in inspect, ast and tokenize)."""
+"""Exception types shared across the package, and ``Frozen``, the one base
+of its value classes: equality, hashing, repr by fields and immutability
+without importing dataclasses (which pulls in inspect, ast and tokenize)."""
 
 
 class Kal1Error(Exception):
@@ -66,13 +66,13 @@ class KatMismatch(Kal1Error):
         self.actual = actual
 
 
-class Value:
-    """Equal to an instance of the same class whose ``_fields`` are
-    equal; unhashable, since its fields may be reassigned.  Each subclass
-    sets its fields in its own ``__init__``."""
+class Frozen:
+    """A value: equal to, and hashing as, an instance of the same class
+    whose ``_fields`` are equal, with a repr of those fields.  Its
+    ``__init__`` writes the fields into ``__dict__`` once; assigning or
+    deleting any attribute afterwards raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -82,18 +82,12 @@ class Value:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
-
-
-class Frozen(Value):
-    """A hashable Value.  Its ``__init__`` writes the fields into
-    ``__dict__`` once; assigning or deleting any attribute afterwards
-    raises AttributeError."""
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

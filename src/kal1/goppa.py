@@ -64,16 +64,20 @@ class CodeParams(Frozen):
         self.__dict__.update(n=n, k=k, t=t, m=m, redundancy=n - k)
 
 
-def scatter(values: list[int], dest: list[int]) -> list[int]:
-    """The list with values[i] moved to position dest[i]."""
+def scatter(values: tuple[int, ...], dest: list[int]) -> tuple[int, ...]:
+    """The values with values[i] moved to position dest[i]."""
     out = [0] * len(dest)
     for v, d in zip(values, dest):
         out[d] = v
-    return out
+    return tuple(out)
 
 
-class GoppaCode:
-    """Support + Goppa polynomial, with its check's columns and decoding artifacts cached."""
+class GoppaCode(Frozen):
+    """The private key, a value of params, support tuple and packed g; g's
+    values on the support, the check's columns (a tuple) and the decoder's
+    tables are cached.  Its repr hides the secret: it names the params."""
+
+    _fields = ("params", "support", "goppa_poly")
 
     def __init__(self, params: CodeParams, support: list[int], goppa_poly: int):
         field = shared_field(params.m)
@@ -86,19 +90,16 @@ class GoppaCode:
         # a negative int fails too: shifted down, it stays negative
         if goppa_poly >> (params.m * params.t) != 1:
             raise ParameterError("Goppa polynomial must be monic of degree t")
-        self.field = field
-        self.params = params
-        self.support = list(support)
-        self.goppa_poly = goppa_poly
-        self._g_values = self._eval_goppa_poly()
+        self.__dict__.update(field=field, params=params, support=tuple(support), goppa_poly=goppa_poly)
+        self.__dict__.update(_g_values=self._eval_goppa_poly(), _columns=None, _decoder=None, _where=None)
         if 0 in self._g_values:
             raise ParameterError("Goppa polynomial vanishes on the support")
-        self._columns: list[int] | None = None
-        self._decoder: tuple | None = None
-        self._where: list[int | None] | None = None
 
-    def parity_check(self) -> list[int]:
-        """The binary check as a list of columns: column i packs the m
+    def __repr__(self) -> str:
+        return f"GoppaCode(params={self.params!r})"
+
+    def parity_check(self) -> tuple[int, ...]:
+        """The binary check as a tuple of columns: column i packs the m
         bits of each of the t field entries of column i, entry j at bit
         m*j: bit b of entry j is binary row j*m + b.
 
@@ -123,7 +124,7 @@ class GoppaCode:
                     share = struct.unpack(f"<{n}Q", lanes.to_bytes(8 * n, "little"))
                     cols = [c | v << shift for c, v in zip(cols, share)]
                     lanes = 0
-            self._columns = cols
+            self.__dict__["_columns"] = tuple(cols)
         return self._columns
 
     def syndrome(self, e: int) -> int:
@@ -149,7 +150,7 @@ class GoppaCode:
         )
         return out
 
-    def _eval_goppa_poly(self) -> list[int]:
+    def _eval_goppa_poly(self) -> tuple[int, ...]:
         """g(alpha_i) for every support element, read off g's power
         planes: g(alpha^e) is lane e, and g(0) = g_0 goes at index q - 1.
 
@@ -171,7 +172,7 @@ class GoppaCode:
         values = [lo | hi << 8 for lo, hi in zip(lows, highs)]
         values.append(self.goppa_poly & q1)
         log = fld.log_table
-        return [values[log[a] if a else q1] for a in self.support]
+        return tuple([values[log[a] if a else q1] for a in self.support])
 
     def _field_rows(self) -> list[list[int]]:
         """Rows r < t of alpha_i^r / g(alpha_i), in the log domain: the
@@ -201,7 +202,7 @@ class GoppaCode:
             g = self.goppa_poly
             mod = modulus(fld, g)
             root_x = sqrt_x_mod(fld, g, mod)
-            self._decoder = (mod, mul_tables(fld, g), mul_tables(fld, root_x))
+            self.__dict__["_decoder"] = (mod, mul_tables(fld, g), mul_tables(fld, root_x))
         return self._decoder
 
     def syndrome_poly(self, synd: int) -> int:
@@ -296,7 +297,7 @@ class GoppaCode:
             where = [None] * (q1 + 1)
             for i, a in enumerate(self.support):
                 where[log[a] if a else q1] = i
-            self._where = where
+            self.__dict__["_where"] = where
         return self._where
 
 

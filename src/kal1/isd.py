@@ -20,7 +20,7 @@ its transpose have the same rank.
 from __future__ import annotations
 
 from .binmat import BinaryMatrix, eliminate, matrix_times_vec, transpose_ints, xor_rows
-from .errors import DimensionMismatch, Frozen, ParameterError, Value
+from .errors import DimensionMismatch, Frozen, ParameterError
 from .goppa import GoppaCode
 from .niederreiter import NiederreiterPublicKey, public_key
 from .rng import SeededRng
@@ -109,7 +109,7 @@ def prange_search(
     return None
 
 
-class RankReport(Value):
+class RankReport(Frozen):
     _fields = (
         "params_line", "cyclic_rank", "check_rank", "secondary_rank", "redundancy",
         "subadditive", "full_rank_windows", "sampled_windows", "notes",
@@ -118,20 +118,17 @@ class RankReport(Value):
     def __init__(
         self, params_line: str, cyclic_rank: int, check_rank: int, secondary_rank: int,
         redundancy: int, subadditive: bool, full_rank_windows: int, sampled_windows: int,
-        notes: list[str],
+        notes: tuple[str, ...],
     ):
-        self.params_line = params_line
-        self.cyclic_rank = cyclic_rank
-        self.check_rank = check_rank
-        self.secondary_rank = secondary_rank
-        self.redundancy = redundancy
-        self.subadditive = subadditive
-        self.full_rank_windows = full_rank_windows
-        self.sampled_windows = sampled_windows
-        self.notes = notes
+        self.__dict__.update(
+            params_line=params_line, cyclic_rank=cyclic_rank, check_rank=check_rank,
+            secondary_rank=secondary_rank, redundancy=redundancy, subadditive=subadditive,
+            full_rank_windows=full_rank_windows, sampled_windows=sampled_windows,
+            notes=tuple(notes),
+        )
 
-    def lines(self) -> list[str]:
-        out = [
+    def __str__(self) -> str:
+        return "\n".join([
             f"rank report: {self.params_line}",
             f"rank(cyclic_t) = {self.cyclic_rank} of {self.redundancy}",
             f"rank(check_t) = {self.check_rank}",
@@ -139,12 +136,8 @@ class RankReport(Value):
             "subadditivity rank(cyclic) <= rank(check) + rank(secondary): "
             + ("ok" if self.subadditive else "VIOLATED"),
             f"full-rank (n-k)-column windows: {self.full_rank_windows}/{self.sampled_windows}",
-        ]
-        out.extend(self.notes)
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
+            *self.notes,
+        ])
 
 
 def secondary_check_t(cyclic_t: BinaryMatrix, inner_pub: NiederreiterPublicKey) -> BinaryMatrix:
@@ -183,17 +176,10 @@ def rank_report(
         window = rng.sample(params.n, nk)
         if BinaryMatrix(nk, nk, [cyclic_t.row_ints[w] for w in window]).rank() == nk:
             full += 1
-    notes = []
-    if cyc_rank == nk:
-        notes.append("identity block forces full row rank of cyclic_t")
+    notes = ("identity block forces full row rank of cyclic_t",) if cyc_rank == nk else ()
     return RankReport(
         params_line=f"n={params.n} k={params.k} t={params.t} m={params.m}",
-        cyclic_rank=cyc_rank,
-        check_rank=chk_rank,
-        secondary_rank=sec_rank,
-        redundancy=nk,
-        subadditive=cyc_rank <= chk_rank + sec_rank,
-        full_rank_windows=full,
-        sampled_windows=samples,
-        notes=notes,
+        cyclic_rank=cyc_rank, check_rank=chk_rank, secondary_rank=sec_rank, redundancy=nk,
+        subadditive=cyc_rank <= chk_rank + sec_rank, full_rank_windows=full,
+        sampled_windows=samples, notes=notes,
     )

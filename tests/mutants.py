@@ -67,6 +67,7 @@ FROBENIUS = "test_fast_kernels.py::test_squares_and_sqrt_halves_match_their_orac
 CODEC = "test_root_screen.py::test_codec_round_trips_with_the_old_bytes"
 VALIDATIONS = "test_values.py::test_constructor_validation_messages"
 WIRE_PROPERTY = "test_untrusted_input.py::test_a_kal1_key_is_refused_when_built_or_written_or_reads_back"
+PRIVATE_IN_PLACE = "test_niederreiter.py::test_a_private_key_keeps_its_support_and_check"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -549,6 +550,31 @@ MUTANTS = [
             # collected test by test, so the fault fails here too
             "test_values.py::test_frozen_values_hash_by_fields_and_refuse_assignment[<lambda>8]",
         ),
+    ),
+    # the private key is a value too: its support and its check's
+    # columns are tuples, so an in-place edit raises TypeError
+    Mutant(
+        "support-kept-as-a-list",
+        "goppa.py",
+        "support=tuple(support)",
+        "support=list(support)",
+        (PRIVATE_IN_PLACE,),
+    ),
+    Mutant(
+        "check-columns-kept-as-a-list",
+        "goppa.py",
+        'self.__dict__["_columns"] = tuple(cols)',
+        'self.__dict__["_columns"] = cols',
+        (PRIVATE_IN_PLACE,),
+    ),
+    Mutant(
+        # the .pk goes into place before the .sk, so an .sk path that
+        # cannot be written leaves a new .pk behind
+        "keygen-places-the-pk-first",
+        "cli.py",
+        "reversed(list(zip(files, temps)))",
+        "zip(files, temps)",
+        ("test_cli.py::test_keygen_that_cannot_write_a_file_leaves_no_new_pk",),
     ),
     Mutant(
         # the masking sum of a narrower cyclic_t is taken, not refused

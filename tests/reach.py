@@ -45,8 +45,9 @@ REASONS = {
     "binmat.transpose_ints": "behind BinaryMatrix.transpose and Prange's column view",
     "errors.Frozen.__delattr__": "value contract pinned by test_values",
     "errors.Frozen.__hash__": "value contract pinned by test_values",
+    "errors.Frozen.__repr__": "value contract pinned by test_values",
     "errors.Frozen.__setattr__": "value contract pinned by test_values",
-    "errors.Value.__repr__": "value contract pinned by test_values",
+    "goppa.GoppaCode.__repr__": "value contract pinned by test_values",
     "isd.IsdInstance.__init__": "Prange analysis, kept in isd for the attack estimates",
     "isd._solve_window": "Prange analysis, kept in isd for the attack estimates",
     "isd.instance_from_public": "Prange analysis, kept in isd for the attack estimates",

@@ -37,6 +37,27 @@ def test_keygen_writes_files_and_reports_bits(capsys, tmp_path):
     assert (tmp_path / "key.pk").exists() and (tmp_path / "key.sk").exists()
 
 
+@pytest.mark.parametrize(
+    "directory, older_pk", [(".sk", None), (".sk", b"an older public key"), (".pk", None)]
+)
+def test_keygen_that_cannot_write_a_file_leaves_no_new_pk(capsys, tmp_path, directory, older_pk):
+    # both files are written under temporary names and the .sk is moved
+    # into place first, so a path that is a directory fails keygen
+    # before any .pk changes, and no temporary file is left behind
+    (tmp_path / f"key{directory}").mkdir()
+    if older_pk is not None:
+        (tmp_path / "key.pk").write_bytes(older_pk)
+    code, out, err = run(capsys, "keygen", *TOY_ARGS, "--seed", SEED, "--out", str(tmp_path / "key"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1 IsADirectoryError\n") and f"key{directory}'" in err
+    assert (tmp_path / f"key{directory}").is_dir()
+    if directory == ".sk":
+        assert (tmp_path / "key.pk").exists() == (older_pk is not None)
+        if older_pk is not None:
+            assert (tmp_path / "key.pk").read_bytes() == older_pk
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_keygen_output_line(capsys, tmp_path):
     out = str(tmp_path / "k")
     code, stdout, _ = run(

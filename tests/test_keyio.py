@@ -618,6 +618,27 @@ SCHEME_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("params", [TOY, MID], ids=["toy", "mid"])
+@pytest.mark.parametrize("fields", SCHEME_FIELDS)
+def test_a_loaded_private_key_equals_and_hashes_as_the_regenerated_one(params, fields):
+    # keys are values: the .sk's key is its seed's key, and == compares
+    # the support and g, not the caches either key has built
+    sid, w, run_start, run_len = fields
+    w = min(w, params.redundancy)
+    seed = seed_bytes(0xA0 + sid)
+    pub, priv = keyio.regenerate(sid, params, w, run_start, run_len, seed)
+    pk_bytes = keyio.serialize_public_key(pub)
+    sk_bytes = keyio.serialize_private_key(sid, params, w, run_start, run_len, seed, pk_bytes)
+    _, pub_again, priv_again, _ = keyio.load_private_key(sk_bytes)
+    assert priv_again is not priv
+    assert (pub_again, priv_again) == (pub, priv)
+    assert hash(priv_again) == hash(priv) and len({priv, priv_again}) == 1
+    assert priv_again._g_values == priv._g_values
+    assert priv_again.parity_check() == priv.parity_check()
+    other = keyio.regenerate(sid, params, w, run_start, run_len, seed_bytes(0xB0 + sid))[1]
+    assert other != priv
+
+
 @pytest.mark.parametrize("fields", SCHEME_FIELDS)
 def test_regeneration_and_decode_transpose_nothing(monkeypatch, fields):
     # keygen works on the check's columns and decoding finds the

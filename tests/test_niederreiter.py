@@ -9,7 +9,7 @@ import pytest
 from kal1 import keyio, niederreiter, scheme
 from kal1.binmat import BinaryMatrix, vec_times_matrix
 from kal1.errors import DecodingFailure, DimensionMismatch
-from kal1.goppa import generate_code
+from kal1.goppa import GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
@@ -46,6 +46,23 @@ def test_a_built_key_keeps_its_check_rows():
     assert keyio.parse_public_key(keyio.serialize_public_key(pub)) == pub
 
 
+def test_a_private_key_keeps_its_support_and_check():
+    # the support and the check's columns are tuples, so neither can be
+    # changed in place behind the key's hash, its decoder or public_key;
+    # a keygen key is a permuted copy, so the same code is also built anew
+    pub, priv = niederreiter.keygen(TOY, SeededRng(bytes(16)))
+    rebuilt = GoppaCode(TOY, priv.support, priv.goppa_poly)
+    assert rebuilt == priv and hash(rebuilt) == hash(priv)
+    for key in (priv, rebuilt):
+        with pytest.raises(TypeError):
+            key.support[0] = 99
+        with pytest.raises(TypeError):
+            key.parity_check()[9] ^= 1
+        assert hash(key) == hash(priv)
+        assert niederreiter.decrypt(key, 0b11) == 0b11 << TOY.k
+        assert niederreiter.public_key(key) == pub
+
+
 def test_public_key_equals_transposed_private_product(toy_nied):
     # check_t must equal P^T H^T S^T computed independently with
     # materialized matrices, from the code in its drawn order
@@ -54,7 +71,7 @@ def test_public_key_equals_transposed_private_product(toy_nied):
     p = perm_matrix(key_perm(TOY, seed_bytes(1), priv))
     hp = h.mul(p)
     # the key is the code in public order: its check is H P
-    assert priv.parity_check() == list(oracles.transpose(hp).row_ints)
+    assert priv.parity_check() == oracles.transpose(hp).row_ints
     s_t = oracles.columns(hp, list(range(TOY.k, TOY.n))).transpose().invert()
     assert pub.check_t == p.transpose().mul(h.transpose()).mul(s_t)
 
@@ -154,8 +171,6 @@ def test_decrypt_decodes_the_suffix_syndrome(toy_nied):
 def test_keygen_deterministic():
     a = niederreiter.keygen(TOY, SeededRng(seed_bytes(42)))
     b = niederreiter.keygen(TOY, SeededRng(seed_bytes(42)))
-    assert a[0].check_t == b[0].check_t
-    assert a[1].support == b[1].support
-    assert a[1].goppa_poly == b[1].goppa_poly
+    assert a == b
     assert a[1].parity_check() == b[1].parity_check()
 
