@@ -13,6 +13,7 @@ isd is imported only by inspect --rank-report.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -139,7 +140,8 @@ def cmd_keygen(args) -> int:
     sk_bytes = keyio.serialize_private_key(sid, params, w, run_start, run_len, seed, pk_bytes)
     pk_path = args.out + ".pk"
     sk_path = args.out + ".sk"
-    # the .sk goes into place first, so a failing keygen leaves no new .pk
+    # a path that is a directory fails before any file is written; past
+    # that the .sk goes into place first, so a failing keygen leaves no new .pk
     _write_files([(pk_path, pk_bytes), (sk_path, sk_bytes)])
     print(f"public key: {keyio.payload_bits(pub)} bits")
     print(f"wrote {pk_path} and {sk_path}")
@@ -147,9 +149,13 @@ def cmd_keygen(args) -> int:
 
 
 def _write_files(files: list[tuple[str, bytes]]) -> None:
-    """Write each (path, data) under a temporary name beside its path, then
-    os.replace them into place, last first.  An OSError removes the
-    temporaries and names its path, having changed only the paths after it."""
+    """Refuse a path that is a directory, then write each (path, data)
+    under a temporary name beside its path and os.replace them into
+    place, last first.  An OSError removes the temporaries and names its
+    path, having changed only the paths after it."""
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = []
     try:
         for path, data in files:

@@ -548,7 +548,7 @@ MUTANTS = [
         (
             "test_niederreiter.py::test_a_built_key_keeps_its_check_rows",
             # collected test by test, so the fault fails here too
-            "test_values.py::test_frozen_values_hash_by_fields_and_refuse_assignment[<lambda>8]",
+            "test_values.py::test_frozen_values_hash_by_fields_and_refuse_assignment[<lambda>7]",
         ),
     ),
     # the private key is a value too: its support and its check's
@@ -568,12 +568,21 @@ MUTANTS = [
         (PRIVATE_IN_PLACE,),
     ),
     Mutant(
-        # the .pk goes into place before the .sk, so an .sk path that
-        # cannot be written leaves a new .pk behind
+        # the .pk goes into place before the .sk, so an .sk that cannot
+        # be moved into place leaves a new .pk behind
         "keygen-places-the-pk-first",
         "cli.py",
         "reversed(list(zip(files, temps)))",
         "zip(files, temps)",
+        ("test_cli.py::test_keygen_whose_sk_cannot_be_moved_leaves_no_new_pk",),
+    ),
+    Mutant(
+        # a .pk path that is a directory fails only after the new .sk
+        # has replaced the older key's
+        "keygen-skips-the-directory-check",
+        "cli.py",
+        "if os.path.isdir(path):",
+        "if False:",
         ("test_cli.py::test_keygen_that_cannot_write_a_file_leaves_no_new_pk",),
     ),
     Mutant(
@@ -583,6 +592,14 @@ MUTANTS = [
         "if (cyclic_t.rows, cyclic_t.cols) != (check_t.rows, check_t.cols):",
         "if cyclic_t.rows != check_t.rows:",
         ("test_binmat.py::test_add",),
+    ),
+    Mutant(
+        # a syndrome wider than n-k bits is searched for, not refused
+        "prange-skips-the-syndrome-check",
+        "isd.py",
+        "if syndrome < 0 or syndrome.bit_length() > nk:",
+        "if syndrome < 0:",
+        (VALIDATIONS,),
     ),
     Mutant(
         "kal1-row-check-one-bit-wide",

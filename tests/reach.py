@@ -42,15 +42,13 @@ CO_OPTIMIZED = 0x1  # set on function code, not on class or module bodies
 # unentered function -> why it stays
 REASONS = {
     "binmat.BinaryMatrix.__repr__": "value contract pinned by test_values",
-    "binmat.transpose_ints": "behind BinaryMatrix.transpose and Prange's column view",
+    "binmat.transpose_ints": "behind BinaryMatrix.transpose, a target of bench/tracer.py",
     "errors.Frozen.__delattr__": "value contract pinned by test_values",
     "errors.Frozen.__hash__": "value contract pinned by test_values",
     "errors.Frozen.__repr__": "value contract pinned by test_values",
     "errors.Frozen.__setattr__": "value contract pinned by test_values",
     "goppa.GoppaCode.__repr__": "value contract pinned by test_values",
-    "isd.IsdInstance.__init__": "Prange analysis, kept in isd for the attack estimates",
     "isd._solve_window": "Prange analysis, kept in isd for the attack estimates",
-    "isd.instance_from_public": "Prange analysis, kept in isd for the attack estimates",
     "isd.prange_search": "Prange analysis, kept in isd for the attack estimates",
 }
 TRACER_REASON = "a target of bench/tracer.py, which nothing on the product path calls"

@@ -191,8 +191,7 @@ def test_criterion_8_prange_calibration(toy_nied):
     for _ in range(trials):
         supp = rnd.sample(range(TOY.n), TOY.t)
         e = sum(1 << i for i in supp)
-        inst = isd.instance_from_public(pub, vec_times_matrix(e, pub.check_t))
-        found = isd.prange_search(inst, 1, window_rng)
+        found = isd.prange_search(pub.check_t, vec_times_matrix(e, pub.check_t), TOY.t, 1, window_rng)
         if found is not None:
             assert found == e
             hits += 1

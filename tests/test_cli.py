@@ -1,6 +1,8 @@
 """Command-line behavior: files, determinism, exit codes."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,24 +40,43 @@ def test_keygen_writes_files_and_reports_bits(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "directory, older_pk", [(".sk", None), (".sk", b"an older public key"), (".pk", None)]
+    "directory, older",
+    [(".sk", None), (".sk", b"an older public key"), (".pk", None), (".pk", b"an older private key")],
 )
-def test_keygen_that_cannot_write_a_file_leaves_no_new_pk(capsys, tmp_path, directory, older_pk):
-    # both files are written under temporary names and the .sk is moved
-    # into place first, so a path that is a directory fails keygen
-    # before any .pk changes, and no temporary file is left behind
+def test_keygen_that_cannot_write_a_file_leaves_no_new_pk(capsys, tmp_path, directory, older):
+    # a path that is a directory fails keygen before any file is
+    # written, so the other file of the pair stays as it was and no
+    # temporary file is left behind
+    other = tmp_path / ("key.pk" if directory == ".sk" else "key.sk")
     (tmp_path / f"key{directory}").mkdir()
-    if older_pk is not None:
-        (tmp_path / "key.pk").write_bytes(older_pk)
-    code, out, err = run(capsys, "keygen", *TOY_ARGS, "--seed", SEED, "--out", str(tmp_path / "key"))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: 1 IsADirectoryError\n") and f"key{directory}'" in err
+    if older is not None:
+        other.write_bytes(older)
+    out = str(tmp_path / "key")
+    code, stdout, err = run(capsys, "keygen", *TOY_ARGS, "--seed", SEED, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: 1 IsADirectoryError\n[Errno 21] Is a directory: '{out}{directory}'\n"
     assert (tmp_path / f"key{directory}").is_dir()
-    if directory == ".sk":
-        assert (tmp_path / "key.pk").exists() == (older_pk is not None)
-        if older_pk is not None:
-            assert (tmp_path / "key.pk").read_bytes() == older_pk
+    assert other.exists() == (older is not None)
+    if older is not None:
+        assert other.read_bytes() == older
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_keygen_whose_sk_cannot_be_moved_leaves_no_new_pk(capsys, tmp_path, monkeypatch):
+    # past the directory check, the .sk still goes into place before the
+    # .pk, so a move that fails leaves the .pk path as it was
+    replace = os.replace
+
+    def refuse_sk(src, dst):
+        if dst.endswith(".sk"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_sk)
+    code, stdout, err = run(capsys, "keygen", *TOY_ARGS, "--seed", SEED, "--out", str(tmp_path / "key"))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: 1 PermissionError\n") and "key.sk'" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_keygen_output_line(capsys, tmp_path):

@@ -6,6 +6,7 @@ they replaced, kept in ``oracles``.
 """
 
 import random
+import sys
 from math import comb
 
 import pytest
@@ -20,98 +21,90 @@ import oracles
 from conftest import MID, TOY, seed_bytes
 
 
-@pytest.fixture(scope="module")
-def toy_instance_parts(toy_nied):
-    pub, priv = toy_nied
-    return pub, priv
+def test_zero_syndrome_returns_zero(toy_nied):
+    pub, _ = toy_nied
+    assert isd.prange_search(pub.check_t, 0, TOY.t, 1, SeededRng(seed_bytes(0))) == 0
 
 
-def test_instance_from_public(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    inst = isd.instance_from_public(pub, 0b1)
-    assert inst.check.rows == TOY.redundancy and inst.check.cols == TOY.n
-    assert inst.weight == TOY.t
+def test_negative_syndrome_rejected(toy_nied):
+    pub, _ = toy_nied
+    for syndrome in (-1, -(1 << TOY.redundancy)):
+        with pytest.raises(DimensionMismatch):
+            isd.prange_search(pub.check_t, syndrome, TOY.t, 1, SeededRng(seed_bytes(0)))
 
 
-def test_zero_syndrome_returns_zero(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    inst = isd.instance_from_public(pub, 0)
-    assert isd.prange_search(inst, 1, SeededRng(seed_bytes(0))) == 0
+def test_weight_zero_nonzero_syndrome_not_found(toy_nied):
+    pub, _ = toy_nied
+    assert isd.prange_search(pub.check_t, 1, 0, 100, SeededRng(seed_bytes(1))) is None
 
 
-def test_negative_syndrome_rejected(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    with pytest.raises(DimensionMismatch):
-        isd.instance_from_public(pub, -1)
-    with pytest.raises(DimensionMismatch):
-        isd.IsdInstance(pub.check_t.transpose(), -(1 << TOY.redundancy), TOY.t)
-
-
-def test_weight_zero_nonzero_syndrome_not_found(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    inst = isd.IsdInstance(pub.check_t.transpose(), 1, 0)
-    assert isd.prange_search(inst, 100, SeededRng(seed_bytes(1))) is None
-
-
-def test_weight_bound_exceeding_redundancy_rejected(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    inst = isd.IsdInstance(pub.check_t.transpose(), 1, TOY.redundancy + 1)
+def test_weight_bound_exceeding_redundancy_rejected(toy_nied):
+    pub, _ = toy_nied
     with pytest.raises(ParameterError):
-        isd.prange_search(inst, 1, SeededRng(seed_bytes(2)))
+        isd.prange_search(pub.check_t, 1, TOY.redundancy + 1, 1, SeededRng(seed_bytes(2)))
 
 
-def test_length_limit_guard(toy_instance_parts):
-    pub, _ = toy_instance_parts
-    inst = isd.instance_from_public(pub, 0b1)
-    with pytest.raises(ParameterError):
-        isd.prange_search(inst, 1, SeededRng(seed_bytes(3)), length_limit=8)
-    # explicit override unlocks larger codes
-    assert isd.prange_search(inst, 0, SeededRng(seed_bytes(3)), length_limit=1 << 12) is None
+def test_length_limit_guard():
+    # the probe takes codes up to LENGTH_LIMIT long and refuses longer ones
+    for n in (isd.LENGTH_LIMIT, isd.LENGTH_LIMIT + 1):
+        check_t = BinaryMatrix(n, 8, [1 << (i % 8) for i in range(n)])
+        if n > isd.LENGTH_LIMIT:
+            with pytest.raises(ParameterError, match=f"^code length {n} above the probe limit 64$"):
+                isd.prange_search(check_t, 1, 2, 0, SeededRng(seed_bytes(3)))
+        else:
+            assert isd.prange_search(check_t, 1, 2, 0, SeededRng(seed_bytes(3))) is None
 
 
-def test_planted_recovery_with_iteration_budget(toy_instance_parts):
+def planted(rnd) -> int:
+    return sum(1 << i for i in rnd.sample(range(TOY.n), TOY.t))
+
+
+def test_planted_recovery_with_iteration_budget(toy_nied, monkeypatch):
     # success probability per iteration is about 0.23, so 10^4 draws
-    # recover every planted error in practice
-    pub, _ = toy_instance_parts
+    # recover every planted error in practice.  The rows of check_t are
+    # the columns of H, so Prange reads its windows straight from them
+    # and checks its answer against them: it transposes nothing
+    def refuse(*args):
+        raise AssertionError("Prange transposed a matrix")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "kal1" and hasattr(mod, "transpose_ints"):
+            monkeypatch.setattr(mod, "transpose_ints", refuse)
+    monkeypatch.setattr(BinaryMatrix, "transpose", refuse)
+    pub, _ = toy_nied
     rnd = random.Random(4)
     for trial in range(25):
-        supp = rnd.sample(range(TOY.n), TOY.t)
-        e = sum(1 << i for i in supp)
+        e = planted(rnd)
         c = vec_times_matrix(e, pub.check_t)
-        inst = isd.instance_from_public(pub, c)
-        found = isd.prange_search(inst, 10_000, SeededRng(seed_bytes(0x100 + trial)))
+        found = isd.prange_search(pub.check_t, c, TOY.t, 10_000, SeededRng(seed_bytes(0x100 + trial)))
         assert found == e
 
 
-def test_returned_vector_always_satisfies_instance(toy_instance_parts):
-    pub, _ = toy_instance_parts
+def test_returned_vector_always_satisfies_instance(toy_nied):
+    pub, _ = toy_nied
     check = pub.check_t.transpose()
     rnd = random.Random(5)
     for trial in range(50):
-        supp = rnd.sample(range(TOY.n), TOY.t)
-        e = sum(1 << i for i in supp)
+        e = planted(rnd)
         c = vec_times_matrix(e, pub.check_t)
-        inst = isd.instance_from_public(pub, c)
-        found = isd.prange_search(inst, 3, SeededRng(seed_bytes(0x200 + trial)))
+        found = isd.prange_search(pub.check_t, c, TOY.t, 3, SeededRng(seed_bytes(0x200 + trial)))
         if found is not None:
             assert matrix_times_vec(check, found) == c
             assert found.bit_count() <= TOY.t
 
 
-def test_single_iteration_rate_matches_analytic(toy_instance_parts):
+def test_single_iteration_rate_matches_analytic(toy_nied):
     # deterministic seeds; bound is 3 standard errors of the binomial
-    pub, _ = toy_instance_parts
+    pub, _ = toy_nied
     analytic = comb(TOY.redundancy, TOY.t) / comb(TOY.n, TOY.t)
     rnd = random.Random(6)
     trials = 1200
     window_rng = SeededRng(seed_bytes(0xABC))
     hits = 0
     for _ in range(trials):
-        supp = rnd.sample(range(TOY.n), TOY.t)
-        e = sum(1 << i for i in supp)
+        e = planted(rnd)
         c = vec_times_matrix(e, pub.check_t)
-        inst = isd.instance_from_public(pub, c)
-        found = isd.prange_search(inst, 1, window_rng)
+        found = isd.prange_search(pub.check_t, c, TOY.t, 1, window_rng)
         if found is not None:
             assert found == e
             hits += 1
@@ -122,22 +115,21 @@ def test_single_iteration_rate_matches_analytic(toy_instance_parts):
 
 def test_rank_report_fields(toy_kal1):
     pk, sk = toy_kal1
-    report = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
+    report = isd.rank_report(scheme.expand_cyclic(pk), sk)
     nk = TOY.redundancy
+    assert report.params == TOY
     assert report.cyclic_rank == nk  # identity block forces full rank
     assert report.check_rank == nk
-    assert report.subadditive
-    assert 0 <= report.full_rank_windows <= report.sampled_windows == 16
+    assert 0 <= report.full_rank_windows <= isd.WINDOW_SAMPLES
     text = str(report)
     assert "rank(cyclic_t) = 8 of 8" in text
     assert "subadditivity" in text and "ok" in text
+    assert text.endswith("identity block forces full row rank of cyclic_t")
 
 
 def test_rank_report_deterministic(toy_kal1):
     pk, sk = toy_kal1
-    a = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
-    b = isd.rank_report(scheme.expand_cyclic(pk), sk, SeededRng(seed_bytes(9)), samples=16)
-    assert a == b
+    assert isd.rank_report(scheme.expand_cyclic(pk), sk) == isd.rank_report(scheme.expand_cyclic(pk), sk)
 
 
 # --- the window solve and the rank report against the code they replaced ---
@@ -238,10 +230,10 @@ def test_rank_report_matches_oracle(params):
     check_t = public_key(priv).check_t
     nk = params.redundancy
     for matrix_t in (scheme.expand_cyclic(pub), check_t):
-        report = isd.rank_report(matrix_t, priv, SeededRng(seed_bytes(12)), samples=32)
+        report = isd.rank_report(matrix_t, priv)
         matrix = oracles.transpose(matrix_t)
-        rng = SeededRng(seed_bytes(12))
-        windows = [oracles.columns(matrix, rng.sample(params.n, nk)) for _ in range(32)]
+        rng = SeededRng(bytes(16))
+        windows = [oracles.columns(matrix, rng.sample(params.n, nk)) for _ in range(isd.WINDOW_SAMPLES)]
         assert report.full_rank_windows == sum(oracles.rank(w) == nk for w in windows)
         assert report.cyclic_rank == oracles.rank(matrix)
         assert report.check_rank == oracles.rank(oracles.transpose(check_t))

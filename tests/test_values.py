@@ -30,12 +30,12 @@ def check_t():
     return BinaryMatrix(16, 8, [1 << (i % 8) for i in range(16)])
 
 
-def check():
-    return BinaryMatrix(8, 16, [0] * 8)
+def report():
+    return isd.RankReport(TOY, 8, 8, 7, 0)
 
 
-def report(notes):
-    return isd.RankReport("n=16 k=8 t=2 m=4", 8, 8, 7, 8, True, 0, 32, notes)
+def prange(syndrome, weight):
+    return isd.prange_search(check_t(), syndrome, weight, 1, SeededRng(bytes(16)))
 
 
 def private_key():
@@ -61,12 +61,11 @@ REPRS = [
         lambda: NiederreiterPublicKey(TOY, check_t()),
         "NiederreiterPublicKey(params=CodeParams(n=16, k=8, t=2, m=4), check_t=BinaryMatrix(16x8))",
     ),
-    (lambda: isd.IsdInstance(check(), 5, 2), "IsdInstance(check=BinaryMatrix(8x16), syndrome=5, weight=2)"),
+    (check_t, "BinaryMatrix(16x8)"),
     (
-        lambda: report(["a note"]),
-        "RankReport(params_line='n=16 k=8 t=2 m=4', cyclic_rank=8, check_rank=8,"
-        " secondary_rank=7, redundancy=8, subadditive=True, full_rank_windows=0,"
-        " sampled_windows=32, notes=('a note',))",
+        report,
+        "RankReport(params=CodeParams(n=16, k=8, t=2, m=4), cyclic_rank=8, check_rank=8,"
+        " secondary_rank=7, full_rank_windows=0)",
     ),
     # neither the support nor g, which are the secret
     (private_key, "GoppaCode(params=CodeParams(n=16, k=8, t=2, m=4))"),
@@ -85,12 +84,10 @@ FROZEN = [
     lambda: DenseSeed(),
     lambda: SparseSeed(4),
     lambda: RunSeed(0, 2),
-    lambda: isd.IsdInstance(check(), 5, 2),
     lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
     lambda: NiederreiterPublicKey(TOY, check_t()),
     lambda: check_t(),
-    lambda: report(()),
-    lambda: report(["a note"]),
+    lambda: report(),
     private_key,
 ]
 
@@ -144,9 +141,10 @@ VALIDATIONS = [
     (lambda: CwParams(0, 0), ParameterError, "length must be at least 1"),
     (lambda: CwParams(4, 5), ParameterError, "weight must lie in [0, length]"),
     (lambda: CwParams(4, -1), ParameterError, "weight must lie in [0, length]"),
-    (lambda: isd.IsdInstance(check(), -1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
-    (lambda: isd.IsdInstance(check(), 1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
-    (lambda: isd.IsdInstance(check(), 5, -1), DimensionMismatch, "negative weight bound"),
+    (lambda: prange(-1, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: prange(1 << 8, 2), DimensionMismatch, "syndrome negative or longer than n-k bits"),
+    (lambda: prange(5, -1), DimensionMismatch, "negative weight bound"),
+    (lambda: prange(5, 9), ParameterError, "weight bound exceeds n-k"),
     (lambda: Kal1PublicKey(TOY, -1), FormatError, "seed row negative or longer than n-k bits"),
     (lambda: Kal1PublicKey(TOY, 1 << 8), FormatError, "seed row negative or longer than n-k bits"),
     (
