@@ -53,6 +53,7 @@ import zlib
 
 from . import niederreiter, scheme
 from .binmat import BinaryMatrix
+from .cw import cw_encode
 from .errors import FormatError, KatMismatch, ParameterError, PolicyError, RangeError
 from .goppa import CodeParams
 from .rng import SEED_BYTES, SeededRng
@@ -397,7 +398,9 @@ _KAT_LINE = re.compile(
 
 def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
     """Deterministic records: per-record seed and message drawn from
-    one master stream, ciphertext from the regenerated dense keypair.
+    one master stream.  The ciphertext is the message's constant-weight
+    word, which every key of these parameters gives (scheme.encrypt), so
+    no key is built: kat_verify regenerates the dense key from the seed.
     Every record is one line ending in a newline, so no records are the
     empty text."""
     if count < 0:
@@ -408,8 +411,7 @@ def kat_generate(params: CodeParams, count: int, master_seed: bytes) -> str:
     for _ in range(count):
         seed = rng.read(SEED_BYTES)
         msg = rng.randbits(cwp.msg_bits)
-        pub, _ = scheme.keygen(params, scheme.DenseSeed(), SeededRng(seed))
-        ct = scheme.encrypt(pub, msg)
+        ct = cw_encode(msg, cwp)
         lines.append(
             f"params={params.n},{params.k},{params.t},{params.m}"
             f" seed={seed.hex()}"

@@ -93,10 +93,6 @@ def from_dense(entries: list[list[int]]) -> BinaryMatrix:
     return BinaryMatrix(len(entries), cols, [sum(b << j for j, b in enumerate(row)) for row in entries])
 
 
-def to_dense(m: BinaryMatrix) -> list[list[int]]:
-    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.row_ints]
-
-
 def entry(m: BinaryMatrix, i: int, j: int) -> int:
     return (m.row_ints[i] >> j) & 1
 

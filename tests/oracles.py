@@ -1,11 +1,14 @@
 """Slow reference implementations that faster library code replaced.
 
 Each function here is the straightforward version the library used
-before its kernel was rewritten.  The tests compare the library against
-them, so they must stay simple and must not call the kernels they check.
+before its kernel was rewritten, or a definition checked by brute force
+(trial division, colexicographic enumeration).  This is the one home of
+the references: the tests compare the library against them, so they must
+stay simple and must not call the kernels they check.
 """
 
 import functools
+import itertools
 from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -209,39 +212,6 @@ def poly_sqr(field: Field, f: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def squares(field: Field, v: int) -> int:
-    """Packed v(x)^2, a coefficient at a time: each coefficient is
-    squared, one antilog at twice its log, and moves to twice its degree."""
-    m = field.m
-    mask = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    out = 0
-    for i in range((v.bit_length() + m - 1) // m):
-        c = (v >> (m * i)) & mask
-        if c:
-            out |= exp[log[c] << 1] << (2 * m * i)
-    return out
-
-
-def sqrt_halves(field: Field, v: int) -> tuple[int, int]:
-    """Packed (A, B) with v(x) = A(x)^2 + x*B(x)^2, a coefficient at a
-    time.  The square root of a coefficient c is the antilog at half of
-    log(c) modulo the odd 2^m - 1: half of log(c), or of log(c) + 2^m - 1
-    when it is odd."""
-    m = field.m
-    q1 = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    halves = [0, 0]
-    for i in range((v.bit_length() + m - 1) // m):
-        c = (v >> (m * i)) & q1
-        if c:
-            e = log[c]
-            halves[i & 1] |= exp[(e + (e & 1) * q1) >> 1] << (m * (i >> 1))
-    return halves[0], halves[1]
-
-
 def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     g = poly_trim(g)
     if not g:
@@ -264,37 +234,6 @@ def poly_divmod(field: Field, f: list[int], g: list[int]) -> tuple[list[int], li
     return poly_trim(q), poly_trim(r[:dg])
 
 
-def remainder(field: Field, a: int, b: int) -> int:
-    """Packed a mod b, for b != 0, by long division: the divisor's alpha
-    multiples built on every call, then each step cancels a's top
-    coefficient with c * x^d times b, the XOR of the multiples over the
-    bits of c, peeled off with c & -c.  Only the tops of a and b are
-    read, so bits below both ride along with the quotient."""
-    m = field.m
-    mask = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    tops = ((1 << m * (max(a, b).bit_length() // m + 1)) - 1) // mask << (m - 1)
-    red = field.reduction_poly & mask
-    mults = [b]
-    for _ in range(m - 1):
-        top = mults[-1] & tops
-        mults.append(((mults[-1] ^ top) << 1) ^ (top >> (m - 1)) * red)
-    db = (b.bit_length() - 1) // m
-    lead_inv = mask - log[b >> (m * db)]
-    d = (a.bit_length() - 1) // m
-    while d >= db:
-        c = exp[log[a >> (m * d)] + lead_inv]
-        term = 0
-        while c:
-            low = c & -c
-            term ^= mults[low.bit_length() - 1]
-            c ^= low
-        a ^= term << (m * (d - db))
-        d = (a.bit_length() - 1) // m
-    return a
-
-
 def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     return poly_divmod(field, f, g)[1]
 
@@ -306,22 +245,6 @@ def poly_gcd(field: Field, f: list[int], g: list[int]) -> list[int]:
     if a and a[-1] != 1:
         a = poly_scale(field, a, field.inv(a[-1]))
     return a
-
-
-def poly_eea(field: Field, f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Full extended Euclid: (d, u, v) with u*f + v*g = d, d monic gcd."""
-    r0, r1 = poly_trim(f), poly_trim(g)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_add(u0, poly_mul(field, q, u1))
-        v0, v1 = v1, poly_add(v0, poly_mul(field, q, v1))
-    if r0 and r0[-1] != 1:
-        c = field.inv(r0[-1])
-        r0, u0, v0 = poly_scale(field, r0, c), poly_scale(field, u0, c), poly_scale(field, v0, c)
-    return r0, u0, v0
 
 
 def poly_eea_bounded(
@@ -377,131 +300,23 @@ def is_irreducible(field: Field, f: list[int]) -> bool:
     return True
 
 
-def batched_is_irreducible(field: Field, f: list[int]) -> bool:
-    """Ben-Or with a gcd at levels 1 and 2, then one per block of three
-    levels, on packed ints, with the fold and lane tables built on every
-    call; the library decides level 1 by a root test before building them."""
-    f = poly_trim(f)
-    t = poly_deg(f)
-    if t < 1:
-        return False
-    if f[-1] != 1:
-        f = poly_scale(field, f, field.inv(f[-1]))
-    if t == 1:
-        return True
-    m = field.m
-    mask = field.order - 1
-    exp = field.exp_table
-    log = field.log_table
-    full = (1 << (m * t)) - 1
-    # tops is the top bit of every coefficient: times alpha shifts each
-    # coefficient up one bit and folds the bit that leaves it back in
-    # through the low bits of the field's reduction polynomial
-    tops = full // mask << (m - 1)
-    red = field.reduction_poly & mask
-    lo_bits = m // 2
-    lo_mask = (1 << lo_bits) - 1
+def monic_irreducible(field: Field, d: int, rnd, avoid=()) -> list[int]:
+    """A random monic irreducible polynomial of degree d, found by the
+    level-by-level test, other than those in avoid."""
+    while True:
+        g = [rnd.randrange(field.order) for _ in range(d)] + [1]
+        if g not in avoid and is_irreducible(field, g):
+            return g
 
-    def alpha_multiples(v: int, count: int) -> list[int]:
-        # v, alpha * v, alpha^2 * v, ...: count of them
-        out = [v]
-        for _ in range(count - 1):
-            top = v & tops
-            v = ((v ^ top) << 1) ^ (top >> (m - 1)) * red
-            out.append(v)
-        return out
 
-    def split(basis: list[int]) -> tuple[list[int], list[int]]:
-        # c -> the XOR of basis[s] over the bits s of c, as a table for
-        # the low lo_bits bits of c and one for the rest, built by doubling
-        lo, hi = [0], [0]
-        for v in basis[:lo_bits]:
-            lo += [acc ^ v for acc in lo]
-        for v in basis[lo_bits:]:
-            hi += [acc ^ v for acc in hi]
-        return lo, hi
-
-    packed_f = sum(c << (m * i) for i, c in enumerate(f))
-    # c -> c * x^t mod f; x^t mod f is f without its leading 1 (char 2)
-    fold_lo, fold_hi = split(alpha_multiples(packed_f & full, m))
-    half = (t + 1) // 2
-    # lanes[i - half]: the split tables of c -> c^2 * x^(2i) mod f, whose
-    # basis is alpha^(2s) * x^(2i) mod f over the bits s of c
-    lanes = []
-    v = fold_lo[1]
-    for j in range(t, 2 * t - 1):
-        if not j & 1:
-            lanes.append(split(alpha_multiples(v, 2 * m - 1)[::2]))
-        # times x: up one coefficient, then coefficient t folds back as c * x^t
-        v <<= m
-        c = v >> (m * t)
-        v = (v & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
-
-    def square(h: int) -> int:
-        # h_i^2 on coefficient 2i while 2i < t, the lane tables above
-        acc = 0
-        for i in range(half):
-            c = (h >> (m * i)) & mask
-            if c:
-                acc |= exp[log[c] << 1] << (2 * m * i)
-        for i, (lo, hi) in enumerate(lanes, half):
-            c = (h >> (m * i)) & mask
-            acc ^= lo[c & lo_mask] ^ hi[c >> lo_bits]
-        return acc
-
-    def mul_mod(a: int, b: int) -> int:
-        # Horner over b's coefficients from the top, with a's multiples from tables
-        a_lo, a_hi = split(alpha_multiples(a, m))
-        acc = 0
-        for i in range(t - 1, -1, -1):
-            acc <<= m
-            c = acc >> (m * t)
-            acc = (acc & full) ^ fold_lo[c & lo_mask] ^ fold_hi[c >> lo_bits]
-            c = (b >> (m * i)) & mask
-            acc ^= a_lo[c & lo_mask] ^ a_hi[c >> lo_bits]
-        return acc
-
-    def coprime_to_f(a: int) -> bool:
-        # Euclid on (f, a), packed: each quotient term c * x^d subtracts
-        # c times the divisor, the XOR of its alpha multiples picked by
-        # the bits of c, shifted up d coefficients
-        r0, r1 = packed_f, a
-        while r1 >> m:
-            d1 = (r1.bit_length() - 1) // m
-            mults = alpha_multiples(r1, m)
-            lead_inv = mask - log[r1 >> (m * d1)]
-            d0 = (r0.bit_length() - 1) // m
-            while d0 >= d1:
-                c = exp[log[r0 >> (m * d0)] + lead_inv]
-                term = 0
-                while c:
-                    low = c & -c
-                    term ^= mults[low.bit_length() - 1]
-                    c ^= low
-                r0 ^= term << (m * (d0 - d1))
-                d0 = (r0.bit_length() - 1) // m
-            r0, r1 = r1, r0
-        # a constant remainder: 0 leaves the last divisor, of degree >= 1, as the gcd
-        return r1 != 0
-
-    x = 1 << m
-    # level 1 starts at x^(2^s), the last power of x that squaring
-    # reaches below degree t, or at x^q itself
-    s = min((t - 1).bit_length() - 1, m)
-    h = 1 << (m << s)
-    squarings = m - s
-    product = None
-    last = t // 2
-    for level in range(1, last + 1):
-        for _ in range(squarings):
-            h = square(h)
-        squarings = m
-        product = h ^ x if product is None else mul_mod(product, h ^ x)
-        # the gcd blocks are levels {1}, {2}, {3, 4, 5}, {6, 7, 8}, ...
-        if level == 1 or level % 3 == 2 or level == last:
-            if not coprime_to_f(product):
+def brute_force_irreducible(field: Field, f: list[int]) -> bool:
+    """Trial division of monic f by every monic polynomial of degree
+    1 to deg(f)/2."""
+    for d in range(1, poly_deg(f) // 2 + 1):
+        for low in range(field.order**d):
+            divisor = [low // field.order**i % field.order for i in range(d)] + [1]
+            if not poly_mod(field, f, divisor):
                 return False
-            product = None
     return True
 
 
@@ -756,6 +571,15 @@ class UnbufferedRng:
         return arr[:k]
 
 
+def xor_selected(rows: list[int], x: int) -> int:
+    """The XOR of rows[j] over the set bits j of x, one bit at a time."""
+    acc = 0
+    for j, row in enumerate(rows):
+        if (x >> j) & 1:
+            acc ^= row
+    return acc
+
+
 def transpose(m: BinaryMatrix) -> BinaryMatrix:
     out = [0] * m.cols
     for i, row in enumerate(m.row_ints):
@@ -766,23 +590,6 @@ def transpose(m: BinaryMatrix) -> BinaryMatrix:
             out[low.bit_length() - 1] |= bit
             r ^= low
     return BinaryMatrix(m.cols, m.rows, out)
-
-
-def eval_goppa_poly(code: GoppaCode) -> list[int]:
-    """g(alpha_i) for every support element, by Horner in the log domain."""
-    fld = code.field
-    exp = fld.exp_table
-    log = fld.log_table
-    g = unpack(fld, code.goppa_poly)
-    alpha_logs = [log[a] for a in code.support]
-    # Horner: v * alpha_i + c; g is monic
-    g_vals = [1] * len(alpha_logs)
-    for c in reversed(g[:-1]):
-        g_vals = [exp[log[v] + la] ^ c if v else c for v, la in zip(g_vals, alpha_logs)]
-    # alpha = 0 has no log (its table entry is 0): g(0) is g_0
-    if 0 in code.support:
-        g_vals[code.support.index(0)] = g[0]
-    return g_vals
 
 
 def parity_check_rows(code: GoppaCode) -> list[list[int]]:
@@ -896,6 +703,11 @@ def matrix_encrypt(pub, msg: int) -> int:
     else:
         matrix = scheme.expand_cyclic(pub)
     return vec_times_matrix(word << params.k, matrix)
+
+
+def colex_order(length: int, weight: int) -> list[tuple[int, ...]]:
+    """Every support of the given weight, in colexicographic order."""
+    return sorted(itertools.combinations(range(length), weight), key=lambda s: tuple(reversed(s)))
 
 
 def table_cw_encode(msg: int, p: CwParams) -> int:
@@ -1036,3 +848,4 @@ class BitReader:
     def expect_zero_padding(self):
         if self._left >= 8 or self._acc != 0:
             raise FormatError("nonzero or oversized payload padding")
+

@@ -1,4 +1,7 @@
-"""Bit-packed GF(2) matrices against naive dense oracles."""
+"""Bit-packed GF(2) matrices: hand cases, small shapes through the
+matrix family's property (``differential.check_matrix``, against the
+row-at-a-time references in ``oracles``), and the permutation and
+vector conventions."""
 
 import random
 
@@ -11,29 +14,11 @@ from kal1.niederreiter import NiederreiterPublicKey
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import TOY, entry, from_dense, identity, perm_inverse, perm_matrix, to_dense
+from conftest import TOY, entry, from_dense, identity, perm_inverse, perm_matrix, seed_bytes
+from differential import check_matrix, random_matrix
 
 # frozen draws for the pinned generator (seed 3)
 PERM16 = [1, 2, 14, 12, 4, 3, 9, 8, 11, 15, 7, 10, 5, 6, 0, 13]
-
-
-def seed_bytes(tag: int) -> bytes:
-    return tag.to_bytes(16, "big")
-
-
-def naive_mul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    out = [[0] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        for j in range(b.cols):
-            s = 0
-            for k in range(a.cols):
-                s ^= entry(a, i, k) & entry(b, k, j)
-            out[i][j] = s
-    return from_dense(out) if out else BinaryMatrix(0, b.cols, [])
-
-
-def random_matrix(rnd, rows, cols):
-    return BinaryMatrix(rows, cols, [rnd.getrandbits(cols) for _ in range(rows)])
 
 
 def xor(a, b):
@@ -41,25 +26,24 @@ def xor(a, b):
     return BinaryMatrix(a.rows, a.cols, [x ^ y for x, y in zip(a.row_ints, b.row_ints)])
 
 
+def small_matrices(seed, count, top=12):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        yield rnd, random_matrix(rnd, rnd.randint(1, top), rnd.randint(1, top))
+
+
 def test_mul_identity():
-    rnd = random.Random(1)
-    a = random_matrix(rnd, 3, 5)
+    a = random_matrix(random.Random(1), 3, 5)
     assert identity(3).mul(a) == a
 
 
 def test_mul_hand_case():
-    a = from_dense([[1, 1], [0, 1]])
-    b = from_dense([[1], [1]])
-    assert a.mul(b) == from_dense([[0], [1]])
+    assert from_dense([[1, 1], [0, 1]]).mul(from_dense([[1], [1]])) == from_dense([[0], [1]])
 
 
 def test_mul_matches_naive_oracle():
-    rnd = random.Random(2)
-    for _ in range(1000):
-        r, c, c2 = rnd.randint(1, 12), rnd.randint(1, 12), rnd.randint(1, 12)
-        a = random_matrix(rnd, r, c)
-        b = random_matrix(rnd, c, c2)
-        assert a.mul(b) == naive_mul(a, b)
+    for rnd, m in small_matrices(2, 300):
+        check_matrix(rnd, m)
 
 
 def test_mul_dimension_mismatch():
@@ -84,24 +68,18 @@ def test_add():
 
 
 def test_invert_trivial_cases():
-    eye = identity(5)
-    assert eye.invert() == eye
+    assert identity(5).invert() == identity(5)
     ut = from_dense([[1, 1], [0, 1]])
     assert ut.invert() == ut
 
 
 def test_invert_random_verified_by_mul():
     rnd = random.Random(5)
-    done = 0
-    while done < 50:
+    for _ in range(50):
         a = random_matrix(rnd, 16, 16)
-        try:
-            inv = a.invert()
-        except SingularMatrixError:
-            continue
-        assert a.mul(inv) == identity(16)
-        assert inv.mul(a) == identity(16)
-        done += 1
+        check_matrix(rnd, a)
+        if a.rank() == 16:
+            assert a.mul(a.invert()) == a.invert().mul(a) == identity(16)
 
 
 def test_invert_singular_raises():
@@ -111,50 +89,28 @@ def test_invert_singular_raises():
         BinaryMatrix(2, 3, [0] * 2).invert()
 
 
-def naive_rank(m: BinaryMatrix) -> int:
-    rows = to_dense(m)
-    rank = 0
-    pivot_row = 0
-    for col in range(m.cols):
-        piv = next((r for r in range(pivot_row, m.rows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        for r in range(m.rows):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = [x ^ y for x, y in zip(rows[r], rows[pivot_row])]
-        rank += 1
-        pivot_row += 1
-    return rank
-
-
 def test_rank_trivial_and_oracle():
     assert BinaryMatrix(4, 7, [0] * 4).rank() == 0
     assert identity(9).rank() == 9
-    rnd = random.Random(6)
-    for _ in range(300):
-        m = random_matrix(rnd, rnd.randint(1, 10), rnd.randint(1, 10))
-        assert m.rank() == naive_rank(m)
+    for rnd, m in small_matrices(6, 300, top=10):
+        check_matrix(rnd, m)
 
 
 def test_eliminate_dependencies_are_a_left_kernel_basis():
+    # the reference's dependencies are what the name says: independent
+    # rows that each sum rows of m to zero, one per unit of rank deficiency
     rnd = random.Random(61)
     for _ in range(400):
         rows, width = rnd.randint(0, 40), rnd.randint(0, 40)
         pool = [rnd.getrandbits(width) & rnd.getrandbits(width) for _ in range(rnd.randint(1, 6))]
         # few distinct rows, zeros among them: most matrices are deficient
         m = BinaryMatrix(rows, width, [rnd.choice(pool + [0]) for _ in range(rows)])
+        check_matrix(rnd, m)
         tagged = [r | 1 << (width + i) for i, r in enumerate(m.row_ints)]
-        before = list(tagged)
         pivots, deps = eliminate(tagged, width, None)
-        assert tagged == before
-        rank = oracles.rank(m)
-        assert len(pivots) == rank and len(deps) == rows - rank
-        for dep in deps:
-            assert 0 < dep < 1 << rows
-            assert vec_times_matrix(dep, m) == 0
+        assert len(pivots) == m.rank() and len(deps) == rows - m.rank()
+        assert all(0 < dep < 1 << rows and vec_times_matrix(dep, m) == 0 for dep in deps)
         assert oracles.rank(BinaryMatrix(len(deps), rows, deps)) == len(deps)
-        assert eliminate(m.row_ints, width, None) == (pivots, [])
 
 
 def test_vector_products_reject_negative_vectors():
@@ -170,25 +126,21 @@ def test_rank_subadditivity():
     rnd = random.Random(7)
     for _ in range(1000):
         r, c = rnd.randint(1, 10), rnd.randint(1, 10)
-        a = random_matrix(rnd, r, c)
-        b = random_matrix(rnd, r, c)
+        a, b = random_matrix(rnd, r, c), random_matrix(rnd, r, c)
         assert xor(a, b).rank() <= a.rank() + b.rank()
 
 
 def test_transpose():
-    rnd = random.Random(8)
-    for _ in range(100):
-        m = random_matrix(rnd, rnd.randint(1, 9), rnd.randint(1, 9))
+    for rnd, m in small_matrices(8, 100, top=9):
+        check_matrix(rnd, m)
         tt = m.transpose()
-        assert tt.rows == m.cols and tt.cols == m.rows
         assert all(entry(m, i, j) == entry(tt, j, i) for i in range(m.rows) for j in range(m.cols))
         assert tt.transpose() == m
 
 
 def test_random_permutation_pinned_fixture():
     p = random_permutation(16, SeededRng(seed_bytes(3)))
-    assert p == PERM16
-    assert sorted(p) == list(range(16))
+    assert p == PERM16 and sorted(p) == list(range(16))
     assert random_permutation(1, SeededRng(seed_bytes(0))) == [0]
 
 
@@ -199,12 +151,9 @@ def apply(dest: list[int], v: int) -> int:
 
 def test_permutation_validation():
     m = BinaryMatrix(1, 3, [0b101])
-    with pytest.raises(DimensionMismatch):
-        m.permute_columns([0, 0, 1])
-    with pytest.raises(DimensionMismatch):
-        m.permute_columns([1, 2, 3])
-    with pytest.raises(DimensionMismatch):
-        m.permute_columns([1, 0])
+    for dest in ([0, 0, 1], [1, 2, 3], [1, 0]):
+        with pytest.raises(DimensionMismatch):
+            m.permute_columns(dest)
 
 
 def test_apply_perm_convention():
@@ -225,8 +174,7 @@ def test_apply_perm_round_trip_random():
         n = rnd.randint(1, 24)
         dest = rnd.sample(range(n), n)
         v = rnd.getrandbits(n)
-        assert apply(perm_inverse(dest), apply(dest, v)) == v
-        assert apply(dest, apply(perm_inverse(dest), v)) == v
+        assert apply(perm_inverse(dest), apply(dest, v)) == v == apply(dest, apply(perm_inverse(dest), v))
         assert apply(dest, v) == sum(((v >> i) & 1) << d for i, d in enumerate(dest))
 
 
@@ -246,16 +194,14 @@ def test_apply_perm_agrees_with_matrix_product():
         v = rnd.getrandbits(n)
         vm = BinaryMatrix(1, n, [v])
         assert apply(dest, v) == vm.mul(perm_matrix(dest)).row_ints[0]
-        forward = vm.mul(perm_matrix(dest).transpose()).row_ints[0]
-        assert apply(perm_inverse(dest), v) == forward
+        assert apply(perm_inverse(dest), v) == vm.mul(perm_matrix(dest).transpose()).row_ints[0]
 
 
 def test_permute_columns_is_right_multiplication():
     rnd = random.Random(12)
     for _ in range(100):
-        r, n = rnd.randint(1, 8), rnd.randint(1, 10)
-        m = random_matrix(rnd, r, n)
-        dest = rnd.sample(range(n), n)
+        m = random_matrix(rnd, rnd.randint(1, 8), rnd.randint(1, 10))
+        dest = rnd.sample(range(m.cols), m.cols)
         assert m.permute_columns(dest) == m.mul(perm_matrix(dest))
 
 
@@ -268,12 +214,9 @@ def test_vector_products_match_matrix_forms():
         assert vec_times_matrix(v, m) == BinaryMatrix(1, r, [v]).mul(m).row_ints[0]
         w = rnd.getrandbits(c)
         col = m.mul(BinaryMatrix(c, 1, [(w >> i) & 1 for i in range(c)]))
-        expected = sum(col.row_ints[i] << i for i in range(r))
-        assert matrix_times_vec(m, w) == expected
+        assert matrix_times_vec(m, w) == sum(col.row_ints[i] << i for i in range(r))
 
 
 def test_columns_selection():
     m = from_dense([[1, 0, 1, 1], [0, 1, 0, 1]])
-    sel = oracles.columns(m, [3, 0])
-    assert sel == from_dense([[1, 1], [1, 0]])
-
+    assert oracles.columns(m, [3, 0]) == from_dense([[1, 1], [1, 0]])

@@ -2,7 +2,6 @@
 against the Pascal-table codec it replaced (``oracles``)."""
 
 import math
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,11 +12,6 @@ from kal1.cw import CwParams, cw_decode, cw_encode
 from kal1.errors import DimensionMismatch, ParameterError, RangeError, WeightError
 
 import oracles
-
-
-def colex_order(length: int, weight: int):
-    """Oracle: all supports sorted colexicographically."""
-    return sorted(combinations(range(length), weight), key=lambda s: tuple(reversed(s)))
 
 
 def word_of(support) -> int:
@@ -108,7 +102,7 @@ def test_bijectivity_exhaustive_small_params():
     for length in range(1, 17):
         for weight in range(0, min(4, length) + 1):
             p = CwParams(length, weight)
-            order = colex_order(length, weight)
+            order = oracles.colex_order(length, weight)
             seen = set()
             for rank, supp in enumerate(order):
                 word = word_of(supp)
@@ -123,7 +117,7 @@ def test_bijectivity_exhaustive_small_params():
 def test_monotonicity_matches_integer_order():
     p = CwParams(10, 3)
     prev = -1
-    for rank, supp in enumerate(colex_order(10, 3)):
+    for rank, supp in enumerate(oracles.colex_order(10, 3)):
         assert cw_encode(rank, p) == word_of(supp)
         assert rank == prev + 1
         prev = rank

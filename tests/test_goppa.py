@@ -14,7 +14,7 @@ from kal1.goppa import CodeParams, GoppaCode, generate_code
 from kal1.rng import SeededRng
 
 import oracles
-from conftest import MID, SQUARE_Q, TOY, seed_bytes, to_dense
+from conftest import MID, SQUARE_Q, TOY, seed_bytes
 from oracles import pack, poly_eval, poly_mul, unpack
 
 # frozen draw for generate_code(TOY, seed 1)
@@ -118,30 +118,12 @@ def test_binary_expansion_bit_order(toy_code):
 
 
 def test_codewords_have_zero_syndrome(toy_code):
-    # nullspace basis of the binary check via dense elimination
-    rows = to_dense(oracles.binary_check(toy_code))
-    n = toy_code.params.n
-    pivots = {}
-    row_i = 0
-    for col in range(n):
-        piv = next((r for r in range(row_i, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[row_i], rows[piv] = rows[piv], rows[row_i]
-        for r in range(len(rows)):
-            if r != row_i and rows[r][col]:
-                rows[r] = [x ^ y for x, y in zip(rows[r], rows[row_i])]
-        pivots[col] = row_i
-        row_i += 1
-    free = [c for c in range(n) if c not in pivots]
-    assert len(free) == toy_code.params.k
-    basis = []
-    for fc in free:
-        v = 1 << fc
-        for col, r in pivots.items():
-            if rows[r][fc]:
-                v |= 1 << col
-        basis.append(v)
+    # a basis of the code: the sets of positions whose columns of the
+    # reference's binary check sum to zero, by the reference elimination
+    cols = oracles.transpose(oracles.binary_check(toy_code)).row_ints
+    width = toy_code.params.m * toy_code.params.t
+    _, basis = oracles.eliminate([c | 1 << (width + i) for i, c in enumerate(cols)], width)
+    assert len(basis) == toy_code.params.k
     rnd = random.Random(3)
     for _ in range(200):
         cw = 0

@@ -135,14 +135,6 @@ def test_rank_report_deterministic(toy_kal1):
 # --- the window solve and the rank report against the code they replaced ---
 
 
-def xor_of(cols: list[int], x: int) -> int:
-    acc = 0
-    for j, c in enumerate(cols):
-        if (x >> j) & 1:
-            acc ^= c
-    return acc
-
-
 def window_columns(rnd, width: int, deficiency: int) -> list[int]:
     """width columns of width bits spanning width - deficiency
     dimensions; the dependent ones are zero, repeats or sums."""
@@ -159,7 +151,7 @@ def window_columns(rnd, width: int, deficiency: int) -> list[int]:
         elif kind == 1:
             cols.append(rnd.choice(cols))
         else:
-            cols.append(xor_of(basis, rnd.getrandbits(len(basis))))
+            cols.append(oracles.xor_selected(basis, rnd.getrandbits(len(basis))))
     rnd.shuffle(cols)
     return cols
 
@@ -168,7 +160,7 @@ def syndromes(rnd, cols: list[int]) -> list[int]:
     """One syndrome in the span of cols and, if the span is not the
     whole space, one outside it."""
     width = len(cols)
-    out = [xor_of(cols, rnd.getrandbits(width))]
+    out = [oracles.xor_selected(cols, rnd.getrandbits(width))]
     span = oracles.rank(BinaryMatrix(width, width, cols))
     if span < width:
         while True:
@@ -187,7 +179,7 @@ def assert_solve_matches_oracle(cols: list[int], syndrome: int, weight: int):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.bit_count() == want.bit_count() <= weight
-        assert xor_of(cols, got) == syndrome == xor_of(cols, want)
+        assert oracles.xor_selected(cols, got) == syndrome == oracles.xor_selected(cols, want)
 
 
 @pytest.mark.parametrize("width", range(1, 25))

@@ -12,7 +12,8 @@ from kal1.errors import FormatError, KatMismatch, RangeError
 from kal1.goppa import CodeParams, GoppaCode
 from kal1.rng import SeededRng
 import oracles
-from conftest import MID, TOY, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat, seed_bytes
+from conftest import MID, MID_KAT, TOY, TOY_KAT, seed_bytes
+from conftest import odd_hex_kat, out_of_range_msg_kat, oversized_param_kat
 
 FULL = CodeParams(1024, 524, 50, 10)
 
@@ -569,6 +570,20 @@ def test_shipped_kat_constants_stable():
     assert text == (
         "params=16,8,2,4 seed=0545aad56da2a97c3663d1432a3d1c84 msg=01 ct=a0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "params, kat, seed", [(TOY, TOY_KAT, seed_bytes(1)), (MID, MID_KAT, bytes(range(16)))], ids=["toy", "mid"]
+)
+def test_kat_generate_builds_no_key(monkeypatch, params, kat, seed):
+    # the ciphertext is the message's constant-weight word, so the shipped
+    # files come out with every key build refused
+    def refuse(*args):
+        raise AssertionError("kat generate built a key")
+
+    monkeypatch.setattr(scheme, "keygen", refuse)
+    monkeypatch.setattr(niederreiter, "keygen_private", refuse)
+    assert keyio.kat_generate(params, 8, seed) == kat.read_text()
 
 
 @pytest.mark.parametrize("msg", ["10", "ff"])

@@ -1,44 +1,40 @@
-"""The bitsliced root test, the values of g read off the same planes,
-and keyio's byte-at-a-time bit codec, against the code they replaced.
+"""The bitsliced power planes and root test, Ben-Or's rows that they
+decide, the values of g read off the same planes, and keyio's payload
+codec, against the code they replaced.
 
-``power_planes`` must put f(alpha^e) in lane e at every m from 4 to 16,
-and ``roots``, which reads them, must set bit e exactly where
-``oracles.poly_eval`` is 0 at alpha^e and bit 2^m - 1 exactly where
-f_0 = 0, so that it finds a root exactly when a scan of the whole field
-does.  ``is_irreducible`` must decide like the batched Ben-Or it
-replaced, which took a gcd at level 1, and like the level-by-level
-oracle, on both sides of the degree-4 cut below which a rootless
-polynomial is irreducible, and on products whose gcd with a block's
-product has the degree of the block's first level, where Euclid stops.
-Both take f packed, and must agree with the list oracles on the zero
-polynomial, a constant, degrees 1 to 3, f_0 = 0 and a degree one past
-the cached powers.  A code's values of
-g must equal ``poly_eval`` on supports with and without 0.  The bit writer and
-reader must round-trip and give the old codec's bytes and errors on
-truncated and padded payloads.
+``differential.check_planes`` must find f(alpha^e) in lane e at every m
+from 4 to 16, a root exactly where Horner finds one, and alpha = 0 a
+root exactly where f_0 = 0.  The rows of ``check_irreducible`` here sit
+on both sides of the degree-4 cut below which a rootless polynomial is
+irreducible, and on products whose gcd with a block's product has the
+degree of the block's first level, where Euclid stops; the batched
+Ben-Or these tests once compared with decided as the level-by-level
+oracle on every one of them.  ``check_codec`` must give the old bit
+writer's bytes and the old reader's fields and errors.
 """
 
 import random
 
 import pytest
+from hypothesis import given
 
-from kal1 import gf2m, keyio
+from kal1 import gf2m
 from kal1.errors import FormatError, ParameterError
-from kal1.gf2m import Field, is_irreducible, power_planes, roots
+from kal1.gf2m import power_planes
 from kal1.goppa import CodeParams, GoppaCode
 
 import oracles
-from oracles import pack, poly_mul, unpack
-
-FIELDS = {m: Field(m) for m in range(4, 17)}
-
-
-def irreducible(field, d, rnd, avoid=()):
-    """A random monic irreducible of degree d, found with the oracle."""
-    while True:
-        g = [rnd.randrange(field.order) for _ in range(d)] + [1]
-        if g not in avoid and oracles.is_irreducible(field, g):
-            return g
+from differential import (
+    FIELDS,
+    check_codec,
+    check_irreducible,
+    check_planes,
+    lanes_to_check,
+    payloads,
+    plane_cases,
+    write,
+)
+from oracles import monic_irreducible, pack, poly_mul, unpack
 
 
 def cases(m):
@@ -54,25 +50,28 @@ def cases(m):
     for d in range(2, 6):
         for i in range(6 if m <= 12 else 1):
             out.append((f"random-{d}-{i}", [rnd.randrange(q) for _ in range(d)] + [1]))
-    h = irreducible(field, 3, rnd)
+
+    def irreducible(d, avoid=()):
+        return monic_irreducible(field, d, rnd, avoid)
+
+    h = irreducible(3)
     linear = [rnd.randrange(1, q), 1]
     out += [
         ("root-at-0", poly_mul(field, [0, 1], h)),
         ("root-at-1", poly_mul(field, [1, 1], h)),
         ("root-at-top-lane", poly_mul(field, [last, 1], h)),
-        ("linear-times-irreducible", poly_mul(field, linear, irreducible(field, 4, rnd))),
-        ("quadratic-squared", poly_mul(field, *[irreducible(field, 2, rnd)] * 2)),
-        ("two-quadratics", poly_mul(field, irreducible(field, 2, rnd), irreducible(field, 2, rnd))),
-        ("quadratic-times-cubic", poly_mul(field, irreducible(field, 2, rnd), h)),
-        ("irreducible-4", irreducible(field, 4, rnd)),
-        ("irreducible-5", irreducible(field, 5, rnd)),
+        ("linear-times-irreducible", poly_mul(field, linear, irreducible(4))),
+        ("quadratic-squared", poly_mul(field, *[irreducible(2)] * 2)),
+        ("two-quadratics", poly_mul(field, irreducible(2), irreducible(2))),
+        ("quadratic-times-cubic", poly_mul(field, irreducible(2), h)),
+        ("irreducible-4", irreducible(4)),
+        ("irreducible-5", irreducible(5)),
     ]
     if m <= 12:
-        h2 = poly_mul(field, h, h)
-        out.append(("irreducible-9", irreducible(field, 9, rnd)))
-        out.append(("cubics-and-quadratic", poly_mul(field, h2, irreducible(field, 2, rnd))))
+        out.append(("irreducible-9", irreducible(9)))
+        out.append(("cubics-and-quadratic", poly_mul(field, poly_mul(field, h, h), irreducible(2))))
     # Ben-Or's block that ends at level 3 meets x^(q^3) - x = 0 mod f
-    out.append(("two-cubics", poly_mul(field, h, irreducible(field, 3, rnd, avoid=[h]))))
+    out.append(("two-cubics", poly_mul(field, h, irreducible(3, avoid=[h]))))
     top = q - 1
     out += [
         ("extreme-0", [top]),
@@ -83,46 +82,44 @@ def cases(m):
     ]
     for i in range(4 if m <= 12 else 1):
         d = rnd.randrange(1, 12)
-        out.append((f"extreme-random-{i}", [rnd.choice([0, top, rnd.randrange(q)]) for _ in range(d)] + [top]))
+        f = [rnd.choice([0, top, rnd.randrange(q)]) for _ in range(d)] + [top]
+        out.append((f"extreme-random-{i}", f))
     # a nonzero block product whose gcd with f has the degree of the
     # block's first level, where the gcd stops: blocks {3, 4} and {6}
-    out.append(("cubic-times-quintic", poly_mul(field, h, irreducible(field, 5, rnd))))
-    out.append(("sextic-times-septic", poly_mul(field, irreducible(field, 6, rnd), irreducible(field, 7, rnd))))
+    out.append(("cubic-times-quintic", poly_mul(field, h, irreducible(5))))
+    out.append(("sextic-times-septic", poly_mul(field, irreducible(6), irreducible(7))))
     return out
 
 
-def lane(planes, e):
-    return sum((p >> e & 1) << b for b, p in enumerate(planes))
+@given(plane_cases())
+def test_power_planes_match_horner_on_any_f(case):
+    check_planes(*case)
 
 
 @pytest.mark.parametrize("m", sorted(FIELDS))
 def test_power_planes_hold_f_at_every_element(m):
     field = FIELDS[m]
-    q1 = field.order - 1
-    rnd = random.Random(m)
-    # every lane up to m = 12, a sample and both ends above
-    lanes = range(q1) if m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
+    lanes = lanes_to_check(field, random.Random(m))
     for label, f in cases(m):
-        packed = pack(field, f)
-        planes, found = power_planes(field, packed), roots(field, packed)
-        assert len(planes) == m and all(p >> q1 == 0 for p in planes), label
-        assert found >> q1 == (f[0] == 0), label
-        for e in lanes:
-            value = oracles.poly_eval(field, f, field.exp_table[e])
-            assert lane(planes, e) == value and found >> e & 1 == (value == 0), (label, e)
+        assert len(power_planes(field, pack(field, f))) == m, label
+        check_planes(field, f, lanes)
 
 
 @pytest.mark.parametrize("m", [4, 10, 13])
 def test_extended_power_cache_equals_a_fresh_build(monkeypatch, m):
+    # planes from a cache grown by earlier calls, against Horner and
+    # against a fresh cache
     field = FIELDS[m]
     rnd = random.Random(f"extend/{m}")
     polys = [[rnd.randrange(field.order) for _ in range(d)] + [1] for d in (1, 3, 2, 9, 7)]
     monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
-    grown = [power_planes(field, pack(field, f)) for f in polys]
+    for f in polys:
+        check_planes(field, f, lanes_to_check(field, rnd))
     assert len(gf2m._POWER_PLANES[m]) == 10
-    for f, planes in zip(polys, grown):
+    for f in polys:
+        grown = power_planes(field, pack(field, f))
         monkeypatch.setattr(gf2m, "_POWER_PLANES", {})
-        assert power_planes(field, pack(field, f)) == planes
+        assert power_planes(field, pack(field, f)) == grown
         assert len(gf2m._POWER_PLANES[m]) == max(2, len(f))
 
 
@@ -130,24 +127,17 @@ def test_extended_power_cache_equals_a_fresh_build(monkeypatch, m):
 def test_root_test_matches_a_scan_of_the_field(m):
     field = FIELDS[m]
     for label, f in cases(m):
-        has_root = roots(field, pack(field, f)) != 0
-        scan = any(oracles.poly_eval(field, f, a) == 0 for a in range(field.order))
-        assert has_root == scan, label
-        if label.startswith("root-") or label.startswith("linear-"):
-            assert has_root, label
+        has_root = gf2m.roots(field, pack(field, f)) != 0
+        assert has_root == any(oracles.poly_eval(field, f, a) == 0 for a in range(field.order)), label
+        assert has_root or not label.startswith(("root-", "linear-")), label
 
 
 @pytest.mark.parametrize("m", sorted(FIELDS))
 def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
-    field = FIELDS[m]
     for label, f in cases(m):
-        expected = oracles.is_irreducible(field, f)
-        batched = oracles.batched_is_irreducible(field, f)
-        assert is_irreducible(field, pack(field, f)) is batched is expected, label
-        if label.startswith("irreducible-"):
-            assert expected, label
-        elif not label.startswith(("random-", "extreme-")):
-            assert not expected, label
+        expected = check_irreducible(FIELDS[m], f)
+        if not label.startswith(("random-", "extreme-")):
+            assert expected == label.startswith("irreducible-"), label
 
 
 @pytest.mark.parametrize("m", [4, 8, 10])
@@ -155,22 +145,9 @@ def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
 def test_is_irreducible_matches_the_batched_oracle_around_the_degree_4_cut(m, t):
     # below degree 4 a rootless f is accepted without a gcd; at 4 and 5
     # the rootless products of two factors must still be rejected
-    field = FIELDS[m]
     rnd = random.Random(f"cut/{m}/{t}")
     for _ in range(200):
-        f = [rnd.randrange(field.order) for _ in range(t)] + [1]
-        assert is_irreducible(field, pack(field, f)) is oracles.batched_is_irreducible(field, f)
-
-
-# --- packed f against the list oracles, at the edges of the form ---
-
-PACKED_MS = (4, 8, 10, 12, 16)
-
-
-def lanes_to_check(field, rnd):
-    """Every lane up to m = 12, a sample and both ends above."""
-    q1 = field.order - 1
-    return range(q1) if field.m <= 12 else sorted({0, 1, q1 - 1, *rnd.sample(range(q1), 300)})
+        check_irreducible(FIELDS[m], [rnd.randrange(FIELDS[m].order) for _ in range(t)] + [1])
 
 
 def edge_cases(field, rnd):
@@ -184,33 +161,26 @@ def edge_cases(field, rnd):
     return out
 
 
-@pytest.mark.parametrize("m", PACKED_MS)
+@pytest.mark.parametrize("m", [4, 8, 10, 12, 16])
 def test_packed_planes_and_irreducibility_match_the_list_oracles_at_the_edges(m):
     field = FIELDS[m]
     rnd = random.Random(f"edges/{m}")
     lanes = lanes_to_check(field, rnd)
     for label, f in edge_cases(field, rnd):
-        packed = pack(field, f)
-        assert unpack(field, packed) == oracles.poly_trim(f), label
-        planes, found = power_planes(field, packed), roots(field, packed)
-        assert found >> (field.order - 1) == (oracles.poly_eval(field, f, 0) == 0), label
-        for e in lanes:
-            value = oracles.poly_eval(field, f, field.exp_table[e])
-            assert lane(planes, e) == value and found >> e & 1 == (value == 0), (label, e)
-        assert is_irreducible(field, packed) is oracles.is_irreducible(field, f), label
+        assert unpack(field, pack(field, f)) == oracles.poly_trim(f), label
+        check_planes(field, f, lanes)
+        check_irreducible(field, f)
 
 
-@pytest.mark.parametrize("m", PACKED_MS)
+@pytest.mark.parametrize("m", [4, 8, 10, 12, 16])
 def test_packed_planes_one_degree_past_the_cache_extend_it(m):
     # the cache holds A_0 .. A_(d-1); an f of degree d needs A_d as well
     field = FIELDS[m]
     rnd = random.Random(f"one-past/{m}")
     d = len(gf2m._powers_of_alpha(field, 1))
     f = [rnd.randrange(field.order) for _ in range(d)] + [rnd.randrange(1, field.order)]
-    planes = power_planes(field, pack(field, f))
+    check_planes(field, f, lanes_to_check(field, rnd))
     assert len(gf2m._POWER_PLANES[m]) == d + 1
-    for e in lanes_to_check(field, rnd):
-        assert lane(planes, e) == oracles.poly_eval(field, f, field.exp_table[e]), e
 
 
 # --- the values of g on the support ---
@@ -224,10 +194,9 @@ def test_goppa_values_match_poly_eval(m, t, with_zero):
     n = min(field.order - 1, m * t + 40)
     support = rnd.sample(range(1, field.order), n - with_zero) + ([0] if with_zero else [])
     rnd.shuffle(support)
-    params = CodeParams(n, n - m * t, t, m)
-    code = GoppaCode(params, support, pack(field, irreducible(field, t, rnd)))
-    expected = [oracles.poly_eval(field, unpack(field, code.goppa_poly), a) for a in support]
-    assert list(code._g_values) == expected == oracles.eval_goppa_poly(code)
+    g = monic_irreducible(field, t, rnd)
+    code = GoppaCode(CodeParams(n, n - m * t, t, m), support, pack(field, g))
+    assert list(code._g_values) == [oracles.poly_eval(field, g, a) for a in support]
 
 
 @pytest.mark.parametrize("with_zero", [True, False])
@@ -241,8 +210,7 @@ def test_goppa_values_of_a_g_with_roots_off_the_support(with_zero):
     for r in roots:
         g = poly_mul(field, g, [r, 1])
     t = len(g) - 1
-    others = [a for a in range(1, field.order) if a not in roots]
-    support = rnd.sample(others, 8 * t + 20)
+    support = rnd.sample([a for a in range(1, field.order) if a not in roots], 8 * t + 20)
     if with_zero:
         support[rnd.randrange(len(support))] = 0
     code = GoppaCode(CodeParams(len(support), 20, t, 8), support, pack(field, g))
@@ -260,87 +228,30 @@ COUNTS = (0, 1, 2, 3, 5, 7, 13, 31)
 WIDTHS = (1, 9, 64, 65, 131)
 
 
-def random_payload(seed):
-    """(kind, width, fields): fields of one width, kind u (MSB first, as
+def check_payload(seed):
+    """check_codec on fields of one width, kind u (MSB first, as
     Kal1-S1/S2 positions) or v (position 0 first, as rows)."""
     rnd = random.Random(f"codec/{seed}")
     width = WIDTHS[seed // len(COUNTS) % len(WIDTHS)]
-    count = COUNTS[seed % len(COUNTS)]
-    return rnd.choice("uv"), width, [rnd.getrandbits(width) for _ in range(count)]
+    kind = rnd.choice("uv")
+    fields = [rnd.getrandbits(width) for _ in range(COUNTS[seed % len(COUNTS)])]
+    check_codec(kind, width, fields, random.Random(f"damaged/{seed}"))
 
 
-def write(kind, width, fields):
-    """keyio's payload bytes for the fields, an MSB-first field reversed
-    as serialize_public_key does."""
-    if kind == "u":
-        fields = [keyio._reverse_bits(value, width) for value in fields]
-    return keyio._write_fields(fields, width)
-
-
-def oracle_write(kind, width, fields):
-    writer = oracles.BitWriter()
-    for value in fields:
-        (writer.put_uint if kind == "u" else writer.put_vector)(value, width)
-    return writer.to_bytes()
-
-
-def read(kind, width, count, data):
-    """What keyio's reader gives for the fields, then "ok"; a
-    FormatError's message ends the list."""
-    try:
-        fields = keyio._read_fields(data, width, count)
-    except FormatError as exc:
-        return [str(exc)]
-    if kind == "u":
-        fields = [keyio._reverse_bits(value, width) for value in fields]
-    return fields + ["ok"]
-
-
-def oracle_read(kind, width, count, data):
-    reader = oracles.BitReader(data)
-    out = []
-    try:
-        for _ in range(count):
-            out.append((reader.take_uint if kind == "u" else reader.take_vector)(width))
-        reader.expect_zero_padding()
-    except FormatError as exc:
-        return [str(exc)]
-    return out + ["ok"]
+@given(payloads())
+def test_codec_matches_the_old_codec_on_any_payload(case):
+    check_codec(*case, random.Random(0))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_codec_round_trips_with_the_old_bytes(seed):
-    kind, width, fields = random_payload(seed)
-    data = write(kind, width, fields)
-    assert data == oracle_write(kind, width, fields)
-    assert len(data) == (width * len(fields) + 7) // 8
-    assert read(kind, width, len(fields), data) == fields + ["ok"]
+    check_payload(seed)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_codec_errors_match_the_old_codec_on_damaged_payloads(seed):
-    # the callers check the payload length, so the damage keeps it
-    kind, width, fields = random_payload(seed)
-    count = len(fields)
-    data = write(kind, width, fields)
-    nbits = width * count
-    damaged = []
-    # every padding bit set, one at a time
-    for bit in range(nbits, 8 * len(data)):
-        blob = bytearray(data)
-        blob[bit // 8] |= 0x80 >> bit % 8
-        damaged.append(bytes(blob))
-    assert len(damaged) == -nbits % 8
-    # and a few field bits flipped
-    rnd = random.Random(f"damaged/{seed}")
-    for bit in rnd.sample(range(nbits), min(nbits, 8)):
-        blob = bytearray(data)
-        blob[bit // 8] ^= 0x80 >> bit % 8
-        damaged.append(bytes(blob))
-    for blob in damaged:
-        assert read(kind, width, count, blob) == oracle_read(kind, width, count, blob)
-    padding_refused = [read(kind, width, count, blob) for blob in damaged[: -nbits % 8]]
-    assert padding_refused == [["nonzero or oversized payload padding"]] * (-nbits % 8)
+    # the kinds and values of the round-trip rows, drawn again
+    check_payload(seed + 40)
 
 
 @pytest.mark.parametrize("kind", "uv")

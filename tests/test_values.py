@@ -42,63 +42,65 @@ def private_key():
     return keygen_private(TOY, SeededRng(bytes(16)))
 
 
-REPRS = [
-    (lambda: CodeParams(16, 8, 2, 4), "CodeParams(n=16, k=8, t=2, m=4)"),
-    (lambda: CwParams(8, 2), "CwParams(length=8, weight=2)"),
-    (lambda: DenseSeed(), "DenseSeed()"),
-    (lambda: SparseSeed(4), "SparseSeed(weight=4)"),
-    (lambda: RunSeed(0, 2), "RunSeed(start=0, length=2)"),
-    (
+# The ids are written out, so removing an entry renames no other test;
+# they keep the names that pytest once derived from each entry's position.
+REPRS = {
+    "CodeParams0": (lambda: CodeParams(16, 8, 2, 4), "CodeParams(n=16, k=8, t=2, m=4)"),
+    "CwParams1": (lambda: CwParams(8, 2), "CwParams(length=8, weight=2)"),
+    "DenseSeed2": (lambda: DenseSeed(), "DenseSeed()"),
+    "SparseSeed3": (lambda: SparseSeed(4), "SparseSeed(weight=4)"),
+    "RunSeed4": (lambda: RunSeed(0, 2), "RunSeed(start=0, length=2)"),
+    "Kal1PublicKey5": (
         lambda: Kal1PublicKey(TOY, 5),
         "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=5, policy=DenseSeed())",
     ),
-    (
+    "Kal1PublicKey6": (
         lambda: Kal1PublicKey(TOY, 6, RunSeed(1, 2)),
         "Kal1PublicKey(params=CodeParams(n=16, k=8, t=2, m=4), seed_row=6,"
         " policy=RunSeed(start=1, length=2))",
     ),
-    (
+    "NiederreiterPublicKey7": (
         lambda: NiederreiterPublicKey(TOY, check_t()),
         "NiederreiterPublicKey(params=CodeParams(n=16, k=8, t=2, m=4), check_t=BinaryMatrix(16x8))",
     ),
-    (check_t, "BinaryMatrix(16x8)"),
-    (
+    "BinaryMatrix8": (check_t, "BinaryMatrix(16x8)"),
+    "RankReport9": (
         report,
         "RankReport(params=CodeParams(n=16, k=8, t=2, m=4), cyclic_rank=8, check_rank=8,"
         " secondary_rank=7, full_rank_windows=0)",
     ),
     # neither the support nor g, which are the secret
-    (private_key, "GoppaCode(params=CodeParams(n=16, k=8, t=2, m=4))"),
-]
+    "GoppaCode10": (private_key, "GoppaCode(params=CodeParams(n=16, k=8, t=2, m=4))"),
+}
 
 
-@pytest.mark.parametrize("make, text", REPRS, ids=[t.split("(")[0] + str(i) for i, (_, t) in enumerate(REPRS)])
+@pytest.mark.parametrize("make, text", REPRS.values(), ids=REPRS)
 def test_repr_is_the_class_and_its_fields(make, text):
     assert repr(make()) == text
 
 
 # each pair built twice from the same arguments, so equal but not identical
-FROZEN = [
-    lambda: CodeParams(16, 8, 2, 4),
-    lambda: CwParams(8, 2),
-    lambda: DenseSeed(),
-    lambda: SparseSeed(4),
-    lambda: RunSeed(0, 2),
-    lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
-    lambda: NiederreiterPublicKey(TOY, check_t()),
-    lambda: check_t(),
-    lambda: report(),
-    private_key,
-]
+FROZEN = {
+    "<lambda>0": lambda: CodeParams(16, 8, 2, 4),
+    "<lambda>1": lambda: CwParams(8, 2),
+    "<lambda>2": lambda: DenseSeed(),
+    "<lambda>3": lambda: SparseSeed(4),
+    "<lambda>4": lambda: RunSeed(0, 2),
+    "<lambda>5": lambda: Kal1PublicKey(TOY, 5, SparseSeed(2)),
+    "<lambda>6": lambda: NiederreiterPublicKey(TOY, check_t()),
+    "<lambda>7": check_t,  # the BinaryMatrix
+    "<lambda>8": report,
+    "private_key": private_key,
+}
 
 
-@pytest.mark.parametrize("make", FROZEN)
+@pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
 def test_equal_by_fields(make):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
 
 
-@pytest.mark.parametrize("make", FROZEN)
+@pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
 def test_frozen_values_hash_by_fields_and_refuse_assignment(make):
     a, b = make(), make()
     assert hash(a) == hash(b)
