@@ -29,11 +29,6 @@ from .errors import (
 from .goppa import CodeParams
 from .rng import SEED_BYTES, fresh_seed
 
-EXIT_FORMAT = 2
-EXIT_RANGE = 3
-EXIT_DECODE = 4
-EXIT_KAT = 5
-
 SCHEME_IDS = {name: sid for sid, name in keyio.SCHEME_NAMES.items()}
 
 # Published public-key sizes (bits) of the NIST final-round code-based
@@ -291,16 +286,8 @@ _HANDLERS = {
 }
 
 
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, KatMismatch):
-        return EXIT_KAT
-    if isinstance(exc, FormatError):
-        return EXIT_FORMAT
-    if isinstance(exc, RangeError):
-        return EXIT_RANGE
-    if isinstance(exc, DecodingFailure):
-        return EXIT_DECODE
-    return 1
+# the exit code of each error class the docstring names; any other is 1
+_EXIT_CODES = ((FormatError, 2), (RangeError, 3), (DecodingFailure, 4), (KatMismatch, 5))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -308,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (Kal1Error, OSError, ValueError) as exc:
-        code = _exit_code(exc) if isinstance(exc, Kal1Error) else 1
+        code = next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
         name = type(exc).__name__
         print(f"error: {code} {name}", file=sys.stderr)
         print(str(exc), file=sys.stderr)

@@ -22,7 +22,7 @@ so both yield the same key for a seed.
 from __future__ import annotations
 
 from .binmat import BinaryMatrix, random_permutation
-from .errors import FormatError, Frozen, GenerationFailure
+from .errors import DimensionMismatch, FormatError, Frozen, GenerationFailure
 from .goppa import RESAMPLE_LIMIT, CodeParams, GoppaCode, generate_code, scatter
 from .rng import SeededRng
 
@@ -80,9 +80,8 @@ def public_key(priv: GoppaCode) -> NiederreiterPublicKey:
 
 def decrypt(priv: GoppaCode, c: int) -> int:
     """Recover the error vector: R*c is the syndrome of (0^k | c), so
-    decode that.
-
-    A negative ciphertext, or one longer than n-k bits, raises
-    DimensionMismatch in the syndrome.
-    """
+    decode that.  A negative ciphertext, or one longer than n-k bits,
+    raises DimensionMismatch."""
+    if c >> priv.params.redundancy:  # a negative c too
+        raise DimensionMismatch("ciphertext negative or longer than n-k bits")
     return priv.decode(priv.syndrome(c << priv.params.k))

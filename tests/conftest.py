@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, settings
 
-from kal1 import niederreiter, scheme
+from kal1 import keyio, niederreiter, scheme
 from kal1.binmat import BinaryMatrix
 from kal1.goppa import CodeParams, generate_code
 from kal1.rng import SeededRng
@@ -28,6 +28,14 @@ MID_KAT = Path(__file__).parent / "data" / "mid.kat"
 # an irreducible quartic over GF(2^8); its square is the Goppa
 # polynomial of caller-built mid codes with a repeated factor
 SQUARE_Q = [166, 88, 69, 184, 1]
+# scheme id, sparse weight, run start and run length of each key kind
+KINDS = {
+    "niederreiter": (keyio.SCHEME_NIEDERREITER, 0, 0, 0),
+    "kal1": (keyio.SCHEME_KAL1, 0, 0, 0),
+    "kal1-s1": (keyio.SCHEME_KAL1_S1, 3, 0, 0),
+    "kal1-s2": (keyio.SCHEME_KAL1_S2, 0, 1, 4),
+}
+
 
 def seed_bytes(tag: int) -> bytes:
     return tag.to_bytes(16, "big")
@@ -49,36 +57,6 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def odd_hex_kat(field: str, pad: bool = False) -> str:
-    """The shipped toy KAT with one hex digit dropped from (or, with
-    pad, added to) the given field of record 2."""
-    lines = TOY_KAT.read_text().splitlines()
-    head, rest = lines[1].split(f" {field}=", 1)
-    value, *tail = rest.split(" ", 1)
-    value = "0" + value if pad else value[1:]
-    lines[1] = " ".join([head, f"{field}={value}", *tail])
-    return "\n".join(lines) + "\n"
-
-
-def out_of_range_msg_kat(msg: str) -> str:
-    """The shipped toy KAT with the message of record 1 replaced."""
-    lines = TOY_KAT.read_text().splitlines()
-    head, rest = lines[0].split(" msg=", 1)
-    lines[0] = f"{head} msg={msg} {rest.split(' ', 1)[1]}"
-    return "\n".join(lines) + "\n"
-
-
-def oversized_param_kat(index: int, digits: int) -> str:
-    """The shipped toy KAT with parameter `index` (n, k, t, m) of record 2
-    replaced by a run of `digits` nines."""
-    lines = TOY_KAT.read_text().splitlines()
-    params, rest = lines[1].split(" ", 1)
-    values = params.removeprefix("params=").split(",")
-    values[index] = "9" * digits
-    lines[1] = f"params={','.join(values)} {rest}"
-    return "\n".join(lines) + "\n"
 
 
 # dense views of bit matrices and permutations, for hand cases and oracles

@@ -55,7 +55,7 @@ EUCLID = "test_fast_kernels.py::test_packed_euclid_matches_oracle"
 DIVMOD = "test_fast_kernels.py::test_poly_divmod_matches_oracle"
 INV = "test_fast_kernels.py::test_poly_inv_mod_matches_oracle"
 CONSTANT_G = "test_fast_kernels.py::test_poly_inv_mod_refuses_a_constant_modulus"
-BUILT = "test_root_screen.py::test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles"
+BUILT = "test_root_screen.py::test_is_irreducible_decides_each_labelled_case_like_the_oracle"
 PLANES = "test_root_screen.py::test_power_planes_hold_f_at_every_element"
 MUL_MOD = "test_fast_kernels.py::test_packed_mul_mod_matches_oracle"
 DRAWS = "test_keygen_kernels.py::test_permutation_and_sample_match_the_unbuffered_oracle"
@@ -68,6 +68,7 @@ CODEC = "test_root_screen.py::test_codec_round_trips_with_the_old_bytes"
 VALIDATIONS = "test_values.py::test_constructor_validation_messages"
 WIRE_PROPERTY = "test_untrusted_input.py::test_a_kal1_key_is_refused_when_built_or_written_or_reads_back"
 PRIVATE_IN_PLACE = "test_niederreiter.py::test_a_private_key_keeps_its_support_and_check"
+REFUSAL = "test_keyio.py::test_each_refusal_is_raised_by_its_reader"
 
 MUTANTS = [
     # the one Euclid loop and its set-bit tables
@@ -493,14 +494,14 @@ MUTANTS = [
         "keyio.py",
         'if int.from_bytes(data, "little") >> nbits:',
         "if False:",
-        ("test_keyio.py::test_parse_rejects_nonzero_padding",),
+        (f"{REFUSAL}[pk-padding-bit]", f"{REFUSAL}[ct-padding-bit-0]"),
     ),
     Mutant(
         "parse-skips-the-canonical-form-rule",
         "keyio.py",
         "(seed_row >> nk or seed_fields(sid, seed_row) != fields)",
         "seed_row >> nk",
-        ("test_keyio.py::test_parse_rejects_noncanonical_seed_fields",),
+        (f"{REFUSAL}[pk-descending-positions]", f"{REFUSAL}[pk-unsorted-positions]"),
     ),
     # write only what can be read back
     Mutant(
@@ -515,7 +516,7 @@ MUTANTS = [
         "keyio.py",
         "    policy = _header_policy(sid, w, run_start, run_len)\n    if policy is not None:\n        try:",
         "    policy = _header_policy(sid, w, run_start, run_len)\n    if False:\n        try:",
-        ("test_keyio.py::test_private_key_writer_refuses_what_the_loader_refuses",),
+        (f"{REFUSAL}[sk-run-past-row]", f"{REFUSAL}[sk-sparse-weight-9]"),
     ),
     Mutant(
         # the header rules regenerate applies through _header_policy are
@@ -535,7 +536,7 @@ MUTANTS = [
         "niederreiter.py",
         "if check_t.cols != nk or check_t.row_ints[params.k :] != tuple(1 << i for i in range(nk)):",
         "if check_t.cols != nk:",
-        ("test_keyio.py::test_parse_rejects_non_systematic_check",),
+        (f"{REFUSAL}[pk-non-systematic]",),
     ),
     Mutant(
         # a list of rows could be changed in place after the check

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from kal1 import cli
+from kal1 import cli, keyio
 from kal1.goppa import CodeParams
 
-from conftest import MID_KAT, odd_hex_kat, out_of_range_msg_kat, oversized_param_kat
+from conftest import KINDS, MID_KAT
+from refusals import REFUSALS, key_files
 
 TOY_ARGS = ["--n", "16", "--k", "8", "--t", "2", "--m", "4"]
 SEED = "00000000000000000000000000000007"
@@ -95,100 +96,49 @@ def test_keygen_deterministic(capsys, tmp_path):
     assert (tmp_path / "a.sk").read_bytes() == (tmp_path / "b.sk").read_bytes()
 
 
-def test_encrypt_decrypt_round_trip(capsys, tmp_path):
-    out = keygen(capsys, tmp_path)
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"\x0b")
-    ct = tmp_path / "ct.bin"
-    back = tmp_path / "back.bin"
-    code, _, err = run(capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(ct))
-    assert code == 0, err
-    code, _, err = run(capsys, "decrypt", "--key", out + ".sk", "--in", str(ct), "--out", str(back))
-    assert code == 0, err
-    assert back.read_bytes() == msg.read_bytes()
+def test_every_scheme_round_trips_to_one_ciphertext(capsys, tmp_path):
+    # keygen, encrypt and decrypt under each scheme; the systematic forms
+    # make every scheme write the same ciphertext bytes
+    keys = {}
+    for name, (_, w, run_start, run_len) in KINDS.items():
+        extra = ("--sparse-weight", str(w)) if w else ()
+        extra += ("--run-start", str(run_start), "--run-len", str(run_len)) if run_len else ()
+        keys[name] = keygen(capsys, tmp_path, name, scheme=name, extra=extra)
+    msg, back = tmp_path / "msg", tmp_path / "back"
+    for byte in (0x05, 0x09, 0x0B):
+        msg.write_bytes(bytes([byte]))
+        cts = set()
+        for name, out in keys.items():
+            ct = tmp_path / f"{name}.ct"
+            code, _, err = run(capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(ct))
+            assert code == 0, (name, err)
+            code, _, err = run(capsys, "decrypt", "--key", out + ".sk", "--in", str(ct), "--out", str(back))
+            assert code == 0, (name, err)
+            assert back.read_bytes() == msg.read_bytes(), name
+            cts.add(ct.read_bytes())
+        assert len(cts) == 1
 
 
-def test_round_trip_for_every_scheme(capsys, tmp_path):
-    for name, extra in (
-        ("niederreiter", ()),
-        ("kal1", ()),
-        ("kal1-s1", ("--sparse-weight", "3")),
-        ("kal1-s2", ("--run-start", "4", "--run-len", "3")),
-    ):
-        out = keygen(capsys, tmp_path, f"key-{name}", scheme=name, extra=extra)
-        msg = tmp_path / f"m-{name}.bin"
-        msg.write_bytes(b"\x05")
-        ct = tmp_path / f"c-{name}.bin"
-        back = tmp_path / f"b-{name}.bin"
-        code, _, err = run(
-            capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(ct)
-        )
-        assert code == 0, (name, err)
-        code, _, err = run(
-            capsys, "decrypt", "--key", out + ".sk", "--in", str(ct), "--out", str(back)
-        )
-        assert code == 0, (name, err)
-        assert back.read_bytes() == msg.read_bytes(), name
-
-
-def test_ciphertexts_agree_across_schemes(capsys, tmp_path):
-    # the systematic forms make every scheme emit the same ciphertext
-    msg = tmp_path / "m.bin"
-    msg.write_bytes(b"\x09")
-    cts = []
-    for name in ("niederreiter", "kal1"):
-        out = keygen(capsys, tmp_path, f"x-{name}", scheme=name)
-        ct = tmp_path / f"ct-{name}.bin"
-        code, _, _ = run(capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(ct))
-        assert code == 0
-        cts.append(ct.read_bytes())
-    assert cts[0] == cts[1]
-
-
-def test_message_length_error_exits_2(capsys, tmp_path):
-    out = keygen(capsys, tmp_path)
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"\x00\x01")  # 2 bytes, expected 1
-    code, _, err = run(
-        capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(tmp_path / "c")
-    )
-    assert code == 2
-    assert err.startswith("error: 2 FormatError")
-
-
-def test_message_range_error_exits_3(capsys, tmp_path):
-    out = keygen(capsys, tmp_path)
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"\xff")  # 255 >= 2^4
-    code, _, err = run(
-        capsys, "encrypt", "--key", out + ".pk", "--in", str(msg), "--out", str(tmp_path / "c")
-    )
-    assert code == 3
-    assert err.startswith("error: 3 RangeError")
-
-
-def test_truncated_ciphertext_exits_2(capsys, tmp_path):
-    out = keygen(capsys, tmp_path)
-    ct = tmp_path / "ct.bin"
-    ct.write_bytes(b"")
-    code, _, err = run(
-        capsys, "decrypt", "--key", out + ".sk", "--in", str(ct), "--out", str(tmp_path / "b")
-    )
-    assert code == 2
-    assert err.startswith("error: 2 FormatError")
-
-
-def test_corrupted_private_key_exits_2(capsys, tmp_path):
-    out = keygen(capsys, tmp_path)
-    sk = bytearray((tmp_path / "key.sk").read_bytes())
-    sk[-1] ^= 1  # break the checksum
-    (tmp_path / "key.sk").write_bytes(bytes(sk))
-    ct = tmp_path / "ct.bin"
-    ct.write_bytes(b"\xa0")
-    code, _, err = run(
-        capsys, "decrypt", "--key", out + ".sk", "--in", str(ct), "--out", str(tmp_path / "b")
-    )
-    assert code == 2
+@pytest.mark.parametrize("name", REFUSALS)
+def test_each_refusal_exits_with_its_code(capsys, tmp_path, name):
+    # the row's bad file among good ones: the exit code, then exactly the
+    # class and the message on stderr, and no --out file
+    row = REFUSALS[name]
+    pk, sk = key_files(row.params)
+    files = {"pk": pk, "sk": sk, "ct": bytes(keyio.ciphertext_bytes(row.params)), row.kind: row.build()}
+    for kind, data in files.items():
+        (tmp_path / kind).write_bytes(data)
+    path = {kind: str(tmp_path / kind) for kind in ("pk", "sk", "ct", "msg", "kat")}
+    out = tmp_path / "out"
+    argv = {
+        "pk": ["inspect", "--key", path["pk"]],
+        "sk": ["decrypt", "--key", path["sk"], "--in", path["ct"], "--out", str(out)],
+        "ct": ["decrypt", "--key", path["sk"], "--in", path["ct"], "--out", str(out)],
+        "msg": ["encrypt", "--key", path["pk"], "--in", path["msg"], "--out", str(out)],
+        "kat": ["kat", "verify", "--kat", path["kat"]],
+    }[row.kind]
+    assert run(capsys, *argv) == (row.code, "", f"error: {row.code} {row.error.__name__}\n{row.message}\n")
+    assert not out.exists()
 
 
 def test_undecodable_ciphertext_exit_code(capsys, tmp_path):
@@ -309,47 +259,6 @@ def test_shipped_mid_kat_verifies(capsys):
     code, stdout, err = run(capsys, "kat", "verify", "--kat", str(MID_KAT))
     assert code == 0, err
     assert "verified 8 records" in stdout
-
-
-def test_kat_verify_mismatch_exits_5(capsys, tmp_path):
-    kat = tmp_path / "records.kat"
-    run(capsys, "kat", "generate", *TOY_ARGS, "--seed", SEED, "--count", "3", "--kat", str(kat))
-    lines = kat.read_text().splitlines()
-    prefix, ct = lines[1].rsplit("ct=", 1)
-    flipped = format(int(ct, 16) ^ 0x01, f"0{len(ct)}x")
-    lines[1] = prefix + "ct=" + flipped
-    kat.write_text("\n".join(lines) + "\n")
-    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
-    assert code == 5
-    assert err.startswith("error: 5 KatMismatch")
-    assert "record 2" in err
-
-
-@pytest.mark.parametrize("field", ["seed", "msg", "ct"])
-def test_kat_verify_odd_length_hex_exits_2(capsys, tmp_path, field):
-    kat = tmp_path / "odd.kat"
-    kat.write_text(odd_hex_kat(field))
-    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
-    assert code == 2
-    assert err.startswith("error: 2 FormatError")
-
-
-@pytest.mark.parametrize("index", range(4))
-def test_kat_verify_oversized_params_exits_2(capsys, tmp_path, index):
-    kat = tmp_path / "big.kat"
-    kat.write_text(oversized_param_kat(index, 5000))
-    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
-    assert code == 2
-    assert err.startswith("error: 2 FormatError")
-
-
-def test_kat_verify_out_of_range_message_exits_2(capsys, tmp_path):
-    kat = tmp_path / "range.kat"
-    kat.write_text(out_of_range_msg_kat("ff"))
-    code, _, err = run(capsys, "kat", "verify", "--kat", str(kat))
-    assert code == 2
-    assert err.startswith("error: 2 FormatError")
-    assert "line 1:" in err
 
 
 def test_kat_generate_negative_count_writes_no_file(capsys, tmp_path):

@@ -14,15 +14,8 @@ from kal1 import keyio, scheme
 from kal1.errors import RangeError
 
 import oracles
-from conftest import MID, TOY, seed_bytes
+from conftest import KINDS, MID, TOY, seed_bytes
 
-# scheme id, sparse weight, run start and run length of each key kind
-KINDS = {
-    "niederreiter": (keyio.SCHEME_NIEDERREITER, 0, 0, 0),
-    "kal1": (keyio.SCHEME_KAL1, 0, 0, 0),
-    "kal1-s1": (keyio.SCHEME_KAL1_S1, 3, 0, 0),
-    "kal1-s2": (keyio.SCHEME_KAL1_S2, 0, 1, 4),
-}
 KEYS = [f"{kind}/{form}" for kind in KINDS for form in ("memory", "parsed")]
 
 

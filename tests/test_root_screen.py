@@ -133,7 +133,7 @@ def test_root_test_matches_a_scan_of_the_field(m):
 
 
 @pytest.mark.parametrize("m", sorted(FIELDS))
-def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
+def test_is_irreducible_decides_each_labelled_case_like_the_oracle(m):
     for label, f in cases(m):
         expected = check_irreducible(FIELDS[m], f)
         if not label.startswith(("random-", "extreme-")):
@@ -142,7 +142,7 @@ def test_is_irreducible_decides_like_the_batched_and_level_by_level_oracles(m):
 
 @pytest.mark.parametrize("m", [4, 8, 10])
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
-def test_is_irreducible_matches_the_batched_oracle_around_the_degree_4_cut(m, t):
+def test_is_irreducible_matches_the_oracle_around_the_degree_4_cut(m, t):
     # below degree 4 a rootless f is accepted without a gcd; at 4 and 5
     # the rootless products of two factors must still be rejected
     rnd = random.Random(f"cut/{m}/{t}")
