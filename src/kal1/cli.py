@@ -5,9 +5,9 @@ kat generate draw from --seed, or from system entropy without it; every
 other command is a function of its inputs.  bench prints the public-key
 size table; timings come from the benchmark harness in bench/.  Error
 exits print a machine-parsable first line ``error: <code> <name>``;
-codes are 1 generic/parameter, 2 format, 3 range, 4 decoding, 5 KAT
-mismatch.  Each run imports this module afresh, so the analysis module
-isd is imported only by inspect --rank-report.
+codes are 1 generic/parameter (a usage error too), 2 format, 3 range,
+4 decoding, 5 KAT mismatch.  Each run imports this module afresh, so
+the analysis module isd is imported only by inspect --rank-report.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     Kal1Error,
     KatMismatch,
+    ParameterError,
     RangeError,
 )
 from .goppa import CodeParams
@@ -54,10 +55,21 @@ def _add_seed_flag(p: argparse.ArgumentParser):
     p.add_argument("--seed", help="32 hex chars; defaults to system entropy")
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    raise ParameterError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error reaches main, which prints it as ParameterError and
+    # exits 1, in place of argparse's usage text and exit 2; the
+    # subcommands' parsers are of this class too
+    error = _usage_error
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="kal1", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="kal1", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a keypair and write .pk/.sk files")
@@ -136,7 +148,8 @@ def cmd_keygen(args) -> int:
     pk_path = args.out + ".pk"
     sk_path = args.out + ".sk"
     # a path that is a directory fails before any file is written; past
-    # that the .sk goes into place first, so a failing keygen leaves no new .pk
+    # that the .sk goes into place first and is put back if the .pk's move
+    # fails, so a failing keygen changes neither file
     _write_files([(pk_path, pk_bytes), (sk_path, sk_bytes)])
     print(f"public key: {keyio.payload_bits(pub)} bits")
     print(f"wrote {pk_path} and {sk_path}")
@@ -146,23 +159,40 @@ def cmd_keygen(args) -> int:
 def _write_files(files: list[tuple[str, bytes]]) -> None:
     """Refuse a path that is a directory, then write each (path, data)
     under a temporary name beside its path and os.replace them into
-    place, last first.  An OSError removes the temporaries and names its
-    path, having changed only the paths after it."""
+    place, last first.  An OSError removes the temporaries, puts each
+    path already replaced back as it was (its older bytes, or no file)
+    and names its path."""
     for path, _ in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    temps = []
+    temps, placed = [], []
     try:
         for path, data in files:
             with open(f"{path}.{os.getpid()}.tmp", "xb") as fh:
                 temps.append(fh.name)
                 fh.write(data)
         for (path, _), tmp in reversed(list(zip(files, temps))):
+            older = _read_if_any(path)
             os.replace(tmp, path)
+            placed.append((path, older))
     except OSError as exc:
         for tmp in filter(os.path.exists, temps):
             os.remove(tmp)
+        for done, older in placed:
+            if older is None:
+                os.remove(done)
+            else:
+                with open(done, "wb") as fh:
+                    fh.write(older)
         raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
+def _read_if_any(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
 
 
 def cmd_encrypt(args) -> int:
@@ -291,8 +321,8 @@ _EXIT_CODES = ((FormatError, 2), (RangeError, 3), (DecodingFailure, 4), (KatMism
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (Kal1Error, OSError, ValueError) as exc:
         code = next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)

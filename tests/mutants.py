@@ -587,6 +587,15 @@ MUTANTS = [
         ("test_cli.py::test_keygen_that_cannot_write_a_file_leaves_no_new_pk",),
     ),
     Mutant(
+        # a .pk that cannot be moved into place leaves the new .sk beside
+        # the older .pk, or alone
+        "keygen-skips-the-restore",
+        "cli.py",
+        "for done, older in placed:",
+        "for done, older in ():",
+        ("test_cli.py::test_keygen_whose_pk_cannot_be_moved_changes_neither_file",),
+    ),
+    Mutant(
         # the masking sum of a narrower cyclic_t is taken, not refused
         "masking-sum-skips-the-shape-check",
         "isd.py",

@@ -8,9 +8,10 @@ starts recording every Python function entered.  The census then drives
 kal1.cli.main in-process at toy (16,8,2,4) and mid (256,192,8,8):
 keygen with and without --seed on every scheme, encrypt, decrypt,
 inspect of each .pk and .sk and --rank-report, kat generate and kat
-verify, bench in text and csv, and one failing command per exit code.
-It also runs what the benchmark's keygen-headline workload does to each
-key: regenerate, serialize both files, parse the .pk and compare.
+verify, bench in text and csv, one failing command per exit code and
+one usage error.  It also runs what the benchmark's keygen-headline
+workload does to each key: regenerate, serialize both files, parse the
+.pk and compare.
 
 Every function defined in src/kal1 (found by compiling each module, so
 nested functions count) that none of this entered must have a one-line
@@ -155,6 +156,7 @@ def drive(work: Path) -> list[str]:
     # one failing command per exit code, at toy
     key = work / "toy-kal1"
     run(1, "keygen", *param_flags(16, 9, 2, 4), "--out", str(work / "bad"))
+    run(1, "keygen", *param_flags(*TOY))  # a usage error: no --out
     run(1, "decrypt", "--key", str(work / "missing.sk"), "--in", f"{key}.ct", "--out", str(work / "x"))
     run(2, "keygen", *param_flags(*TOY), "--seed", "zz", "--out", str(work / "bad"))
     run(2, "inspect", "--key", str(work / "toy.msg"))

@@ -8,8 +8,7 @@ is decoded and then decrypted under the key of ``key_files``.  A ``.sk``
 row with ``writer_args`` is also a writer row: ``serialize_private_key``
 must refuse those arguments with the loader's class and message.  Every
 input is built when its test runs, so a faulty writer fails its own
-rows and not the collection.  ``CIPHERTEXT_PAST_N_MINUS_K`` and
-``CIPHERTEXT_NEGATIVES`` are the ints that decryption refuses.
+rows and not the collection.
 """
 
 from __future__ import annotations
@@ -289,8 +288,3 @@ REFUSALS: dict[str, Refusal] = {
         KatMismatch, "record 2: ct expected 45, got 44", 5,
     ),
 }
-
-# ints that decryption refuses before it decodes anything, at toy scale
-CIPHERTEXT_PAST_N_MINUS_K = 1 << 8
-CIPHERTEXT_NEGATIVES = [-1, -3, -(1 << 8)]
-CIPHERTEXT_RANGE = "ciphertext negative or longer than n-k bits"

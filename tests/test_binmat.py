@@ -186,17 +186,6 @@ def test_permutation_matrix_is_orthogonal():
         assert pm.mul(pm.transpose()) == identity(n)
 
 
-def test_apply_perm_agrees_with_matrix_product():
-    rnd = random.Random(11)
-    for _ in range(100):
-        n = rnd.randint(1, 10)
-        dest = rnd.sample(range(n), n)
-        v = rnd.getrandbits(n)
-        vm = BinaryMatrix(1, n, [v])
-        assert apply(dest, v) == vm.mul(perm_matrix(dest)).row_ints[0]
-        assert apply(perm_inverse(dest), v) == vm.mul(perm_matrix(dest).transpose()).row_ints[0]
-
-
 def test_permute_columns_is_right_multiplication():
     rnd = random.Random(12)
     for _ in range(100):

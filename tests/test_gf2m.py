@@ -123,34 +123,6 @@ def test_poly_eval_term_by_term_oracle():
         assert poly_eval(f, coeffs, x) == functools.reduce(operator.xor, terms)
 
 
-def random_poly(rnd, field, max_len):
-    return [rnd.randrange(field.order) for _ in range(rnd.randrange(1, max_len))]
-
-
-def test_poly_mul_and_divmod_roundtrip():
-    # m = 6, which no other packed row covers
-    rnd = random.Random(11)
-    for _ in range(100):
-        check_packed(FIELDS[6], random_poly(rnd, FIELDS[6], 8), random_poly(rnd, FIELDS[6], 8))
-
-
-def test_eea_postcondition():
-    # Euclid to the gcd, whose cofactors the packed kernel carries
-    rnd = random.Random(13)
-    for _ in range(100):
-        check_packed(FIELDS[8], random_poly(rnd, FIELDS[8], 9), random_poly(rnd, FIELDS[8], 9))
-
-
-def test_bounded_eea_identity_and_degrees():
-    # Patterson's stop at t // 2 on a monic g of degree 4 to 11
-    f = FIELDS[8]
-    rnd = random.Random(17)
-    for _ in range(100):
-        t = rnd.randrange(4, 12)
-        g = [rnd.randrange(256) for _ in range(t)] + [1]
-        check_packed(f, g, random_poly(rnd, f, t + 1), t // 2)
-
-
 def test_poly_inv_mod():
     # every s of degree below an irreducible quadratic g, 0 included
     f = FIELDS[4]

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from kal1 import isd
+from kal1 import isd, niederreiter, scheme
 from kal1.binmat import BinaryMatrix
 from kal1.cw import CwParams
 from kal1.errors import DimensionMismatch, FormatError, ParameterError
@@ -174,6 +174,12 @@ VALIDATIONS = [
         lambda: NiederreiterPublicKey(TOY, BinaryMatrix(16, 9, check_t().row_ints)),
         FormatError,
         "check matrix is not in systematic form",
+    ),
+    # both decrypts refuse a ciphertext past n-k = 8 bits or below zero
+    *(
+        (lambda d=decrypt, c=c: d(private_key(), c), DimensionMismatch, "ciphertext negative or longer than n-k bits")
+        for decrypt in (niederreiter.decrypt, scheme.decrypt)
+        for c in (1 << 8, -1, -3, -(1 << 8))
     ),
 ]
 
